@@ -1,13 +1,9 @@
-"""Ablations — execution mode and input form.
+"""Ablation — input form.
 
-DESIGN.md design decisions 1 and 4:
-
-* **tuple-wise vs micro-batched input** (§2.1: both are accepted; the
-  framework treats each input tuple-wise) — this bench verifies identical
-  pollution output for both input forms and compares their cost;
-* **direct vs stream-engine execution** — the pollution semantics live in
-  the pipeline objects; the engine adds topology traversal cost. The bench
-  quantifies that cost and re-asserts output equality.
+DESIGN.md design decision 1: **tuple-wise vs micro-batched input** (§2.1:
+both are accepted; the framework treats each input tuple-wise). This bench
+verifies identical pollution output for both input forms and compares their
+cost on the one sequential engine.
 """
 
 from benchmarks.conftest import report, scaled
@@ -31,7 +27,7 @@ def _median_time(fn, rounds):
     return times[len(times) // 2] * 1000.0
 
 
-def test_ablation_microbatch_and_engine(benchmark, wearable_records):
+def test_ablation_microbatch_input(benchmark, wearable_records):
     scenario = software_update_scenario()
     rounds = scaled(small=5, paper=20)
     rows_as_dicts = [r.as_dict() for r in wearable_records]
@@ -46,34 +42,25 @@ def test_ablation_microbatch_and_engine(benchmark, wearable_records):
 
     outputs = {}
     timings = {}
-    variants = {
-        "tuple-wise / direct": dict(data=tuple_source, engine="direct"),
-        "micro-batch / direct": dict(data=batch_source, engine="direct"),
-        "tuple-wise / stream-engine": dict(data=tuple_source, engine="stream"),
-    }
-    for name, cfg in variants.items():
-        def run(cfg=cfg):
-            return pollute(
-                cfg["data"](), scenario.pipeline(), seed=11, log=False,
-                engine=cfg["engine"],
-            )
+    variants = {"tuple-wise": tuple_source, "micro-batch": batch_source}
+    for name, source in variants.items():
+        def run(source=source):
+            return pollute(source(), scenario.pipeline(), seed=11, log=False)
 
         timings[name] = _median_time(run, rounds)
         outputs[name] = [r.as_dict() for r in run().polluted]
 
     benchmark.pedantic(
-        lambda: pollute(
-            tuple_source(), scenario.pipeline(), seed=11, log=False, engine="direct"
-        ),
+        lambda: pollute(tuple_source(), scenario.pipeline(), seed=11, log=False),
         rounds=rounds,
         iterations=1,
     )
 
-    baseline = timings["tuple-wise / direct"]
+    baseline = timings["tuple-wise"]
     report(
-        "Ablation — execution mode and input form (software-update scenario)",
+        "Ablation — input form (software-update scenario)",
         render_table(
-            ["variant", "median ms", "vs direct"],
+            ["variant", "median ms", "vs tuple-wise"],
             [
                 [name, f"{t:.1f}", f"{100 * (t - baseline) / baseline:+.0f}%"]
                 for name, t in timings.items()
@@ -82,6 +69,6 @@ def test_ablation_microbatch_and_engine(benchmark, wearable_records):
     )
 
     # All variants produce byte-identical pollution.
-    reference = outputs["tuple-wise / direct"]
+    reference = outputs["tuple-wise"]
     for name, out in outputs.items():
         assert out == reference, f"{name} diverged from the reference output"

@@ -85,7 +85,7 @@ def test_batched_execution_speedup(benchmark):
     per-record engine's throughput at batch 256 on the Fig. 8 workload
     (l=4 stochastic Gaussian polluters).
 
-    Both modes run the direct engine on identical inputs; the batched run
+    Both modes run the sequential engine on identical inputs; the batched run
     differs only in ``batch_size``, which compiles the pipeline into fused
     batch kernels (vectorized condition masks, bulk RNG draws). Output
     byte-identity between the modes is asserted separately in
@@ -125,7 +125,7 @@ def test_batched_execution_speedup(benchmark):
     speedups = {mode: minima["record"] / t for mode, t in minima.items()}
 
     report(
-        f"Throughput — batched execution speedup (n={n} tuples, direct engine, l=4)",
+        f"Throughput — batched execution speedup (n={n} tuples, sequential engine, l=4)",
         render_table(
             ["mode", "seconds", "tuples/s", "speedup"],
             [

@@ -29,21 +29,10 @@ path for every plan, at every batch size. The reasons this holds:
 """
 
 from repro.batch.batch import RecordBatch
-from repro.batch.engine import run_batched
-from repro.batch.kernels import (
-    KERNEL_CACHE,
-    CompiledPipeline,
-    KernelCache,
-    compile_pipeline,
-    plan_digest,
-)
+from repro.batch.kernels import CompiledPipeline, compile_pipeline
 
 __all__ = [
     "CompiledPipeline",
-    "KERNEL_CACHE",
-    "KernelCache",
     "RecordBatch",
     "compile_pipeline",
-    "plan_digest",
-    "run_batched",
 ]

@@ -1,88 +1,14 @@
-"""Batched direct execution: the fast path of :func:`repro.core.runner.pollute`.
+"""Bindings the benchmark harness patches by attribute.
 
-:func:`run_batched` mirrors the record-at-a-time direct engine exactly —
-prepare, route, pollute per substream, integrate — but cuts the prepared
-stream into global slabs of ``batch_size`` records and pushes each slab
-through the compiled kernel chains (:mod:`repro.batch.kernels`)
-polluter-major.
-
-Ordering invariants that keep the output byte-identical:
-
-* Routing happens at *arrival* time, record by record, so stateful routing
-  (round-robin counters, probabilistic overlap draws) consumes state in the
-  sequential order.
-* Batch cuts are global across substreams: at each flush, every substream's
-  pending slice covers the same arrival window, and slices are processed in
-  substream index order. This keeps pollution-log events for any record
-  appended substream-major *within one arrival window*, which the stable
-  record-ID sort then maps onto the sequential record-major order.
-* Per-substream arrival order inside a slab is preserved (fan-out rows are
-  emitted in place), so :func:`repro.core.integrate.integrate` sees the
-  same per-substream sequences the sequential engine produces.
+Batched runs execute on the stream engine (:mod:`repro.core.runner`), whose
+pollution operators compile their chains with
+:func:`repro.batch.kernels.compile_pipeline`. The traced pass of
+``benchmarks/harness`` (``spans.py``) wraps these three names on this
+module, so they must stay importable from here.
 """
-
-from __future__ import annotations
-
-from typing import Iterable
 
 from repro.batch.kernels import compile_pipeline
 from repro.core.integrate import integrate
-from repro.core.log import PollutionLog
-from repro.core.pipeline import PollutionPipeline
 from repro.core.prepare import prepare_stream
-from repro.errors import PollutionError
-from repro.streaming.record import Record
-from repro.streaming.schema import Schema
-from repro.streaming.split import SplitStrategy
 
-
-def run_batched(
-    data: Iterable,
-    schema: Schema,
-    pipelines: list[PollutionPipeline],
-    strategy: SplitStrategy,
-    log: PollutionLog | None,
-    batch_size: int,
-    profiler=None,
-) -> tuple[list[Record], list[Record]]:
-    """Run the direct engine in slabs of ``batch_size`` prepared records.
-
-    Returns ``(clean, polluted)`` exactly like the sequential direct path;
-    the caller re-sorts the pollution log afterwards. ``profiler`` makes
-    the compiled kernels time their slabs (observational only).
-    """
-    if batch_size < 1:
-        raise PollutionError(f"batch_size must be >= 1, got {batch_size}")
-    compiled = [compile_pipeline(pipeline, profiler=profiler) for pipeline in pipelines]
-    clean: list[Record] = []
-    substreams: list[list[Record]] = [[] for _ in pipelines]
-    pending_records: list[list[Record]] = [[] for _ in pipelines]
-    pending_taus: list[list[int]] = [[] for _ in pipelines]
-
-    def flush() -> None:
-        for idx, kernel_chain in enumerate(compiled):
-            batch = pending_records[idx]
-            if not batch:
-                continue
-            out_records, _ = kernel_chain.apply_batch(batch, pending_taus[idx], log)
-            substreams[idx].extend(out_records)
-            pending_records[idx] = []
-            pending_taus[idx] = []
-
-    pending = 0
-    for record in prepare_stream(data, schema):
-        clean.append(record)
-        tau = record.event_time
-        for idx in strategy.route(record):
-            copy = record.copy()
-            copy.substream = idx
-            pending_records[idx].append(copy)
-            pending_taus[idx].append(tau)
-        pending += 1
-        if pending >= batch_size:
-            flush()
-            pending = 0
-    if pending:
-        flush()
-    polluted = integrate(substreams, schema)
-    return clean, polluted
+__all__ = ["compile_pipeline", "integrate", "prepare_stream"]

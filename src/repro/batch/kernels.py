@@ -39,19 +39,12 @@ changes (restored by a stable record-ID sort, see
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Sequence
 
-from repro.check.factbase import (
-    plan_digest,
-    predict_kernel,
-    predict_mask_kind,
-)
+from repro.check.factbase import KernelPrediction, predict_kernel
 from repro.core.errors.base import require_numeric
-from repro.core.errors.static_numeric import GaussianNoise, _preserve_int
+from repro.core.errors.static_numeric import _preserve_int
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline, _needs_rng
 from repro.core.polluter import Polluter, StandardPolluter
@@ -61,14 +54,10 @@ from repro.streaming.record import Record
 __all__ = [
     "CompiledPipeline",
     "FallbackKernel",
-    "KERNEL_CACHE",
-    "KernelCache",
-    "KernelDecision",
     "PolluterKernel",
     "StandardKernel",
     "compile_pipeline",
     "kernel_kind",
-    "plan_digest",
     "polluter_label",
 ]
 
@@ -95,13 +84,8 @@ def polluter_label(polluter: Polluter) -> str:
     return str(name) if name else type(polluter).__name__
 
 
-def _mask_kind(condition: Any) -> str:
-    """Classify a condition's mask strategy — shared with the fact engine."""
-    return predict_mask_kind(condition)
-
-
-def _build_mask(polluter: StandardPolluter, kind: str) -> MaskFn:
-    """Materialize the mask closure for a known strategy."""
+def _build_mask(polluter: StandardPolluter, kind: str | None) -> MaskFn:
+    """Materialize the mask closure for a strategy (unknown kinds: row-wise)."""
     condition = polluter.condition
     if kind == "always":
         return lambda records, taus: [True] * len(records)
@@ -144,11 +128,6 @@ def _build_mask(polluter: StandardPolluter, kind: str) -> MaskFn:
         return [condition.evaluate(r, tau) for r, tau in zip(records, taus)]
 
     return row_mask
-
-
-def _compile_mask(polluter: StandardPolluter) -> MaskFn:
-    """Pick the fastest mask builder that is provably draw-identical."""
-    return _build_mask(polluter, _mask_kind(polluter.condition))
 
 
 class PolluterKernel:
@@ -223,20 +202,10 @@ class FallbackKernel(PolluterKernel):
 class StandardKernel(PolluterKernel):
     """Fused mask + fired-path kernel for a :class:`StandardPolluter`."""
 
-    def __init__(
-        self, polluter: StandardPolluter, decision: "KernelDecision | None" = None
-    ) -> None:
+    def __init__(self, polluter: StandardPolluter, prediction: KernelPrediction) -> None:
         self.polluter = polluter
-        if decision is None:
-            self._mask = _compile_mask(polluter)
-            # Exact-type gate: a GaussianNoise subclass could change apply().
-            self._gaussian = type(polluter.error) is GaussianNoise
-        else:
-            # Replay a cached compilation decision: skip the classification
-            # pass, build the closures directly against the live polluter.
-            assert decision.mask_kind is not None
-            self._mask = _build_mask(polluter, decision.mask_kind)
-            self._gaussian = decision.gaussian
+        self._mask = _build_mask(polluter, prediction.mask_kind)
+        self._gaussian = prediction.gaussian
 
     def _apply_batch(
         self,
@@ -359,164 +328,37 @@ class CompiledPipeline:
         return records, taus
 
 
-# ---------------------------------------------------------------------------
-# Plan-hash compilation cache
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelDecision:
-    """One polluter's compilation outcome — everything :func:`compile_pipeline`
-    derives by classification, none of it tied to a live object."""
-
-    kind: str  # "standard" | "fallback"
-    mask_kind: str | None  # mask strategy for standard kernels
-    gaussian: bool  # bulk-Gaussian fast path?
-
-
-class KernelCache:
-    """An LRU of compilation decisions, keyed by :func:`plan_digest`.
-
-    The dominant service pattern is the same plan submitted over and over;
-    caching lets repeat compilations skip the classification pass entirely.
-    Decisions — not kernels — are cached: kernels close over live polluter
-    objects (RNG streams, condition state) that differ per run, so they can
-    never be shared, but the *choices* (kernel kind, mask strategy,
-    Gaussian fast path) are per-class facts that transfer exactly.
-
-    Thread-safe; the serve job manager compiles from concurrent worker
-    threads.
-    """
-
-    def __init__(self, maxsize: int = 128) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[KernelDecision, ...]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, digest: str) -> tuple[KernelDecision, ...] | None:
-        with self._lock:
-            plan = self._entries.get(digest)
-            if plan is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(digest)
-            self.hits += 1
-            return plan
-
-    def put(self, digest: str, plan: tuple[KernelDecision, ...]) -> None:
-        with self._lock:
-            self._entries[digest] = plan
-            self._entries.move_to_end(digest)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "entries": len(self._entries),
-            }
-
-    def publish(self, metrics: Any) -> None:
-        """Surface the counters on a :class:`~repro.obs.metrics.MetricsRegistry`."""
-        stats = self.stats()
-        metrics.counter("kernel_cache_hits_total").value = stats["hits"]
-        metrics.counter("kernel_cache_misses_total").value = stats["misses"]
-        metrics.counter("kernel_cache_evictions_total").value = stats["evictions"]
-        metrics.gauge("kernel_cache_entries").set(stats["entries"])
-
-
-#: The process-wide cache both the batch engine and the stream operators use.
-KERNEL_CACHE = KernelCache()
-
-
-def _decide(polluter: Polluter) -> KernelDecision:
-    """One polluter's compilation decision, read off the shared fact engine.
-
-    :func:`repro.check.factbase.predict_kernel` is the single authority on
-    kernel eligibility — the same prediction the ICE7xx performance lints
-    and ``repro check --explain`` report.
-    """
-    prediction = predict_kernel(polluter)
-    return KernelDecision(
-        kind=prediction.kind,
-        mask_kind=prediction.mask_kind,
-        gaussian=prediction.gaussian,
-    )
-
-
 def compile_pipeline(
     pipeline: PollutionPipeline,
     profiler: Any = None,
-    cache: KernelCache | None = KERNEL_CACHE,
 ) -> CompiledPipeline:
     """Compile a (bound) pipeline into its batch-kernel chain.
+
+    Each polluter gets the kernel :func:`repro.check.factbase.predict_kernel`
+    names — the single authority on kernel eligibility, and the same
+    prediction the ICE7xx performance lints and ``repro check --explain``
+    report.
 
     ``profiler`` (a :class:`repro.obs.profile.Profiler`) makes every kernel
     time its slabs and registers each polluter's kernel kind, so fallback
     polluters are named in the profile.
-
-    ``cache`` (default: the process-wide :data:`KERNEL_CACHE`) replays
-    compilation decisions for plans seen before, keyed by
-    :func:`plan_digest`; pass ``None`` to force a fresh classification.
     """
     if not pipeline.is_bound and any(_needs_rng(p) for p in pipeline.polluters):
         raise PollutionError(
             f"pipeline {pipeline.name!r} contains stochastic polluters but was "
             "never bound to a RandomSource; call bind() or use the runner"
         )
-    plan: tuple[KernelDecision, ...] | None = None
-    digest: str | None = None
-    if cache is not None:
-        digest = plan_digest(pipeline)
-        if digest is not None:
-            plan = cache.get(digest)
-    if plan is None:
-        plan = tuple(_decide(polluter) for polluter in pipeline.polluters)
-        if cache is not None and digest is not None:
-            cache.put(digest, plan)
-    else:
-        # Cached decisions replay against a digest-equal pipeline; the fact
-        # engine's live prediction must agree, or the digest's purity
-        # contract (equal digests => equal decisions) has been broken.
-        assert len(plan) == len(pipeline.polluters), (
-            f"cached plan for {pipeline.name!r} has {len(plan)} decisions for "
-            f"{len(pipeline.polluters)} polluters"
-        )
-        for polluter, decision in zip(pipeline.polluters, plan):
-            predicted = _decide(polluter)
-            assert decision == predicted, (
-                f"cached kernel decision {decision} for polluter "
-                f"{polluter.name!r} disagrees with the fact engine's "
-                f"prediction {predicted}"
-            )
     kernels: list[PolluterKernel] = []
-    for polluter, decision in zip(pipeline.polluters, plan):
+    for polluter in pipeline.polluters:
+        prediction = predict_kernel(polluter)
         kernel: PolluterKernel
-        if decision.kind == "standard":
-            kernel = StandardKernel(polluter, decision)  # type: ignore[arg-type]
+        if prediction.kind == "standard":
+            kernel = StandardKernel(polluter, prediction)  # type: ignore[arg-type]
         else:
             kernel = FallbackKernel(polluter)
         if profiler is not None:
             kernel.profiler = profiler
             kernel.label = polluter_label(polluter)
-            profiler.register_kernel(kernel.label, decision.kind)
+            profiler.register_kernel(kernel.label, prediction.kind)
         kernels.append(kernel)
     return CompiledPipeline(pipeline, kernels)

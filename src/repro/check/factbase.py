@@ -464,7 +464,7 @@ class FactBaseCache:
         metrics.gauge("factbase_cache_entries").set(stats["entries"])
 
 
-#: The process-wide fact-base cache (same keying as the kernel cache).
+#: The process-wide fact-base cache, keyed by :func:`plan_digest`.
 FACTBASE_CACHE = FactBaseCache()
 
 

@@ -194,7 +194,6 @@ def _compiled_plan(spec: Mapping[str, Any], schema: Schema, args: argparse.Names
         pipelines=pipeline,
         schema=schema,
         seed=args.seed,
-        engine=getattr(args, "engine", None) or "direct",
         failure_policy=policy,
         checkpoint_dir=getattr(args, "checkpoint_dir", None),
         parallelism=args.parallel,
@@ -649,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--on-error",
         choices=["fail", "skip", "retry", "dead-letter"],
         default=None,
-        help="supervise operators with this failure policy (uses the stream engine)",
+        help="supervise operators with this failure policy",
     )
     p.add_argument(
         "--retries", type=int, default=3,
@@ -657,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--checkpoint-dir", default=None,
-        help="directory for periodic state checkpoints (uses the stream engine)",
+        help="directory for periodic state checkpoints",
     )
     p.add_argument(
         "--checkpoint-interval", type=int, default=100,
@@ -771,10 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pl.add_argument("--schema", required=True, help="stream schema JSON")
     pl.add_argument("--seed", type=int, default=None, help="intended run seed")
-    pl.add_argument(
-        "--engine", choices=["direct", "stream"], default=None,
-        help="requested sequential engine (default direct)",
-    )
     pl.add_argument(
         "--parallel", type=int, default=None, metavar="N",
         help="intended worker count (compiles to the parallel engine)",

@@ -17,10 +17,8 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.errors import PollutionError
-from repro.streaming.operators import Collector, ProcessFunction, ProcessContext
 from repro.streaming.record import Record
 from repro.streaming.schema import Schema
-from repro.streaming.watermarks import Watermark
 
 
 def timestamp_sort_key(schema: Schema):
@@ -68,51 +66,3 @@ def integrate(substreams: Sequence[list[Record]], schema: Schema) -> list[Record
                 record.substream = index
             merged.append(record)
     return sort_by_timestamp(merged, schema)
-
-
-class EventTimeSorter(ProcessFunction):
-    """Streaming re-sorter: buffers records, emits them in timestamp order.
-
-    The streaming-engine equivalent of line 11 for unbounded execution:
-    records are held until the watermark passes their (polluted) timestamp,
-    then released in order. With the end-of-stream watermark this flushes
-    everything, so bounded runs produce exactly ``sort_by_timestamp``'s
-    output.
-    """
-
-    def __init__(self, schema: Schema) -> None:
-        self._schema = schema
-        self._buffer: list[Record] = []
-        self._emitted_up_to: int | None = None
-
-    def process(self, record: Record, ctx: ProcessContext, out: Collector) -> None:
-        self._buffer.append(record)
-
-    def snapshot_state(self):
-        if not self._buffer and self._emitted_up_to is None:
-            return None
-        return {
-            "buffer": [r.copy() for r in self._buffer],
-            "emitted_up_to": self._emitted_up_to,
-        }
-
-    def restore_state(self, state) -> None:
-        if state is None:
-            return
-        self._buffer = [r.copy() for r in state["buffer"]]
-        self._emitted_up_to = state["emitted_up_to"]
-
-    def on_watermark(self, watermark: Watermark, out: Collector) -> None:
-        ts_attr = self._schema.timestamp_attribute
-        ready = [
-            r for r in self._buffer
-            if r.get(ts_attr) is not None and r.get(ts_attr) <= watermark.timestamp
-        ]
-        if watermark.timestamp >= Watermark.max().timestamp:
-            ready = list(self._buffer)
-        if not ready:
-            return
-        ready_ids = {id(r) for r in ready}
-        self._buffer = [r for r in self._buffer if id(r) not in ready_ids]
-        for record in sort_by_timestamp(ready, self._schema):
-            out.collect(record)

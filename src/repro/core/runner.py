@@ -5,19 +5,17 @@ sub-streams, pollute each sub-stream with its pipeline, integrate, and
 return both the clean and the polluted stream (Algorithm 1 returns
 ``D, D^p``) plus the pollution log.
 
-Two execution modes produce identical output:
-
-* ``engine="direct"`` (default) — a plain Python loop over the prepared
-  stream; fastest, and the reference semantics.
-* ``engine="stream"`` — builds a topology on the
-  :class:`~repro.streaming.environment.StreamExecutionEnvironment`
-  (source -> prepare -> split -> per-branch pollution process -> union ->
-  event-time sort -> sink), exercising the same code paths a Flink
-  deployment would. Experiment 3's runtime measurements use this mode.
-
-Equivalence of the two modes is asserted by an integration test and is a
-useful invariant: the pollution semantics live in the pipeline objects, not
-in the execution substrate.
+Every sequential run executes on the
+:class:`~repro.streaming.environment.StreamExecutionEnvironment`, the
+substrate a Flink deployment would provide: source -> prepare -> split ->
+one pollution process per sub-stream -> one collecting sink per sub-stream,
+followed by :func:`~repro.core.integrate.integrate` (union and timestamp
+sort, Algorithm 1 lines 10-11). Without a batch size, or with batch size 1,
+records move one at a time; a larger batch size moves slabs through
+compiled batch kernels with byte-identical output. Supervision,
+checkpointing, metrics, tracing, profiling, the run ledger and live
+progress all attach to this one engine, so observing a run never changes
+which engine runs it.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.core.integrate import EventTimeSorter, integrate, sort_by_timestamp
+from repro.core.integrate import integrate, sort_by_timestamp
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
 from repro.core.prepare import IdGenerator, PrepareFunction, prepare_stream
@@ -190,8 +188,8 @@ def pollute(
     log:
         Whether to record a :class:`~repro.core.log.PollutionLog`.
     engine:
-        ``"direct"`` or ``"stream"``; identical output, see module docs.
-        Fault-tolerance options force ``"stream"``.
+        ``"direct"`` or ``"stream"``. Kept for compatibility and validated;
+        both run the one sequential engine described in the module docs.
     failure_policy:
         Default :class:`~repro.streaming.supervision.FailurePolicy` applied
         to every operator of the stream topology (supervised execution).
@@ -207,12 +205,11 @@ def pollute(
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry` to collect run
         telemetry into: per-polluter activation/condition/injection counters
-        plus the stream engine's node metrics. An enabled registry forces
-        ``engine="stream"`` so node-level metrics exist. Pollution output is
+        plus the stream engine's node metrics. Pollution output is
         byte-identical with and without metrics.
     tracer:
         A :class:`~repro.obs.tracing.Tracer` receiving span records for node
-        lifecycle, checkpoint, and supervision events (stream engine only).
+        lifecycle, checkpoint, and supervision events.
     parallelism:
         When set, runs the sharded multi-process runtime
         (:func:`repro.parallel.pollute_parallel`): prepared records are
@@ -220,8 +217,7 @@ def pollute(
         deterministically merged. Keyed plans (``key_by``) are byte-identical
         to the sequential run; unkeyed plans are reproducible per
         ``(seed, parallelism)``. Incompatible with ``tracer`` (spans cannot
-        cross process boundaries) and with ``engine="stream"``-only options
-        no worse than the sequential path.
+        cross process boundaries).
     key_by:
         Pollution key — an attribute name or a picklable key selector. Runs
         one pipeline instance per key (isolated stateful error functions);
@@ -244,8 +240,8 @@ def pollute(
         the polluter chains execute as compiled batch kernels with bulk RNG
         draws. Output — records, metadata, pollution-log CSV, checkpoints —
         is byte-identical to the per-record path for every plan (the
-        differential-equivalence suite enforces this). Applies to both
-        engines and to parallel shard workers. Under a ``failure_policy``
+        differential-equivalence suite enforces this). Applies to the
+        sequential engine and to parallel shard workers. Under a ``failure_policy``
         the engine executes whole slabs and, when one fails, rolls the slab
         back and replays it per-record so only the poison record is skipped,
         retried, or dead-lettered — never the surrounding ``batch_size - 1``
@@ -320,23 +316,19 @@ def pollute(
 
 
 def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
-    """Run a compiled sequential plan: direct/stream, per-record/batched.
+    """Run a compiled sequential plan on the stream engine, per record or batched.
 
     Consumes the plan's normalized fields (``plan.pipelines``,
-    ``plan.strategy``, the final ``plan.engine``) — every mode decision was
-    made by :func:`repro.plan.compile_plan`, none is re-derived here.
+    ``plan.strategy``, ``plan.batched``) — every mode decision was made by
+    :func:`repro.plan.compile_plan`, none is re-derived here.
     """
     request = plan.request
     pipelines: list[PollutionPipeline] = plan.pipelines
-    strategy = plan.strategy
-    streamed = plan.engine in ("stream", "stream-batch")
-    batched = plan.batched
     seed = request.seed
     batch_size = request.batch_size
     metrics = request.metrics
     metered = request.metered
     ledger = request.ledger
-    failure_policy = request.failure_policy
     profiler = request.profiler
     if profiler is None and request.profile:
         profiler = Profiler()
@@ -372,46 +364,29 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
             seed=seed,
         )
 
-    report: ExecutionReport | None = None
     try:
-        if not streamed:
-            if batched:
-                from repro.batch.engine import run_batched
-
-                clean, polluted = run_batched(
-                    source, schema, list(pipelines), strategy, pollution_log, batch_size
-                )
-            else:
-                clean, polluted = _run_direct(
-                    source, schema, pipelines, strategy, pollution_log
-                )
-        else:
-            with profiler.phase("execute") if profiler is not None else nullcontext():
-                clean, polluted, report = _run_stream(
-                    source,
-                    schema,
-                    pipelines,
-                    strategy,
-                    pollution_log,
-                    failure_policy=failure_policy,
-                    checkpoint_dir=request.checkpoint_dir,
-                    checkpoint_interval=request.checkpoint_interval,
-                    resume_from=request.resume_from,
-                    metrics=metrics if metered else None,
-                    tracer=request.tracer,
-                    batch_size=batch_size,
-                    profiler=profiler,
-                    ledger=ledger,
-                    progress=renderer,
-                )
+        with profiler.phase("execute") if profiler is not None else nullcontext():
+            clean, polluted, report = _run_stream(
+                source,
+                schema,
+                pipelines,
+                plan.strategy,
+                pollution_log,
+                failure_policy=request.failure_policy,
+                checkpoint_dir=request.checkpoint_dir,
+                checkpoint_interval=request.checkpoint_interval,
+                resume_from=request.resume_from,
+                metrics=metrics if metered else None,
+                tracer=request.tracer,
+                batch_size=batch_size,
+                profiler=profiler,
+                ledger=ledger,
+                progress=renderer,
+            )
     finally:
         if metered:
             for pipeline in pipelines:
                 pipeline.flush_metrics()
-            if batched:
-                from repro.batch.kernels import KERNEL_CACHE
-
-                KERNEL_CACHE.publish(metrics)
         if renderer is not None:
             renderer.finish()
     if profiler is not None:
@@ -423,9 +398,9 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
             "run.complete",
             records_in=len(clean),
             records_out=len(polluted),
-            completed=report.completed if report is not None else True,
+            completed=report.completed,
         )
-    if batched and pollution_log is not None:
+    if plan.batched and pollution_log is not None:
         # Batch kernels append log events polluter-major; the stable
         # record-ID sort restores the sequential record-major order exactly
         # (IDs are assigned in arrival order, within-record chain order is
@@ -546,32 +521,6 @@ def _execute_keyed_plan(plan: Any, data: Any) -> PollutionResult:
 
 
 # ---------------------------------------------------------------------------
-# Direct mode
-# ---------------------------------------------------------------------------
-
-
-def _run_direct(
-    source: Source,
-    schema: Schema,
-    pipelines: Sequence[PollutionPipeline],
-    strategy: SplitStrategy,
-    log: PollutionLog | None,
-) -> tuple[list[Record], list[Record]]:
-    clean: list[Record] = []
-    substreams: list[list[Record]] = [[] for _ in pipelines]
-    for record in prepare_stream(source, schema):
-        clean.append(record)
-        for idx in strategy.route(record):
-            copy = record.copy()
-            copy.substream = idx
-            substreams[idx].extend(
-                pipelines[idx].apply(copy, copy.event_time, log)  # type: ignore[arg-type]
-            )
-    polluted = integrate(substreams, schema)
-    return clean, polluted
-
-
-# ---------------------------------------------------------------------------
 # Stream-engine mode
 # ---------------------------------------------------------------------------
 
@@ -639,10 +588,6 @@ class PollutionProcessFunction(ProcessFunction):
         del self._log.events[token:]
 
 
-class _TeeSink(CollectSink):
-    """Collects the clean stream off a tee in the topology."""
-
-
 def _run_stream(
     source: Source,
     schema: Schema,
@@ -675,25 +620,17 @@ def _run_stream(
     prepared = env.from_source(source, name="input").map(
         PrepareFunction(schema, IdGenerator()), name="prepare"
     )
-    clean_sink = _TeeSink()
-    prepared.map(lambda r: r.copy(), name="tee-clean").add_sink(clean_sink, name="clean")
+    # The split copies each record per branch, so the clean sink can keep
+    # the prepared record itself.
+    clean_sink = prepared.add_sink(CollectSink(), name="clean")
     branches = prepared.split(strategy, name="substreams")
-    polluted_branches = [
+    dirty_sinks = [
         branch.process(
             PollutionProcessFunction(pipeline, log, profiler=profiler),
             name=f"pollute[{i}]",
-        )
+        ).add_sink(CollectSink(), name=f"dirty[{i}]")
         for i, (branch, pipeline) in enumerate(zip(branches, pipelines))
     ]
-    merged = (
-        polluted_branches[0].union(*polluted_branches[1:], name="integrate")
-        if len(polluted_branches) > 1
-        else polluted_branches[0]
-    )
-    dirty_sink = CollectSink()
-    merged.process(EventTimeSorter(schema), name="sort").add_sink(dirty_sink, name="dirty")
     report = env.execute(resume_from=resume_from)
-    # The streaming sorter flushes per watermark; a final global stable sort
-    # makes output identical to direct mode regardless of watermark cadence.
-    polluted = sort_by_timestamp(dirty_sink.records, schema)
+    polluted = integrate([sink.records for sink in dirty_sinks], schema)
     return clean_sink.records, polluted, report

@@ -66,10 +66,6 @@ METRIC_HELP: dict[str, str] = {
     "profile_kernel_mask_seconds": "Condition-mask evaluation time per polluter.",
     "profile_node_seconds": "Exclusive per-node processing time.",
     "tracer_dropped_spans": "Spans evicted from the tracer ring buffer.",
-    "kernel_cache_hits_total": "Batch pipeline compilations served from the plan-hash cache.",
-    "kernel_cache_misses_total": "Batch pipeline compilations that ran the full analysis.",
-    "kernel_cache_evictions_total": "Plan-hash cache entries evicted by the LRU policy.",
-    "kernel_cache_entries": "Plans currently held by the kernel compilation cache.",
     "factbase_cache_hits_total": "Plan-fact bases served from the plan-hash cache.",
     "factbase_cache_misses_total": "Plan-fact bases built from scratch.",
     "factbase_cache_entries": "Fact bases currently held by the plan-hash cache.",

@@ -25,8 +25,6 @@ running anything; ``repro plan`` and the golden plan snapshots under
 from repro.plan.compile import compile_plan
 from repro.plan.execute import execute_plan
 from repro.plan.ir import (
-    ENGINE_DIRECT,
-    ENGINE_DIRECT_BATCH,
     ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
     ENGINE_SHARD_KEYED,
@@ -43,8 +41,6 @@ from repro.plan.ir import (
 )
 
 __all__ = [
-    "ENGINE_DIRECT",
-    "ENGINE_DIRECT_BATCH",
     "ENGINE_KEYED_DIRECT",
     "ENGINE_PARALLEL",
     "ENGINE_SHARD_KEYED",

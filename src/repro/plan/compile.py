@@ -1,7 +1,7 @@
 """``compile_plan``: one request in, one justified execution plan out.
 
 This module is the *only* place a mode combination is decided. Every
-validation rule and engine-forcing branch that used to live inline in
+validation rule and engine choice that used to live inline in
 ``pollute()``, ``pollute_parallel()``, the keyed runner, and the shard
 worker moved here; the executors consume the plan's normalized fields and
 never re-derive a decision. Each branch taken emits a
@@ -24,8 +24,6 @@ from repro.core.keyed_pollution import FreshPipelineFactory
 from repro.core.pipeline import PollutionPipeline
 from repro.errors import PollutionError
 from repro.plan.ir import (
-    ENGINE_DIRECT,
-    ENGINE_DIRECT_BATCH,
     ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
     ENGINE_SHARD_KEYED,
@@ -173,7 +171,7 @@ def _kernel_decisions(
 
 
 # ---------------------------------------------------------------------------
-# Sequential (direct / stream, per-record / batched)
+# Sequential (the stream engine, per-record / batched)
 # ---------------------------------------------------------------------------
 
 
@@ -188,72 +186,9 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
     strategy = _normalize_strategy(request.split, pipelines)
 
     decisions: list[PlanDecision] = []
-    engine = request.engine
-    if request.failure_policy is not None:
-        engine = "stream"
-        decisions.append(
-            PlanDecision(
-                "supervision-requires-stream",
-                "a failure policy supervises every operator of the stream "
-                "topology; supervision lives in the stream engine",
-            )
-        )
-    if request.checkpoint_dir is not None:
-        engine = "stream"
-        decisions.append(
-            PlanDecision(
-                "checkpointing-requires-stream",
-                "periodic state snapshots are cut at the stream engine's "
-                "checkpoint barriers",
-            )
-        )
-    if request.resume_from is not None:
-        engine = "stream"
-        decisions.append(
-            PlanDecision(
-                "resume-requires-stream",
-                "resuming replays the checkpointed offset through the stream "
-                "engine's restore path",
-            )
-        )
-    if request.metered:
-        engine = "stream"
-        decisions.append(
-            PlanDecision(
-                "metrics-require-stream",
-                "an enabled metrics registry needs per-node counters, which "
-                "only the stream engine's operators maintain",
-            )
-        )
-    if request.tracer is not None:
-        engine = "stream"
-        decisions.append(
-            PlanDecision(
-                "tracing-requires-stream",
-                "span records cover node lifecycle, checkpoint, and "
-                "supervision events of the stream engine",
-            )
-        )
-    if request.profile or request.ledger is not None or bool(request.progress):
-        engine = "stream"
-        decisions.append(
-            PlanDecision(
-                "telemetry-requires-stream",
-                "profiling, run-ledger, and progress hooks are emitted by the "
-                "stream engine; output bytes are unchanged",
-            )
-        )
-    if engine == "stream" and request.engine == "stream" and not decisions:
-        decisions.append(
-            PlanDecision(
-                "engine-stream-requested",
-                "engine='stream' was requested explicitly; output is "
-                "byte-identical to the direct engine",
-            )
-        )
-
+    facts = _facts_for(pipelines)
     if request.batched:
-        final = ENGINE_DIRECT_BATCH if engine == "direct" else ENGINE_STREAM_BATCH
+        engine = ENGINE_STREAM_BATCH
         decisions.append(
             PlanDecision(
                 "batch-kernels",
@@ -273,27 +208,14 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
                     "per-record dispatch",
                 )
             )
-    else:
-        final = ENGINE_DIRECT if engine == "direct" else ENGINE_STREAM
-        if final == ENGINE_DIRECT:
-            decisions.append(
-                PlanDecision(
-                    "engine-direct-default",
-                    "no option requires the stream engine; the per-record "
-                    "direct loop is the reference semantics and the fastest "
-                    "unbatched path",
-                )
-            )
-
-    facts = _facts_for(pipelines)
-    if request.batched:
         _kernel_decisions(facts, decisions, context="the sequential engine")
+    else:
+        engine = ENGINE_STREAM
 
-    stages = _sequential_stages(final, request, pipelines, strategy)
     return ExecutionPlan(
-        engine=final,
+        engine=engine,
         request=request,
-        stages=tuple(stages),
+        stages=tuple(_sequential_stages(request, pipelines, strategy)),
         decisions=tuple(decisions),
         pipelines=pipelines,
         strategy=strategy,
@@ -302,22 +224,17 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
 
 
 def _sequential_stages(
-    engine: str,
     request: PlanRequest,
     pipelines: list[PollutionPipeline],
     strategy: Any,
 ) -> list[PlanStage]:
-    batched = engine in (ENGINE_DIRECT_BATCH, ENGINE_STREAM_BATCH)
-    streamed = engine in (ENGINE_STREAM, ENGINE_STREAM_BATCH)
     m = len(pipelines)
     stages = [
         PlanStage("source", "input"),
         PlanStage("prepare", "prepare", {"ids": "global", "event_time": "tau"}),
     ]
-    if batched:
+    if request.batched:
         stages.append(PlanStage("batch", "slab", {"batch_size": request.batch_size}))
-    if streamed:
-        stages.append(PlanStage("tee", "tee-clean"))
     stages.append(
         PlanStage(
             "split", "substreams", {"strategy": type(strategy).__name__, "m": m}
@@ -330,13 +247,10 @@ def _sequential_stages(
                 f"pollute[{index}]",
                 {
                     "pipeline": pipeline.name,
-                    "dispatch": "batch-kernels" if batched else "per-record",
+                    "dispatch": "batch-kernels" if request.batched else "per-record",
                 },
             )
         )
-    if m > 1:
-        stages.append(PlanStage("integrate", "integrate", {"kind": "union"}))
-    stages.append(PlanStage("sort", "sort", {"order": "event-time", "stable": True}))
     if request.failure_policy is not None:
         stages.append(
             PlanStage(
@@ -354,6 +268,13 @@ def _sequential_stages(
             )
         )
     stages.append(PlanStage("sink", "collect"))
+    stages.append(
+        PlanStage(
+            "integrate",
+            "integrate",
+            {"kind": "union", "order": "event-time", "stable": True},
+        )
+    )
     return stages
 
 

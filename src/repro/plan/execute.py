@@ -14,8 +14,6 @@ from typing import Any
 
 from repro.errors import PollutionError
 from repro.plan.ir import (
-    ENGINE_DIRECT,
-    ENGINE_DIRECT_BATCH,
     ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
     ENGINE_STREAM,
@@ -50,12 +48,7 @@ def execute_plan(
         from repro.core.runner import _execute_keyed_plan
 
         return _execute_keyed_plan(plan, data)
-    if plan.engine in (
-        ENGINE_DIRECT,
-        ENGINE_DIRECT_BATCH,
-        ENGINE_STREAM,
-        ENGINE_STREAM_BATCH,
-    ):
+    if plan.engine in (ENGINE_STREAM, ENGINE_STREAM_BATCH):
         from repro.core.runner import _execute_sequential_plan
 
         return _execute_sequential_plan(plan, data)

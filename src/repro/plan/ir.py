@@ -30,8 +30,6 @@ PLAN_FORMAT_VERSION = 1
 # tuning detail, so the planner names it explicitly instead of leaving it
 # to a runtime flag.
 
-ENGINE_DIRECT = "direct"
-ENGINE_DIRECT_BATCH = "direct-batch"
 ENGINE_STREAM = "stream"
 ENGINE_STREAM_BATCH = "stream-batch"
 ENGINE_KEYED_DIRECT = "keyed-direct"
@@ -41,8 +39,6 @@ ENGINE_SHARD_STREAM_BATCH = "shard-stream-batch"
 ENGINE_SHARD_KEYED = "shard-keyed"
 
 ENGINES = (
-    ENGINE_DIRECT,
-    ENGINE_DIRECT_BATCH,
     ENGINE_STREAM,
     ENGINE_STREAM_BATCH,
     ENGINE_KEYED_DIRECT,
@@ -105,8 +101,8 @@ class PlanRequest:
     split: Any = None
     seed: int | None = None
     log: bool = True
-    #: The caller's engine *hint* (``"direct"`` | ``"stream"``); the
-    #: compiled plan's engine may escalate it and never downgrades it.
+    #: The caller's engine hint (``"direct"`` | ``"stream"``): validated,
+    #: but both name the one sequential engine.
     engine: str = "direct"
     failure_policy: Any = None
     checkpoint_dir: Any = None
@@ -217,11 +213,7 @@ class ExecutionPlan:
 
     @property
     def batched(self) -> bool:
-        return self.engine in (
-            ENGINE_DIRECT_BATCH,
-            ENGINE_STREAM_BATCH,
-            ENGINE_SHARD_STREAM_BATCH,
-        )
+        return self.engine in (ENGINE_STREAM_BATCH, ENGINE_SHARD_STREAM_BATCH)
 
     @property
     def keyed(self) -> bool:
@@ -348,7 +340,7 @@ class ExecutionPlan:
             params = ", ".join(f"{k}={v}" for k, v in stage.params.items())
             suffix = f"  ({params})" if params else ""
             lines.append(f"    {index}. {stage.kind:<12} {stage.name}{suffix}")
-        lines.append("  decisions:")
+        lines.append("  decisions:" if self.decisions else "  decisions: none")
         for decision in self.decisions:
             lines.append(f"    - {decision.slug}")
             lines.append(f"        {decision.detail}")

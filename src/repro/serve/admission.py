@@ -20,8 +20,7 @@ quota checks and slot reservation are atomic.
 The dominant service pattern is the same plan submitted over and over, so
 plan-admission verdicts are cached in an :class:`AnalysisCache` keyed by a
 canonical hash of (config, schema, check options) — the serve-side sibling
-of the batch engine's ``KERNEL_CACHE`` and the analyzer's
-``FACTBASE_CACHE``. A repeat submission skips the whole static analysis;
+of the analyzer's ``FACTBASE_CACHE``. A repeat submission skips the whole static analysis;
 ``/metrics`` exposes ``analysis_cache_hits_total`` / ``_misses_total``.
 """
 

@@ -259,10 +259,8 @@ class PollutionServer:
                 await self._send_json(writer, 200, {"ok": True})
             elif request.path == "/metrics":
                 route, status = "/metrics", 200
-                from repro.batch.kernels import KERNEL_CACHE
                 from repro.check.factbase import FACTBASE_CACHE
 
-                KERNEL_CACHE.publish(self.metrics)
                 FACTBASE_CACHE.publish(self.metrics)
                 self.manager.admission.analysis_cache.publish(self.metrics)
                 await self._send_response(

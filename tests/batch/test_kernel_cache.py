@@ -1,22 +1,13 @@
-"""The plan-hash kernel compilation cache (serve satellite).
+"""Plan digests: the cache key of the fact-base and admission caches.
 
-Contract: caching compilation *decisions* never changes compilation
-*results*. Decisions are pure functions of the polluter/condition/error
-classes, the digest keys on both the declarative config and those classes,
-and anything without a declarative form simply bypasses the cache.
+Plan facts are pure functions of the polluter/condition/error classes and
+the declarative config, so the digest keys on both, and anything without a
+declarative form has no digest at all.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.batch.kernels import (
-    KERNEL_CACHE,
-    KernelCache,
-    StandardKernel,
-    compile_pipeline,
-    plan_digest,
-)
+from repro.check.factbase import plan_digest
 from repro.core.conditions.base import Condition
 from repro.core.conditions.random import ProbabilityCondition
 from repro.core.config import pipeline_from_config
@@ -24,18 +15,6 @@ from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import StandardPolluter
 from repro.core.errors import SetToNull
 from repro.core.rng import RandomSource
-from repro.core.runner import pollute
-from repro.obs.metrics import MetricsRegistry
-from repro.streaming.record import Record
-from repro.serve.protocol import dumps, record_to_wire
-from repro.streaming.schema import Attribute, DataType, Schema
-
-SCHEMA = Schema(
-    [
-        Attribute("v", DataType.FLOAT),
-        Attribute("timestamp", DataType.TIMESTAMP, nullable=False),
-    ]
-)
 
 
 def _config(p: float = 0.3, name: str = "cache-test") -> dict:
@@ -57,14 +36,6 @@ def _pipeline(p: float = 0.3, name: str = "cache-test") -> PollutionPipeline:
     pipeline = pipeline_from_config(_config(p, name))
     pipeline.bind(RandomSource(7))
     return pipeline
-
-
-def _rows(n: int = 200):
-    return [{"v": float(i % 13), "timestamp": 1_700_000_000 + i * 60} for i in range(n)]
-
-
-def _render(records) -> str:
-    return dumps([record_to_wire(r) for r in records])
 
 
 class TestPlanDigest:
@@ -98,125 +69,3 @@ class TestPlanDigest:
         )
         pipeline.bind(RandomSource(0))
         assert plan_digest(pipeline) is None
-
-
-class TestKernelCache:
-    def test_repeat_compilation_hits(self):
-        cache = KernelCache()
-        compile_pipeline(_pipeline(), cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 1, "evictions": 0, "entries": 1}
-        compile_pipeline(_pipeline(), cache=cache)
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
-
-    def test_cached_compilation_is_equivalent(self):
-        cache = KernelCache()
-        rows = _rows()
-        fresh = pollute(rows, _pipeline(), schema=SCHEMA, seed=11, batch_size=32)
-        # Warm the shared cache, then run the same plan again through it.
-        warm1 = compile_pipeline(_pipeline(), cache=cache)
-        warm2 = compile_pipeline(_pipeline(), cache=cache)
-        assert cache.stats()["hits"] == 1
-        for kernel1, kernel2 in zip(warm1.kernels, warm2.kernels):
-            assert type(kernel1) is type(kernel2)
-        cached = pollute(rows, _pipeline(), schema=SCHEMA, seed=11, batch_size=32)
-        assert _render(fresh.polluted) == _render(cached.polluted)
-
-    def test_mask_strategy_survives_the_round_trip(self):
-        cache = KernelCache()
-        first = compile_pipeline(_pipeline(), cache=cache)
-        second = compile_pipeline(_pipeline(), cache=cache)
-        assert isinstance(second.kernels[0], StandardKernel)
-        rows = [Record({"v": 1.0, "timestamp": 1_700_000_000}) for _ in range(64)]
-        for r in rows:
-            r.event_time = r["timestamp"]
-        taus = [r.event_time for r in rows]
-        out1, _ = first.apply_batch(list(rows), list(taus), None)
-        # Both compiled against identically-seeded RNGs, so identical masks.
-        assert len(out1) == 64
-
-    def test_subclassed_condition_never_reuses_the_parent_entry(self):
-        class Pinned(ProbabilityCondition):
-            def evaluate(self, record, tau):
-                return False
-
-        pipeline = PollutionPipeline(
-            [StandardPolluter(SetToNull(), ["v"], Pinned(0.5), name="nulls")]
-        )
-        pipeline.bind(RandomSource(7))
-        cache = KernelCache()
-        compile_pipeline(_pipeline(p=0.5, name="pipeline"), cache=cache)
-        compiled = compile_pipeline(pipeline, cache=cache)
-        assert cache.stats()["hits"] == 0  # distinct digests, no false hit
-        rows = [Record({"v": 1.0, "timestamp": 1_700_000_000}) for _ in range(16)]
-        for r in rows:
-            r.event_time = r["timestamp"]
-        out, _ = compiled.apply_batch(rows, [r.event_time for r in rows], None)
-        assert all(r["v"] == 1.0 for r in out)  # the override was honoured
-
-    def test_lru_eviction(self):
-        cache = KernelCache(maxsize=2)
-        compile_pipeline(_pipeline(p=0.1), cache=cache)
-        compile_pipeline(_pipeline(p=0.2), cache=cache)
-        compile_pipeline(_pipeline(p=0.3), cache=cache)
-        stats = cache.stats()
-        assert stats["entries"] == 2
-        assert stats["evictions"] == 1
-        # p=0.1 was evicted; recompiling it misses.
-        compile_pipeline(_pipeline(p=0.1), cache=cache)
-        assert cache.stats()["hits"] == 0
-
-    def test_lru_order_refreshes_on_hit(self):
-        cache = KernelCache(maxsize=2)
-        compile_pipeline(_pipeline(p=0.1), cache=cache)
-        compile_pipeline(_pipeline(p=0.2), cache=cache)
-        compile_pipeline(_pipeline(p=0.1), cache=cache)  # refresh p=0.1
-        compile_pipeline(_pipeline(p=0.3), cache=cache)  # evicts p=0.2
-        compile_pipeline(_pipeline(p=0.1), cache=cache)
-        assert cache.stats()["hits"] == 2
-
-    def test_unserializable_plans_bypass_the_cache(self):
-        class Opaque(Condition):
-            def evaluate(self, record, tau):
-                return False
-
-        pipeline = PollutionPipeline(
-            [StandardPolluter(SetToNull(), ["v"], Opaque(), name="x")]
-        )
-        pipeline.bind(RandomSource(0))
-        cache = KernelCache()
-        compile_pipeline(pipeline, cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 0, "evictions": 0, "entries": 0}
-
-    def test_publish_surfaces_counters(self):
-        cache = KernelCache()
-        compile_pipeline(_pipeline(), cache=cache)
-        compile_pipeline(_pipeline(), cache=cache)
-        metrics = MetricsRegistry()
-        cache.publish(metrics)
-        assert metrics.counter("kernel_cache_hits_total").value == 1
-        assert metrics.counter("kernel_cache_misses_total").value == 1
-        assert metrics.gauge("kernel_cache_entries").value == 1
-
-
-class TestEndToEnd:
-    def test_batched_pollute_reports_cache_metrics(self):
-        KERNEL_CACHE.clear()
-        rows = _rows()
-        metrics = MetricsRegistry()
-        pollute(rows, _pipeline(), schema=SCHEMA, seed=3, batch_size=32, metrics=metrics)
-        assert metrics.counter("kernel_cache_misses_total").value >= 1
-        metrics2 = MetricsRegistry()
-        pollute(rows, _pipeline(), schema=SCHEMA, seed=3, batch_size=32, metrics=metrics2)
-        assert metrics2.counter("kernel_cache_hits_total").value >= 1
-
-    def test_repeated_jobs_are_byte_identical_across_the_cache(self):
-        KERNEL_CACHE.clear()
-        rows = _rows(500)
-        runs = [
-            pollute(rows, _pipeline(), schema=SCHEMA, seed=99, batch_size=64)
-            for _ in range(3)
-        ]
-        rendered = {_render(r.polluted) for r in runs}
-        assert len(rendered) == 1
-        assert KERNEL_CACHE.stats()["hits"] >= 2

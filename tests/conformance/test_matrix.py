@@ -3,12 +3,12 @@
 One :class:`ExecutionPlan` IR feeds every runtime, so every cell of the
 engine matrix must produce **byte-identical** output: records CSV with
 metadata, pollution-log CSV, and post-run RNG/state snapshots, all
-compared against the sequential direct oracle.
+compared against the default per-record sequential oracle.
 
 Two sub-matrices:
 
 * unkeyed — hypothesis-generated plans across batch sizes {1, 7, 256},
-  both sequential engines, and every failure policy (supervision with no
+  both engine hints, and every failure policy (supervision with no
   failing records must be a byte-level no-op);
 * keyed — the keyed sequential oracle against parallel {2, 4} workers,
   parallel+batch, and parallel+supervision (keyed sharding is the
@@ -147,9 +147,9 @@ def _run_cell(spec, seed, n=110, **kwargs):
 
 # every sequential cell: (id, pollute kwargs, engine the planner must pick)
 SEQUENTIAL_CELLS = [
-    ("batch-1", {"batch_size": 1}, "direct"),
-    ("batch-7", {"batch_size": 7}, "direct-batch"),
-    ("batch-256", {"batch_size": 256}, "direct-batch"),
+    ("batch-1", {"batch_size": 1}, "stream"),
+    ("batch-7", {"batch_size": 7}, "stream-batch"),
+    ("batch-256", {"batch_size": 256}, "stream-batch"),
     ("stream", {"engine": "stream"}, "stream"),
     ("stream-batch-7", {"engine": "stream", "batch_size": 7}, "stream-batch"),
     ("skip", {"failure_policy": SKIP}, "stream"),
@@ -175,7 +175,7 @@ SEQUENTIAL_CELLS = [
 def test_unkeyed_matrix_is_byte_identical(spec, seed):
     """Every engine × batch-size × failure-policy cell matches the oracle."""
     oracle_engine, oracle_bytes, oracle_snap = _run_cell(spec, seed)
-    assert oracle_engine == "direct"
+    assert oracle_engine == "stream"
     for cell_id, kwargs, engine in SEQUENTIAL_CELLS:
         got_engine, got_bytes, got_snap = _run_cell(spec, seed, **kwargs)
         assert got_engine == engine, (
@@ -346,8 +346,8 @@ def test_resume_matrix_converges_to_the_oracle(tmp_path):
                 **kwargs,
             )
         )
-        assert plan.engine.startswith("stream"), (
-            f"cell {cell_id}: resume must compile to the stream engine"
+        assert plan.engine == ("stream-batch" if "batch_size" in kwargs else "stream"), (
+            f"cell {cell_id}: resume compiled to {plan.engine}"
         )
         result = pollute(
             _rows(250),

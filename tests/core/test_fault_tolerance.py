@@ -131,6 +131,7 @@ class TestPolluteResume:
         assert result.report is not None and result.report.supervised
         assert result.n_polluted > 0
 
-    def test_direct_engine_has_no_report(self, simple_schema, simple_rows):
+    def test_unsupervised_run_reports_unsupervised(self, simple_schema, simple_rows):
         result = pollute(simple_rows, make_pipelines(), schema=simple_schema, seed=1)
-        assert result.report is None
+        assert result.report is not None and not result.report.supervised
+        assert result.report.completed

@@ -15,7 +15,6 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.batch.kernels import KERNEL_CACHE
 from repro.core.config import pipeline_from_config
 from repro.core.runner import pollute
 from repro.obs.ledger import RunLedger
@@ -95,8 +94,7 @@ class TestConcurrentPollute:
             outputs = dict(zip(seeds, pool.map(_run, seeds)))
         assert outputs == references
 
-    def test_concurrent_batch_runs_share_the_kernel_cache_safely(self):
-        KERNEL_CACHE.clear()
+    def test_concurrent_batch_runs_are_byte_identical(self):
         reference = _run(7, batch_size=32)
         with ThreadPoolExecutor(max_workers=8) as pool:
             outputs = list(
@@ -104,10 +102,6 @@ class TestConcurrentPollute:
             )
         for out in outputs:
             assert out == reference
-        stats = KERNEL_CACHE.stats()
-        # Every compilation after the first few racing ones is a hit, and
-        # the counters never under- or over-count the total.
-        assert stats["hits"] + stats["misses"] == 9
 
     def test_per_run_ledgers_do_not_cross_contaminate(self):
         def run_with_ledger(seed: int) -> tuple[int, list[str]]:

@@ -148,7 +148,7 @@ class TestPrometheus:
     def test_serve_and_cache_families_have_curated_help(self):
         registry = MetricsRegistry()
         registry.counter("serve_jobs_submitted_total", tenant="t").inc()
-        registry.counter("kernel_cache_hits_total").inc()
+        registry.counter("factbase_cache_hits_total").inc()
         registry.gauge("serve_streams_open").set(1)
         text = render_prometheus(registry)
         for line in text.splitlines():

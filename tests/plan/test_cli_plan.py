@@ -54,8 +54,7 @@ def test_plan_text_output(workspace, capsys):
     rc = main(_plan(workspace, "--seed", "7"))
     out = capsys.readouterr().out
     assert rc == 0
-    assert "engine=direct" in out
-    assert "engine-direct-default" in out
+    assert "engine=stream" in out
     assert "pollute[0]" in out
 
 
@@ -63,7 +62,7 @@ def test_plan_json_output(workspace, capsys):
     rc = main(_plan(workspace, "--format", "json", "--batch-size", "256"))
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert payload["engine"] == "direct-batch"
+    assert payload["engine"] == "stream-batch"
     assert "batch-kernels" in [d["slug"] for d in payload["decisions"]]
 
 
@@ -100,7 +99,7 @@ def test_plan_writes_output_file(workspace, capsys):
     rc = main(_plan(workspace, "--format", "json", "--output", str(workspace["out"])))
     assert rc == 0
     payload = json.loads(workspace["out"].read_text())
-    assert payload["engine"] == "direct"
+    assert payload["engine"] == "stream"
     assert "wrote 1 plan(s)" in capsys.readouterr().out
 
 
@@ -124,7 +123,7 @@ def test_check_json_includes_the_plan(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     entry = payload["reports"][0]
-    assert entry["plan"]["engine"] == "direct-batch"
+    assert entry["plan"]["engine"] == "stream-batch"
     assert entry["plan"]["decisions"]
 
 

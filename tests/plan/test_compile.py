@@ -15,10 +15,8 @@ import pytest
 
 from repro.core.config import pipeline_from_config
 from repro.errors import PollutionError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, RunLedger, Tracer
 from repro.plan import (
-    ENGINE_DIRECT,
-    ENGINE_DIRECT_BATCH,
     ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
     ENGINE_SHARD_KEYED,
@@ -69,46 +67,51 @@ def _request(**kwargs) -> PlanRequest:
 # -- sequential engine selection ---------------------------------------------
 
 
-def test_default_is_direct_with_reason():
+def test_default_is_the_per_record_stream_engine():
     plan = compile_plan(_request())
-    assert plan.engine == ENGINE_DIRECT
-    assert "engine-direct-default" in plan.decision_slugs
+    assert plan.engine == ENGINE_STREAM
+    assert plan.decision_slugs == ()
 
 
 def test_stream_hint_is_honoured():
     plan = compile_plan(_request(engine="stream"))
     assert plan.engine == ENGINE_STREAM
-    assert "engine-stream-requested" in plan.decision_slugs
+    assert plan.stages == compile_plan(_request()).stages
 
 
 def test_batching_selects_the_batch_engine():
     plan = compile_plan(_request(batch_size=256))
-    assert plan.engine == ENGINE_DIRECT_BATCH
+    assert plan.engine == ENGINE_STREAM_BATCH
     assert "batch-kernels" in plan.decision_slugs
     assert any(s.kind == "batch" for s in plan.stages)
 
 
 def test_batch_size_one_stays_per_record():
     plan = compile_plan(_request(batch_size=1))
-    assert plan.engine == ENGINE_DIRECT
+    assert plan.engine == ENGINE_STREAM
     assert not plan.batched
 
 
+@pytest.mark.parametrize("batch_size", [None, 64])
 @pytest.mark.parametrize(
-    "field,value,slug",
+    "field,value",
     [
-        ("failure_policy", SKIP, "supervision-requires-stream"),
-        ("checkpoint_dir", "chk", "checkpointing-requires-stream"),
-        ("metrics", MetricsRegistry(), "metrics-require-stream"),
-        ("tracer", object(), "tracing-requires-stream"),
-        ("profile", True, "telemetry-requires-stream"),
-        ("progress", True, "telemetry-requires-stream"),
+        ("failure_policy", SKIP),
+        ("checkpoint_dir", "chk"),
+        ("resume_from", "chk-000050.ckpt"),
+        ("metrics", MetricsRegistry()),
+        ("tracer", Tracer()),
+        ("profile", True),
+        ("ledger", RunLedger()),
+        ("progress", True),
     ],
 )
-def test_options_that_escalate_to_stream(field, value, slug):
-    plan = compile_plan(_request(**{field: value}))
-    assert plan.engine == ENGINE_STREAM
-    assert slug in plan.decision_slugs
+def test_options_keep_the_requested_engine(field, value, batch_size):
+    """No hook or fault-tolerance option moves a run to another engine."""
+    bare = compile_plan(_request(batch_size=batch_size))
+    plan = compile_plan(_request(batch_size=batch_size, **{field: value}))
+    assert plan.engine == bare.engine
+    assert not any("stream" in slug for slug in plan.decision_slugs)
 
 
 def test_supervised_batching_composes():
@@ -119,7 +122,6 @@ def test_supervised_batching_composes():
     )
     assert plan.engine == ENGINE_STREAM_BATCH
     assert "supervised-batching-composes" in plan.decision_slugs
-    assert "supervision-requires-stream" in plan.decision_slugs
     assert "batch-kernels" in plan.decision_slugs
 
 
@@ -331,7 +333,7 @@ def test_render_text_mentions_engine_and_decisions():
 
 
 def test_decision_lookup():
-    plan = compile_plan(_request())
-    decision = plan.decision("engine-direct-default")
+    plan = compile_plan(_request(batch_size=64))
+    decision = plan.decision("batch-kernels")
     assert decision is not None and decision.detail
     assert plan.decision("no-such-slug") is None

@@ -17,10 +17,12 @@ import pytest
 import repro.plan
 from repro.core.config import pipeline_from_config
 from repro.core.runner import pollute
+from repro.obs import MetricsRegistry, ProgressRenderer, RunLedger, Tracer
 from repro.parallel.runner import pollute_parallel
 from repro.plan import (
     ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
+    ENGINE_STREAM,
     ENGINE_STREAM_BATCH,
     compile_plan,
 )
@@ -70,6 +72,12 @@ def _csv(result) -> str:
     return out.getvalue()
 
 
+def _log_csv(result) -> str:
+    out = io.StringIO()
+    result.log.to_csv(out)
+    return out.getvalue()
+
+
 def _spy_execute():
     """Wrap ``execute_plan`` so tests can observe the plan each entry
     point compiled, while the run still executes for real."""
@@ -89,8 +97,7 @@ def test_pollute_routes_through_the_planner():
         pollute(_rows(40), pipeline_from_config(SPEC), schema=SCHEMA, seed=1,
                 check="off")
     assert len(seen) == 1
-    assert seen[0].engine == "direct"
-    assert "engine-direct-default" in seen[0].decision_slugs
+    assert seen[0].engine == ENGINE_STREAM
 
 
 def test_pollute_keyed_routes_through_the_planner():
@@ -117,6 +124,34 @@ def test_pollute_parallel_routes_through_the_planner():
     # worker processes and are invisible to this in-process spy
     assert seen[0].engine == ENGINE_PARALLEL
     assert "parallel-keyed-byte-identical" in seen[0].decision_slugs
+
+
+# -- observing a run never changes how it runs -------------------------------
+
+HOOKS = {
+    "profile": lambda: {"profile": True},
+    "ledger": lambda: {"ledger": RunLedger()},
+    "progress": lambda: {"progress": ProgressRenderer(stream=io.StringIO())},
+    "metrics": lambda: {"metrics": MetricsRegistry()},
+    "tracer": lambda: {"tracer": Tracer()},
+}
+
+
+@pytest.mark.parametrize("batch_size", [None, 64])
+@pytest.mark.parametrize("hook", sorted(HOOKS))
+def test_hooks_leave_the_engine_and_the_output_alone(hook, batch_size):
+    """A profile, ledger, progress view, metrics registry, or tracer runs on
+    the engine the bare request compiles to, with identical bytes."""
+    seen, patcher = _spy_execute()
+    with patcher:
+        bare = pollute(_rows(200), pipeline_from_config(SPEC), schema=SCHEMA,
+                       seed=6, batch_size=batch_size, check="off")
+        hooked = pollute(_rows(200), pipeline_from_config(SPEC), schema=SCHEMA,
+                         seed=6, batch_size=batch_size, check="off",
+                         **HOOKS[hook]())
+    assert seen[1].engine == seen[0].engine
+    assert _csv(hooked) == _csv(bare)
+    assert _log_csv(hooked) == _log_csv(bare)
 
 
 # -- the composition regression: supervised runs keep batching ---------------
@@ -198,9 +233,9 @@ SERVE_SCHEMA = {
 @pytest.mark.parametrize(
     "options,engine,slug",
     [
-        # serve always wires a progress hook for streaming delivery, so
-        # unkeyed jobs land on the stream engine with an explicit reason
-        ({}, "stream", "telemetry-requires-stream"),
+        # serve wires a progress hook for streaming delivery; the hook does
+        # not move the job off the engine the bare options compile to
+        ({}, "stream", None),
         ({"batch_size": 64}, "stream-batch", "batch-kernels"),
         ({"key_by": "station"}, "keyed-direct", "keyed-sequential"),
     ],
@@ -224,6 +259,7 @@ def test_serve_job_publishes_its_plan(options, engine, slug):
         assert job.state == "completed", job.error
         status = job.status()
         assert status["plan"]["engine"] == engine
-        assert slug in status["plan"]["decisions"]
+        if slug is not None:
+            assert slug in status["plan"]["decisions"]
     finally:
         manager.shutdown()

@@ -53,12 +53,27 @@ def test_snapshot_covers_every_applicable_scenario(config_name, schema_name):
     assert names >= {name for name, _ in SCENARIOS} - keyed
     assert snapshot["version"] == 1
     for name, plan in snapshot["scenarios"].items():
-        assert plan["decisions"], f"scenario {name} compiled with no decisions"
+        # Only the default per-record sequential engine needs no reason.
+        assert plan["decisions"] or plan["engine"] == "stream", (
+            f"scenario {name} compiled to {plan['engine']} with no decisions"
+        )
 
 
 def test_golden_dir_covers_every_pair():
     on_disk = {p.name for p in (CONFIG_DIR / "golden").glob("*.plan.json")}
     assert on_disk == {f"{Path(c).stem}.plan.json" for c, _ in PAIRS}
+
+
+def test_engine_hint_does_not_change_the_plan():
+    """``engine="stream"`` and the default compile to the same plan; only
+    the recorded hint differs."""
+    for config_name, schema_name in PAIRS:
+        scenarios = _fresh(config_name, schema_name)["scenarios"]
+        default, stream = dict(scenarios["default"]), dict(scenarios["stream"])
+        assert default["engine"] == stream["engine"] == "stream"
+        default.pop("options")
+        stream.pop("options")
+        assert default == stream
 
 
 def test_scenarios_pin_the_composition_fix():

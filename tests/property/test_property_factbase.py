@@ -5,7 +5,7 @@ Two contracts tie the static analysis to the runtime:
 1. **Prediction = compilation.** The fact base's per-polluter
    :class:`~repro.check.factbase.KernelPrediction` is the same
    classification :func:`~repro.batch.kernels.compile_pipeline` performs —
-   by construction (``_decide`` delegates to ``predict_kernel``), but this
+   by construction (it classifies with ``predict_kernel``), but this
    suite pins the contract from the outside: for every hypothesis-drawn
    plan, the kernel *class* actually instantiated matches the prediction,
    including the Gaussian fast-path flag.
@@ -46,7 +46,7 @@ def test_predicted_kernel_matches_compiled_kernel(spec):
     pipeline = pipeline_from_config(spec)
     base = build_factbase(pipeline)
     pipeline.bind(RandomSource(0))
-    compiled = compile_pipeline(pipeline, cache=None)
+    compiled = compile_pipeline(pipeline)
     assert len(compiled.kernels) == len(base.polluters)
     for kernel, pf in zip(compiled.kernels, base.polluters):
         if pf.kernel.kind == "standard":

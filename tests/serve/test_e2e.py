@@ -275,9 +275,8 @@ class TestHttpSurface:
         assert "analysis_cache_misses_total 1" in text
         assert "analysis_cache_hits_total 1" in text
         assert "# HELP analysis_cache_hits_total" in text
-        # The scrape also surfaces the sibling plan-hash caches.
+        # The scrape also surfaces the sibling plan-hash cache.
         assert "factbase_cache_entries" in text
-        assert "kernel_cache_entries" in text
 
 
 class TestBackpressure:

@@ -243,9 +243,7 @@ class TestPolluteTelemetry:
         assert result.report is not None
         assert result.report.metrics.get("source_records_total", source="input") is not None
 
-    def test_disabled_registry_stays_on_the_direct_engine(
-        self, simple_schema, simple_rows
-    ):
+    def test_disabled_registry_collects_nothing(self, simple_schema, simple_rows):
         result = pollute(
             simple_rows,
             nulls_pipeline(),
@@ -254,7 +252,7 @@ class TestPolluteTelemetry:
             metrics=MetricsRegistry(enabled=False),
         )
         assert result.metrics is None
-        assert result.report is None
+        assert result.report.metrics.get("source_records_total", source="input") is None
 
     def test_tracer_spans_from_a_polluted_run(self, simple_schema, simple_rows):
         tracer = Tracer()
