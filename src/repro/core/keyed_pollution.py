@@ -10,7 +10,11 @@ extension on the reproduction's substrate:
   functions (frozen values, cumulative drift, swaps) are instantiated per
   key through a pipeline factory, so sensor A freezing never contaminates
   sensor B's memory — the property that makes stateful pollution correct
-  under partitioning.
+  under partitioning. It is an ordinary operator of the one stream engine:
+  ``pollute(key_by=...)`` runs it as ``key_by -> pollute-keyed`` in place
+  of ``split -> pollute[i]``, and every parallel shard runs the same stage
+  over its key partition, so supervision, checkpointing and tracing apply
+  to keyed runs as to any other.
 * :func:`pollute_keyed` — Algorithm 1 with key-partitioned pollution: one
   logical multiplexed stream in, per-key pipelines applied, merged output
   sorted by timestamp.
@@ -24,21 +28,14 @@ design decision in :mod:`repro.core.rng`.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
-from repro.core.integrate import sort_by_timestamp
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
-from repro.core.prepare import IdGenerator, prepare_stream
 from repro.core.rng import RandomSource
 from repro.errors import PollutionError
 from repro.obs.metrics import MetricsRegistry
-from repro.streaming.keyed import (
-    KeyedContext,
-    KeyedProcessFunction,
-    StateStore,
-    TimerService,
-)
+from repro.streaming.keyed import KeyedContext, KeyedProcessFunction
 from repro.streaming.operators import Collector
 from repro.streaming.record import Record
 from repro.streaming.schema import Schema
@@ -134,7 +131,7 @@ class KeyedPollutionProcessFunction(KeyedProcessFunction):
         for pipeline in self._pipelines.values():
             pipeline.flush_metrics()
 
-    def snapshot_state(self) -> dict[str, Any] | None:
+    def snapshot_state(self) -> dict[str, Any]:
         """Per-key pipeline state, keyed by ``repr(key)`` for serializability.
 
         Keys are lazily re-materialized on restore: state is stashed until
@@ -146,52 +143,31 @@ class KeyedPollutionProcessFunction(KeyedProcessFunction):
             for key, pipeline in self._pipelines.items()
         }
         states = {k: s for k, s in states.items() if s is not None}
-        pending = dict(self._pending_state)
-        if not states and not pending:
-            return None
-        return {"pipelines": {**pending, **states}}
+        return {"pipelines": {**self._pending_state, **states}}
 
-    def restore_state(self, state: Mapping[str, Any] | None) -> None:
-        if state is None:
-            return
-        self._pending_state = dict(state.get("pipelines", {}))
+    def restore_state(self, state: Mapping[str, Any]) -> None:
+        """Return every key to the snapshot: checkpoint resume and slab rollback.
 
-    @property
-    def keys_seen(self) -> list[Hashable]:
-        return list(self._pipelines)
+        Live pipelines are dropped and the random source re-derived, so each
+        key rebuilds on its next record: keys in the snapshot restore their
+        state, and keys first seen after it start fresh, exactly as they did
+        when the snapshot was taken.
+        """
+        if self._metrics is not None:
+            # Tallies are not rolled back (unkeyed pipelines keep theirs
+            # across a slab rollback too), so hand them over before dropping.
+            self.flush_metrics()
+        self._pipelines.clear()
+        self._source = RandomSource(self._source.seed)
+        self._pending_state = dict(state["pipelines"])
 
+    def slab_token(self) -> int | None:
+        # See PollutionProcessFunction.slab_token: a rolled-back slab must
+        # truncate the process-local log to the cut.
+        return len(self._log.events) if self._log is not None else None
 
-def run_keyed_direct(
-    prepared: Iterable[Record],
-    key_selector: KeySelector,
-    pipeline_factory: PipelineFactory,
-    random_source: RandomSource,
-    pollution_log: PollutionLog | None = None,
-    metrics: MetricsRegistry | None = None,
-    profiler: Any = None,
-) -> list[Record]:
-    """Apply per-key pollution to an already-prepared record stream.
-
-    The shared sequential keyed loop: ``pollute_keyed`` drives it over the
-    whole stream; each :mod:`repro.parallel` shard worker drives it over its
-    key partition (correct because a key's records never straddle shards,
-    so every per-key pipeline sees the exact sequential draw order).
-    Records in ``prepared`` are consumed as-is — callers own copying if the
-    originals must survive. Returns the unsorted polluted records.
-    """
-    operator = KeyedPollutionProcessFunction(
-        pipeline_factory, random_source, pollution_log, metrics, profiler=profiler
-    )
-    polluted: list[Record] = []
-    collector = Collector(polluted.append)
-    ctx = KeyedContext(StateStore(), TimerService())
-    for record in prepared:
-        ctx.current_key = key_selector(record)
-        ctx.event_time = record.event_time
-        operator.process(record, ctx, collector)
-    if metrics is not None and metrics.enabled:
-        operator.flush_metrics()
-    return polluted
+    def slab_rollback(self, token: int) -> None:
+        del self._log.events[token:]
 
 
 def pollute_keyed(
@@ -205,32 +181,20 @@ def pollute_keyed(
 ):
     """Algorithm 1 with key-partitioned pollution.
 
-    Returns a :class:`~repro.core.runner.PollutionResult`; the polluted
-    stream interleaves all keys, sorted by the (possibly polluted)
-    timestamp, exactly like the unkeyed runner's integration step.
+    Shorthand for :func:`~repro.core.runner.pollute` with ``key_by`` and
+    ``pipeline_factory`` (and no pre-flight check): returns a
+    :class:`~repro.core.runner.PollutionResult` whose polluted stream
+    interleaves all keys, sorted by the (possibly polluted) timestamp.
     """
-    from repro.core.runner import PollutionResult
-    from repro.streaming.source import CollectionSource
+    from repro.core.runner import pollute
 
-    source = CollectionSource(schema, data, validate=False)
-    random_source = RandomSource(seed)
-    pollution_log = PollutionLog() if log else None
-    metered = metrics is not None and metrics.enabled
-
-    clean = list(prepare_stream(source, schema, IdGenerator()))
-    polluted = run_keyed_direct(
-        (record.copy() for record in clean),
-        key_selector,
-        pipeline_factory,
-        random_source,
-        pollution_log,
-        metrics if metered else None,
-    )
-    return PollutionResult(
-        clean=clean,
-        polluted=sort_by_timestamp(polluted, schema),
-        log=pollution_log if pollution_log is not None else PollutionLog(),
+    return pollute(
+        data,
         schema=schema,
         seed=seed,
-        metrics=metrics if metered else None,
+        log=log,
+        metrics=metrics,
+        key_by=key_selector,
+        pipeline_factory=pipeline_factory,
+        check="off",
     )

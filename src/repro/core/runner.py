@@ -10,12 +10,16 @@ Every sequential run executes on the
 substrate a Flink deployment would provide: source -> prepare -> split ->
 one pollution process per sub-stream -> one collecting sink per sub-stream,
 followed by :func:`~repro.core.integrate.integrate` (union and timestamp
-sort, Algorithm 1 lines 10-11). Without a batch size, or with batch size 1,
-records move one at a time; a larger batch size moves slabs through
-compiled batch kernels with byte-identical output. Supervision,
-checkpointing, metrics, tracing, profiling, the run ledger and live
-progress all attach to this one engine, so observing a run never changes
-which engine runs it.
+sort, Algorithm 1 lines 10-11). A keyed plan differs only in its pollute
+stage, ``key_by -> pollute-keyed`` (one pipeline per key, see
+:mod:`repro.core.keyed_pollution`), whose one sink is sorted by timestamp;
+:func:`pollute_stage` builds that stage for this runner and for every
+parallel shard. Without a batch size, or with batch size 1, records move
+one at a time; a larger batch size moves slabs through compiled batch
+kernels (per record inside the keyed operator) with byte-identical
+output. Supervision, checkpointing, metrics, tracing, profiling, the run
+ledger and live progress all attach to this one engine, keyed or not, so
+observing a run never changes which engine runs it.
 """
 
 from __future__ import annotations
@@ -28,9 +32,14 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.core.integrate import integrate, sort_by_timestamp
+from repro.core.keyed_pollution import KeyedPollutionProcessFunction
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
-from repro.core.prepare import IdGenerator, PrepareFunction, prepare_stream
+from repro.core.prepare import IdGenerator, PrepareFunction
+
+# The benchmark harness's traced pass (benchmarks/harness/spans.py) patches
+# this module's ``prepare_stream`` binding, so it stays importable here.
+from repro.core.prepare import prepare_stream  # noqa: F401
 from repro.core.rng import RandomSource
 from repro.errors import PollutionError
 from repro.obs.ledger import LEDGER_SCHEMA_VERSION, RunLedger
@@ -39,7 +48,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
 from repro.obs.tracing import Tracer
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore
-from repro.streaming.environment import StreamExecutionEnvironment
+from repro.streaming.environment import DataStream, StreamExecutionEnvironment
 from repro.streaming.operators import Collector, ProcessContext, ProcessFunction
 from repro.streaming.record import Record
 from repro.streaming.schema import Schema
@@ -220,9 +229,11 @@ def pollute(
         cross process boundaries).
     key_by:
         Pollution key — an attribute name or a picklable key selector. Runs
-        one pipeline instance per key (isolated stateful error functions);
-        combine with ``parallelism`` for hash-partitioned parallel keyed
-        pollution. Mutually exclusive with ``split``.
+        one pipeline instance per key (isolated stateful error functions)
+        as a keyed operator on the same stream engine, so supervision,
+        checkpointing, tracing and every other hook apply as they do
+        unkeyed; combine with ``parallelism`` for hash-partitioned parallel
+        keyed pollution. Mutually exclusive with ``split``.
     pipeline_factory:
         Picklable per-key pipeline factory for keyed runs; defaults to
         cloning the single template pipeline per key.
@@ -245,9 +256,11 @@ def pollute(
         the engine executes whole slabs and, when one fails, rolls the slab
         back and replays it per-record so only the poison record is skipped,
         retried, or dead-lettered — never the surrounding ``batch_size - 1``
-        records. Keyed runs dispatch per-record (batch kernels do not cross
-        per-key pipeline instances); the planner records this as an explicit
-        ``keyed-batching-per-record`` decision, visible via ``repro plan``.
+        records. Keyed runs move slabs too, but the keyed operator
+        dispatches each record to its key's pipeline (batch kernels do not
+        cross per-key pipeline instances); the planner records this as an
+        explicit ``keyed-batching-per-record`` decision, visible via
+        ``repro plan``.
     max_shard_restarts:
         Parallel runtime only (ignored otherwise): in-run respawn budget per
         shard for crashed or hung workers. After the budget,
@@ -318,16 +331,14 @@ def pollute(
 def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
     """Run a compiled sequential plan on the stream engine, per record or batched.
 
-    Consumes the plan's normalized fields (``plan.pipelines``,
-    ``plan.strategy``, ``plan.batched``) — every mode decision was made by
-    :func:`repro.plan.compile_plan`, none is re-derived here.
+    Serves unkeyed and keyed plans alike: they differ only in the pollute
+    stage :func:`pollute_stage` builds. Consumes the plan's normalized
+    fields — every mode decision was made by :func:`repro.plan.compile_plan`,
+    none is re-derived here.
     """
     request = plan.request
-    pipelines: list[PollutionPipeline] = plan.pipelines
     seed = request.seed
-    batch_size = request.batch_size
-    metrics = request.metrics
-    metered = request.metered
+    metrics = request.metrics if request.metered else None
     ledger = request.ledger
     profiler = request.profiler
     if profiler is None and request.profile:
@@ -339,23 +350,20 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
     )
 
     source, schema = _coerce_source(data, request.schema)
-    random_source = RandomSource(seed)
-    for pipeline in pipelines:
-        pipeline.bind(random_source)
-        pipeline.reset()
-        pipeline.bind_metrics(metrics if metered else None)
     pollution_log = PollutionLog() if request.log else None
 
     if ledger is not None:
         config = {
             "engine": plan.engine,
             "seed": seed,
-            "batch_size": batch_size,
-            "pipelines": sorted(p.name for p in pipelines),
+            "batch_size": request.batch_size,
+            "pipelines": sorted(p.name for p in plan.pipelines or ()),
             "checkpoint_interval": (
                 request.checkpoint_interval if request.checkpoint_dir else None
             ),
         }
+        if plan.keyed:
+            config["key_by"] = plan.options_dict()["key_by"]
         ledger.record(
             "run.start",
             ledger_schema=LEDGER_SCHEMA_VERSION,
@@ -367,31 +375,14 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
     try:
         with profiler.phase("execute") if profiler is not None else nullcontext():
             clean, polluted, report = _run_stream(
-                source,
-                schema,
-                pipelines,
-                plan.strategy,
-                pollution_log,
-                failure_policy=request.failure_policy,
-                checkpoint_dir=request.checkpoint_dir,
-                checkpoint_interval=request.checkpoint_interval,
-                resume_from=request.resume_from,
-                metrics=metrics if metered else None,
-                tracer=request.tracer,
-                batch_size=batch_size,
-                profiler=profiler,
-                ledger=ledger,
-                progress=renderer,
+                plan, source, schema, pollution_log, metrics, profiler, renderer
             )
     finally:
-        if metered:
-            for pipeline in pipelines:
-                pipeline.flush_metrics()
         if renderer is not None:
             renderer.finish()
     if profiler is not None:
         profiler.finish()
-        if metered:
+        if metrics is not None:
             profiler.to_metrics(metrics)
     if ledger is not None:
         ledger.record(
@@ -413,7 +404,7 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
         schema=schema,
         seed=seed,
         report=report,
-        metrics=metrics if metered else None,
+        metrics=metrics,
         profile=profiler,
         ledger=ledger,
     )
@@ -423,101 +414,6 @@ def _config_digest(body: dict[str, Any]) -> str:
     """SHA-256 over a run configuration in canonical (sorted, compact) JSON."""
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Sequential keyed mode
-# ---------------------------------------------------------------------------
-
-
-def _execute_keyed_plan(plan: Any, data: Any) -> PollutionResult:
-    """Run a compiled keyed-direct plan: the reference keyed loop.
-
-    This is the sequential baseline the parallel keyed run is byte-compared
-    against, so it must use the exact same pipeline factory semantics the
-    shard workers do. The effective ``key_selector`` / ``pipeline_factory``
-    were normalized by the planner; option combinations a keyed run cannot
-    honour were already rejected at compile time.
-    """
-    from repro.core.keyed_pollution import run_keyed_direct
-
-    request = plan.request
-    key_selector = plan.key_selector
-    pipeline_factory = plan.pipeline_factory
-    seed = request.seed
-    metrics = request.metrics
-    ledger = request.ledger
-
-    source, schema = _coerce_source(data, request.schema)
-    metered = request.metered
-    pollution_log = PollutionLog() if request.log else None
-    profiler = request.profiler
-    if profiler is None and request.profile:
-        profiler = Profiler()
-    renderer: ProgressRenderer | None = (
-        request.progress
-        if isinstance(request.progress, ProgressRenderer)
-        else (ProgressRenderer() if request.progress else None)
-    )
-    if ledger is not None:
-        config = {
-            "engine": "keyed-direct",
-            "seed": seed,
-            "keyed": True,
-        }
-        ledger.record(
-            "run.start",
-            ledger_schema=LEDGER_SCHEMA_VERSION,
-            config_hash=_config_digest(config),
-            engine="keyed-direct",
-            seed=seed,
-        )
-    with profiler.phase("prepare") if profiler is not None else nullcontext():
-        clean = list(prepare_stream(source, schema, IdGenerator()))
-
-    def _feed():
-        for i, record in enumerate(clean, 1):
-            if renderer is not None and (i & 1023) == 0:
-                renderer.tick(i)
-            yield record.copy()
-
-    try:
-        with profiler.phase("execute") if profiler is not None else nullcontext():
-            polluted = run_keyed_direct(
-                _feed(),
-                key_selector,
-                pipeline_factory,
-                RandomSource(seed),
-                pollution_log,
-                metrics if metered else None,
-                profiler=profiler,
-            )
-    finally:
-        if renderer is not None:
-            renderer.tick(len(clean))
-            renderer.finish()
-    if profiler is not None:
-        profiler.finish()
-        if metered:
-            profiler.to_metrics(metrics)
-    polluted = sort_by_timestamp(polluted, schema)
-    if ledger is not None:
-        ledger.record(
-            "run.complete",
-            records_in=len(clean),
-            records_out=len(polluted),
-            completed=True,
-        )
-    return PollutionResult(
-        clean=clean,
-        polluted=polluted,
-        log=pollution_log if pollution_log is not None else PollutionLog(),
-        schema=schema,
-        seed=seed,
-        metrics=metrics if metered else None,
-        profile=profiler,
-        ledger=ledger,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +468,9 @@ class PollutionProcessFunction(ProcessFunction):
         out_records, _ = compiled.apply_batch(list(records), taus, self._log)
         out.collect_batch(out_records)
 
+    def flush_metrics(self) -> None:
+        self._pipeline.flush_metrics()
+
     def snapshot_state(self):
         return self._pipeline.snapshot_state()
 
@@ -588,49 +487,90 @@ class PollutionProcessFunction(ProcessFunction):
         del self._log.events[token:]
 
 
+def pollute_stage(
+    stream: DataStream,
+    plan: Any,
+    random_source: RandomSource,
+    log: PollutionLog | None,
+    metrics: MetricsRegistry | None = None,
+    profiler: Profiler | None = None,
+) -> tuple[list[DataStream], list[Any]]:
+    """Attach Algorithm 1's pollute stage to ``stream``.
+
+    A keyed plan runs ``key_by -> pollute-keyed``: one pipeline per key,
+    built by the plan's factory. Any other plan runs ``split -> pollute[i]``:
+    each sub-stream through its pipeline, bound here to ``random_source``.
+    Both the sequential run and every parallel shard build the stage here.
+    Returns the polluted streams and their operators, whose
+    ``flush_metrics()`` the caller runs once the engine stops.
+    """
+    if plan.keyed:
+        operator = KeyedPollutionProcessFunction(
+            plan.pipeline_factory, random_source, log, metrics, profiler=profiler
+        )
+        keyed = stream.key_by(plan.key_selector).process(operator, name="pollute-keyed")
+        return [keyed], [operator]
+    operators = []
+    for pipeline in plan.pipelines:
+        pipeline.bind(random_source)
+        pipeline.reset()
+        pipeline.bind_metrics(metrics)
+        operators.append(PollutionProcessFunction(pipeline, log, profiler=profiler))
+    branches = stream.split(plan.strategy, name="substreams")
+    polluted = [
+        branch.process(operator, name=f"pollute[{i}]")
+        for i, (branch, operator) in enumerate(zip(branches, operators))
+    ]
+    return polluted, operators
+
+
 def _run_stream(
+    plan: Any,
     source: Source,
     schema: Schema,
-    pipelines: Sequence[PollutionPipeline],
-    strategy: SplitStrategy,
     log: PollutionLog | None,
-    failure_policy: FailurePolicy | None = None,
-    checkpoint_dir: str | Path | CheckpointStore | None = None,
-    checkpoint_interval: int = 100,
-    resume_from: Checkpoint | str | Path | None = None,
-    metrics: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-    batch_size: int | None = None,
-    profiler: Profiler | None = None,
-    ledger: RunLedger | None = None,
-    progress: ProgressRenderer | None = None,
+    metrics: MetricsRegistry | None,
+    profiler: Profiler | None,
+    progress: ProgressRenderer | None,
 ) -> tuple[list[Record], list[Record], ExecutionReport]:
+    request = plan.request
     env = StreamExecutionEnvironment(
         metrics=metrics,
-        tracer=tracer,
-        batch_size=batch_size,
-        ledger=ledger,
+        tracer=request.tracer,
+        batch_size=request.batch_size,
+        ledger=request.ledger,
         profiler=profiler,
         progress=progress,
     )
-    if failure_policy is not None:
-        env.set_failure_policy(failure_policy)
-    if checkpoint_dir is not None:
-        env.enable_checkpointing(checkpoint_interval, checkpoint_dir)
+    if request.failure_policy is not None:
+        env.set_failure_policy(request.failure_policy)
+    if request.checkpoint_dir is not None:
+        env.enable_checkpointing(request.checkpoint_interval, request.checkpoint_dir)
     prepared = env.from_source(source, name="input").map(
         PrepareFunction(schema, IdGenerator()), name="prepare"
     )
-    # The split copies each record per branch, so the clean sink can keep
-    # the prepared record itself.
+    # The clean sink keeps the prepared record itself: the split copies each
+    # record per branch, but key_by does not, so the keyed stage pollutes
+    # a copy.
     clean_sink = prepared.add_sink(CollectSink(), name="clean")
-    branches = prepared.split(strategy, name="substreams")
+    if plan.keyed:
+        prepared = prepared.map(Record.copy, name="copy")
+    streams, operators = pollute_stage(
+        prepared, plan, RandomSource(request.seed), log, metrics, profiler
+    )
     dirty_sinks = [
-        branch.process(
-            PollutionProcessFunction(pipeline, log, profiler=profiler),
-            name=f"pollute[{i}]",
-        ).add_sink(CollectSink(), name=f"dirty[{i}]")
-        for i, (branch, pipeline) in enumerate(zip(branches, pipelines))
+        stream.add_sink(CollectSink(), name=f"dirty[{i}]")
+        for i, stream in enumerate(streams)
     ]
-    report = env.execute(resume_from=resume_from)
-    polluted = integrate([sink.records for sink in dirty_sinks], schema)
+    try:
+        report = env.execute(resume_from=request.resume_from)
+    finally:
+        if metrics is not None:
+            for operator in operators:
+                operator.flush_metrics()
+    if plan.keyed:
+        # Keyed records carry no sub-stream index; integrate() would stamp one.
+        polluted = sort_by_timestamp(dirty_sinks[0].records, schema)
+    else:
+        polluted = integrate([sink.records for sink in dirty_sinks], schema)
     return clean_sink.records, polluted, report

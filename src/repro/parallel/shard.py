@@ -52,10 +52,10 @@ import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterator
 
-from repro.core.keyed_pollution import KeyedPollutionProcessFunction
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
 from repro.core.rng import RandomSource
+from repro.core.runner import pollute_stage
 from repro.obs.metrics import MetricsRegistry
 from repro.streaming.environment import StreamExecutionEnvironment
 from repro.streaming.record import Record
@@ -345,9 +345,10 @@ def _execute_shard(task: ShardTask, in_queue: Any, out_queue: Any) -> dict[str, 
     The worker routes through the same :func:`repro.plan.compile_plan` /
     :func:`repro.plan.execute_plan` pair as every other entry point: the
     :class:`ShardTask` is wrapped in a :class:`~repro.plan.PlanRequest`, the
-    planner picks the shard engine (keyed / stream / stream-batch) and the
+    planner picks the shard engine (per record or batched) and the
     output-retention mode, and :func:`_execute_shard_plan` consumes only the
-    compiled plan.
+    compiled plan; the pollute stage, keyed or not, comes from the same
+    :func:`~repro.core.runner.pollute_stage` the sequential run uses.
     """
     from repro.plan import PlanRequest, compile_plan, execute_plan
 
@@ -408,45 +409,21 @@ def _execute_shard_plan(plan: Any, in_queue: Any, out_queue: Any) -> dict[str, A
         heartbeat.sink = sink
     stream = env.from_source(source, name="shard-input")
 
-    operator: KeyedPollutionProcessFunction | None = None
-    if task.keyed:
-        # Base seed, not a derived one: each key's named streams are drawn
-        # only on the one shard that owns the key, in sequential order, so
-        # sharing the seed is exactly what makes keyed output shard-invariant.
-        rng = RandomSource(task.seed)
-        operator = KeyedPollutionProcessFunction(
-            task.pipeline_factory,
-            rng,
-            log,
-            metrics if task.metered else None,
-            profiler=profiler,
-        )
-        stream.key_by(task.key_selector).process(operator, name="pollute-keyed").add_sink(
-            sink, name="shard-output"
-        )
-    else:
-        from repro.core.runner import PollutionProcessFunction
-
-        rng = RandomSource(task.seed).for_shard(task.shard, task.n_shards)
-        pipelines = task.pipelines or []
-        for pipeline in pipelines:
-            pipeline.bind(rng)
-            pipeline.reset()
-            pipeline.bind_metrics(metrics if task.metered else None)
-        branches = stream.split(task.split, name="substreams")
-        polluted = [
-            branch.process(
-                PollutionProcessFunction(pipeline, log, profiler=profiler),
-                name=f"pollute[{i}]",
-            )
-            for i, (branch, pipeline) in enumerate(zip(branches, pipelines))
-        ]
-        merged = (
-            polluted[0].union(*polluted[1:], name="integrate")
-            if len(polluted) > 1
-            else polluted[0]
-        )
-        merged.add_sink(sink, name="shard-output")
+    # Keyed shards keep the base seed: each key's named streams are drawn
+    # only on the one shard that owns the key, in sequential order, so
+    # sharing the seed is exactly what makes keyed output shard-invariant.
+    rng = RandomSource(task.seed)
+    if not task.keyed:
+        rng = rng.for_shard(task.shard, task.n_shards)
+    polluted, operators = pollute_stage(
+        stream, plan, rng, log, metrics if task.metered else None, profiler
+    )
+    merged = (
+        polluted[0].union(*polluted[1:], name="integrate")
+        if len(polluted) > 1
+        else polluted[0]
+    )
+    merged.add_sink(sink, name="shard-output")
 
     if profiler is not None:
         with profiler.phase("execute"):
@@ -455,11 +432,8 @@ def _execute_shard_plan(plan: Any, in_queue: Any, out_queue: Any) -> dict[str, A
     else:
         report = env.execute(resume_from=task.resume_path)
     if task.metered:
-        if operator is not None:
+        for operator in operators:
             operator.flush_metrics()
-        else:
-            for pipeline in task.pipelines or []:
-                pipeline.flush_metrics()
         metrics.counter("shard_records_out_total", shard=task.shard).value = sink.emitted
         if sink.watermark is not None:
             metrics.gauge("shard_watermark", shard=task.shard).set(sink.watermark)

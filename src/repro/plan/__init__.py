@@ -25,9 +25,7 @@ running anything; ``repro plan`` and the golden plan snapshots under
 from repro.plan.compile import compile_plan
 from repro.plan.execute import execute_plan
 from repro.plan.ir import (
-    ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
-    ENGINE_SHARD_KEYED,
     ENGINE_SHARD_STREAM,
     ENGINE_SHARD_STREAM_BATCH,
     ENGINE_STREAM,
@@ -41,9 +39,7 @@ from repro.plan.ir import (
 )
 
 __all__ = [
-    "ENGINE_KEYED_DIRECT",
     "ENGINE_PARALLEL",
-    "ENGINE_SHARD_KEYED",
     "ENGINE_SHARD_STREAM",
     "ENGINE_SHARD_STREAM_BATCH",
     "ENGINE_STREAM",

@@ -2,9 +2,12 @@
 
 This module is the *only* place a mode combination is decided. Every
 validation rule and engine choice that used to live inline in
-``pollute()``, ``pollute_parallel()``, the keyed runner, and the shard
-worker moved here; the executors consume the plan's normalized fields and
-never re-derive a decision. Each branch taken emits a
+``pollute()``, ``pollute_parallel()``, and the shard worker moved here;
+the executors consume the plan's normalized fields and never re-derive a
+decision. A keyed plan compiles to the same engine as an unkeyed one with
+the same batch size: the planner only swaps the pollute stage
+(``key-by -> pollute-keyed`` for ``substreams -> pollute[i]``) and
+records the ``keyed-*`` decisions. Each branch taken emits a
 :class:`~repro.plan.ir.PlanDecision` with a stable slug, so
 ``repro plan`` / ``repro check --explain`` can show *why* a run landed on
 an engine and tests can pin the decision table.
@@ -24,9 +27,7 @@ from repro.core.keyed_pollution import FreshPipelineFactory
 from repro.core.pipeline import PollutionPipeline
 from repro.errors import PollutionError
 from repro.plan.ir import (
-    ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
-    ENGINE_SHARD_KEYED,
     ENGINE_SHARD_STREAM,
     ENGINE_SHARD_STREAM_BATCH,
     ENGINE_STREAM,
@@ -63,8 +64,6 @@ def compile_plan(request: PlanRequest) -> ExecutionPlan:
             f"{request.resume_from} is a parallel checkpoint directory; pass "
             "parallelism=N (matching the original run) to resume it"
         )
-    if request.key_by is not None:
-        return _compile_keyed(request)
     return _compile_sequential(request)
 
 
@@ -100,6 +99,11 @@ def _normalize_strategy(split: Any, pipelines: list[PollutionPipeline]) -> Any:
 
 def _normalize_keyed(request: PlanRequest) -> tuple[Any, Any]:
     """The (key_selector, pipeline_factory) pair of a keyed plan."""
+    if request.split is not None:
+        raise PollutionError(
+            "key_by and split are mutually exclusive: keyed pollution "
+            "partitions by key, not by sub-stream routing"
+        )
     key_by = request.key_by
     key_selector = AttributeKeySelector(key_by) if isinstance(key_by, str) else key_by
     pipeline_factory = request.pipeline_factory
@@ -119,6 +123,68 @@ def _normalize_keyed(request: PlanRequest) -> tuple[Any, Any]:
             "pass either pipelines or pipeline_factory for a keyed run, not both"
         )
     return key_selector, pipeline_factory
+
+
+def _normalize_shape(request: PlanRequest) -> tuple[Any, Any, Any, Any]:
+    """(pipelines, strategy, key_selector, pipeline_factory) of a plan.
+
+    A keyed plan carries the last two, any other plan the first two.
+    """
+    if request.key_by is not None:
+        return (None, None, *_normalize_keyed(request))
+    if request.pipeline_factory is not None:
+        raise PollutionError("pipeline_factory requires key_by")
+    pipelines = _normalize_pipelines(request.pipelines)
+    return pipelines, _normalize_strategy(request.split, pipelines), None, None
+
+
+def _keyed_batching(batch_size: int | None) -> PlanDecision:
+    return PlanDecision(
+        "keyed-batching-per-record",
+        f"batch_size={batch_size} moves records in slabs, but the keyed "
+        "operator dispatches each record to its key's pipeline inside the "
+        "slab: batch kernels do not cross per-key pipeline instances",
+    )
+
+
+def _pollute_stages(
+    pipelines: Any, split: Any, key_selector: Any, pipeline_factory: Any, batched: bool
+) -> list[PlanStage]:
+    """Algorithm 1's pollute stage, as :func:`repro.core.runner.pollute_stage`
+    builds it: ``key-by -> pollute-keyed`` or ``substreams -> pollute[i]``."""
+    if key_selector is not None:
+        return [
+            PlanStage(
+                "partition",
+                "key-by",
+                {"kind": "key", "selector": type(key_selector).__name__},
+            ),
+            PlanStage(
+                "pollute",
+                "pollute-keyed",
+                {
+                    "factory": type(pipeline_factory).__name__,
+                    "dispatch": "per-record",
+                },
+            ),
+        ]
+    stages = [
+        PlanStage(
+            "split", "substreams", {"strategy": type(split).__name__, "m": len(pipelines)}
+        )
+    ]
+    for index, pipeline in enumerate(pipelines):
+        stages.append(
+            PlanStage(
+                "pollute",
+                f"pollute[{index}]",
+                {
+                    "pipeline": pipeline.name,
+                    "dispatch": "batch-kernels" if batched else "per-record",
+                },
+            )
+        )
+    return stages
 
 
 def _facts_for(targets: list[PollutionPipeline]) -> tuple[Any, ...]:
@@ -176,21 +242,31 @@ def _kernel_decisions(
 
 
 def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
-    if request.pipeline_factory is not None:
-        raise PollutionError("pipeline_factory requires key_by")
-    pipelines = _normalize_pipelines(request.pipelines)
     if request.engine not in ("direct", "stream"):
         raise PollutionError(
             f"unknown engine {request.engine!r}; use 'direct' or 'stream'"
         )
-    strategy = _normalize_strategy(request.split, pipelines)
+    pipelines, strategy, key_selector, pipeline_factory = _normalize_shape(request)
+    keyed = key_selector is not None
 
     decisions: list[PlanDecision] = []
-    facts = _facts_for(pipelines)
+    if keyed:
+        decisions.append(
+            PlanDecision(
+                "keyed-sequential",
+                "key_by runs the pollute stage as key-by -> pollute-keyed on "
+                "the stream engine: one fresh pipeline instance per key, drawn "
+                "from per-key named random streams — the baseline parallel "
+                "keyed runs are byte-compared against",
+            )
+        )
+    facts = _facts_for(_fact_targets(pipelines, pipeline_factory))
     if request.batched:
         engine = ENGINE_STREAM_BATCH
         decisions.append(
-            PlanDecision(
+            _keyed_batching(request.batch_size)
+            if keyed
+            else PlanDecision(
                 "batch-kernels",
                 f"batch_size={request.batch_size} moves records in slabs and "
                 "executes the polluter chains as compiled batch kernels with "
@@ -208,49 +284,20 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
                     "per-record dispatch",
                 )
             )
-        _kernel_decisions(facts, decisions, context="the sequential engine")
+        if not keyed:
+            _kernel_decisions(facts, decisions, context="the sequential engine")
     else:
         engine = ENGINE_STREAM
 
-    return ExecutionPlan(
-        engine=engine,
-        request=request,
-        stages=tuple(_sequential_stages(request, pipelines, strategy)),
-        decisions=tuple(decisions),
-        pipelines=pipelines,
-        strategy=strategy,
-        facts=facts,
-    )
-
-
-def _sequential_stages(
-    request: PlanRequest,
-    pipelines: list[PollutionPipeline],
-    strategy: Any,
-) -> list[PlanStage]:
-    m = len(pipelines)
     stages = [
         PlanStage("source", "input"),
         PlanStage("prepare", "prepare", {"ids": "global", "event_time": "tau"}),
     ]
     if request.batched:
         stages.append(PlanStage("batch", "slab", {"batch_size": request.batch_size}))
-    stages.append(
-        PlanStage(
-            "split", "substreams", {"strategy": type(strategy).__name__, "m": m}
-        )
+    stages += _pollute_stages(
+        pipelines, strategy, key_selector, pipeline_factory, request.batched
     )
-    for index, pipeline in enumerate(pipelines):
-        stages.append(
-            PlanStage(
-                "pollute",
-                f"pollute[{index}]",
-                {
-                    "pipeline": pipeline.name,
-                    "dispatch": "batch-kernels" if request.batched else "per-record",
-                },
-            )
-        )
     if request.failure_policy is not None:
         stages.append(
             PlanStage(
@@ -268,83 +315,23 @@ def _sequential_stages(
             )
         )
     stages.append(PlanStage("sink", "collect"))
-    stages.append(
-        PlanStage(
-            "integrate",
-            "integrate",
-            {"kind": "union", "order": "event-time", "stable": True},
-        )
-    )
-    return stages
-
-
-# ---------------------------------------------------------------------------
-# Sequential keyed
-# ---------------------------------------------------------------------------
-
-
-def _compile_keyed(request: PlanRequest) -> ExecutionPlan:
-    if request.split is not None:
-        raise PollutionError(
-            "key_by and split are mutually exclusive: keyed pollution "
-            "partitions by key, not by sub-stream routing"
-        )
-    if (
-        request.failure_policy is not None
-        or request.checkpoint_dir is not None
-        or request.resume_from is not None
-        or request.tracer is not None
-    ):
-        raise PollutionError(
-            "sequential keyed runs do not support supervision, checkpointing, "
-            "or tracing; use parallelism=1 to run the keyed plan on the "
-            "supervised sharded runtime"
-        )
-    key_selector, pipeline_factory = _normalize_keyed(request)
-    decisions = [
-        PlanDecision(
-            "keyed-sequential",
-            "key_by without parallelism runs the reference keyed loop: one "
-            "fresh pipeline instance per key, drawn from per-key named "
-            "random streams — the baseline parallel keyed runs are "
-            "byte-compared against",
-        )
-    ]
-    if request.batched:
-        decisions.append(
-            PlanDecision(
-                "keyed-batching-per-record",
-                f"batch_size={request.batch_size} is ignored for keyed runs: "
-                "batch kernels do not cross per-key pipeline instances, so "
-                "the keyed loop dispatches per-record (an explicit planner "
-                "decision, not a silent fallback)",
+    if keyed:
+        stages.append(PlanStage("sort", "sort", {"order": "event-time", "stable": True}))
+    else:
+        stages.append(
+            PlanStage(
+                "integrate",
+                "integrate",
+                {"kind": "union", "order": "event-time", "stable": True},
             )
         )
-    facts = _facts_for(_fact_targets(None, pipeline_factory))
-    stages = [
-        PlanStage("source", "input"),
-        PlanStage("prepare", "prepare", {"ids": "global", "event_time": "tau"}),
-        PlanStage(
-            "partition",
-            "key-by",
-            {"kind": "key", "selector": type(key_selector).__name__},
-        ),
-        PlanStage(
-            "pollute",
-            "pollute-keyed",
-            {
-                "factory": type(pipeline_factory).__name__,
-                "dispatch": "per-record",
-            },
-        ),
-        PlanStage("sort", "sort", {"order": "event-time", "stable": True}),
-        PlanStage("sink", "collect"),
-    ]
     return ExecutionPlan(
-        engine=ENGINE_KEYED_DIRECT,
+        engine=engine,
         request=request,
         stages=tuple(stages),
         decisions=tuple(decisions),
+        pipelines=pipelines,
+        strategy=strategy,
         key_selector=key_selector,
         pipeline_factory=pipeline_factory,
         facts=facts,
@@ -377,7 +364,8 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
             "pass checkpoint_dir as a directory path, not a CheckpointStore"
         )
 
-    keyed = request.key_by is not None
+    pipelines, strategy, key_selector, pipeline_factory = _normalize_shape(request)
+    keyed = key_selector is not None
     decisions = [
         PlanDecision(
             "parallel-sharding",
@@ -386,17 +374,7 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
             "merges shard output by event time",
         )
     ]
-    pipelines: list[PollutionPipeline] | None = None
-    strategy = None
-    key_selector = None
-    pipeline_factory = None
     if keyed:
-        if request.split is not None:
-            raise PollutionError(
-                "key_by and split are mutually exclusive: keyed pollution "
-                "partitions by key, not by sub-stream routing"
-            )
-        key_selector, pipeline_factory = _normalize_keyed_parallel(request)
         decisions.append(
             PlanDecision(
                 "parallel-keyed-byte-identical",
@@ -405,11 +383,6 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
                 "keyed run at every worker count",
             )
         )
-    else:
-        if request.pipeline_factory is not None:
-            raise PollutionError("pipeline_factory requires key_by")
-        pipelines = _normalize_pipelines(request.pipelines)
-        strategy = _normalize_strategy(request.split, pipelines)
 
     facts = _facts_for(_fact_targets(pipelines, pipeline_factory))
     if not keyed:
@@ -436,7 +409,7 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
                 )
             )
 
-    inner = _shard_engine_name(keyed, request.batched)
+    inner = _shard_engine_name(request.batched)
     if request.batched:
         decisions.append(
             PlanDecision(
@@ -446,7 +419,10 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
                 "byte-identical with or without it",
             )
         )
-        _kernel_decisions(facts, decisions, context="each shard worker")
+        if keyed:
+            decisions.append(_keyed_batching(request.batch_size))
+        else:
+            _kernel_decisions(facts, decisions, context="each shard worker")
     if request.failure_policy is not None:
         decisions.append(
             PlanDecision(
@@ -513,39 +489,24 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
     )
 
 
-def _normalize_keyed_parallel(request: PlanRequest) -> tuple[Any, Any]:
-    """Keyed normalization with the parallel runner's historical wording."""
-    try:
-        return _normalize_keyed(request)
-    except PollutionError as exc:
-        if "not both" in str(exc):
-            raise PollutionError(
-                "pass either pipelines or pipeline_factory for a keyed run, "
-                "not both"
-            ) from None
-        raise
-
-
 # ---------------------------------------------------------------------------
 # Shard worker (compiled inside the worker process from its ShardTask)
 # ---------------------------------------------------------------------------
 
 
-def _shard_engine_name(keyed: bool, batched: bool) -> str:
-    if keyed:
-        return ENGINE_SHARD_KEYED
+def _shard_engine_name(batched: bool) -> str:
     return ENGINE_SHARD_STREAM_BATCH if batched else ENGINE_SHARD_STREAM
 
 
 def _compile_shard(request: PlanRequest) -> ExecutionPlan:
     task = request.shard_task
     batched = task.batch_size is not None and task.batch_size > 1
-    engine = _shard_engine_name(task.keyed, batched)
+    engine = _shard_engine_name(batched)
     decisions: list[PlanDecision] = []
     if task.keyed:
         decisions.append(
             PlanDecision(
-                "shard-keyed-base-seed",
+                "keyed-shard-base-seed",
                 "keyed shards run with the base seed: per-key named random "
                 "streams are drawn only on the one shard that owns the key, "
                 "which is exactly what makes keyed output shard-invariant",
@@ -561,7 +522,9 @@ def _compile_shard(request: PlanRequest) -> ExecutionPlan:
         )
     if batched:
         decisions.append(
-            PlanDecision(
+            _keyed_batching(task.batch_size)
+            if task.keyed
+            else PlanDecision(
                 "shard-batch-kernels",
                 f"batch_size={task.batch_size} moves this shard's records in "
                 "slabs through compiled batch kernels",
@@ -601,46 +564,15 @@ def _compile_shard(request: PlanRequest) -> ExecutionPlan:
     stages: list[PlanStage] = [
         PlanStage("source", "shard-input", {"transport": "queue"}),
     ]
-    if task.keyed:
-        stages.append(
-            PlanStage(
-                "partition",
-                "key-by",
-                {"kind": "key", "selector": type(task.key_selector).__name__},
-            )
-        )
-        stages.append(
-            PlanStage(
-                "pollute",
-                "pollute-keyed",
-                {
-                    "factory": type(task.pipeline_factory).__name__,
-                    "dispatch": "per-record",
-                },
-            )
-        )
-    else:
-        pipelines = task.pipelines or []
-        stages.append(
-            PlanStage(
-                "split",
-                "substreams",
-                {"strategy": type(task.split).__name__, "m": len(pipelines)},
-            )
-        )
-        for index, pipeline in enumerate(pipelines):
-            stages.append(
-                PlanStage(
-                    "pollute",
-                    f"pollute[{index}]",
-                    {
-                        "pipeline": pipeline.name,
-                        "dispatch": "batch-kernels" if batched else "per-record",
-                    },
-                )
-            )
-        if len(pipelines) > 1:
-            stages.append(PlanStage("integrate", "integrate", {"kind": "union"}))
+    stages += _pollute_stages(
+        task.pipelines or [],
+        task.split,
+        task.key_selector,
+        task.pipeline_factory,
+        batched,
+    )
+    if not task.keyed and len(task.pipelines or []) > 1:
+        stages.append(PlanStage("integrate", "integrate", {"kind": "union"}))
     stages.append(
         PlanStage(
             "sink",

@@ -14,7 +14,6 @@ from typing import Any
 
 from repro.errors import PollutionError
 from repro.plan.ir import (
-    ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
     ENGINE_STREAM,
     ENGINE_STREAM_BATCH,
@@ -44,10 +43,6 @@ def execute_plan(
         from repro.parallel.runner import _execute_parallel_plan
 
         return _execute_parallel_plan(plan, data)
-    if plan.engine == ENGINE_KEYED_DIRECT:
-        from repro.core.runner import _execute_keyed_plan
-
-        return _execute_keyed_plan(plan, data)
     if plan.engine in (ENGINE_STREAM, ENGINE_STREAM_BATCH):
         from repro.core.runner import _execute_sequential_plan
 

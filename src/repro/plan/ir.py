@@ -32,24 +32,20 @@ PLAN_FORMAT_VERSION = 1
 
 ENGINE_STREAM = "stream"
 ENGINE_STREAM_BATCH = "stream-batch"
-ENGINE_KEYED_DIRECT = "keyed-direct"
 ENGINE_PARALLEL = "parallel"
 ENGINE_SHARD_STREAM = "shard-stream"
 ENGINE_SHARD_STREAM_BATCH = "shard-stream-batch"
-ENGINE_SHARD_KEYED = "shard-keyed"
 
 ENGINES = (
     ENGINE_STREAM,
     ENGINE_STREAM_BATCH,
-    ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
     ENGINE_SHARD_STREAM,
     ENGINE_SHARD_STREAM_BATCH,
-    ENGINE_SHARD_KEYED,
 )
 
 #: Engines that run inside a shard worker process.
-SHARD_ENGINES = (ENGINE_SHARD_STREAM, ENGINE_SHARD_STREAM_BATCH, ENGINE_SHARD_KEYED)
+SHARD_ENGINES = (ENGINE_SHARD_STREAM, ENGINE_SHARD_STREAM_BATCH)
 
 
 @dataclass(frozen=True)
@@ -217,9 +213,7 @@ class ExecutionPlan:
 
     @property
     def keyed(self) -> bool:
-        return self.engine in (ENGINE_KEYED_DIRECT, ENGINE_SHARD_KEYED) or (
-            self.engine == ENGINE_PARALLEL and self.request.key_by is not None
-        )
+        return self.key_selector is not None
 
     @property
     def supervised(self) -> bool:

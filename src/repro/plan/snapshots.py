@@ -38,10 +38,10 @@ _SEED = 7  # matches the golden `repro check` seed
 
 
 def _key_attribute(schema: Schema) -> str | None:
-    """The partitioning attribute keyed scenarios use: the first string
-    attribute of the schema (stable, human-meaningful), if any."""
+    """The partitioning attribute keyed scenarios use: the first string or
+    category attribute of the schema (stable, human-meaningful), if any."""
     for attribute in schema.attributes:
-        if attribute.dtype is DataType.STRING:
+        if attribute.dtype in (DataType.STRING, DataType.CATEGORY):
             return attribute.name
     return None
 
@@ -54,7 +54,7 @@ def snapshot_plans(
     ``build`` converts the config spec into pipelines; it defaults to
     :func:`repro.core.config.pipeline_from_config` and is injectable only
     for tests. Scenarios that need a partition key are skipped when the
-    schema has no string attribute.
+    schema has no string or category attribute.
     """
     if build is None:
         from repro.core.config import pipeline_from_config

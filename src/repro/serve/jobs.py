@@ -19,7 +19,7 @@ Cancellation
 A queued job cancels immediately. A running job cancels *cooperatively*:
 the manager sets the job's cancel event, and the progress hook threaded
 into the engines (:class:`_JobProgress`, called every ~1k records by the
-sequential, keyed, batch, and parallel coordinators alike) raises
+sequential stream engine, keyed or not, and the parallel coordinator alike) raises
 :class:`JobCancelled` at the next tick — the engines' ``finally`` blocks
 then tear down worker processes and flush state exactly as they do for any
 other failure.
@@ -60,7 +60,7 @@ class JobCancelled(Exception):
 class _JobProgress(ProgressRenderer):
     """The engines' progress hook, repurposed as the job's pulse.
 
-    Every engine already calls ``tick()`` (sequential/keyed/batch paths)
+    Every engine already calls ``tick()`` (the sequential stream engine)
     or ``maybe_render()`` (the parallel coordinator loop) on a progress
     renderer; overriding both gives the manager a mid-run observation
     point — live progress counts — and a cooperative cancellation point,

@@ -239,3 +239,10 @@ class KeyedProcessNode(Node):
         self._ctx.current_watermark = state["watermark"]
         if state["fn"] is not None:
             self._fn.restore_state(state["fn"])
+
+    def slab_token(self) -> Any | None:
+        fn_token = getattr(self._fn, "slab_token", None)
+        return fn_token() if fn_token is not None else None
+
+    def slab_rollback(self, token: Any) -> None:
+        self._fn.slab_rollback(token)

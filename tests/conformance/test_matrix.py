@@ -10,9 +10,12 @@ Two sub-matrices:
 * unkeyed — hypothesis-generated plans across batch sizes {1, 7, 256},
   both engine hints, and every failure policy (supervision with no
   failing records must be a byte-level no-op);
-* keyed — the keyed sequential oracle against parallel {2, 4} workers,
-  parallel+batch, and parallel+supervision (keyed sharding is the
-  byte-identical parallel mode; unkeyed parallel is only seed-reproducible).
+* keyed — an independent test-local per-key loop against the keyed
+  stream engine (every failure policy, batching, checkpoint + resume) and
+  against parallel {2, 4} workers, parallel+batch, and
+  parallel+supervision (keyed sharding is the byte-identical parallel mode;
+  unkeyed parallel is only seed-reproducible), plus a poison-record cell
+  that pins keyed slab rollback.
 
 Each cell first compiles its plan and asserts the planner routed it to
 the engine the cell names — conformance proves the *planner's* routing,
@@ -23,18 +26,31 @@ from __future__ import annotations
 
 import glob
 import io
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.conditions import ProbabilityCondition
 from repro.core.config import pipeline_from_config
+from repro.core.errors import GaussianNoise
+from repro.core.errors.base import ErrorFunction
+from repro.core.integrate import sort_by_timestamp
+from repro.core.keyed_pollution import FreshPipelineFactory
+from repro.core.log import PollutionLog
+from repro.core.pipeline import PollutionPipeline
+from repro.core.polluter import StandardPolluter
+from repro.core.prepare import IdGenerator, prepare_stream
+from repro.core.rng import RandomSource
 from repro.core.runner import pollute
 from repro.parallel.runner import pollute_parallel
 from repro.plan import PlanRequest, compile_plan
 from repro.streaming.schema import Attribute, DataType, Schema
 from repro.streaming.sink import CsvSink
-from repro.streaming.supervision import DEAD_LETTER, SKIP, FailurePolicy
+from repro.streaming.source import CollectionSource
+from repro.streaming.supervision import DEAD_LETTER, FAIL_FAST, SKIP, FailurePolicy
 
 SCHEMA = Schema(
     [
@@ -187,19 +203,47 @@ def test_unkeyed_matrix_is_byte_identical(spec, seed):
         )
 
 
-# -- keyed sub-matrix: sequential keyed oracle vs parallel cells -------------
+# -- keyed sub-matrix: an independent per-key loop vs every keyed cell -------
 
 
-def _run_keyed_sequential(spec, seed, n):
+def _keyed_oracle(spec, seed, n):
+    """The keyed reference, with no engine in it: prepare, then run each
+    record through its key's clone of the template, then sort by time."""
+    factory = FreshPipelineFactory(pipeline_from_config(spec))
+    random_source = RandomSource(seed)
+    log = PollutionLog()
+    pipelines = {}
+    polluted = []
+    source = CollectionSource(SCHEMA, _rows(n), validate=False)
+    for record in prepare_stream(source, SCHEMA, IdGenerator()):
+        key = record["station"]
+        if key not in pipelines:
+            pipeline = pipelines[key] = factory(key)
+            pipeline.name = f"{pipeline.name}/key={key!r}"
+            pipeline.bind(random_source)
+            pipeline.reset()
+        polluted += pipelines[key].apply(record.copy(), record.event_time, log)
+    return _csv_bytes(
+        SimpleNamespace(polluted=sort_by_timestamp(polluted, SCHEMA), log=log)
+    )
+
+
+def _run_keyed_sequential(spec, seed, n, **kwargs):
+    pipeline = pipeline_from_config(spec)
+    plan = compile_plan(
+        PlanRequest(pipelines=pipeline, schema=SCHEMA, seed=seed, key_by="station", **kwargs)
+    )
+    assert "keyed-sequential" in plan.decision_slugs
     result = pollute(
         _rows(n),
-        pipeline_from_config(spec),
+        pipeline,
         schema=SCHEMA,
         seed=seed,
         key_by="station",
         check="off",
+        **kwargs,
     )
-    return _csv_bytes(result)
+    return plan.engine, _csv_bytes(result)
 
 
 def _run_keyed_parallel(spec, seed, n, parallelism, **kwargs):
@@ -247,6 +291,34 @@ _KEYED_SPEC = {
     ],
 }
 
+# every keyed sequential cell: (id, pollute kwargs, engine the planner must pick)
+KEYED_SEQUENTIAL_CELLS = [
+    ("default", {}, "stream"),
+    ("batch-7", {"batch_size": 7}, "stream-batch"),
+    ("fail-fast", {"failure_policy": FAIL_FAST}, "stream"),
+    ("skip", {"failure_policy": SKIP}, "stream"),
+    ("retry-batch-64", {"failure_policy": FailurePolicy.retry(3), "batch_size": 64},
+     "stream-batch"),
+    ("dead-letter-batch-7", {"failure_policy": DEAD_LETTER, "batch_size": 7},
+     "stream-batch"),
+]
+
+
+@pytest.mark.parametrize(
+    "cell_id,kwargs,engine",
+    KEYED_SEQUENTIAL_CELLS,
+    ids=[c[0] for c in KEYED_SEQUENTIAL_CELLS],
+)
+def test_keyed_sequential_matrix_is_byte_identical(cell_id, kwargs, engine):
+    """Keyed runs on the stream engine, under every failure policy and
+    batch size, reproduce the per-key loop byte for byte."""
+    oracle = _keyed_oracle(_KEYED_SPEC, seed=11, n=120)
+    got_engine, got = _run_keyed_sequential(_KEYED_SPEC, seed=11, n=120, **kwargs)
+    assert got_engine == engine, f"cell {cell_id}: planner chose {got_engine}"
+    assert got[0] == oracle[0], f"cell {cell_id}: records diverged"
+    assert got[1] == oracle[1], f"cell {cell_id}: pollution log diverged"
+
+
 PARALLEL_CELLS = [
     ("parallel-2", {"parallelism": 2}),
     ("parallel-4", {"parallelism": 4}),
@@ -261,8 +333,8 @@ PARALLEL_CELLS = [
 @pytest.mark.parametrize("cell_id,kwargs", PARALLEL_CELLS, ids=[c[0] for c in PARALLEL_CELLS])
 def test_keyed_parallel_matrix_is_byte_identical(cell_id, kwargs):
     """Keyed parallel cells (including batched and supervised shards)
-    reproduce the sequential keyed run byte for byte."""
-    oracle = _run_keyed_sequential(_KEYED_SPEC, seed=11, n=120)
+    reproduce the per-key loop byte for byte."""
+    oracle = _keyed_oracle(_KEYED_SPEC, seed=11, n=120)
     got = _run_keyed_parallel(_KEYED_SPEC, seed=11, n=120, **kwargs)
     assert got[0] == oracle[0], f"cell {cell_id}: records diverged"
     assert got[1] == oracle[1], f"cell {cell_id}: pollution log diverged"
@@ -275,18 +347,92 @@ def test_keyed_parallel_matrix_is_byte_identical(cell_id, kwargs):
 )
 @given(spec=plan_spec(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_keyed_batching_is_byte_identical(spec, seed):
-    """batch_size on a keyed run is a planner-documented no-op."""
-    oracle = _run_keyed_sequential(spec, seed, n=90)
-    result = pollute(
-        _rows(90),
-        pipeline_from_config(spec),
-        schema=SCHEMA,
-        seed=seed,
-        key_by="station",
-        batch_size=256,
-        check="off",
+    """batch_size on a keyed run moves slabs but changes no byte."""
+    oracle = _keyed_oracle(spec, seed, n=90)
+    assert _run_keyed_sequential(spec, seed, n=90)[1] == oracle
+    assert _run_keyed_sequential(spec, seed, n=90, batch_size=256)[1] == oracle
+
+
+def test_keyed_resume_converges_to_the_oracle(tmp_path):
+    """A keyed run checkpointed mid-stream resumes, per record or batched,
+    to the oracle's records; its log is the oracle log's post-cut tail."""
+    oracle_records, oracle_log = _keyed_oracle(_KEYED_SPEC, seed=5, n=150)
+    _engine, full = _run_keyed_sequential(
+        _KEYED_SPEC, seed=5, n=150, checkpoint_dir=tmp_path, checkpoint_interval=40
     )
-    assert _csv_bytes(result) == oracle
+    assert full == (oracle_records, oracle_log)
+    checkpoints = sorted(glob.glob(str(tmp_path / "chk-*")))
+    assert len(checkpoints) >= 3
+    for kwargs in ({}, {"batch_size": 7}):
+        _engine, (records, log) = _run_keyed_sequential(
+            _KEYED_SPEC, seed=5, n=150, resume_from=checkpoints[1], **kwargs
+        )
+        assert records == oracle_records, f"resume {kwargs}: records diverged"
+        _header, *rows = log.splitlines(keepends=True)
+        assert rows and oracle_log.endswith("".join(rows)), (
+            f"resume {kwargs}: log is not the oracle's post-cut tail"
+        )
+
+
+class _ExplodeAt(ErrorFunction):
+    """A deterministic poison record: raises on the record at ``timestamp``."""
+
+    def __init__(self, timestamp: int) -> None:
+        super().__init__()
+        self.timestamp = timestamp
+
+    def apply(self, record, attributes, tau, intensity=1.0):
+        if record.get("timestamp") == self.timestamp:
+            raise RuntimeError(f"poison record at timestamp={self.timestamp}")
+        return record
+
+    def describe(self) -> str:
+        return f"explode(timestamp={self.timestamp})"
+
+
+def _poison_pipeline(index: int) -> PollutionPipeline:
+    # The bomb leads the chain, so a rolled-back slab has already drawn
+    # noise for the records before the poison one.
+    return PollutionPipeline(
+        [
+            StandardPolluter(
+                _ExplodeAt(_rows(index + 1)[index]["timestamp"]), ["value"], name="bomb"
+            ),
+            StandardPolluter(
+                GaussianNoise(1.0), ["value"], ProbabilityCondition(0.4), name="noise"
+            ),
+        ],
+        name="poisoned",
+    )
+
+
+@pytest.mark.parametrize("parallelism", [None, 1])
+@pytest.mark.parametrize("poison", [5, 53], ids=["first-slab", "later-slab"])
+def test_keyed_poison_slab_rolls_back(poison, parallelism):
+    """A supervised batched keyed run that skips a poison record matches the
+    per-record run: the slab rollback restores every live per-key pipeline
+    (and re-derives the streams of keys first seen inside the slab), and
+    truncates the log, so the replay neither redraws nor re-logs."""
+    runner = pollute if parallelism is None else partial(
+        pollute_parallel, parallelism=parallelism
+    )
+    outputs = [
+        _csv_bytes(
+            runner(
+                _rows(120),
+                _poison_pipeline(poison),
+                schema=SCHEMA,
+                seed=13,
+                key_by="station",
+                failure_policy=SKIP,
+                check="off",
+                **kwargs,
+            )
+        )
+        for kwargs in ({}, {"batch_size": 16})
+    ]
+    assert outputs[1][0] == outputs[0][0], "records diverged under slab rollback"
+    assert outputs[1][1] == outputs[0][1], "pollution log diverged under slab rollback"
 
 
 # -- checkpoint / resume conformance -----------------------------------------

@@ -17,9 +17,7 @@ from repro.core.config import pipeline_from_config
 from repro.errors import PollutionError
 from repro.obs import MetricsRegistry, RunLedger, Tracer
 from repro.plan import (
-    ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
-    ENGINE_SHARD_KEYED,
     ENGINE_SHARD_STREAM,
     ENGINE_SHARD_STREAM_BATCH,
     ENGINE_STREAM,
@@ -92,6 +90,7 @@ def test_batch_size_one_stays_per_record():
     assert not plan.batched
 
 
+@pytest.mark.parametrize("key_by", [None, "station"])
 @pytest.mark.parametrize("batch_size", [None, 64])
 @pytest.mark.parametrize(
     "field,value",
@@ -106,10 +105,11 @@ def test_batch_size_one_stays_per_record():
         ("progress", True),
     ],
 )
-def test_options_keep_the_requested_engine(field, value, batch_size):
-    """No hook or fault-tolerance option moves a run to another engine."""
-    bare = compile_plan(_request(batch_size=batch_size))
-    plan = compile_plan(_request(batch_size=batch_size, **{field: value}))
+def test_options_keep_the_requested_engine(field, value, batch_size, key_by):
+    """No hook or fault-tolerance option moves a run, keyed or not, to
+    another engine."""
+    bare = compile_plan(_request(batch_size=batch_size, key_by=key_by))
+    plan = compile_plan(_request(batch_size=batch_size, key_by=key_by, **{field: value}))
     assert plan.engine == bare.engine
     assert not any("stream" in slug for slug in plan.decision_slugs)
 
@@ -175,23 +175,43 @@ def test_parallel_checkpoint_dir_needs_parallelism(tmp_path):
 # -- keyed compilation -------------------------------------------------------
 
 
-def test_keyed_compiles_to_keyed_direct():
+def test_keyed_compiles_to_the_stream_engine():
     plan = compile_plan(_request(key_by="station"))
-    assert plan.engine == ENGINE_KEYED_DIRECT
-    assert "keyed-sequential" in plan.decision_slugs
+    assert plan.engine == ENGINE_STREAM
+    assert plan.keyed
+    assert plan.decision_slugs == ("keyed-sequential",)
     assert plan.key_selector is not None
     assert plan.pipeline_factory is not None
+    names = [s.name for s in plan.stages]
+    assert names[names.index("key-by") + 1] == "pollute-keyed"
+    assert "substreams" not in names
 
 
 def test_keyed_batching_stays_per_record():
+    """A keyed plan moves slabs on the batched engine but dispatches per
+    record, so no batch-kernel decision may appear on it."""
     plan = compile_plan(_request(key_by="station", batch_size=256))
-    assert plan.engine == ENGINE_KEYED_DIRECT
-    assert "keyed-batching-per-record" in plan.decision_slugs
+    assert plan.engine == ENGINE_STREAM_BATCH
+    assert plan.decision_slugs == ("keyed-sequential", "keyed-batching-per-record")
+    pollute = next(s for s in plan.stages if s.kind == "pollute")
+    assert pollute.params["dispatch"] == "per-record"
 
 
-def test_keyed_rejects_split():
-    with pytest.raises(PollutionError):
-        compile_plan(_request(key_by="station", split=RoundRobin(2)))
+def test_parallel_keyed_batching_has_no_kernel_decisions():
+    plan = compile_plan(_request(parallelism=2, key_by="station", batch_size=64))
+    slugs = plan.decision_slugs
+    assert "keyed-batching-per-record" in slugs
+    assert not any(slug.startswith("batch-kernels") for slug in slugs)
+    shard = next(s for s in plan.stages if s.kind == "shard")
+    assert shard.params["engine"] == ENGINE_SHARD_STREAM_BATCH
+
+
+@pytest.mark.parametrize("parallelism", [None, 2])
+def test_keyed_rejects_split(parallelism):
+    with pytest.raises(PollutionError, match="mutually exclusive"):
+        compile_plan(
+            _request(key_by="station", split=RoundRobin(2), parallelism=parallelism)
+        )
 
 
 def test_factory_without_key_by_is_rejected():
@@ -273,16 +293,24 @@ def test_shard_batched_engine():
     assert "shard-batch-kernels" in plan.decision_slugs
 
 
-def test_shard_keyed_engine():
+@pytest.mark.parametrize(
+    "batch_size,engine",
+    [(None, ENGINE_SHARD_STREAM), (64, ENGINE_SHARD_STREAM_BATCH)],
+)
+def test_shard_keyed_engine(batch_size, engine):
     task = _shard_task(
         keyed=True,
         pipelines=None,
         key_selector=lambda record: record.data.get("station"),
         pipeline_factory=lambda key: _pipeline(f"k-{key}"),
+        batch_size=batch_size,
     )
     plan = compile_plan(PlanRequest.for_shard(task))
-    assert plan.engine == ENGINE_SHARD_KEYED
-    assert "shard-keyed-base-seed" in plan.decision_slugs
+    assert plan.engine == engine
+    assert plan.keyed
+    assert "keyed-shard-base-seed" in plan.decision_slugs
+    assert "shard-batch-kernels" not in plan.decision_slugs
+    assert [s.name for s in plan.stages][1:3] == ["key-by", "pollute-keyed"]
 
 
 def test_shard_supervised_batching_retains_output():

@@ -20,7 +20,6 @@ from repro.core.runner import pollute
 from repro.obs import MetricsRegistry, ProgressRenderer, RunLedger, Tracer
 from repro.parallel.runner import pollute_parallel
 from repro.plan import (
-    ENGINE_KEYED_DIRECT,
     ENGINE_PARALLEL,
     ENGINE_STREAM,
     ENGINE_STREAM_BATCH,
@@ -105,7 +104,8 @@ def test_pollute_keyed_routes_through_the_planner():
     with patcher:
         pollute(_rows(40), pipeline_from_config(SPEC), schema=SCHEMA, seed=1,
                 key_by="station", check="off")
-    assert seen[0].engine == ENGINE_KEYED_DIRECT
+    assert seen[0].engine == ENGINE_STREAM
+    assert seen[0].keyed
 
 
 def test_pollute_parallel_routes_through_the_planner():
@@ -137,17 +137,19 @@ HOOKS = {
 }
 
 
+@pytest.mark.parametrize("key_by", [None, "station"])
 @pytest.mark.parametrize("batch_size", [None, 64])
 @pytest.mark.parametrize("hook", sorted(HOOKS))
-def test_hooks_leave_the_engine_and_the_output_alone(hook, batch_size):
+def test_hooks_leave_the_engine_and_the_output_alone(hook, batch_size, key_by):
     """A profile, ledger, progress view, metrics registry, or tracer runs on
-    the engine the bare request compiles to, with identical bytes."""
+    the engine the bare request compiles to, with identical bytes — keyed
+    or not."""
     seen, patcher = _spy_execute()
     with patcher:
         bare = pollute(_rows(200), pipeline_from_config(SPEC), schema=SCHEMA,
-                       seed=6, batch_size=batch_size, check="off")
+                       seed=6, batch_size=batch_size, key_by=key_by, check="off")
         hooked = pollute(_rows(200), pipeline_from_config(SPEC), schema=SCHEMA,
-                         seed=6, batch_size=batch_size, check="off",
+                         seed=6, batch_size=batch_size, key_by=key_by, check="off",
                          **HOOKS[hook]())
     assert seen[1].engine == seen[0].engine
     assert _csv(hooked) == _csv(bare)
@@ -237,7 +239,7 @@ SERVE_SCHEMA = {
         # not move the job off the engine the bare options compile to
         ({}, "stream", None),
         ({"batch_size": 64}, "stream-batch", "batch-kernels"),
-        ({"key_by": "station"}, "keyed-direct", "keyed-sequential"),
+        ({"key_by": "station"}, "stream", "keyed-sequential"),
     ],
 )
 def test_serve_job_publishes_its_plan(options, engine, slug):

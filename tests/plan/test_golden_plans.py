@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import schema_from_config
 from repro.plan.snapshots import SCENARIOS, snapshot_plans
+from repro.streaming.schema import DataType
 
 CONFIG_DIR = Path(__file__).resolve().parents[2] / "examples" / "configs"
 MANIFEST = json.loads((CONFIG_DIR / "manifest.json").read_text())
@@ -45,12 +46,19 @@ def test_golden_plan_snapshot_is_unchanged(config_name, schema_name):
 
 @pytest.mark.parametrize("config_name,schema_name", PAIRS, ids=[p[0] for p in PAIRS])
 def test_snapshot_covers_every_applicable_scenario(config_name, schema_name):
-    """Each snapshot compiles every canonical scenario (keyed ones are
-    allowed to be skipped only when the schema has no string attribute)."""
+    """Each snapshot compiles every canonical scenario; the keyed ones are
+    skipped exactly when the schema has no string or category attribute
+    to key on."""
+    schema = schema_from_config(json.loads((CONFIG_DIR / schema_name).read_text()))
+    has_key = any(
+        a.dtype in (DataType.STRING, DataType.CATEGORY) for a in schema.attributes
+    )
     snapshot = _fresh(config_name, schema_name)
-    names = set(snapshot["scenarios"])
     keyed = {name for name, fields in SCENARIOS if fields.get("key_by")}
-    assert names >= {name for name, _ in SCENARIOS} - keyed
+    expected = {name for name, _ in SCENARIOS} - (set() if has_key else keyed)
+    assert set(snapshot["scenarios"]) == expected
+    for name in keyed & expected:
+        assert snapshot["scenarios"][name]["keyed"], f"scenario {name} is not keyed"
     assert snapshot["version"] == 1
     for name, plan in snapshot["scenarios"].items():
         # Only the default per-record sequential engine needs no reason.
