@@ -43,6 +43,18 @@ class Record:
         self.event_time = event_time
         self.substream = substream
 
+    @classmethod
+    def _adopt(cls, values: dict[str, Any]) -> "Record":
+        """A metadata-free record that takes ownership of ``values``.
+
+        For a decoder that just built ``values`` itself: skips the
+        defensive copy ``__init__`` makes.
+        """
+        record = cls.__new__(cls)
+        record._values = values
+        record.record_id = record.event_time = record.substream = None
+        return record
+
     # -- mapping interface over attribute values ---------------------------
 
     def __getitem__(self, name: str) -> Any:

@@ -33,6 +33,9 @@ class DataType(enum.Enum):
         return self in (DataType.FLOAT, DataType.INT, DataType.TIMESTAMP)
 
 
+#: CSV cells that parse to ``None`` whatever the attribute's type.
+_NA_TOKENS = frozenset(("", "NA", "NaN", "nan", "null", "None"))
+
 _PYTHON_TYPES: dict[DataType, tuple[type, ...]] = {
     DataType.FLOAT: (float, int),
     DataType.INT: (int,),
@@ -116,9 +119,10 @@ class Attribute:
     def parse(self, text: str) -> Any:
         """Parse a CSV cell into this attribute's Python representation.
 
-        Empty strings and the literals ``NA``/``NaN``/``null`` parse to ``None``.
+        Empty strings and the literals ``NA``/``NaN``/``nan``/``null``/``None``
+        (:data:`_NA_TOKENS`) parse to ``None``.
         """
-        if text == "" or text in ("NA", "NaN", "nan", "null", "None"):
+        if text in _NA_TOKENS:
             return None
         if self.dtype is DataType.FLOAT:
             return float(text)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.streaming.record import Record
 from repro.streaming.schema import Schema
@@ -93,9 +94,12 @@ class NullSink(Sink):
 class CsvSink(Sink):
     """Writes records to a CSV file (or any text buffer).
 
-    ``None`` values are written as empty cells; floats keep full repr
-    precision so round-tripping through :class:`CsvSource` is lossless for
-    representable values.
+    Cells render as :func:`_render` defines: ``None`` becomes an empty
+    cell, NaN ``NaN`` (which :class:`CsvSource` reads back as ``None``),
+    and floats keep full repr precision, so round-tripping through
+    :class:`CsvSource` is lossless for representable values. Each record is
+    written as soon as it arrives, through the row encoder :meth:`open`
+    compiles once (see :func:`_row_encoder`).
     """
 
     def __init__(
@@ -109,6 +113,7 @@ class CsvSink(Sink):
         self._include_metadata = include_metadata
         self._file: Any = None
         self._writer: Any = None
+        self._encode: Any = None
         self._owns_file = not isinstance(path, io.TextIOBase)
 
     def open(self) -> None:
@@ -119,16 +124,14 @@ class CsvSink(Sink):
         header = list(self._schema.names)
         if self._include_metadata:
             header = ["record_id", "substream", *header]
+        self._encode = _row_encoder(self._schema.names, self._include_metadata)
         self._writer = csv.writer(self._file)
         self._writer.writerow(header)
 
     def invoke(self, record: Record) -> None:
         if self._writer is None:
             self.open()
-        row = [_render(record.get(n)) for n in self._schema.names]
-        if self._include_metadata:
-            row = [_render(record.record_id), _render(record.substream), *row]
-        self._writer.writerow(row)
+        self._writer.writerow(self._encode(record))
 
     def close(self) -> None:
         if self._file is not None and self._owns_file:
@@ -149,12 +152,52 @@ class CsvSink(Sink):
         state = dict(self.__dict__)
         state["_file"] = None
         state["_writer"] = None
+        state["_encode"] = None
         return state
 
 
 def _render(value: Any) -> str:
+    """One CSV cell: the definition the row encoder's fast path reproduces."""
     if value is None:
         return ""
     if isinstance(value, float) and value != value:  # NaN
         return "NaN"
     return str(value)
+
+
+#: Cell types ``csv.writer`` writes exactly as :func:`_render` does, NaN
+#: aside: ``None`` as an empty cell, floats by ``repr`` (which equals ``str``
+#: for an exact float), everything else by ``str``.
+_RAW_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _row_encoder(
+    names: Sequence[str], include_metadata: bool
+) -> Callable[[Record], Sequence[Any]]:
+    """Compile ``record -> row`` for ``csv.writer``, byte-identical to ``_render``.
+
+    A row of raw-typed cells with no NaN goes to the writer as is; any
+    other row (a NaN, a ``numpy.float64``, a float subclass with its own
+    ``__str__``) is rendered per cell.
+    """
+    if len(names) == 1:
+        (name,) = names
+        get = lambda values: (values[name],)  # noqa: E731
+    else:
+        get = operator.itemgetter(*names)
+
+    def encode(record: Record) -> Sequence[Any]:
+        values = record._values
+        try:
+            cells = get(values)
+        except KeyError:
+            cells = tuple(map(values.get, names))
+        if include_metadata:
+            cells = (record.record_id, record.substream, *cells)
+        if _RAW_TYPES.issuperset(map(type, cells)) and not any(
+            map(operator.ne, cells, cells)  # only NaN differs from itself
+        ):
+            return cells
+        return [_render(cell) for cell in cells]
+
+    return encode

@@ -11,13 +11,15 @@ into small batches") is flattened back to tuple-wise order by
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
+import operator
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import StreamError
 from repro.streaming.record import Record
-from repro.streaming.schema import Schema
+from repro.streaming.schema import _NA_TOKENS, DataType, Schema
 
 
 class Source:
@@ -140,9 +142,13 @@ class MicroBatchSource(Source):
 class CsvSource(Source):
     """Reads records from a CSV file, parsing cells via the schema.
 
-    The header row must name every schema attribute (extra columns are
-    ignored). Cell parsing follows :meth:`Attribute.parse`: empty cells and
-    NA literals become ``None``.
+    The header row must name every schema attribute; extra columns are
+    ignored and, for a duplicated name, the last column wins. Blank lines
+    are skipped, and any other row must have exactly as many cells as the
+    header, or iteration raises :class:`StreamError` naming the file and
+    line. Cells parse as :meth:`Attribute.parse` defines: empty cells and NA
+    literals become ``None``. Each iteration compiles the header once into
+    a row decoder (see :func:`_decode_rows`).
     """
 
     def __init__(self, schema: Schema, path: str | Path, validate: bool = False) -> None:
@@ -151,17 +157,94 @@ class CsvSource(Source):
         self._validate = validate
 
     def __iter__(self) -> Iterator[Record]:
+        return self.iter_from(0)
+
+    def iter_from(self, offset: int) -> Iterator[Record]:
+        """Iterate from record ``offset``; skipped rows are never decoded."""
         with open(self._path, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None:
-                raise StreamError(f"CSV file {self._path} has no header row")
-            missing = [n for n in self._schema.names if n not in reader.fieldnames]
-            if missing:
-                raise StreamError(
-                    f"CSV file {self._path} is missing schema columns: {missing}"
-                )
-            for row in reader:
-                values = {
-                    attr.name: attr.parse(row[attr.name]) for attr in self._schema
-                }
-                yield self._to_record(values, self._validate)
+            yield from _decode_rows(
+                self._schema, csv.reader(f), self._path, offset, self._validate
+            )
+
+
+def _cells(indices: Sequence[int]) -> Callable[[list[str]], tuple[str, ...]]:
+    """``row -> (row[i] for i in indices)`` as a tuple, even for one index."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return operator.itemgetter(*indices)
+
+
+def _float_cells(cells: Iterable[str]) -> Iterator[float]:
+    return map(float, cells)
+
+
+def _int_cells(cells: Iterable[str]) -> Iterator[int]:
+    return map(int, map(float, cells))
+
+
+#: Column converters of the decode fast path, by dtype; each maps a tuple of
+#: non-NA cells exactly as :meth:`Attribute.parse` maps each one. Other
+#: dtypes (BOOL) fall back to ``parse`` per cell.
+_CONVERTERS: dict[DataType, Callable[[Iterable[str]], Iterable[Any]]] = {
+    DataType.FLOAT: _float_cells,
+    DataType.INT: _int_cells,
+    DataType.TIMESTAMP: _int_cells,
+    DataType.STRING: iter,
+    DataType.CATEGORY: iter,
+}
+
+
+def _decode_rows(
+    schema: Schema,
+    reader: Any,
+    path: Path,
+    offset: int = 0,
+    validate: bool = False,
+) -> Iterator[Record]:
+    """Decode the rows of a ``csv.reader`` (header first) into records.
+
+    The header is compiled once: a name -> column map, and the schema's
+    columns grouped by converter. A row without an NA token (one C-level
+    ``isdisjoint``) fills a copy of a schema-ordered template group by
+    group; any other row goes through :meth:`Attribute.parse` per cell. The
+    first ``offset`` non-blank rows are skipped undecoded.
+    """
+    header = next(reader, None)
+    if header is None:
+        raise StreamError(f"CSV file {path} has no header row")
+    column = {name: i for i, name in enumerate(header)}
+    missing = [n for n in schema.names if n not in column]
+    if missing:
+        raise StreamError(f"CSV file {path} is missing schema columns: {missing}")
+    width = len(header)
+    by_converter: dict[Callable, tuple[list[str], list[int]]] = {}
+    for attr in schema:
+        convert = _CONVERTERS.get(attr.dtype) or functools.partial(map, attr.parse)
+        keys, indices = by_converter.setdefault(convert, ([], []))
+        keys.append(attr.name)
+        indices.append(column[attr.name])
+    groups = [
+        (tuple(keys), _cells(indices), convert)
+        for convert, (keys, indices) in by_converter.items()
+    ]
+    parsers = [(attr.name, attr.parse, column[attr.name]) for attr in schema]
+    template = dict.fromkeys(schema.names)
+    no_na = _NA_TOKENS.isdisjoint
+    adopt = Record._adopt
+    rows = filter(None, reader)  # csv.reader yields [] for a blank line
+    for row in itertools.islice(rows, offset, None) if offset else rows:
+        if len(row) != width:
+            raise StreamError(
+                f"CSV file {path}, line {reader.line_num}: row has {len(row)} "
+                f"cells, header has {width}"
+            )
+        if no_na(row):
+            values = template.copy()
+            for keys, cells, convert in groups:
+                values.update(zip(keys, convert(cells(row))))
+        else:
+            values = {name: parse(row[i]) for name, parse, i in parsers}
+        if validate:
+            schema.validate_values(values)
+        yield adopt(values)

@@ -102,6 +102,69 @@ class TestCsvRoundTrip:
         with pytest.raises(StreamError, match="missing schema columns"):
             list(CsvSource(simple_schema, path))
 
+    @pytest.mark.parametrize(
+        "row, cells",
+        [("2.0", 1), ("2.0,x", 2), ("2.0,x,3,extra", 4)],
+    )
+    def test_ragged_row_names_file_and_line(self, tmp_path, simple_schema, row, cells):
+        path = tmp_path / "s.csv"
+        path.write_text(f"value,label,timestamp\n1.0,a,1\n\n{row}\n4.0,b,2\n")
+        with pytest.raises(StreamError) as info:
+            list(CsvSource(simple_schema, path))
+        assert str(info.value) == (
+            f"CSV file {path}, line 4: row has {cells} cells, header has 3"
+        )
+
+    def test_row_of_empty_cells_is_not_ragged(self, tmp_path, simple_schema):
+        path = tmp_path / "s.csv"
+        path.write_text("value,label,timestamp\n,,\n")
+        assert list(CsvSource(simple_schema, path))[0].as_dict() == {
+            "value": None, "label": None, "timestamp": None,
+        }
+
+    def test_ragged_string_row_is_not_padded(self, tmp_path):
+        schema = Schema([Attribute("label", DataType.STRING), Attribute("timestamp", DataType.INT)])
+        path = tmp_path / "s.csv"
+        path.write_text("timestamp,label\n1\n")
+        with pytest.raises(StreamError, match="line 2: row has 1 cells"):
+            list(CsvSource(schema, path))
+
+    def test_blank_lines_are_skipped(self, tmp_path, simple_schema):
+        path = tmp_path / "s.csv"
+        path.write_text("value,label,timestamp\n\n1.0,a,1\n\n\n2.0,b,2\n\n")
+        assert [r["timestamp"] for r in CsvSource(simple_schema, path)] == [1, 2]
+
+    def test_header_only_file_is_empty(self, tmp_path, simple_schema):
+        path = tmp_path / "s.csv"
+        path.write_text("value,label,timestamp\n")
+        assert list(CsvSource(simple_schema, path)) == []
+
+    def test_empty_file_has_no_header(self, tmp_path, simple_schema):
+        path = tmp_path / "s.csv"
+        path.write_text("")
+        with pytest.raises(StreamError, match="has no header row"):
+            list(CsvSource(simple_schema, path))
+
+    @pytest.mark.parametrize("offset", [0, 1, 7, 20, 25])
+    def test_iter_from_equals_slicing(self, tmp_path, simple_schema, simple_records, offset):
+        path = tmp_path / "s.csv"
+        sink = CsvSink(simple_schema, path)
+        for r in simple_records:
+            sink.invoke(r)
+        sink.close()
+        with path.open("a") as f:
+            f.write("\n")  # a trailing blank line is not a record
+        src = CsvSource(simple_schema, path)
+        assert list(src.iter_from(offset)) == list(src)[offset:]
+
+    def test_iter_from_skips_without_decoding(self, tmp_path, simple_schema):
+        path = tmp_path / "s.csv"
+        path.write_text("value,label,timestamp\nnot-a-float,a,1\n2.0,b,2\n")
+        src = CsvSource(simple_schema, path)
+        with pytest.raises(ValueError):
+            list(src)
+        assert [r["value"] for r in src.iter_from(1)] == [2.0]
+
     def test_metadata_columns_optional(self, simple_schema):
         buf = io.StringIO()
         sink = CsvSink(simple_schema, buf, include_metadata=True)

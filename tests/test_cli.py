@@ -1,6 +1,8 @@
 """Unit tests for the command-line interface."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -365,6 +367,61 @@ class TestGenerateCommand:
         )
         assert rc == 0
         assert "48 tuples" in capsys.readouterr().out
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "examples" / "configs"
+
+#: sha256 of ``repro generate airquality --station Gucheng --hours 500``.
+CLEAN_AQ_500_SHA256 = "44cb1e96466fced05c5f08b33f856b1cc8e74d5fca14332b9b3ec62f328008c1"
+
+#: sha256 of (output CSV, log CSV) of ``repro pollute --seed 7`` on that file.
+POLLUTE_AQ_500_SHA256 = {
+    "random_temporal": (
+        "1d50a8a330de479fa8f071022d78a18d50764168f06807730b5cc9174be181c0",
+        "00f6ce38a1576312e21d1efba66b8918141949328046a4a8dde3e5c1263c960c",
+    ),
+    "bad_network": (
+        "f727efd140990cbb972770418c68a9c946feeacec2ed03c44266cb9a2c55f8a3",
+        "40a5d07b399575794f53d2b658ed356791b236359a406c39e0ba5b26ef42c2a6",
+    ),
+}
+
+
+class TestCsvInCsvOutBytes:
+    """CSV in -> polluted CSV + log out, pinned byte for byte.
+
+    ``tests/golden`` pins serialization only; these digests also cover
+    parsing the input file, NA cells included.
+    """
+
+    @pytest.fixture(scope="class")
+    def clean_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("aq") / "clean.csv"
+        rc = main(
+            ["generate", "airquality", "--station", "Gucheng",
+             "--hours", "500", "--output", str(path)]
+        )
+        assert rc == 0
+        return path
+
+    def test_generated_input_bytes(self, clean_csv):
+        assert _sha256(clean_csv) == CLEAN_AQ_500_SHA256
+
+    @pytest.mark.parametrize("config", sorted(POLLUTE_AQ_500_SHA256))
+    def test_pollute_output_and_log_bytes(self, clean_csv, tmp_path, config):
+        out, log = tmp_path / "dirty.csv", tmp_path / "log.csv"
+        rc = main(
+            ["pollute", "--config", str(CONFIG_DIR / f"{config}.json"),
+             "--schema", str(CONFIG_DIR / "airquality.schema.json"),
+             "--input", str(clean_csv), "--output", str(out),
+             "--log", str(log), "--seed", "7"]
+        )
+        assert rc == 0
+        assert (_sha256(out), _sha256(log)) == POLLUTE_AQ_500_SHA256[config]
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 KEYED_SCHEMA_SPEC = {
