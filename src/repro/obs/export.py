@@ -79,7 +79,15 @@ METRIC_HELP: dict[str, str] = {
     "serve_jobs_expired_total": "Terminal jobs forgotten by the TTL sweep.",
     "serve_jobs_queued": "Jobs currently queued and waiting for an execution slot.",
     "serve_jobs_running": "Jobs currently executing.",
+    "serve_job_queue_seconds": "Time a job waited queued before it started executing.",
     "serve_job_wall_seconds": "End-to-end execution wall time per job.",
+    "serve_job_encode_seconds": "Time a finished job took to encode its results once.",
+    "serve_stream_first_byte_seconds": (
+        "Time from results ready to a stream's first result frame written."
+    ),
+    "serve_stream_last_byte_seconds": (
+        "Time from results ready to a stream's complete frame written."
+    ),
     "serve_http_requests_total": "HTTP requests served, per method, route, and status.",
     "serve_streams_open": "WebSocket result streams currently connected.",
     "serve_stream_disconnects_total": "Stream terminations, per reason.",

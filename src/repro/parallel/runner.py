@@ -158,7 +158,12 @@ def _resolve_resume(
     keyed: bool,
     seed: int | None,
 ) -> list[str | None]:
-    """Per-shard checkpoint paths for a resume, validated against the manifest."""
+    """Per-shard checkpoint paths for a resume, validated against the manifest.
+
+    Each shard resumes from its newest checkpoint whose save finished, so
+    an empty file left by a worker killed mid-save is skipped; a damaged
+    checkpoint still fails the resume, naming the file.
+    """
     manifest = read_manifest(resume_from)
     if manifest["parallelism"] != parallelism:
         raise CheckpointError(
@@ -177,16 +182,11 @@ def _resolve_resume(
             f"checkpoint {resume_from} was taken with seed {manifest['seed']}; "
             f"resuming with seed {seed} would break reproducibility"
         )
-    from repro.streaming.checkpoint import CHECKPOINT_SUFFIX
+    from repro.streaming.checkpoint import latest_saved_checkpoint
 
     paths: list[str | None] = []
     for shard in range(parallelism):
-        store = shard_store_dir(resume_from, shard)
-        latest = (
-            sorted(store.glob(f"chk-*{CHECKPOINT_SUFFIX}"))[-1]
-            if store.is_dir() and sorted(store.glob(f"chk-*{CHECKPOINT_SUFFIX}"))
-            else None
-        )
+        latest = latest_saved_checkpoint(shard_store_dir(resume_from, shard))
         paths.append(str(latest) if latest is not None else None)
     return paths
 

@@ -29,13 +29,16 @@ Lifecycle
 ``queued → running → completed | failed | cancelled``. Terminal jobs keep
 their results for ``result_ttl`` seconds (clients poll or reconnect after
 a dropped stream), then a sweep forgets them; the sweep runs on every
-submission and on the server's housekeeping timer.
+submission and on the server's housekeeping timer. Reaching a terminal
+state runs the job's :meth:`Job.on_done` callbacks: that is how an open
+stream learns, without polling, that its results are ready.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import json
 import os
 import threading
 import time
@@ -91,7 +94,15 @@ class _JobProgress(ProgressRenderer):
 
 
 class Job:
-    """One pollution job: spec, lifecycle, and (eventually) results."""
+    """One pollution job: spec, lifecycle, and (eventually) results.
+
+    Results are stored once, encoded: ``record_texts`` and ``log_texts``
+    hold each wire record and log entry as its canonical JSON text
+    (``protocol.dumps`` of its wire object), published at completion. The
+    WebSocket stream, the results pages and the ``digest`` are all built
+    from these same texts; ``records`` and ``log_entries`` decode them back
+    into wire objects for in-process readers.
+    """
 
     def __init__(self, job_id: str, spec: protocol.JobSpec, seq: int) -> None:
         self.job_id = job_id
@@ -107,9 +118,12 @@ class Job:
         self.cancel_event = threading.Event()
         #: Set once results (or the terminal error) are published.
         self.done_event = threading.Event()
-        #: Wire-form results, published atomically at completion.
-        self.records: list[dict[str, Any]] = []
-        self.log_entries: list[dict[str, Any]] = []
+        self._done_lock = threading.Lock()
+        self._done_callbacks: list[Callable[[], None]] = []
+        #: Canonical JSON text per wire record / log entry, published
+        #: atomically at completion.
+        self.record_texts: list[str] = []
+        self.log_texts: list[str] = []
         self.summary: dict[str, Any] | None = None
         #: Compiled execution-plan summary (engine + decision slugs),
         #: published when the job starts executing.
@@ -118,6 +132,36 @@ class Job:
     @property
     def terminal(self) -> bool:
         return self.state in protocol.TERMINAL_STATES
+
+    @property
+    def records(self) -> list[dict[str, Any]]:
+        """The polluted records as wire objects, decoded from their texts."""
+        return [json.loads(text) for text in self.record_texts]
+
+    @property
+    def log_entries(self) -> list[dict[str, Any]]:
+        """The pollution log as wire objects, decoded from their texts."""
+        return [json.loads(text) for text in self.log_texts]
+
+    def on_done(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once the job is terminal: now, if it already is.
+
+        It runs on whichever thread finishes the job, with the manager's
+        lock held, so it must be quick and must not raise.
+        """
+        with self._done_lock:
+            if not self.done_event.is_set():
+                self._done_callbacks.append(callback)
+                return
+        callback()
+
+    def mark_done(self) -> None:
+        """Set ``done_event`` and run every ``on_done`` callback once."""
+        with self._done_lock:
+            self.done_event.set()
+            callbacks, self._done_callbacks = self._done_callbacks, []
+        for callback in callbacks:
+            callback()
 
     def status(self) -> dict[str, Any]:
         """The job resource as served by ``GET /jobs/{id}``."""
@@ -284,6 +328,9 @@ class JobManager:
             self._running += 1
             job.state = protocol.RUNNING
             job.started_wall = time.time()
+            self.metrics.histogram("serve_job_queue_seconds").observe(
+                max(0.0, job.started_wall - job.created_wall)
+            )
             thread = threading.Thread(
                 target=self._run_job, args=(job,), name=f"serve-{job.job_id}",
                 daemon=True,
@@ -308,6 +355,14 @@ class JobManager:
             self._publish_gauges()
 
     def _execute(self, job: Job) -> None:
+        """Run the job's plan, then encode its results once.
+
+        After the engine returns, each polluted record and log event is
+        rendered to its canonical wire text exactly once, here on the job
+        thread, and the digest is hashed over those same texts. The job
+        keeps only the texts: its inline input is released when execution
+        starts, and the engine's result when this returns.
+        """
         from repro.cli import schema_from_config
         from repro.core.config import pipeline_from_config
         from repro.plan import PlanRequest, compile_plan, execute_plan
@@ -336,29 +391,32 @@ class JobManager:
         started = self._clock()
         result = execute_plan(plan, data)
         wall = self._clock() - started
-        records = [protocol.record_to_wire(r) for r in result.polluted]
-        log_entries = [protocol.log_event_to_wire(e) for e in result.log]
-        digest = hashlib.sha256(
-            protocol.dumps(records).encode("utf-8")
-        ).hexdigest()
-        job.records = records
-        job.log_entries = log_entries
+        del data  # the input rows are garbage before the encoding starts
+        encode_started = self._clock()
+        dumps = protocol.dumps
+        job.record_texts = [dumps(protocol.record_to_wire(r)) for r in result.polluted]
+        job.log_texts = [dumps(protocol.log_event_to_wire(e)) for e in result.log]
         job.summary = {
             "n_clean": result.n_clean,
             "n_polluted": result.n_polluted,
-            "log_entries": len(log_entries),
-            "digest": digest,
+            "log_entries": len(job.log_texts),
+            "digest": _list_digest(job.record_texts),
             "wall_seconds": round(wall, 6),
         }
         job.progress_records = result.n_clean
         self.metrics.histogram("serve_job_wall_seconds").observe(wall)
+        self.metrics.histogram("serve_job_encode_seconds").observe(
+            self._clock() - encode_started
+        )
         self._complete(job, protocol.COMPLETED)
 
     @staticmethod
     def _materialize_input(spec: protocol.JobSpec, schema: Any) -> Any:
         kind = spec.input["type"]
         if kind == "inline":
-            return list(spec.input["rows"])
+            # The job no longer holds its input once it runs: only the
+            # engine does, until execution ends.
+            return spec.input.pop("rows")
         name = spec.input["name"]
         if name == "wearable":
             from repro.datasets.wearable import generate_wearable
@@ -383,7 +441,7 @@ class JobManager:
             job.error = error
         job.finished_wall = time.time()
         job.finished_mono = self._clock()
-        job.done_event.set()
+        job.mark_done()
         self.metrics.counter("serve_jobs_finished_total", state=state).value += 1
 
     def _sweep_locked(self) -> int:
@@ -409,3 +467,22 @@ class JobManager:
             queued, running = self._queued, self._running
         self.metrics.gauge("serve_jobs_queued").set(queued)
         self.metrics.gauge("serve_jobs_running").set(running)
+
+
+#: Item texts hashed per ``update``: few calls, and a small transient.
+_HASH_CHUNK = 256
+
+
+def _list_digest(texts: list[str]) -> str:
+    """SHA-256 hex of ``"[" + ",".join(texts) + "]"``, the wire list's JSON.
+
+    Hashed a chunk of texts at a time, so the whole-result string is never
+    built.
+    """
+    digest = hashlib.sha256(b"[")
+    for start in range(0, len(texts), _HASH_CHUNK):
+        if start:
+            digest.update(b",")
+        digest.update(",".join(texts[start : start + _HASH_CHUNK]).encode("utf-8"))
+    digest.update(b"]")
+    return digest.hexdigest()

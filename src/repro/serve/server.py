@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -354,7 +355,9 @@ class PollutionServer:
                 limit=request.query_int("limit", bridge.DEFAULT_CHUNK),
                 kind=kind,
             )
-            await self._send_json(writer, 200, page)
+            await self._send_response(
+                writer, 200, page.encode("utf-8"), JSON_CONTENT_TYPE
+            )
             return "/jobs/{id}/results", 200
         await self._send_json(writer, 405, {"error": "method not allowed"})
         return "/jobs/{id}", 405
@@ -420,11 +423,20 @@ class PollutionServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> str:
-        """Drive one stream to completion; returns the disconnect reason."""
+        """Drive one stream to completion; returns the disconnect reason.
+
+        Observes two hops per stream: ``serve_stream_first_byte_seconds``
+        from the moment results are ready (the job finished, or the stream
+        opened, whichever is later) until the first frame after it is
+        written out, and ``serve_stream_last_byte_seconds`` until the
+        ``complete`` frame is.
+        """
         closed = asyncio.Event()
         listener = asyncio.ensure_future(
             self._listen_for_close(reader, writer, closed)
         )
+        opened = time.monotonic()
+        ready: float | None = None
         streamed_records = 0
         try:
             frames = bridge.stream_frames(
@@ -435,7 +447,7 @@ class PollutionServer:
             async for frame in frames:
                 if closed.is_set():
                     return "client_close"
-                writer.write(wsproto.encode_text(protocol.dumps(frame)))
+                writer.write(wsproto.encode_text(frame.text))
                 try:
                     await asyncio.wait_for(
                         writer.drain(), timeout=self.config.send_timeout
@@ -449,8 +461,19 @@ class PollutionServer:
                         )
                     )
                     return "slow_consumer"
-                if frame.get("type") == "records":
-                    streamed_records += len(frame["records"])
+                streamed_records += frame.records
+                if frame.type in ("hello", "status"):
+                    continue
+                now = time.monotonic()
+                if ready is None:
+                    ready = max(job.finished_mono, opened)
+                    self.metrics.histogram(
+                        "serve_stream_first_byte_seconds"
+                    ).observe(now - ready)
+                if frame.type == "complete":
+                    self.metrics.histogram(
+                        "serve_stream_last_byte_seconds"
+                    ).observe(now - ready)
             writer.write(wsproto.encode_close(wsproto.CLOSE_NORMAL, "done"))
             try:
                 await asyncio.wait_for(writer.drain(), timeout=1.0)

@@ -26,13 +26,16 @@ marker, the SHA-256 hex digest of the payload, then the pickled
 :class:`Checkpoint`. The digest lets a restore distinguish "checkpoint was
 half-written when the worker died" from "checkpoint is fine" — crucial for
 the self-healing parallel runtime, which falls back to the previous snapshot
-when the newest one is torn. Headerless files written by older releases are
-still read (without integrity verification).
+when the newest one is torn. :meth:`CheckpointStore.save` writes through a
+temporary file and a rename, so a torn file is left only by a writer from
+before that, or by damage after the fact. Headerless files written by older
+releases are still read (without integrity verification).
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +49,7 @@ CHECKPOINT_FORMAT_VERSION = 1
 #: Leading marker of digest-framed checkpoint files (8 bytes).
 CHECKPOINT_MAGIC = b"ICEWAFL\x01"
 _DIGEST_LEN = 64  # sha256 hexdigest, ascii
+_HEADER_LEN = len(CHECKPOINT_MAGIC) + _DIGEST_LEN
 
 
 @dataclass
@@ -114,15 +118,25 @@ class CheckpointStore:
             raise CheckpointError(f"malformed checkpoint filename {path.name!r}") from exc
 
     def save(self, checkpoint: Checkpoint) -> Path:
+        """Persist one snapshot as the next ``chk-<seq>.ckpt``, atomically.
+
+        The bytes go to a hidden temporary file in the same directory, which
+        is then renamed over the final name: a process killed mid-save
+        leaves no torn ``chk-*`` file behind, only the temporary one.
+        """
         path = self.directory / f"chk-{self._seq:06d}{CHECKPOINT_SUFFIX}"
+        partial = path.with_name(f".{path.name}.partial")
         self._seq += 1
         try:
             payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
             digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-            with open(path, "wb") as f:
+            with open(partial, "wb") as f:
                 f.write(CHECKPOINT_MAGIC + digest + payload)
+            os.replace(partial, path)
         except (OSError, pickle.PicklingError) as exc:
             raise CheckpointError(f"could not write checkpoint {path}: {exc}") from exc
+        finally:
+            partial.unlink(missing_ok=True)  # gone already after a replace
         for stale in self._paths()[: -self._keep]:
             stale.unlink(missing_ok=True)
         return path
@@ -151,14 +165,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raw = f.read()
     except OSError as exc:
         raise CheckpointError(f"could not read checkpoint {path}: {exc}") from exc
+    if len(raw) < len(CHECKPOINT_MAGIC):
+        raise CheckpointError(
+            f"checkpoint {path} is truncated: {len(raw)} bytes, shorter than "
+            f"its {len(CHECKPOINT_MAGIC)}-byte header marker"
+        )
     if raw.startswith(CHECKPOINT_MAGIC):
-        header_len = len(CHECKPOINT_MAGIC) + _DIGEST_LEN
-        if len(raw) < header_len:
+        if len(raw) < _HEADER_LEN:
             raise CheckpointError(
                 f"checkpoint {path} is truncated: missing integrity header"
             )
-        expected = raw[len(CHECKPOINT_MAGIC) : header_len].decode("ascii", "replace")
-        payload = raw[header_len:]
+        expected = raw[len(CHECKPOINT_MAGIC) : _HEADER_LEN].decode("ascii", "replace")
+        payload = raw[_HEADER_LEN:]
         actual = hashlib.sha256(payload).hexdigest()
         if actual != expected:
             raise CheckpointError(
@@ -180,6 +198,26 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"this runtime reads version {CHECKPOINT_FORMAT_VERSION}"
         )
     return checkpoint
+
+
+def latest_saved_checkpoint(directory: str | Path) -> Path | None:
+    """Newest checkpoint in *directory* whose save got past its header.
+
+    A file shorter than the integrity header is a save that never finished:
+    a writer that saved in place and was killed before its bytes landed
+    (:meth:`CheckpointStore.save` writes through a rename and leaves none).
+    It holds nothing to restore, so it is skipped. Any other file is
+    returned unverified: restoring a damaged one reports the damage, naming
+    the file, instead of silently resuming from an older snapshot. Returns
+    ``None`` when no such file exists.
+    """
+    directory = Path(directory)
+    if not directory.is_dir():
+        return None
+    for path in sorted(directory.glob(f"chk-*{CHECKPOINT_SUFFIX}"), reverse=True):
+        if path.stat().st_size >= _HEADER_LEN:
+            return path
+    return None
 
 
 def latest_valid_checkpoint(directory: str | Path) -> Path | None:

@@ -15,7 +15,7 @@ import functools
 import itertools
 import operator
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NoReturn, Sequence
 
 from repro.errors import StreamError
 from repro.streaming.record import Record
@@ -208,7 +208,9 @@ def _decode_rows(
     columns grouped by converter. A row without an NA token (one C-level
     ``isdisjoint``) fills a copy of a schema-ordered template group by
     group; any other row goes through :meth:`Attribute.parse` per cell. The
-    first ``offset`` non-blank rows are skipped undecoded.
+    first ``offset`` non-blank rows are skipped undecoded. A cell that does
+    not parse raises a :class:`StreamError` naming file, line and column,
+    caused by the ``float()``/``int()`` error.
     """
     header = next(reader, None)
     if header is None:
@@ -233,18 +235,44 @@ def _decode_rows(
     no_na = _NA_TOKENS.isdisjoint
     adopt = Record._adopt
     rows = filter(None, reader)  # csv.reader yields [] for a blank line
-    for row in itertools.islice(rows, offset, None) if offset else rows:
-        if len(row) != width:
+    row: list[str] = []
+    try:
+        for row in itertools.islice(rows, offset, None) if offset else rows:
+            if len(row) != width:
+                raise StreamError(
+                    f"CSV file {path}, line {reader.line_num}: row has {len(row)} "
+                    f"cells, header has {width}"
+                )
+            if no_na(row):
+                values = template.copy()
+                for keys, cells, convert in groups:
+                    values.update(zip(keys, convert(cells(row))))
+            else:
+                values = {name: parse(row[i]) for name, parse, i in parsers}
+            if validate:
+                schema.validate_values(values)
+            yield adopt(values)
+    except (ValueError, OverflowError) as exc:
+        _raise_cell_error(path, reader.line_num, parsers, row, exc)
+
+
+def _raise_cell_error(
+    path: Path,
+    line: int,
+    parsers: list[tuple[str, Callable[[str], Any], int]],
+    row: list[str],
+    exc: Exception,
+) -> NoReturn:
+    """Re-raise a cell's parse error as a :class:`StreamError` naming it.
+
+    Runs on the error path only: the cells are parsed again one by one, in
+    schema order, to find the first that fails; its error is the cause.
+    """
+    for name, parse, i in parsers:
+        try:
+            parse(row[i])
+        except (ValueError, OverflowError) as cause:
             raise StreamError(
-                f"CSV file {path}, line {reader.line_num}: row has {len(row)} "
-                f"cells, header has {width}"
-            )
-        if no_na(row):
-            values = template.copy()
-            for keys, cells, convert in groups:
-                values.update(zip(keys, convert(cells(row))))
-        else:
-            values = {name: parse(row[i]) for name, parse, i in parsers}
-        if validate:
-            schema.validate_values(values)
-        yield adopt(values)
+                f"CSV file {path}, line {line}, column {name}: {cause}"
+            ) from cause
+    raise StreamError(f"CSV file {path}, line {line}: {exc}") from exc

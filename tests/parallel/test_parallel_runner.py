@@ -315,6 +315,27 @@ class TestCheckpointResume:
         assert record_fingerprints(resumed) == record_fingerprints(reference)
         assert list(resumed.log) == list(reference.log)
 
+    def test_resume_skips_a_torn_newest_checkpoint(
+        self, tmp_path, station_schema, station_rows, template_pipeline
+    ):
+        # A worker killed mid-save used to leave an empty newest file, which
+        # resume then failed to read ("Ran out of input").
+        ck = tmp_path / "ck"
+        baseline = pollute(
+            station_rows, template_pipeline, schema=station_schema,
+            key_by="station", seed=11, parallelism=2,
+            checkpoint_dir=ck, checkpoint_interval=10,
+        )
+        shard = ck / "shard-00"
+        newest = max(int(p.stem.split("-")[1]) for p in shard.glob("chk-*.ckpt"))
+        (shard / f"chk-{newest + 1:06d}.ckpt").write_bytes(b"")
+        resumed = pollute(
+            station_rows, template_pipeline, schema=station_schema,
+            key_by="station", seed=11, parallelism=2, resume_from=ck,
+        )
+        assert record_fingerprints(resumed) == record_fingerprints(baseline)
+        assert list(resumed.log) == list(baseline.log)
+
     def test_resume_geometry_must_match(self, tmp_path, station_schema, station_rows, template_pipeline):
         ck = tmp_path / "ck"
         pollute(

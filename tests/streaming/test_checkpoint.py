@@ -136,6 +136,58 @@ class TestCheckpointIntegrity:
         second.write_bytes(raw[: len(raw) // 2])
         assert latest_valid_checkpoint(tmp_path) == first
 
+    @pytest.mark.parametrize("raw", [b"", b"ICEW"])
+    def test_file_shorter_than_the_magic_is_truncated(self, tmp_path, raw):
+        from repro.streaming.checkpoint import latest_saved_checkpoint, latest_valid_checkpoint
+
+        first = self._save_one(tmp_path)
+        torn = tmp_path / "chk-000001.ckpt"
+        torn.write_bytes(raw)
+        with pytest.raises(CheckpointError, match="truncated") as exc:
+            load_checkpoint(torn)
+        assert torn.name in str(exc.value)
+        assert latest_valid_checkpoint(tmp_path) == first
+        assert latest_saved_checkpoint(tmp_path) == first
+
+    def test_latest_saved_keeps_a_damaged_complete_file(self, tmp_path):
+        from repro.streaming.checkpoint import latest_saved_checkpoint
+
+        store = CheckpointStore(tmp_path)
+        store.save(Checkpoint(0, 1, 1, None, None, {}))
+        second = store.save(Checkpoint(0, 2, 2, None, None, {}))
+        raw = bytearray(second.read_bytes())
+        raw[-1] ^= 0xFF
+        second.write_bytes(bytes(raw))
+        assert latest_saved_checkpoint(tmp_path) == second
+        assert latest_saved_checkpoint(tmp_path / "absent") is None
+
+    def test_save_torn_mid_write_leaves_no_checkpoint_file(self, tmp_path, monkeypatch):
+        import repro.streaming.checkpoint as checkpoint_module
+
+        store = CheckpointStore(tmp_path)
+        first = store.save(Checkpoint(0, 1, 1, None, None, {}))
+
+        class TornFile:
+            def __init__(self, path, mode):
+                self._file = open(path, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._file.close()
+
+            def write(self, data):
+                self._file.write(data[: len(data) // 2])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(checkpoint_module, "open", TornFile, raising=False)
+        with pytest.raises(CheckpointError, match="could not write"):
+            store.save(Checkpoint(0, 2, 2, None, None, {}))
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
+        assert store.load_latest().offset == 1
+
     def test_latest_valid_none_when_all_corrupt_or_empty(self, tmp_path):
         from repro.streaming.checkpoint import latest_valid_checkpoint
 

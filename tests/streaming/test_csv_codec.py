@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import StreamError
 from repro.streaming.record import Record
 from repro.streaming.schema import _NA_TOKENS, Attribute, DataType, Schema
 from repro.streaming.sink import CsvSink, _render
@@ -103,12 +104,18 @@ def outcome(records) -> tuple[list[str], type | None]:
     """Each record's ``repr`` of (key, value) pairs, then the exception, if any.
 
     ``repr`` tells ``1`` from ``1.0``, ``True`` and ``"1"``, and ``-0.0``
-    from ``0.0``; it also pins the key order.
+    from ``0.0``; it also pins the key order. ``CsvSource`` raises a bad
+    cell as a :class:`StreamError` naming the line, caused by the parse
+    error; the outcome is the cause's type, to compare with
+    ``Attribute.parse``.
     """
     seen: list[str] = []
     try:
         for values in records:
             seen.append(repr(list(values.items())))
+    except StreamError as exc:
+        assert ", line " in str(exc) and exc.__cause__ is not None, exc
+        return seen, type(exc.__cause__)
     except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
         return seen, type(exc)
     return seen, None
@@ -162,6 +169,19 @@ class TestDecode:
         path = write_csv(tmp_path / "in.csv", ["timestamp", "v"], [["1", cell]])
         expected = outcome(reference_decode(schema, path))
         assert outcome(CsvSource(schema, path)) == expected
+
+    @pytest.mark.parametrize(
+        "dtype,cell,cause",
+        [(DataType.FLOAT, "abc", ValueError), (DataType.INT, "1e999999", OverflowError),
+         (DataType.TIMESTAMP, "x", ValueError)],
+    )
+    def test_bad_cell_names_file_line_and_column(self, tmp_path, dtype, cell, cause):
+        schema = Schema([Attribute("v", dtype), Attribute("timestamp", DataType.TIMESTAMP)])
+        path = write_csv(tmp_path / "in.csv", ["timestamp", "v"], [["1", "2"], ["3", cell]])
+        with pytest.raises(StreamError) as exc:
+            list(CsvSource(schema, path))
+        assert str(exc.value).startswith(f"CSV file {path}, line 3, column v: ")
+        assert type(exc.value.__cause__) is cause
 
     @pytest.mark.parametrize("dtype", list(DataType))
     @pytest.mark.parametrize("na", sorted(_NA_TOKENS))

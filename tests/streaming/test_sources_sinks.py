@@ -161,8 +161,9 @@ class TestCsvRoundTrip:
         path = tmp_path / "s.csv"
         path.write_text("value,label,timestamp\nnot-a-float,a,1\n2.0,b,2\n")
         src = CsvSource(simple_schema, path)
-        with pytest.raises(ValueError):
+        with pytest.raises(StreamError, match="line 2, column value") as exc:
             list(src)
+        assert isinstance(exc.value.__cause__, ValueError)
         assert [r["value"] for r in src.iter_from(1)] == [2.0]
 
     def test_metadata_columns_optional(self, simple_schema):

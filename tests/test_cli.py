@@ -165,6 +165,34 @@ class TestPolluteCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "column,cell,cause",
+        [("v", "abc", "could not convert"), ("n", "1e999999", "infinity")],
+    )
+    def test_bad_csv_cell_exits_2_naming_line_and_column(
+        self, workspace, capsys, tmp_path, column, cell, cause
+    ):
+        paths, _ = workspace
+        schema = {"attributes": [*SCHEMA_SPEC["attributes"], {"name": "n", "dtype": "int"}]}
+        paths["schema"].write_text(json.dumps(schema))
+        row = {"v": "1.5", "n": "3", "timestamp": "1060"} | {column: cell}
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "v,n,timestamp\n1.0,2,1000\n" + ",".join(row.values()) + "\n"
+        )
+        rc = main(
+            [
+                "pollute", "--config", str(paths["config"]),
+                "--schema", str(paths["schema"]), "--input", str(bad),
+                "--output", str(paths["dirty"]),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{bad}, line 3, column {column}: " in err and cause in err
+        assert "Traceback" not in err
+
 
 class TestValidateCommand:
     def test_clean_stream_passes(self, workspace, capsys):
