@@ -85,8 +85,9 @@ def test_batched_execution_speedup(benchmark):
     per-record engine's throughput at batch 256 on the Fig. 8 workload
     (l=4 stochastic Gaussian polluters).
 
-    Both modes run the sequential engine on identical inputs; the batched run
-    differs only in ``batch_size``, which compiles the pipeline into fused
+    Both modes run the sequential engine on identical inputs; the per-record
+    run sets ``batch_size=1`` (slabs of 256 are the default), the batched
+    runs differ only in ``batch_size``, which compiles the pipeline into fused
     batch kernels (vectorized condition masks, bulk RNG draws). Output
     byte-identity between the modes is asserted separately in
     ``tests/property/test_property_batch_diff.py`` and ``tests/golden``,
@@ -115,7 +116,7 @@ def test_batched_execution_speedup(benchmark):
     benchmark.pedantic(lambda: run(256), rounds=1, iterations=1)
     minima = interleaved_minima(
         {
-            "record": lambda: run(None),
+            "record": lambda: run(1),
             "batched[64]": lambda: run(64),
             "batched[256]": lambda: run(256),
             "batched[1024]": lambda: run(1024),
@@ -152,9 +153,11 @@ def test_batched_execution_speedup(benchmark):
 def test_supervision_overhead_is_bounded(benchmark):
     """Supervised dispatch (failure policies armed) costs <= ~10% throughput.
 
-    Both runs use the stream engine so the only difference is the
-    supervision wrapper on the hot emit path; the pipeline does realistic
-    per-tuple work (4 stochastic polluters) so fixed costs dominate.
+    Both runs use the per-record stream engine (``batch_size=1``: a failure
+    policy alone keeps per-record dispatch, while an unsupervised run would
+    default to slabs) so the only difference is the supervision wrapper on
+    the hot emit path; the pipeline does realistic per-tuple work (4
+    stochastic polluters) so fixed costs dominate.
     """
     from repro.streaming.supervision import SKIP
 
@@ -173,6 +176,7 @@ def test_supervision_overhead_is_bounded(benchmark):
             seed=5,
             log=False,
             engine="stream",
+            batch_size=1,
             failure_policy=SKIP if supervised else None,
         )
         return time.perf_counter() - start

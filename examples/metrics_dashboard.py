@@ -75,10 +75,17 @@ def main() -> None:
     metrics = MetricsRegistry(sample_every=4)  # time 1 in 4 dispatches
     tracer = Tracer()
 
-    # An enabled registry forces the stream engine so node-level metrics
-    # exist; the pollution output is byte-identical to an unmetered run.
+    # Metrics never change the pollution output. batch_size=1 dispatches
+    # record by record, so node_process_seconds times single records; the
+    # default slab dispatch would time one 256-record slab per sample.
     result = pollute(
-        rows, build_pipeline(), schema=schema, seed=7, metrics=metrics, tracer=tracer
+        rows,
+        build_pipeline(),
+        schema=schema,
+        seed=7,
+        batch_size=1,
+        metrics=metrics,
+        tracer=tracer,
     )
 
     print("=" * 64)
@@ -96,7 +103,7 @@ def main() -> None:
     print(f"polluter hit rate:  {hits}/{offered} = {hits / offered:.1%}")
     lat = metrics.get("node_process_seconds", node="input")
     print(
-        f"end-to-end latency: p50={lat.percentile(50) * 1e6:.1f}µs "
+        f"per-record latency: p50={lat.percentile(50) * 1e6:.1f}µs "
         f"p99={lat.percentile(99) * 1e6:.1f}µs over {lat.count} samples"
     )
 

@@ -23,7 +23,7 @@ path for every plan, at every batch size. The reasons this holds:
   before entering records);
 * batch execution appends pollution-log events polluter-major instead of
   record-major; a stable sort by record ID
-  (:meth:`repro.core.log.PollutionLog.merged`) restores the sequential
+  (:meth:`repro.core.log.PollutionLog.sort_by_record`) restores the sequential
   order exactly, because record IDs are assigned in arrival order and
   within-record chain order is preserved by append order.
 """

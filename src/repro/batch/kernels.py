@@ -34,7 +34,7 @@ Because each polluter owns private named random streams and private state,
 polluter-major batch order consumes every stream in the same order as
 record-major sequential execution; only the pollution-log append order
 changes (restored by a stable record-ID sort, see
-:meth:`repro.core.log.PollutionLog.merged`).
+:meth:`repro.core.log.PollutionLog.sort_by_record`).
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ Three entry points:
 """
 
 from repro.check.analyzer import analyze, analyze_config
-from repro.check.costmodel import CostModel, predicted_batch_speedup
 from repro.check.explain import plan_summary, render_explain
 from repro.check.factbase import (
     FACTBASE_CACHE,
@@ -36,7 +35,6 @@ __all__ = [
     "CHECK_MODES",
     "CheckOptions",
     "CheckReport",
-    "CostModel",
     "Diagnostic",
     "FACTBASE_CACHE",
     "FactBaseCache",
@@ -55,7 +53,6 @@ __all__ = [
     "plan_facts",
     "plan_summary",
     "predict_kernel",
-    "predicted_batch_speedup",
     "preflight",
     "render_explain",
 ]

@@ -1,8 +1,7 @@
 """Human- and machine-readable dumps of the plan-fact base.
 
 ``repro check --explain`` renders :func:`render_explain` — one block per
-pipeline: plan-level facts (digest, sort stability, mergeability, the cost
-model's predicted batch speedup), then each top-level polluter's kernel
+pipeline: plan-level facts (digest, sort stability, mergeability), then each top-level polluter's kernel
 eligibility with its machine-readable reason, then the per-leaf effect
 sets and condition/error facts. ``repro check --format json`` embeds
 :func:`plan_summary`, the same facts as data.
@@ -12,11 +11,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.check.costmodel import (
-    SPEEDUP_THRESHOLD,
-    CostModel,
-    predicted_batch_speedup,
-)
 from repro.check.factbase import PlanFactBase
 from repro.check.facts import LeafFacts
 
@@ -54,16 +48,14 @@ def leaf_to_dict(leaf: LeafFacts) -> dict[str, Any]:
     }
 
 
-def plan_summary(base: PlanFactBase, model: CostModel | None = None) -> dict[str, Any]:
+def plan_summary(base: PlanFactBase) -> dict[str, Any]:
     """The fact base as JSON-able data (the ``facts`` key of ``--format json``)."""
     out = base.to_dict()
-    out["predicted_batch_speedup"] = round(predicted_batch_speedup(base, model), 3)
-    out["speedup_threshold"] = SPEEDUP_THRESHOLD
     out["leaves"] = [leaf_to_dict(leaf) for leaf in base.facts.leaves]
     return out
 
 
-def render_explain(base: PlanFactBase, model: CostModel | None = None) -> str:
+def render_explain(base: PlanFactBase) -> str:
     """One human-readable fact block per plan, for ``repro check --explain``."""
     lines: list[str] = []
     digest = (base.digest or "<non-declarative>")[:12]
@@ -72,12 +64,6 @@ def render_explain(base: PlanFactBase, model: CostModel | None = None) -> str:
         f"  sort_stable={_yn(base.sort_stable)}  stateful={_yn(base.stateful)}  "
         f"stochastic={_yn(base.stochastic)}  "
         f"deterministically_mergeable={_yn(base.deterministically_mergeable)}"
-    )
-    speedup = predicted_batch_speedup(base, model)
-    marker = "" if speedup >= SPEEDUP_THRESHOLD else "  <-- fallback-dominated"
-    lines.append(
-        f"  predicted batch speedup: {speedup:.2f}x "
-        f"(threshold {SPEEDUP_THRESHOLD:.1f}x){marker}"
     )
     lines.append("  kernels:")
     for pf in base.polluters:

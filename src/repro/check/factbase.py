@@ -301,6 +301,12 @@ class PlanFactBase:
         and timestamp-preserving, stateless plans: per-shard RNG derivation
         makes any stochastic unkeyed plan reproducible per (seed, N) but
         not sequential-identical.
+    ``history_linked``
+        Some leaf is tracked into, or conditioned on, a shared
+        :class:`~repro.core.dependencies.ErrorHistory` (track /
+        fired_recently). Its output depends on the order in which polluters
+        see records, so an unkeyed slab run — polluter by polluter, branch
+        by branch — would differ from per-record dispatch.
     """
 
     facts: PlanFacts
@@ -310,6 +316,7 @@ class PlanFactBase:
     stateful: bool
     stochastic: bool
     deterministically_mergeable: bool
+    history_linked: bool
 
     @property
     def name(self) -> str:
@@ -381,6 +388,10 @@ def build_factbase(pipeline: PollutionPipeline) -> PlanFactBase:
         leaf.condition.analyzable and leaf.error.analyzable for leaf in facts.leaves
     )
     mergeable = sort_stable and not stateful and not stochastic and not opaque
+    history_linked = any(
+        leaf.condition.depends_on or leaf.tracked_as is not None
+        for leaf in facts.leaves
+    )
     return PlanFactBase(
         facts=facts,
         polluters=polluters,
@@ -389,6 +400,7 @@ def build_factbase(pipeline: PollutionPipeline) -> PlanFactBase:
         stateful=stateful,
         stochastic=stochastic,
         deterministically_mergeable=mergeable,
+        history_linked=history_linked,
     )
 
 

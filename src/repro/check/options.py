@@ -33,9 +33,8 @@ class CheckOptions:
         execution). Enables the supervision-composition rules — e.g. a
         RETRY policy re-dispatching into stateful polluters (ICE506).
     ``batch_size``
-        Intended micro-batch slab size; values > 1 enable the ICE7xx
-        performance lints (fallback kernels, fallback-dominated plans,
-        stateful leaves defeating slabs).
+        Intended micro-batch slab size; values > 1 enable the ICE701/704
+        performance lints (fallback kernels, stateful leaves inside slabs).
     """
 
     seed: int | None = None

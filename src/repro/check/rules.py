@@ -11,9 +11,9 @@ Rule IDs are stable and grouped in families of one hundred:
   keyed-merge guarantees) and supervision composition (failure-policy vs.
   plan statefulness);
 * ``ICE6xx`` — ordering-sensitive write conflicts between polluters;
-* ``ICE7xx`` — performance lints: kernel fallbacks, fallback-dominated
-  plans (cost-model predicted speedup), non-mergeable unkeyed parallel
-  plans, stateful leaves inside batch slabs.
+* ``ICE7xx`` — performance lints: kernel fallbacks, non-mergeable
+  unkeyed parallel plans, stateful leaves inside batch slabs (ICE702,
+  the retired cost-model speedup prediction, is not reused).
 
 All facts the rules consume come from the shared
 :class:`~repro.check.factbase.PlanFactBase` — the same fact base the batch
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.check.costmodel import SPEEDUP_THRESHOLD, predicted_batch_speedup
 from repro.check.factbase import PlanFactBase
 from repro.check.facts import (
     Interval,
@@ -145,9 +144,6 @@ RULES: dict[str, Rule] = {
              "a polluter falls back to the per-record kernel under batching",
              "rebuild the component from library classes that compile to a "
              "standard kernel"),
-        Rule("ICE702", "fallback-dominated-plan", Severity.WARNING, "performance",
-             "predicted batch speedup is below threshold; batching buys little",
-             "drop batch_size, or replace the fallback polluters it names"),
         Rule("ICE703", "unkeyed-parallel-nondeterministic-merge", Severity.WARNING,
              "performance",
              "an unkeyed plan under parallelism is not deterministically mergeable",
@@ -709,9 +705,11 @@ class _Context:
     def performance_rules(self) -> None:
         """Batch/parallel performance lints over the shared fact base.
 
-        ICE701/702/704 only fire when the run actually intends to batch
-        (``options.batch_size > 1``): a fallback kernel costs nothing on
-        the per-record path. ICE703 fires for unkeyed parallel intent —
+        ICE701/704 only fire when the caller explicitly asks to batch
+        (``options.batch_size > 1``), even though unsupervised runs move
+        slabs by default: both are informational notes about kernel shape,
+        and a fallback kernel is never slower than per-record dispatch, so
+        a default run stays quiet. ICE703 fires for unkeyed parallel intent —
         the one mode where "reproducible" and "byte-identical to
         sequential" silently diverge.
         """
@@ -723,21 +721,6 @@ class _Context:
                     f"[{pf.kernel.reason}]: {pf.kernel.detail}",
                     location=pf.location,
                     polluter=pf.name,
-                )
-            speedup = predicted_batch_speedup(self.base)
-            if self.base.polluters and speedup < SPEEDUP_THRESHOLD:
-                slow = [
-                    f"{pf.name} ({pf.kernel.reason})"
-                    for pf in self.base.polluters
-                    if pf.kernel.kind == "fallback" or not pf.kernel.vectorized_mask
-                ]
-                self.emit(
-                    "ICE702",
-                    f"predicted batch speedup is {speedup:.2f}x (threshold "
-                    f"{SPEEDUP_THRESHOLD:.1f}x): the plan is dominated by "
-                    f"per-record work in {', '.join(slow)}; "
-                    f"batch_size={self.options.batch_size} buys little",
-                    location="polluters",
                 )
             for leaf in self.plan.leaves:
                 parts = []

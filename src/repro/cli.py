@@ -674,8 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
-        help="micro-batching fast path: process records in slabs of N with "
-        "fused batch kernels (byte-identical output; combines with --parallel)",
+        help="slab size: process records in slabs of N with fused batch "
+        "kernels (default 256; 1 = per record; with --on-error, default per "
+        "record; byte-identical output; combines with --parallel)",
     )
     p.add_argument(
         "--resume-from", default=None, metavar="PATH",
@@ -739,14 +740,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     k.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
-        help="intended micro-batch slab size (enables the ICE7xx "
+        help="intended micro-batch slab size (enables the ICE701/ICE704 "
         "performance lints)",
     )
     k.add_argument(
         "--explain", action="store_true",
         help="append a per-leaf fact dump (kernel eligibility with reasons, "
-        "effect sets, sort stability, predicted batch speedup) to the text "
-        "report",
+        "effect sets, sort stability) to the text report",
     )
     k.add_argument(
         "--fail-on", choices=["error", "warning", "info"], default="error",
@@ -780,7 +780,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pl.add_argument(
         "--batch-size", type=int, default=None, metavar="N",
-        help="intended micro-batch slab size",
+        help="intended slab size (default 256; 1 = per record)",
     )
     pl.add_argument(
         "--on-error",

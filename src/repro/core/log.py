@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,6 +64,11 @@ class PollutionEvent:
             if b != c:
                 changed.append(a)
         return tuple(changed)
+
+
+def _record_order(event: PollutionEvent) -> float:
+    record_id = event.record_id
+    return record_id if record_id is not None else math.inf
 
 
 class PollutionLog:
@@ -116,10 +122,16 @@ class PollutionLog:
         out = cls()
         for log in logs:
             out.extend(log.events if isinstance(log, PollutionLog) else log)
-        out.events.sort(
-            key=lambda e: (e.record_id is None, e.record_id if e.record_id is not None else 0)
-        )
+        out.sort_by_record()
         return out
+
+    def sort_by_record(self) -> None:
+        """Stable in-place sort by record ID; events without one go last.
+
+        The key is the event's own ID object (infinity for none), so the
+        sort allocates one pointer per event and no key tuples.
+        """
+        self.events.sort(key=_record_order)
 
     # -- queries -----------------------------------------------------------
 

@@ -14,10 +14,12 @@ sort, Algorithm 1 lines 10-11). A keyed plan differs only in its pollute
 stage, ``key_by -> pollute-keyed`` (one pipeline per key, see
 :mod:`repro.core.keyed_pollution`), whose one sink is sorted by timestamp;
 :func:`pollute_stage` builds that stage for this runner and for every
-parallel shard. Without a batch size, or with batch size 1, records move
-one at a time; a larger batch size moves slabs through compiled batch
-kernels (per record inside the keyed operator) with byte-identical
-output. Supervision, checkpointing, metrics, tracing, profiling, the run
+parallel shard. Records move in slabs through compiled batch kernels (per
+record inside the keyed operator) with output byte-identical to moving
+them one at a time: 256 to a slab unless ``batch_size`` says otherwise,
+one at a time for ``batch_size=1`` or a supervised run without a batch
+size (the planner resolves this, see :func:`repro.plan.compile_plan`).
+Supervision, checkpointing, metrics, tracing, profiling, the run
 ledger and live progress all attach to this one engine, keyed or not, so
 observing a run never changes which engine runs it.
 """
@@ -246,13 +248,18 @@ def pollute(
         ``"off"`` skips the check. Runs once before execution; the analysis
         is pure, so output is byte-identical for every mode.
     batch_size:
-        When > 1, run the micro-batching fast path (:mod:`repro.batch`):
-        records move through the engine in slabs of this many tuples and
-        the polluter chains execute as compiled batch kernels with bulk RNG
-        draws. Output — records, metadata, pollution-log CSV, checkpoints —
-        is byte-identical to the per-record path for every plan (the
-        differential-equivalence suite enforces this). Applies to the
-        sequential engine and to parallel shard workers. Under a ``failure_policy``
+        Slab size of the micro-batching path (:mod:`repro.batch`): records
+        move through the engine in slabs of this many tuples and the
+        polluter chains execute as compiled batch kernels with bulk RNG
+        draws. ``None`` (default) means 256, or per record when a
+        ``failure_policy`` is set; ``1`` runs per record. An unkeyed plan
+        linked through a shared error history (``track`` /
+        ``fired_recently``) runs per record whatever the batch size
+        (decision ``history-linked-per-record``). Output — records,
+        metadata, pollution-log CSV, checkpoints — is byte-identical to the
+        per-record path for every plan (the differential-equivalence suite
+        enforces this). Applies to the sequential engine and to parallel
+        shard workers. Under a ``failure_policy`` with a ``batch_size``,
         the engine executes whole slabs and, when one fails, rolls the slab
         back and replays it per-record so only the poison record is skipped,
         retried, or dead-lettered — never the surrounding ``batch_size - 1``
@@ -356,7 +363,7 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
         config = {
             "engine": plan.engine,
             "seed": seed,
-            "batch_size": request.batch_size,
+            "batch_size": plan.batch_size,
             "pipelines": sorted(p.name for p in plan.pipelines or ()),
             "checkpoint_interval": (
                 request.checkpoint_interval if request.checkpoint_dir else None
@@ -396,7 +403,7 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
         # record-ID sort restores the sequential record-major order exactly
         # (IDs are assigned in arrival order, within-record chain order is
         # append order).
-        pollution_log.events[:] = PollutionLog.merged([pollution_log]).events
+        pollution_log.sort_by_record()
     return PollutionResult(
         clean=clean,
         polluted=polluted,
@@ -537,7 +544,7 @@ def _run_stream(
     env = StreamExecutionEnvironment(
         metrics=metrics,
         tracer=request.tracer,
-        batch_size=request.batch_size,
+        batch_size=plan.batch_size,
         ledger=request.ledger,
         profiler=profiler,
         progress=progress,

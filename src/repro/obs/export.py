@@ -38,7 +38,10 @@ METRIC_HELP: dict[str, str] = {
     "source_records_total": "Records drained from each source.",
     "node_records_in_total": "Records arriving at each stream node.",
     "node_records_out_total": "Records emitted by each stream node.",
-    "node_process_seconds": "Sampled per-dispatch processing latency per node.",
+    "node_process_seconds": (
+        "Sampled per-dispatch processing latency per node "
+        "(one record per dispatch at batch_size=1, one slab under slab dispatch)."
+    ),
     "records_skipped_total": "Records dropped by the SKIP failure policy.",
     "records_retried_total": "Record dispatches retried under the RETRY policy.",
     "dead_letters_total": "Records routed to the dead-letter sink.",

@@ -261,9 +261,11 @@ def pollute_parallel(
     plans take either ``pipeline_factory`` (a picklable per-key factory) or
     a single template pipeline, which is cloned per key. ``check`` runs the
     :mod:`repro.check` pre-flight before any worker starts (``"error"`` |
-    ``"warn"`` | ``"off"``). ``batch_size`` (> 1) turns on the
-    micro-batching fast path inside every shard worker (:mod:`repro.batch`);
-    shard output is byte-identical with or without it.
+    ``"warn"`` | ``"off"``). ``batch_size`` sets the slab size inside
+    every shard worker (:mod:`repro.batch`; default 256, or per record
+    under a ``failure_policy``, and always per record for an unkeyed
+    history-linked plan; 1 = per record); shard output is byte-identical
+    at every size.
 
     ``max_shard_restarts`` and ``heartbeat_timeout`` configure the
     self-healing coordinator: a worker that crashes or goes silent is
@@ -364,7 +366,7 @@ def _execute_parallel_plan(plan, data):
     checkpoint_interval = request.checkpoint_interval
     resume_from = request.resume_from
     chunk_size = request.chunk_size
-    batch_size = request.batch_size
+    batch_size = plan.batch_size
     ledger = request.ledger
     progress = request.progress
     plan_pipelines: list[PollutionPipeline] | None = plan.pipelines

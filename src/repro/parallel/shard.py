@@ -293,6 +293,18 @@ class ShardOutputSink(Sink):
             "log_events": list(self._log.events) if self._log is not None else None,
         }
 
+    def slab_token(self) -> tuple[int, int | None, int] | None:
+        # Only a retaining sink can rewind: a streaming one has already
+        # sent its chunks (the planner never pairs it with slab rollback).
+        # The pollution operator truncates the shared log itself.
+        if not self._retain:
+            return None
+        return len(self._buffer), self.watermark, self.emitted
+
+    def slab_rollback(self, token: tuple[int, int | None, int]) -> None:
+        length, self.watermark, self.emitted = token
+        del self._buffer[length:]
+
     def restore_state(self, state: dict[str, Any]) -> None:
         self._buffer = [r.copy() for r in state["records"]]
         self.watermark = state["watermark"]
@@ -373,7 +385,7 @@ def _execute_shard_plan(plan: Any, in_queue: Any, out_queue: Any) -> dict[str, A
     profiler = Profiler() if task.profile else None
     env = StreamExecutionEnvironment(
         metrics=metrics if task.metered else None,
-        batch_size=task.batch_size,
+        batch_size=plan.batch_size,
         ledger=ledger,
         profiler=profiler,
     )

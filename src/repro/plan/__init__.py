@@ -22,7 +22,7 @@ running anything; ``repro plan`` and the golden plan snapshots under
 ``examples/configs/golden/`` do exactly that.
 """
 
-from repro.plan.compile import compile_plan
+from repro.plan.compile import DEFAULT_BATCH_SIZE, compile_plan
 from repro.plan.execute import execute_plan
 from repro.plan.ir import (
     ENGINE_PARALLEL,
@@ -39,6 +39,7 @@ from repro.plan.ir import (
 )
 
 __all__ = [
+    "DEFAULT_BATCH_SIZE",
     "ENGINE_PARALLEL",
     "ENGINE_SHARD_STREAM",
     "ENGINE_SHARD_STREAM_BATCH",

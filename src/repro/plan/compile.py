@@ -7,8 +7,11 @@ the executors consume the plan's normalized fields and never re-derive a
 decision. A keyed plan compiles to the same engine as an unkeyed one with
 the same batch size: the planner only swaps the pollute stage
 (``key-by -> pollute-keyed`` for ``substreams -> pollute[i]``) and
-records the ``keyed-*`` decisions. Each branch taken emits a
-:class:`~repro.plan.ir.PlanDecision` with a stable slug, so
+records the ``keyed-*`` decisions. The slab size is resolved here too,
+once (:func:`_resolve_batch_size`): an unsupervised plan without a
+``batch_size`` runs in slabs of :data:`DEFAULT_BATCH_SIZE`, and an
+unkeyed history-linked plan always runs per record. Each branch
+taken emits a :class:`~repro.plan.ir.PlanDecision` with a stable slug, so
 ``repro plan`` / ``repro check --explain`` can show *why* a run landed on
 an engine and tests can pin the decision table.
 
@@ -41,6 +44,12 @@ from repro.plan.ir import (
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore
 from repro.streaming.partition import AttributeKeySelector
 from repro.streaming.split import Broadcast
+
+#: The slab size of a plan whose caller set neither ``batch_size`` nor a
+#: ``failure_policy`` — the same as the shard transport's ``chunk_size``
+#: default. Every plan the planner lets run in slabs (see
+#: :func:`_resolve_batch_size`) is byte-identical to per-record dispatch.
+DEFAULT_BATCH_SIZE = 256
 
 
 def compile_plan(request: PlanRequest) -> ExecutionPlan:
@@ -136,6 +145,52 @@ def _normalize_shape(request: PlanRequest) -> tuple[Any, Any, Any, Any]:
         raise PollutionError("pipeline_factory requires key_by")
     pipelines = _normalize_pipelines(request.pipelines)
     return pipelines, _normalize_strategy(request.split, pipelines), None, None
+
+
+def _resolve_batch_size(
+    request: PlanRequest, facts: tuple[Any, ...], keyed: bool
+) -> tuple[int | None, PlanDecision | None]:
+    """The plan's slab size, plus the decision when the planner chose it.
+
+    An explicit ``batch_size`` is kept as given (1 is the named per-record
+    path). Without one, an unsupervised plan runs in slabs of
+    :data:`DEFAULT_BATCH_SIZE`; a supervised plan stays per record, because
+    slab rollback snapshots every node's state before each slab and keyed
+    state costs O(keys) per snapshot. An unkeyed history-linked plan
+    (track / fired_recently) always runs per record: slab kernels run
+    polluter by polluter and split branches one after another, so a
+    shared :class:`~repro.core.dependencies.ErrorHistory` would fill in
+    another order than per record. Keyed slabs already dispatch per record.
+    """
+    if request.batch_size is not None:
+        batch_size, decision = request.batch_size, None
+    elif request.failure_policy is None:
+        batch_size, decision = DEFAULT_BATCH_SIZE, PlanDecision(
+            "default-slabs",
+            f"no batch_size was set, so records move in slabs of "
+            f"{DEFAULT_BATCH_SIZE}, byte-identical to per-record dispatch; "
+            "batch_size=1 runs per record",
+        )
+    else:
+        return None, PlanDecision(
+            "supervised-per-record",
+            "a failure_policy without batch_size keeps per-record dispatch: "
+            "slab rollback snapshots every node's state before each slab, and "
+            "keyed state costs O(keys) per snapshot; set batch_size to run "
+            "supervised slabs",
+        )
+    if _is_batched(batch_size) and not keyed and any(
+        base.history_linked for base in facts
+    ):
+        return None, PlanDecision(
+            "history-linked-per-record",
+            f"polluters linked through a shared error history (track / "
+            f"fired_recently) run per record in place of slabs of "
+            f"{batch_size}: slab kernels run polluter by polluter and split "
+            "branches one after another, so the history would fill in "
+            "another order than per record",
+        )
+    return batch_size, decision
 
 
 def _keyed_batching(batch_size: int | None) -> PlanDecision:
@@ -261,14 +316,18 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
             )
         )
     facts = _facts_for(_fact_targets(pipelines, pipeline_factory))
-    if request.batched:
+    batch_size, resolved = _resolve_batch_size(request, facts, keyed)
+    if resolved is not None:
+        decisions.append(resolved)
+    batched = _is_batched(batch_size)
+    if batched:
         engine = ENGINE_STREAM_BATCH
         decisions.append(
-            _keyed_batching(request.batch_size)
+            _keyed_batching(batch_size)
             if keyed
             else PlanDecision(
                 "batch-kernels",
-                f"batch_size={request.batch_size} moves records in slabs and "
+                f"batch_size={batch_size} moves records in slabs and "
                 "executes the polluter chains as compiled batch kernels with "
                 "bulk RNG draws; output is byte-identical to per-record",
             )
@@ -293,11 +352,9 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
         PlanStage("source", "input"),
         PlanStage("prepare", "prepare", {"ids": "global", "event_time": "tau"}),
     ]
-    if request.batched:
-        stages.append(PlanStage("batch", "slab", {"batch_size": request.batch_size}))
-    stages += _pollute_stages(
-        pipelines, strategy, key_selector, pipeline_factory, request.batched
-    )
+    if batched:
+        stages.append(PlanStage("batch", "slab", {"batch_size": batch_size}))
+    stages += _pollute_stages(pipelines, strategy, key_selector, pipeline_factory, batched)
     if request.failure_policy is not None:
         stages.append(
             PlanStage(
@@ -335,6 +392,7 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
         key_selector=key_selector,
         pipeline_factory=pipeline_factory,
         facts=facts,
+        batch_size=batch_size,
     )
 
 
@@ -409,18 +467,22 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
                 )
             )
 
-    inner = _shard_engine_name(request.batched)
-    if request.batched:
+    batch_size, resolved = _resolve_batch_size(request, facts, keyed)
+    if resolved is not None:
+        decisions.append(resolved)
+    batched = _is_batched(batch_size)
+    inner = _shard_engine_name(batched)
+    if batched:
         decisions.append(
             PlanDecision(
                 "parallel-shard-batching",
-                f"batch_size={request.batch_size} turns on the micro-batching "
+                f"batch_size={batch_size} turns on the micro-batching "
                 "fast path inside every shard worker; shard output is "
                 "byte-identical with or without it",
             )
         )
         if keyed:
-            decisions.append(_keyed_batching(request.batch_size))
+            decisions.append(_keyed_batching(batch_size))
         else:
             _kernel_decisions(facts, decisions, context="each shard worker")
     if request.failure_policy is not None:
@@ -468,7 +530,7 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
             {
                 "count": parallelism,
                 "engine": inner,
-                "batch_size": request.batch_size,
+                "batch_size": batch_size,
                 "supervised": request.failure_policy is not None,
                 "checkpointing": request.checkpoint_dir is not None,
             },
@@ -486,6 +548,7 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
         key_selector=key_selector,
         pipeline_factory=pipeline_factory,
         facts=facts,
+        batch_size=batch_size,
     )
 
 
@@ -494,13 +557,18 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
 # ---------------------------------------------------------------------------
 
 
+def _is_batched(batch_size: int | None) -> bool:
+    return batch_size is not None and batch_size > 1
+
+
 def _shard_engine_name(batched: bool) -> str:
     return ENGINE_SHARD_STREAM_BATCH if batched else ENGINE_SHARD_STREAM
 
 
 def _compile_shard(request: PlanRequest) -> ExecutionPlan:
+    # The coordinator's plan resolved the slab size; the task carries it.
     task = request.shard_task
-    batched = task.batch_size is not None and task.batch_size > 1
+    batched = _is_batched(task.batch_size)
     engine = _shard_engine_name(batched)
     decisions: list[PlanDecision] = []
     if task.keyed:
@@ -590,4 +658,5 @@ def _compile_shard(request: PlanRequest) -> ExecutionPlan:
         key_selector=task.key_selector,
         pipeline_factory=task.pipeline_factory,
         shard_retain=retain,
+        batch_size=task.batch_size,
     )

@@ -155,10 +155,6 @@ class PlanRequest:
     def supervised(self) -> bool:
         return self.failure_policy is not None
 
-    @property
-    def batched(self) -> bool:
-        return self.batch_size is not None and self.batch_size > 1
-
 
 def _describe_policy(policy: Any) -> str | None:
     if policy is None:
@@ -206,6 +202,10 @@ class ExecutionPlan:
     #: Shard plans only: whether the output sink must retain records
     #: in-process (checkpointing, resume, or supervised batching).
     shard_retain: bool = False
+    #: The slab size the engine runs with (``None`` or 1: per record),
+    #: resolved once by the planner; executors and shard tasks read it here,
+    #: never from ``request.batch_size``.
+    batch_size: int | None = None
 
     @property
     def batched(self) -> bool:

@@ -824,22 +824,22 @@ class StreamExecutionEnvironment:
                 wm_lag.value = trigger_et - wm.timestamp
         return last_auto_wm
 
-    def _slab_snapshot(self) -> list[tuple[Node, Any, int, Any]]:
+    def _slab_snapshot(self) -> list[tuple[Node, Any, Any, int]]:
         """Capture every node's state and emit counter before a slab.
 
         Reuses the checkpoint snapshot protocol (already required to be a
         faithful, isolated copy for resume), plus the ``_emits`` counters the
         stats finalization reads and each node's volatile slab token (e.g.
         the pollution-log high-water mark) — a rolled-back slab must not
-        leave ghost emits or ghost log entries behind.
+        leave ghost emits or ghost log entries behind. Append-only sinks
+        contribute a truncation token instead of a copy of their output
+        (:meth:`~repro.streaming.operators.Node.slab_snapshot`), so the
+        snapshot costs O(state), not O(records collected so far).
         """
-        return [
-            (node, node.snapshot_state(), node._emits, node.slab_token())
-            for node in self._nodes
-        ]
+        return [(node, *node.slab_snapshot(), node._emits) for node in self._nodes]
 
-    def _slab_restore(self, snapshot: list[tuple[Node, Any, int, Any]]) -> None:
-        for node, state, emits, token in snapshot:
+    def _slab_restore(self, snapshot: list[tuple[Node, Any, Any, int]]) -> None:
+        for node, state, token, emits in snapshot:
             if state is not None:
                 node.restore_state(state)
             node._emits = emits

@@ -302,6 +302,15 @@ class Node:
     def slab_rollback(self, token: Any) -> None:
         """Undo volatile side effects back to a :meth:`slab_token` cut."""
 
+    def slab_snapshot(self) -> tuple[Any | None, Any | None]:
+        """``(state, token)`` captured before a supervised slab.
+
+        The default pairs the checkpoint snapshot with the volatile slab
+        token. A node whose token alone rewinds it (an append-only sink)
+        returns no state, so a slab never copies the output collected so far.
+        """
+        return self.snapshot_state(), self.slab_token()
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
 
@@ -511,6 +520,19 @@ class SinkNode(Node):
 
     def restore_state(self, state: Any) -> None:
         self.sink.restore_state(state)
+
+    def slab_token(self) -> Any | None:
+        sink_token = getattr(self.sink, "slab_token", None)
+        return sink_token() if sink_token is not None else None
+
+    def slab_rollback(self, token: Any) -> None:
+        self.sink.slab_rollback(token)
+
+    def slab_snapshot(self) -> tuple[Any | None, Any | None]:
+        token = self.slab_token()
+        if token is not None:
+            return None, token
+        return self.sink.snapshot_state(), None
 
 
 # ---------------------------------------------------------------------------

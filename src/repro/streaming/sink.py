@@ -45,6 +45,19 @@ class Sink:
     def restore_state(self, state: Any) -> None:
         """Restore sink state produced by :meth:`snapshot_state`."""
 
+    def slab_token(self) -> Any | None:
+        """A cut of this sink's output before a supervised slab, or ``None``.
+
+        An append-only sink returns a cheap marker (its length) that
+        :meth:`slab_rollback` truncates back to, and is then left out of the
+        slab snapshot; a sink without one is rewound through
+        :meth:`snapshot_state` / :meth:`restore_state` instead.
+        """
+        return None
+
+    def slab_rollback(self, token: Any) -> None:
+        """Drop the output appended since the :meth:`slab_token` cut."""
+
 
 class CollectSink(Sink):
     """Accumulates records in memory; the default sink for experiments."""
@@ -66,6 +79,12 @@ class CollectSink(Sink):
 
     def restore_state(self, state: list[Record]) -> None:
         self.records = [r.copy() for r in state]
+
+    def slab_token(self) -> int:
+        return len(self.records)
+
+    def slab_rollback(self, token: int) -> None:
+        del self.records[token:]
 
 
 class CountingSink(Sink):

@@ -195,7 +195,6 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "pipeline 'clean'" in out
         assert "digest=" in out
-        assert "predicted batch speedup" in out
         assert "kernels:" in out
         assert "standard/probability-mask [standard]" in out
         assert "sort_stable=yes" in out
@@ -215,7 +214,7 @@ class TestCheckCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "kernels:" not in out
-        assert "predicted batch speedup" not in out
+        assert "leaves:" not in out
 
     def test_explain_names_fallbacks_under_batching(
         self, workspace, tmp_path, capsys
@@ -254,7 +253,6 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "ICE701" in out
         assert "fallback [composite]" in out
-        assert "<-- fallback-dominated" in out
 
     def test_missing_config_is_usage_error(self, workspace, capsys):
         rc = main(["check", "--schema", str(workspace["schema"])])

@@ -474,22 +474,13 @@ class TestPerformanceRules:
         assert diags
         assert "overrides-apply" in diags[0].message
 
-    def test_ice702_fallback_dominated_plan(self):
-        report = check(_composite("c1"), _composite("c2"), batch_size=256)
-        diags = report.by_rule("ICE702")
-        assert diags, report.render_text()
-        assert "c1" in diags[0].message and "c2" in diags[0].message
-
-    def test_ice702_fused_plan_clean(self):
-        noisy = StandardPolluter(
-            error=GaussianNoise(1.0),
-            attributes=["v"],
-            condition=C.ProbabilityCondition(0.5),
-        )
-        assert "ICE702" not in check(noisy, batch_size=256).rules()
-
-    def test_ice702_silent_without_batching(self):
-        assert "ICE702" not in check(_composite("c1"), _composite("c2")).rules()
+    def test_ice702_is_retired(self):
+        """The cost-model rule is gone and its ID is not reused: a
+        fallback-only plan under batching gets ICE701 notes, nothing more."""
+        assert "ICE702" not in RULES
+        rules = check(_composite("c1"), _composite("c2"), batch_size=256).rules()
+        assert "ICE701" in rules
+        assert "ICE702" not in rules
 
     def test_ice703_unkeyed_stochastic_parallel_plan(self):
         report = check(

@@ -3,19 +3,24 @@
 One :class:`ExecutionPlan` IR feeds every runtime, so every cell of the
 engine matrix must produce **byte-identical** output: records CSV with
 metadata, pollution-log CSV, and post-run RNG/state snapshots, all
-compared against the default per-record sequential oracle.
+compared against the named per-record sequential oracle, ``batch_size=1``.
+The ``default`` cells (no batch size) must land on the slab engine, and a
+failure policy without a batch size on per-record dispatch.
 
 Two sub-matrices:
 
-* unkeyed — hypothesis-generated plans across batch sizes {1, 7, 256},
-  both engine hints, and every failure policy (supervision with no
+* unkeyed — hypothesis-generated plans across batch sizes {default, 7,
+  256}, both engine hints, and every failure policy (supervision with no
   failing records must be a byte-level no-op);
 * keyed — an independent test-local per-key loop against the keyed
   stream engine (every failure policy, batching, checkpoint + resume) and
   against parallel {2, 4} workers, parallel+batch, and
   parallel+supervision (keyed sharding is the byte-identical parallel mode;
   unkeyed parallel is only seed-reproducible), plus a poison-record cell
-  that pins keyed slab rollback.
+  that pins keyed slab rollback;
+* history-linked — track/fired_recently plans with tied timestamps and
+  cross-branch dependencies, which the planner keeps per record unless
+  keyed.
 
 Each cell first compiles its plan and asserts the planner routed it to
 the engine the cell names — conformance proves the *planner's* routing,
@@ -35,7 +40,8 @@ from hypothesis import strategies as st
 
 from repro.core.conditions import ProbabilityCondition
 from repro.core.config import pipeline_from_config
-from repro.core.errors import GaussianNoise
+from repro.core.dependencies import ErrorHistory, FiredRecentlyCondition, track
+from repro.core.errors import GaussianNoise, Offset, SetToNull
 from repro.core.errors.base import ErrorFunction
 from repro.core.integrate import sort_by_timestamp
 from repro.core.keyed_pollution import FreshPipelineFactory
@@ -51,6 +57,7 @@ from repro.streaming.schema import Attribute, DataType, Schema
 from repro.streaming.sink import CsvSink
 from repro.streaming.source import CollectionSource
 from repro.streaming.supervision import DEAD_LETTER, FAIL_FAST, SKIP, FailurePolicy
+from repro.streaming.time import Duration
 
 SCHEMA = Schema(
     [
@@ -161,12 +168,16 @@ def _run_cell(spec, seed, n=110, **kwargs):
     return plan.engine, _csv_bytes(result), pipeline.snapshot_state()
 
 
+#: The oracle every unkeyed cell is compared against: per-record dispatch.
+ORACLE = {"batch_size": 1}
+
 # every sequential cell: (id, pollute kwargs, engine the planner must pick)
 SEQUENTIAL_CELLS = [
-    ("batch-1", {"batch_size": 1}, "stream"),
+    ("default", {}, "stream-batch"),
     ("batch-7", {"batch_size": 7}, "stream-batch"),
     ("batch-256", {"batch_size": 256}, "stream-batch"),
-    ("stream", {"engine": "stream"}, "stream"),
+    ("stream", {"engine": "stream"}, "stream-batch"),
+    ("stream-batch-1", {"engine": "stream", "batch_size": 1}, "stream"),
     ("stream-batch-7", {"engine": "stream", "batch_size": 7}, "stream-batch"),
     ("skip", {"failure_policy": SKIP}, "stream"),
     (
@@ -190,7 +201,7 @@ SEQUENTIAL_CELLS = [
 @given(spec=plan_spec(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_unkeyed_matrix_is_byte_identical(spec, seed):
     """Every engine × batch-size × failure-policy cell matches the oracle."""
-    oracle_engine, oracle_bytes, oracle_snap = _run_cell(spec, seed)
+    oracle_engine, oracle_bytes, oracle_snap = _run_cell(spec, seed, **ORACLE)
     assert oracle_engine == "stream"
     for cell_id, kwargs, engine in SEQUENTIAL_CELLS:
         got_engine, got_bytes, got_snap = _run_cell(spec, seed, **kwargs)
@@ -293,7 +304,8 @@ _KEYED_SPEC = {
 
 # every keyed sequential cell: (id, pollute kwargs, engine the planner must pick)
 KEYED_SEQUENTIAL_CELLS = [
-    ("default", {}, "stream"),
+    ("default", {}, "stream-batch"),
+    ("batch-1", {"batch_size": 1}, "stream"),
     ("batch-7", {"batch_size": 7}, "stream-batch"),
     ("fail-fast", {"failure_policy": FAIL_FAST}, "stream"),
     ("skip", {"failure_policy": SKIP}, "stream"),
@@ -321,6 +333,7 @@ def test_keyed_sequential_matrix_is_byte_identical(cell_id, kwargs, engine):
 
 PARALLEL_CELLS = [
     ("parallel-2", {"parallelism": 2}),
+    ("parallel-2-batch-1", {"parallelism": 2, "batch_size": 1}),
     ("parallel-4", {"parallelism": 4}),
     ("parallel-2-batch-64", {"parallelism": 2, "batch_size": 64}),
     (
@@ -363,10 +376,15 @@ def test_keyed_resume_converges_to_the_oracle(tmp_path):
     assert full == (oracle_records, oracle_log)
     checkpoints = sorted(glob.glob(str(tmp_path / "chk-*")))
     assert len(checkpoints) >= 3
-    for kwargs in ({}, {"batch_size": 7}):
-        _engine, (records, log) = _run_keyed_sequential(
+    for kwargs, engine in (
+        ({}, "stream-batch"),
+        ({"batch_size": 1}, "stream"),
+        ({"batch_size": 7}, "stream-batch"),
+    ):
+        got_engine, (records, log) = _run_keyed_sequential(
             _KEYED_SPEC, seed=5, n=150, resume_from=checkpoints[1], **kwargs
         )
+        assert got_engine == engine, f"resume {kwargs}: planner chose {got_engine}"
         assert records == oracle_records, f"resume {kwargs}: records diverged"
         _header, *rows = log.splitlines(keepends=True)
         assert rows and oracle_log.endswith("".join(rows)), (
@@ -435,6 +453,89 @@ def test_keyed_poison_slab_rolls_back(poison, parallelism):
     assert outputs[1][1] == outputs[0][1], "pollution log diverged under slab rollback"
 
 
+# -- history-linked plans ----------------------------------------------------
+
+
+def _history_pipelines():
+    """Two branches linked through one shared error history: each tracks a
+    polluter the other branch reads with lag 0, so the order in which
+    polluters see records decides every dependent firing."""
+    history = ErrorHistory()
+
+    def branch(own: str, other: str, index: int) -> PollutionPipeline:
+        return PollutionPipeline(
+            [
+                StandardPolluter(
+                    SetToNull(),
+                    ["value"],
+                    FiredRecentlyCondition(history, other, Duration(60)),
+                    name=f"after-{other}",
+                ),
+                track(
+                    StandardPolluter(
+                        GaussianNoise(1.0), ["value"], ProbabilityCondition(0.3), name=own
+                    ),
+                    history,
+                ),
+                StandardPolluter(
+                    Offset(5.0),
+                    ["value"],
+                    FiredRecentlyCondition(history, own, Duration(60)),
+                    name=f"after-{own}",
+                ),
+            ],
+            name=f"linked-{index}",
+        )
+
+    return [branch("a", "b", 0), branch("b", "a", 1)]
+
+
+def _tied_rows(n: int):
+    """Pairs of records share a timestamp, so a lag-0 window sees the
+    firing of a record's twin only if dispatch reached the twin first."""
+    return [{**row, "timestamp": 1_600_000_000 + 60 * (i // 2)} for i, row in enumerate(_rows(n))]
+
+
+# (id, pollute kwargs, engine the planner must pick)
+HISTORY_CELLS = [
+    ("default", {}, "stream"),
+    ("batch-7", {"batch_size": 7}, "stream"),
+    ("stream", {"engine": "stream"}, "stream"),
+    ("keyed-default", {"key_by": "station"}, "stream-batch"),
+    ("keyed-batch-7", {"key_by": "station", "batch_size": 7}, "stream-batch"),
+]
+
+
+@pytest.mark.parametrize(
+    "cell_id,kwargs,engine", HISTORY_CELLS, ids=[c[0] for c in HISTORY_CELLS]
+)
+def test_history_linked_cells_match_per_record(cell_id, kwargs, engine):
+    """track/fired_recently plans with tied timestamps and cross-branch
+    dependencies give the per-record output in every cell: unkeyed plans
+    are planned per record, keyed slabs dispatch per record."""
+    key_by = kwargs.get("key_by")
+
+    def run(**cell):
+        pipelines = _history_pipelines()
+        if key_by is not None:
+            pipelines = pipelines[0]
+        plan = compile_plan(
+            PlanRequest(pipelines=pipelines, schema=SCHEMA, seed=21, **cell)
+        )
+        result = pollute(
+            _tied_rows(120), pipelines, schema=SCHEMA, seed=21, check="off", **cell
+        )
+        return plan.engine, _csv_bytes(result)
+
+    oracle_engine, oracle = run(**ORACLE, **({"key_by": key_by} if key_by else {}))
+    assert oracle_engine == "stream"
+    assert "after-" in oracle[1], "no dependent polluter fired; the cell tests nothing"
+    got_engine, got = run(**kwargs)
+    assert got_engine == engine, f"cell {cell_id}: planner chose {got_engine}"
+    assert got[0] == oracle[0], f"cell {cell_id}: records diverged"
+    assert got[1] == oracle[1], f"cell {cell_id}: pollution log diverged"
+
+
 # -- checkpoint / resume conformance -----------------------------------------
 
 _CKPT_SPEC = {
@@ -455,13 +556,16 @@ _CKPT_SPEC = {
     ],
 }
 
+# every resuming cell: (id, pollute kwargs, engine the planner must pick)
 RESUME_CELLS = [
-    ("resume-direct", {}),
-    ("resume-batch-7", {"batch_size": 7}),
-    ("resume-stream", {"engine": "stream"}),
-    ("resume-stream-batch-64", {"engine": "stream", "batch_size": 64}),
+    ("resume-default", {}, "stream-batch"),
+    ("resume-batch-1", {"batch_size": 1}, "stream"),
+    ("resume-batch-7", {"batch_size": 7}, "stream-batch"),
+    ("resume-stream", {"engine": "stream"}, "stream-batch"),
+    ("resume-stream-batch-64", {"engine": "stream", "batch_size": 64}, "stream-batch"),
+    ("resume-retry", {"failure_policy": FailurePolicy.retry(3)}, "stream"),
     ("resume-retry-batch-64",
-     {"failure_policy": FailurePolicy.retry(3), "batch_size": 64}),
+     {"failure_policy": FailurePolicy.retry(3), "batch_size": 64}, "stream-batch"),
 ]
 
 
@@ -476,13 +580,14 @@ def test_resume_matrix_converges_to_the_oracle(tmp_path):
         check="off",
         checkpoint_dir=tmp_path / "full",
         checkpoint_interval=50,
+        **ORACLE,
     )
     oracle_records = _csv_bytes(full)[0]
     checkpoints = sorted(glob.glob(str(tmp_path / "full" / "chk-*")))
     assert len(checkpoints) >= 2
     middle = checkpoints[1]
     outputs = {}
-    for cell_id, kwargs in RESUME_CELLS:
+    for cell_id, kwargs, engine in RESUME_CELLS:
         plan = compile_plan(
             PlanRequest(
                 pipelines=pipeline_from_config(_CKPT_SPEC),
@@ -492,9 +597,7 @@ def test_resume_matrix_converges_to_the_oracle(tmp_path):
                 **kwargs,
             )
         )
-        assert plan.engine == ("stream-batch" if "batch_size" in kwargs else "stream"), (
-            f"cell {cell_id}: resume compiled to {plan.engine}"
-        )
+        assert plan.engine == engine, f"cell {cell_id}: resume compiled to {plan.engine}"
         result = pollute(
             _rows(250),
             pipeline_from_config(_CKPT_SPEC),

@@ -1,8 +1,9 @@
 """Golden-output regression fixtures for every example plan.
 
 Each plan/schema pair in ``examples/configs/manifest.json`` is run against a
-deterministic synthetic stream (seed-pinned) in three modes — sequential,
-batched (batch 64), and parallel (2 shards) — and the SHA-256 digest of the
+deterministic synthetic stream (seed-pinned) in three modes — sequential
+(per record, batch 1), batched (batch 64), and parallel (2 shards, the
+default slab size) — and the SHA-256 digest of the
 serialized output (records CSV with metadata + pollution-log CSV) is
 compared against ``tests/golden/digests.json``. Any unintended drift in
 pollution semantics, RNG stream layout, serialization, merge order, or the
@@ -76,7 +77,9 @@ def _digest(config_name: str, schema_name: str, mode: str) -> str:
     schema = schema_from_config(schema_cfg)
     pipeline = pipeline_from_config(json.loads((CONFIG_DIR / config_name).read_text()))
     kwargs: dict = {}
-    if mode == "batched":
+    if mode == "sequential":
+        kwargs["batch_size"] = 1  # the per-record path; slabs are the default
+    elif mode == "batched":
         kwargs["batch_size"] = BATCH
     elif mode == "parallel2":
         kwargs["parallelism"] = 2

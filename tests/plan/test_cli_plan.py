@@ -54,7 +54,8 @@ def test_plan_text_output(workspace, capsys):
     rc = main(_plan(workspace, "--seed", "7"))
     out = capsys.readouterr().out
     assert rc == 0
-    assert "engine=stream" in out
+    assert "engine=stream-batch" in out
+    assert "default-slabs" in out
     assert "pollute[0]" in out
 
 
@@ -99,7 +100,7 @@ def test_plan_writes_output_file(workspace, capsys):
     rc = main(_plan(workspace, "--format", "json", "--output", str(workspace["out"])))
     assert rc == 0
     payload = json.loads(workspace["out"].read_text())
-    assert payload["engine"] == "stream"
+    assert payload["engine"] == "stream-batch"
     assert "wrote 1 plan(s)" in capsys.readouterr().out
 
 

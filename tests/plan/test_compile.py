@@ -13,10 +13,16 @@ import json
 
 import pytest
 
+from repro.core.conditions import ProbabilityCondition
 from repro.core.config import pipeline_from_config
+from repro.core.dependencies import ErrorHistory, FiredRecentlyCondition, track
+from repro.core.errors import Offset, SetToNull
+from repro.core.pipeline import PollutionPipeline
+from repro.core.polluter import StandardPolluter
 from repro.errors import PollutionError
 from repro.obs import MetricsRegistry, RunLedger, Tracer
 from repro.plan import (
+    DEFAULT_BATCH_SIZE,
     ENGINE_PARALLEL,
     ENGINE_SHARD_STREAM,
     ENGINE_SHARD_STREAM_BATCH,
@@ -29,6 +35,7 @@ from repro.plan import (
 from repro.parallel.shard import ShardTask
 from repro.streaming.schema import Attribute, DataType, Schema
 from repro.streaming.split import RoundRobin
+from repro.streaming.time import Duration
 from repro.streaming.supervision import DEAD_LETTER, FAIL_FAST, SKIP, FailurePolicy
 
 SCHEMA = Schema(
@@ -65,16 +72,128 @@ def _request(**kwargs) -> PlanRequest:
 # -- sequential engine selection ---------------------------------------------
 
 
-def test_default_is_the_per_record_stream_engine():
+def test_default_is_the_slab_engine():
     plan = compile_plan(_request())
-    assert plan.engine == ENGINE_STREAM
-    assert plan.decision_slugs == ()
+    assert plan.engine == ENGINE_STREAM_BATCH
+    assert plan.batch_size == DEFAULT_BATCH_SIZE == 256
+    assert plan.decision_slugs[0] == "default-slabs"
+    assert plan.request.batch_size is None
+    assert plan.options_dict()["batch_size"] is None
 
 
 def test_stream_hint_is_honoured():
     plan = compile_plan(_request(engine="stream"))
-    assert plan.engine == ENGINE_STREAM
+    assert plan.engine == ENGINE_STREAM_BATCH
     assert plan.stages == compile_plan(_request()).stages
+
+
+def _shard_request(plan):
+    """The shard request the coordinator ships for ``plan``."""
+    return PlanRequest.for_shard(_shard_task(batch_size=plan.batch_size))
+
+
+# (id, request fields, resolved batch_size, sequential engine, resolution slug)
+DEFAULT_RESOLUTION = [
+    ("default", {}, 256, ENGINE_STREAM_BATCH, "default-slabs"),
+    ("batch-1", {"batch_size": 1}, 1, ENGINE_STREAM, None),
+    ("batch-7", {"batch_size": 7}, 7, ENGINE_STREAM_BATCH, None),
+    ("skip", {"failure_policy": SKIP}, None, ENGINE_STREAM, "supervised-per-record"),
+    ("skip-batch-64", {"failure_policy": SKIP, "batch_size": 64}, 64,
+     ENGINE_STREAM_BATCH, None),
+    ("skip-batch-1", {"failure_policy": SKIP, "batch_size": 1}, 1, ENGINE_STREAM, None),
+    ("checkpointed", {"checkpoint_dir": "chk"}, 256, ENGINE_STREAM_BATCH,
+     "default-slabs"),
+]
+
+
+@pytest.mark.parametrize("key_by", [None, "station"])
+@pytest.mark.parametrize(
+    "fields,batch_size,engine,slug",
+    [row[1:] for row in DEFAULT_RESOLUTION],
+    ids=[row[0] for row in DEFAULT_RESOLUTION],
+)
+def test_default_resolution_table(fields, batch_size, engine, slug, key_by):
+    """The slab size is resolved once, by the planner: unsupervised plans
+    without a batch_size get 256, supervised ones stay per record, and an
+    explicit batch_size is kept. Sequential, keyed, parallel and shard
+    plans agree; shards read the coordinator's size from their task."""
+    plan = compile_plan(_request(key_by=key_by, **fields))
+    assert (plan.batch_size, plan.engine) == (batch_size, engine)
+    resolution = {"default-slabs", "supervised-per-record"} & set(plan.decision_slugs)
+    assert resolution == ({slug} if slug else set())
+
+    parallel = compile_plan(_request(key_by=key_by, parallelism=2, **fields))
+    assert parallel.batch_size == batch_size
+    assert resolution == {"default-slabs", "supervised-per-record"} & set(
+        parallel.decision_slugs
+    )
+    shard_stage = next(s for s in parallel.stages if s.kind == "shard")
+    shard_engine = (
+        ENGINE_SHARD_STREAM_BATCH if engine == ENGINE_STREAM_BATCH else ENGINE_SHARD_STREAM
+    )
+    assert shard_stage.params["engine"] == shard_engine
+    assert shard_stage.params["batch_size"] == batch_size
+
+    shard = compile_plan(_shard_request(parallel))
+    assert (shard.batch_size, shard.engine) == (batch_size, shard_engine)
+    assert not {"default-slabs", "supervised-per-record"} & set(shard.decision_slugs)
+
+
+def _history_linked_pipelines():
+    """Two pipelines linked through one error history: the first reads
+    firings that the second tracks."""
+    history = ErrorHistory()
+    reader = StandardPolluter(
+        SetToNull(), ["value"], FiredRecentlyCondition(history, "up", Duration(600)),
+        name="reader",
+    )
+    tracked = track(
+        StandardPolluter(Offset(1.0), ["value"], ProbabilityCondition(0.2), name="up"),
+        history,
+    )
+    return [PollutionPipeline([reader], name="p0"), PollutionPipeline([tracked], name="p1")]
+
+
+# (id, request fields, resolved batch_size, resolution slug)
+HISTORY_RESOLUTION = [
+    ("default", {}, None, "history-linked-per-record"),
+    ("batch-64", {"batch_size": 64}, None, "history-linked-per-record"),
+    ("batch-1", {"batch_size": 1}, 1, None),
+    ("skip", {"failure_policy": SKIP}, None, "supervised-per-record"),
+    ("skip-batch-64", {"failure_policy": SKIP, "batch_size": 64}, None,
+     "history-linked-per-record"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields,batch_size,slug",
+    [row[1:] for row in HISTORY_RESOLUTION],
+    ids=[row[0] for row in HISTORY_RESOLUTION],
+)
+def test_history_linked_plans_run_per_record(fields, batch_size, slug):
+    """An unkeyed plan linked through track/fired_recently never runs in
+    slabs, with or without an explicit batch_size, sequential or sharded:
+    slab kernels would fill the shared history in another order."""
+    for extra, engine in (({}, ENGINE_STREAM), ({"parallelism": 2}, ENGINE_PARALLEL)):
+        plan = compile_plan(
+            _request(pipelines=_history_linked_pipelines(), **extra, **fields)
+        )
+        assert (plan.engine, plan.batch_size) == (engine, batch_size)
+        resolution = {
+            "default-slabs", "supervised-per-record", "history-linked-per-record"
+        } & set(plan.decision_slugs)
+        assert resolution == ({slug} if slug else set())
+    shard_stage = next(s for s in plan.stages if s.kind == "shard")
+    assert shard_stage.params["engine"] == ENGINE_SHARD_STREAM
+
+
+def test_keyed_history_linked_plans_keep_slabs():
+    """Keyed slabs dispatch per record inside each slab, so a keyed
+    history-linked plan keeps the default slab size."""
+    pipeline = _history_linked_pipelines()[1]
+    plan = compile_plan(_request(pipelines=pipeline, key_by="station"))
+    assert (plan.engine, plan.batch_size) == (ENGINE_STREAM_BATCH, DEFAULT_BATCH_SIZE)
+    assert "history-linked-per-record" not in plan.decision_slugs
 
 
 def test_batching_selects_the_batch_engine():
@@ -106,11 +225,16 @@ def test_batch_size_one_stays_per_record():
     ],
 )
 def test_options_keep_the_requested_engine(field, value, batch_size, key_by):
-    """No hook or fault-tolerance option moves a run, keyed or not, to
-    another engine."""
+    """No hook or checkpointing option moves a run, keyed or not, to
+    another engine; only a failure policy without a batch_size keeps the
+    default per record (see test_default_resolution_table)."""
     bare = compile_plan(_request(batch_size=batch_size, key_by=key_by))
     plan = compile_plan(_request(batch_size=batch_size, key_by=key_by, **{field: value}))
-    assert plan.engine == bare.engine
+    if field == "failure_policy" and batch_size is None:
+        assert plan.engine == ENGINE_STREAM
+        assert "supervised-per-record" in plan.decision_slugs
+    else:
+        assert plan.engine == bare.engine
     assert not any("stream" in slug for slug in plan.decision_slugs)
 
 
@@ -176,7 +300,7 @@ def test_parallel_checkpoint_dir_needs_parallelism(tmp_path):
 
 
 def test_keyed_compiles_to_the_stream_engine():
-    plan = compile_plan(_request(key_by="station"))
+    plan = compile_plan(_request(key_by="station", batch_size=1))
     assert plan.engine == ENGINE_STREAM
     assert plan.keyed
     assert plan.decision_slugs == ("keyed-sequential",)

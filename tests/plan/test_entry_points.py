@@ -21,7 +21,6 @@ from repro.obs import MetricsRegistry, ProgressRenderer, RunLedger, Tracer
 from repro.parallel.runner import pollute_parallel
 from repro.plan import (
     ENGINE_PARALLEL,
-    ENGINE_STREAM,
     ENGINE_STREAM_BATCH,
     compile_plan,
 )
@@ -96,7 +95,7 @@ def test_pollute_routes_through_the_planner():
         pollute(_rows(40), pipeline_from_config(SPEC), schema=SCHEMA, seed=1,
                 check="off")
     assert len(seen) == 1
-    assert seen[0].engine == ENGINE_STREAM
+    assert seen[0].engine == ENGINE_STREAM_BATCH
 
 
 def test_pollute_keyed_routes_through_the_planner():
@@ -104,7 +103,7 @@ def test_pollute_keyed_routes_through_the_planner():
     with patcher:
         pollute(_rows(40), pipeline_from_config(SPEC), schema=SCHEMA, seed=1,
                 key_by="station", check="off")
-    assert seen[0].engine == ENGINE_STREAM
+    assert seen[0].engine == ENGINE_STREAM_BATCH
     assert seen[0].keyed
 
 
@@ -138,7 +137,7 @@ HOOKS = {
 
 
 @pytest.mark.parametrize("key_by", [None, "station"])
-@pytest.mark.parametrize("batch_size", [None, 64])
+@pytest.mark.parametrize("batch_size", [None, 1, 64])
 @pytest.mark.parametrize("hook", sorted(HOOKS))
 def test_hooks_leave_the_engine_and_the_output_alone(hook, batch_size, key_by):
     """A profile, ledger, progress view, metrics registry, or tracer runs on
@@ -179,7 +178,7 @@ def test_retry_with_batch_256_executes_on_the_batch_engine():
     pipeline = pipeline_from_config(SPEC)
     base = _csv(
         pollute(_rows(300), pipeline_from_config(SPEC), schema=SCHEMA, seed=9,
-                check="off")
+                batch_size=1, check="off")
     )
     from repro.batch import kernels
 
@@ -202,7 +201,7 @@ def test_retry_with_batch_256_executes_on_the_batch_engine():
 def test_skip_policy_with_batching_is_byte_identical():
     base = _csv(
         pollute(_rows(200), pipeline_from_config(SPEC), schema=SCHEMA, seed=4,
-                check="off")
+                batch_size=1, check="off")
     )
     from repro.streaming.supervision import SKIP
 
@@ -237,9 +236,10 @@ SERVE_SCHEMA = {
     [
         # serve wires a progress hook for streaming delivery; the hook does
         # not move the job off the engine the bare options compile to
-        ({}, "stream", None),
+        ({}, "stream-batch", "default-slabs"),
+        ({"batch_size": 1}, "stream", None),
         ({"batch_size": 64}, "stream-batch", "batch-kernels"),
-        ({"key_by": "station"}, "stream", "keyed-sequential"),
+        ({"key_by": "station"}, "stream-batch", "keyed-sequential"),
     ],
 )
 def test_serve_job_publishes_its_plan(options, engine, slug):

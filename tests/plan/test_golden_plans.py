@@ -78,7 +78,7 @@ def test_engine_hint_does_not_change_the_plan():
     for config_name, schema_name in PAIRS:
         scenarios = _fresh(config_name, schema_name)["scenarios"]
         default, stream = dict(scenarios["default"]), dict(scenarios["stream"])
-        assert default["engine"] == stream["engine"] == "stream"
+        assert default["engine"] == stream["engine"] == "stream-batch"
         default.pop("options")
         stream.pop("options")
         assert default == stream

@@ -203,7 +203,7 @@ def _csv_bytes(result) -> tuple[str, str]:
     return out.getvalue(), log.getvalue()
 
 
-def _run(spec, seed, *, batch_size=None, engine="direct", n=150, split=None):
+def _run(spec, seed, *, batch_size=1, engine="direct", n=150, split=None):
     m = 2 if split is not None else None
     pipelines = (
         [pipeline_from_config({**spec, "name": "diff-a"}),
@@ -322,7 +322,7 @@ def _ckpt_run(tmp_path, batch_size, subdir, **kwargs):
 
 def test_checkpoint_files_byte_identical(tmp_path):
     """Batch cuts align to the interval: snapshot files match byte for byte."""
-    _ckpt_run(tmp_path, None, "seq")
+    _ckpt_run(tmp_path, 1, "seq")
     _ckpt_run(tmp_path, 64, "bat")
     seq = sorted((tmp_path / "seq").iterdir())
     bat = sorted((tmp_path / "bat").iterdir())
@@ -334,7 +334,7 @@ def test_checkpoint_files_byte_identical(tmp_path):
 
 def test_cross_mode_checkpoint_resume(tmp_path):
     """A checkpoint taken in either mode resumes to identical final output."""
-    base = _csv_bytes(_ckpt_run(tmp_path, None, "full"))
+    base = _csv_bytes(_ckpt_run(tmp_path, 1, "full"))
     checkpoints = sorted(glob.glob(str(tmp_path / "full" / "chk-*")))
     assert len(checkpoints) >= 2
     middle = checkpoints[1]
@@ -348,17 +348,16 @@ def test_cross_mode_checkpoint_resume(tmp_path):
             resume_from=middle,
             **({"batch_size": batch_size} if batch_size else {}),
         )
-        for batch_size in (None, 7, 64)
+        for batch_size in (1, None, 7, 64)
     }
     # Identical polluted records regardless of the resuming mode (the log
     # only covers post-resume tuples, identically in every mode).
     record_bytes = {k: _csv_bytes(v)[0] for k, v in resumed.items()}
     log_bytes = {k: _csv_bytes(v)[1] for k, v in resumed.items()}
-    assert record_bytes[None] == base[0]
-    assert record_bytes[7] == record_bytes[None]
-    assert record_bytes[64] == record_bytes[None]
-    assert log_bytes[7] == log_bytes[None]
-    assert log_bytes[64] == log_bytes[None]
+    assert record_bytes[1] == base[0]
+    for batch_size in (None, 7, 64):
+        assert record_bytes[batch_size] == record_bytes[1]
+        assert log_bytes[batch_size] == log_bytes[1]
 
 
 def test_batched_checkpoint_resumes_in_sequential_mode(tmp_path):
@@ -379,13 +378,13 @@ def test_batched_checkpoint_resumes_in_sequential_mode(tmp_path):
                 **({"batch_size": batch_size} if batch_size else {}),
             )
         )[0]
-        for batch_size in (None, 64)
+        for batch_size in (1, 64)
     ]
     assert outs[0] == outs[1] == base[0]
 
 
 def test_batch_size_one_matches_sequential():
-    """batch_size=1 is the per-record path — a pure pass-through knob."""
-    base, _ = _run(_CKPT_PLAN, 3)
-    got, _ = _run(_CKPT_PLAN, 3, batch_size=1)
+    """batch_size=1 is the per-record path; the default slabs match it."""
+    base, _ = _run(_CKPT_PLAN, 3, batch_size=1)
+    got, _ = _run(_CKPT_PLAN, 3, batch_size=None)
     assert got == base

@@ -47,7 +47,8 @@ NUMBER_CELLS = st.one_of(
 BOOL_CELLS = st.sampled_from(
     ["1", "0", "true", "True", " TRUE ", "yes", "Yes", "no", "false", "t", "y", "2", " "]
 )
-TEXT_CELLS = st.text(st.characters(exclude_characters="\x00"), max_size=10)
+# Fixture files are written as UTF-8, which cannot hold a lone surrogate.
+TEXT_CELLS = st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=10)
 QUOTED_CELLS = st.sampled_from(['a,b', 'say "hi"', "two\nlines", '","', " ", "x,\n\""])
 
 TYPED_CELLS = {
