@@ -17,8 +17,9 @@ stage, ``key_by -> pollute-keyed`` (one pipeline per key, see
 parallel shard. Records move in slabs through compiled batch kernels (per
 record inside the keyed operator) with output byte-identical to moving
 them one at a time: 256 to a slab unless ``batch_size`` says otherwise,
-one at a time for ``batch_size=1`` or a supervised run without a batch
-size (the planner resolves this, see :func:`repro.plan.compile_plan`).
+one-record slabs for ``batch_size=1`` or a supervised run without a batch
+size (the planner resolves this into ``ExecutionPlan.batch_size``, see
+:func:`repro.plan.compile_plan`; the engine is the same at every size).
 Supervision, checkpointing, metrics, tracing, profiling, the run
 ledger and live progress all attach to this one engine, keyed or not, so
 observing a run never changes which engine runs it.
@@ -248,12 +249,14 @@ def pollute(
         ``"off"`` skips the check. Runs once before execution; the analysis
         is pure, so output is byte-identical for every mode.
     batch_size:
-        Slab size of the micro-batching path (:mod:`repro.batch`): records
-        move through the engine in slabs of this many tuples and the
-        polluter chains execute as compiled batch kernels with bulk RNG
-        draws. ``None`` (default) means 256, or per record when a
-        ``failure_policy`` is set; ``1`` runs per record. An unkeyed plan
-        linked through a shared error history (``track`` /
+        Slab size of the engine's one source drain: records move through
+        the engine in slabs of this many tuples and, above 1, the polluter
+        chains execute as compiled batch kernels (:mod:`repro.batch`) with
+        bulk RNG draws. ``None`` (default) lets the planner decide: 256, or
+        1 when a ``failure_policy`` is set. ``1`` runs one-record slabs,
+        each record dispatched through ``PollutionPipeline.apply`` — the
+        per-record oracle. The slab size never changes the engine. An
+        unkeyed plan linked through a shared error history (``track`` /
         ``fired_recently``) runs per record whatever the batch size
         (decision ``history-linked-per-record``). Output — records,
         metadata, pollution-log CSV, checkpoints — is byte-identical to the
@@ -336,7 +339,7 @@ def pollute(
 
 
 def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
-    """Run a compiled sequential plan on the stream engine, per record or batched.
+    """Run a compiled sequential plan on the stream engine at its slab size.
 
     Serves unkeyed and keyed plans alike: they differ only in the pollute
     stage :func:`pollute_stage` builds. Consumes the plan's normalized

@@ -94,7 +94,7 @@ class ShardTask:
     checkpoint_interval: int = 100
     resume_path: str | None = None
     chunk_size: int = 256
-    batch_size: int | None = None
+    batch_size: int = 1
     #: Attempt number of this shard; stamped on every outbound message so
     #: the coordinator can discard output from superseded attempts.
     epoch: int = 0
@@ -357,8 +357,8 @@ def _execute_shard(task: ShardTask, in_queue: Any, out_queue: Any) -> dict[str, 
     The worker routes through the same :func:`repro.plan.compile_plan` /
     :func:`repro.plan.execute_plan` pair as every other entry point: the
     :class:`ShardTask` is wrapped in a :class:`~repro.plan.PlanRequest`, the
-    planner picks the shard engine (per record or batched) and the
-    output-retention mode, and :func:`_execute_shard_plan` consumes only the
+    planner records the task's slab size and picks the output-retention
+    mode, and :func:`_execute_shard_plan` consumes only the
     compiled plan; the pollute stage, keyed or not, comes from the same
     :func:`~repro.core.runner.pollute_stage` the sequential run uses.
     """

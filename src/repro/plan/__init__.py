@@ -10,7 +10,10 @@ pollution plan plus every option an entry point accepts) into one
 :class:`ExecutionPlan` — typed stages, an explicit engine choice, and
 machine-readable :class:`PlanDecision` reasons justified by the static
 :class:`~repro.check.factbase.PlanFactBase` facts — and
-:func:`execute_plan` dispatches it to the engine runtimes.
+:func:`execute_plan` dispatches it to the engine runtimes. There are three
+engines — ``stream`` (sequential), ``parallel`` (the shard coordinator) and
+``shard-stream`` (inside a shard worker); the slab size is the plan's
+``batch_size`` field, resolved once, not a fourth engine.
 
 All five entry points route through here: :func:`repro.core.runner.pollute`,
 :func:`repro.parallel.runner.pollute_parallel`, the CLI (``repro pollute``
@@ -27,9 +30,7 @@ from repro.plan.execute import execute_plan
 from repro.plan.ir import (
     ENGINE_PARALLEL,
     ENGINE_SHARD_STREAM,
-    ENGINE_SHARD_STREAM_BATCH,
     ENGINE_STREAM,
-    ENGINE_STREAM_BATCH,
     ENGINES,
     PLAN_FORMAT_VERSION,
     ExecutionPlan,
@@ -42,9 +43,7 @@ __all__ = [
     "DEFAULT_BATCH_SIZE",
     "ENGINE_PARALLEL",
     "ENGINE_SHARD_STREAM",
-    "ENGINE_SHARD_STREAM_BATCH",
     "ENGINE_STREAM",
-    "ENGINE_STREAM_BATCH",
     "ENGINES",
     "PLAN_FORMAT_VERSION",
     "ExecutionPlan",

@@ -4,13 +4,14 @@ This module is the *only* place a mode combination is decided. Every
 validation rule and engine choice that used to live inline in
 ``pollute()``, ``pollute_parallel()``, and the shard worker moved here;
 the executors consume the plan's normalized fields and never re-derive a
-decision. A keyed plan compiles to the same engine as an unkeyed one with
-the same batch size: the planner only swaps the pollute stage
-(``key-by -> pollute-keyed`` for ``substreams -> pollute[i]``) and
-records the ``keyed-*`` decisions. The slab size is resolved here too,
-once (:func:`_resolve_batch_size`): an unsupervised plan without a
-``batch_size`` runs in slabs of :data:`DEFAULT_BATCH_SIZE`, and an
-unkeyed history-linked plan always runs per record. Each branch
+decision. A keyed plan compiles to the same engine as an unkeyed one: the
+planner only swaps the pollute stage (``key-by -> pollute-keyed`` for
+``substreams -> pollute[i]``) and records the ``keyed-*`` decisions. The
+slab size is resolved here too, once (:func:`_resolve_batch_size`), into
+the plan's ``batch_size``: an unsupervised plan without a ``batch_size``
+runs in slabs of :data:`DEFAULT_BATCH_SIZE`, and an unkeyed
+history-linked plan always runs in one-record slabs. The slab size never
+changes the engine. Each branch
 taken emits a :class:`~repro.plan.ir.PlanDecision` with a stable slug, so
 ``repro plan`` / ``repro check --explain`` can show *why* a run landed on
 an engine and tests can pin the decision table.
@@ -32,9 +33,7 @@ from repro.errors import PollutionError
 from repro.plan.ir import (
     ENGINE_PARALLEL,
     ENGINE_SHARD_STREAM,
-    ENGINE_SHARD_STREAM_BATCH,
     ENGINE_STREAM,
-    ENGINE_STREAM_BATCH,
     ExecutionPlan,
     PlanDecision,
     PlanRequest,
@@ -149,7 +148,7 @@ def _normalize_shape(request: PlanRequest) -> tuple[Any, Any, Any, Any]:
 
 def _resolve_batch_size(
     request: PlanRequest, facts: tuple[Any, ...], keyed: bool
-) -> tuple[int | None, PlanDecision | None]:
+) -> tuple[int, PlanDecision | None]:
     """The plan's slab size, plus the decision when the planner chose it.
 
     An explicit ``batch_size`` is kept as given (1 is the named per-record
@@ -172,17 +171,17 @@ def _resolve_batch_size(
             "batch_size=1 runs per record",
         )
     else:
-        return None, PlanDecision(
+        return 1, PlanDecision(
             "supervised-per-record",
             "a failure_policy without batch_size keeps per-record dispatch: "
             "slab rollback snapshots every node's state before each slab, and "
             "keyed state costs O(keys) per snapshot; set batch_size to run "
             "supervised slabs",
         )
-    if _is_batched(batch_size) and not keyed and any(
+    if batch_size > 1 and not keyed and any(
         base.history_linked for base in facts
     ):
-        return None, PlanDecision(
+        return 1, PlanDecision(
             "history-linked-per-record",
             f"polluters linked through a shared error history (track / "
             f"fired_recently) run per record in place of slabs of "
@@ -193,7 +192,7 @@ def _resolve_batch_size(
     return batch_size, decision
 
 
-def _keyed_batching(batch_size: int | None) -> PlanDecision:
+def _keyed_batching(batch_size: int) -> PlanDecision:
     return PlanDecision(
         "keyed-batching-per-record",
         f"batch_size={batch_size} moves records in slabs, but the keyed "
@@ -292,7 +291,7 @@ def _kernel_decisions(
 
 
 # ---------------------------------------------------------------------------
-# Sequential (the stream engine, per-record / batched)
+# Sequential (the stream engine)
 # ---------------------------------------------------------------------------
 
 
@@ -319,9 +318,8 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
     batch_size, resolved = _resolve_batch_size(request, facts, keyed)
     if resolved is not None:
         decisions.append(resolved)
-    batched = _is_batched(batch_size)
+    batched = batch_size > 1
     if batched:
-        engine = ENGINE_STREAM_BATCH
         decisions.append(
             _keyed_batching(batch_size)
             if keyed
@@ -345,8 +343,6 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
             )
         if not keyed:
             _kernel_decisions(facts, decisions, context="the sequential engine")
-    else:
-        engine = ENGINE_STREAM
 
     stages = [
         PlanStage("source", "input"),
@@ -383,7 +379,7 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
             )
         )
     return ExecutionPlan(
-        engine=engine,
+        engine=ENGINE_STREAM,
         request=request,
         stages=tuple(stages),
         decisions=tuple(decisions),
@@ -470,8 +466,7 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
     batch_size, resolved = _resolve_batch_size(request, facts, keyed)
     if resolved is not None:
         decisions.append(resolved)
-    batched = _is_batched(batch_size)
-    inner = _shard_engine_name(batched)
+    batched = batch_size > 1
     if batched:
         decisions.append(
             PlanDecision(
@@ -529,7 +524,7 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
             "shard[*]",
             {
                 "count": parallelism,
-                "engine": inner,
+                "engine": ENGINE_SHARD_STREAM,
                 "batch_size": batch_size,
                 "supervised": request.failure_policy is not None,
                 "checkpointing": request.checkpoint_dir is not None,
@@ -557,19 +552,10 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
 # ---------------------------------------------------------------------------
 
 
-def _is_batched(batch_size: int | None) -> bool:
-    return batch_size is not None and batch_size > 1
-
-
-def _shard_engine_name(batched: bool) -> str:
-    return ENGINE_SHARD_STREAM_BATCH if batched else ENGINE_SHARD_STREAM
-
-
 def _compile_shard(request: PlanRequest) -> ExecutionPlan:
     # The coordinator's plan resolved the slab size; the task carries it.
     task = request.shard_task
-    batched = _is_batched(task.batch_size)
-    engine = _shard_engine_name(batched)
+    batched = task.batch_size > 1
     decisions: list[PlanDecision] = []
     if task.keyed:
         decisions.append(
@@ -649,7 +635,7 @@ def _compile_shard(request: PlanRequest) -> ExecutionPlan:
         )
     )
     return ExecutionPlan(
-        engine=engine,
+        engine=ENGINE_SHARD_STREAM,
         request=request,
         stages=tuple(stages),
         decisions=tuple(decisions),

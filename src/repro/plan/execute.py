@@ -15,9 +15,8 @@ from typing import Any
 from repro.errors import PollutionError
 from repro.plan.ir import (
     ENGINE_PARALLEL,
+    ENGINE_SHARD_STREAM,
     ENGINE_STREAM,
-    ENGINE_STREAM_BATCH,
-    SHARD_ENGINES,
     ExecutionPlan,
 )
 
@@ -35,7 +34,7 @@ def execute_plan(
     DataSource, path); shard engines instead take the worker's
     ``in_queue``/``out_queue`` pair and return the shard payload dict.
     """
-    if plan.engine in SHARD_ENGINES:
+    if plan.engine == ENGINE_SHARD_STREAM:
         from repro.parallel.shard import _execute_shard_plan
 
         return _execute_shard_plan(plan, in_queue, out_queue)
@@ -43,7 +42,7 @@ def execute_plan(
         from repro.parallel.runner import _execute_parallel_plan
 
         return _execute_parallel_plan(plan, data)
-    if plan.engine in (ENGINE_STREAM, ENGINE_STREAM_BATCH):
+    if plan.engine == ENGINE_STREAM:
         from repro.core.runner import _execute_sequential_plan
 
         return _execute_sequential_plan(plan, data)

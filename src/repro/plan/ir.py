@@ -24,28 +24,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 PLAN_FORMAT_VERSION = 1
 
 # -- engine identifiers -------------------------------------------------------
-# One constant per executable engine configuration. The split between e.g.
-# "stream" and "stream-batch" is deliberate: slab dispatch is a semantic
-# commitment (kernel compilation, slab rollback under supervision), not a
-# tuning detail, so the planner names it explicitly instead of leaving it
-# to a runtime flag.
+# One constant per executable runtime: the sequential stream engine, the
+# parallel coordinator, and the stream engine inside a shard worker. The
+# slab size is not an engine: every runtime runs the one source drain of
+# :class:`~repro.streaming.environment.StreamExecutionEnvironment`, whose
+# slab size is a buffer setting, as in Flink. It is still a semantic
+# commitment (kernel compilation, slab rollback under supervision), so the
+# planner resolves it once into :attr:`ExecutionPlan.batch_size` and names
+# it with the ``batch`` stage and the decision slugs.
 
 ENGINE_STREAM = "stream"
-ENGINE_STREAM_BATCH = "stream-batch"
 ENGINE_PARALLEL = "parallel"
 ENGINE_SHARD_STREAM = "shard-stream"
-ENGINE_SHARD_STREAM_BATCH = "shard-stream-batch"
 
-ENGINES = (
-    ENGINE_STREAM,
-    ENGINE_STREAM_BATCH,
-    ENGINE_PARALLEL,
-    ENGINE_SHARD_STREAM,
-    ENGINE_SHARD_STREAM_BATCH,
-)
-
-#: Engines that run inside a shard worker process.
-SHARD_ENGINES = (ENGINE_SHARD_STREAM, ENGINE_SHARD_STREAM_BATCH)
+ENGINES = (ENGINE_STREAM, ENGINE_PARALLEL, ENGINE_SHARD_STREAM)
 
 
 @dataclass(frozen=True)
@@ -202,14 +194,14 @@ class ExecutionPlan:
     #: Shard plans only: whether the output sink must retain records
     #: in-process (checkpointing, resume, or supervised batching).
     shard_retain: bool = False
-    #: The slab size the engine runs with (``None`` or 1: per record),
-    #: resolved once by the planner; executors and shard tasks read it here,
-    #: never from ``request.batch_size``.
-    batch_size: int | None = None
+    #: The slab size the engine runs with (1: per record), resolved once by
+    #: the planner; executors and shard tasks read it here, never from
+    #: ``request.batch_size``.
+    batch_size: int = 1
 
     @property
     def batched(self) -> bool:
-        return self.engine in (ENGINE_STREAM_BATCH, ENGINE_SHARD_STREAM_BATCH)
+        return self.batch_size > 1
 
     @property
     def keyed(self) -> bool:

@@ -3,9 +3,10 @@
 :func:`stream_frames` is the single source of truth for what a
 ``/jobs/{id}/stream`` WebSocket carries, independent of the socket
 machinery: ``hello``, live ``status`` frames every ``status_interval``
-while the job runs (fed by the progress hook the engines tick every ~1k
-records), then — as soon as the job is terminal — the full result as
-bounded ``records`` / ``log`` chunks, and finally a ``complete`` frame. A
+while the job runs (fed by the progress hook the stream engine ticks
+after each slab that crosses a multiple of 256 records), then — as soon
+as the job is terminal — the full result as bounded ``records`` /
+``log`` chunks, and finally a ``complete`` frame. A
 stream does not poll for completion: it registers :meth:`Job.on_done
 <repro.serve.jobs.Job.on_done>` and the job wakes it. Keeping it an async
 generator means the server's send loop *pulls*: a slow consumer stalls its

@@ -18,11 +18,13 @@ Cancellation
 ------------
 A queued job cancels immediately. A running job cancels *cooperatively*:
 the manager sets the job's cancel event, and the progress hook threaded
-into the engines (:class:`_JobProgress`, called every ~1k records by the
-sequential stream engine, keyed or not, and the parallel coordinator alike) raises
-:class:`JobCancelled` at the next tick — the engines' ``finally`` blocks
-then tear down worker processes and flush state exactly as they do for any
-other failure.
+into the engines (:class:`_JobProgress`) raises :class:`JobCancelled` at
+the next tick. The stream engine, keyed or not, ticks it after each slab
+that crosses a multiple of 256 records (every 256 records at
+``batch_size=1``, every slab at the default 256) and once at the end of
+input; the parallel coordinator pulses it from its own loop. The engines'
+``finally`` blocks then tear down worker processes and flush state
+exactly as they do for any other failure.
 
 Lifecycle
 ---------
@@ -63,12 +65,13 @@ class JobCancelled(Exception):
 class _JobProgress(ProgressRenderer):
     """The engines' progress hook, repurposed as the job's pulse.
 
-    Every engine already calls ``tick()`` (the sequential stream engine)
-    or ``maybe_render()`` (the parallel coordinator loop) on a progress
-    renderer; overriding both gives the manager a mid-run observation
-    point — live progress counts — and a cooperative cancellation point,
-    with zero engine changes. Rendering is disabled entirely; output bytes
-    are untouched by construction.
+    Every engine already calls ``tick()`` (the stream engine, after each
+    slab that crosses a multiple of 256 records) or ``maybe_render()``
+    (the parallel coordinator loop) on a progress renderer; overriding
+    both gives the manager a mid-run observation point — live progress
+    counts — and a cooperative cancellation point, with zero engine
+    changes. Rendering is disabled entirely; output bytes are untouched
+    by construction.
     """
 
     def __init__(self, job: "Job") -> None:
@@ -386,6 +389,7 @@ class JobManager:
         plan = compile_plan(request)
         job.plan = {
             "engine": plan.engine,
+            "batch_size": plan.batch_size,
             "decisions": list(plan.decision_slugs),
         }
         started = self._clock()

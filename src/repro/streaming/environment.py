@@ -2,11 +2,13 @@
 
 Mirrors the shape of Flink's ``StreamExecutionEnvironment``: build a dataflow
 graph with a fluent API, then :meth:`StreamExecutionEnvironment.execute` it.
-Execution is synchronous and single-process; sources are drained in
-registration order, each record is pushed through the DAG depth-first, and
-watermarks (from an optional per-source strategy) interleave with records.
-A final ``Watermark.max()`` flushes all event-time state (windows, sorters)
-at end of stream.
+Execution is synchronous and single-process; one source drain reads each
+source in registration order, cuts it into slabs of ``batch_size`` records
+and pushes each slab through the DAG depth-first, followed by at most one
+watermark (from an optional per-source strategy). A one-record slab — the
+default — dispatches that record through ``on_record``; a larger slab goes
+through ``on_batch``. A final ``Watermark.max()`` flushes all event-time
+state (windows, sorters) at end of stream.
 
 Example
 -------
@@ -68,6 +70,10 @@ from repro.streaming.supervision import (
 from repro.streaming.watermarks import Watermark, WatermarkGenerator
 from repro.streaming.windows import WindowAssigner, WindowFunction, WindowNode
 
+#: Live progress ticks after each slab that crosses a multiple of this many
+#: records, and once when the sources are drained.
+PROGRESS_EVERY = 256
+
 
 class _SourceHead(Node):
     """Entry node of a source; the environment pushes records into it."""
@@ -84,13 +90,14 @@ class _NodeObs:
 
     Two samplers implement the registry's sampling knob, both picking one in
     ~``sample_every`` dispatches for timing (two clock reads into
-    ``latency``): ``tick()``, a countdown used by the environment's source
-    loop for end-to-end head latencies, and ``mask``, which ``Node.emit``
-    ANDs against its existing ``_emits`` counter so child sampling costs no
-    extra state updates on the hot path (``sample_every`` is rounded up to a
-    power of two there). Everything else about a metered node — emit counts,
-    records in/out — is folded from the integer ``_emits`` counters after
-    the run, so the hot path never touches a registry object.
+    ``latency``): ``_countdown``, which the environment's source drain
+    counts down by each slab's size to time end-to-end head latencies, and
+    ``mask``, which ``Node.emit`` ANDs against its existing ``_emits``
+    counter so child sampling costs no extra state updates on the hot path
+    (``sample_every`` is rounded up to a power of two there). Everything
+    else about a metered node — emit counts, records in/out — is folded
+    from the integer ``_emits`` counters after the run, so the hot path
+    never touches a registry object.
     """
 
     __slots__ = ("latency", "sample_every", "mask", "_countdown")
@@ -100,13 +107,6 @@ class _NodeObs:
         self.sample_every = sample_every
         self.mask = (1 << max(sample_every - 1, 0).bit_length()) - 1
         self._countdown = 1  # always sample the first head dispatch
-
-    def tick(self) -> bool:
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = self.sample_every
-            return True
-        return False
 
 
 class _UnionInput(Node):
@@ -270,15 +270,18 @@ class StreamExecutionEnvironment:
         A :class:`~repro.obs.tracing.Tracer` receiving span records for node
         open/close, checkpoint write/restore, and supervision decisions.
     batch_size:
-        When > 1, the source drain cuts the stream into slabs of this many
-        records and dispatches them through the nodes' batch path
+        The slab size of the one source drain. At 1 (default) each record
+        is its own slab: it is dispatched through ``on_record`` (under the
+        supervisor when a failure policy is set) and followed by its own
+        watermark. Above 1, slabs go through the nodes' batch path
         (``on_batch``); operators without a batch implementation iterate
-        transparently. Batch cuts are aligned to the checkpoint interval and
+        transparently. Slab cuts are aligned to the checkpoint interval and
         watermarks are coalesced per slab, so checkpoint/restore semantics
-        and per-node counters are preserved. Supervised runs (a failure
-        policy anywhere in the DAG) keep batching: slabs execute whole
-        against a pre-slab state snapshot, and a failed slab rolls back and
-        replays per-record, preserving the one-record failure blast radius.
+        and per-node counters are the same at every size. Supervised runs
+        (a failure policy anywhere in the DAG) keep their slabs: a slab
+        executes whole against a pre-slab state snapshot, and a failed slab
+        rolls back and replays per record, preserving the one-record
+        failure blast radius.
     """
 
     def __init__(
@@ -286,12 +289,12 @@ class StreamExecutionEnvironment:
         auto_watermarks: bool = True,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
-        batch_size: int | None = None,
+        batch_size: int = 1,
         ledger: RunLedger | None = None,
         profiler: Profiler | None = None,
         progress: ProgressRenderer | None = None,
     ) -> None:
-        if batch_size is not None and batch_size < 1:
+        if batch_size < 1:
             raise StreamError(f"batch_size must be >= 1, got {batch_size}")
         self._sources: list[tuple[_SourceHead, Source, WatermarkGenerator | None]] = []
         self._nodes: list[Node] = []
@@ -448,7 +451,7 @@ class StreamExecutionEnvironment:
         # reads per slab); per-record it samples 1-in-node_sample_every
         # dispatches and the fold scales by the true arrival count.
         profiler = self._profiler
-        batched = self._batch_size is not None and self._batch_size > 1
+        batched = self._batch_size > 1
         obs_registry = metrics
         if obs_registry is None and profiler is not None:
             obs_registry = MetricsRegistry(sample_every=1)
@@ -556,18 +559,16 @@ class StreamExecutionEnvironment:
         start_source: int,
         start_offset: int,
     ) -> None:
-        if self._batch_size is not None and self._batch_size > 1:
-            # Supervised runs take the batched path too: a clean slab runs
-            # the batch kernels, a failed slab is rolled back and replayed
-            # per-record under the supervisor so adjudication keeps its
-            # one-record blast radius (see _dispatch_batch).
-            self._drain_sources_batched(
-                report, supervisor, resume_from, start_source, start_offset
-            )
-            return
+        """The one source drain: slabs of ``batch_size`` through the DAG.
+
+        A slab never straddles a checkpoint boundary, so at every checkpoint
+        the nodes have seen the same records in the same order at every slab
+        size, and snapshots are interchangeable between sizes. A record
+        counts in ``report.source_records`` when it joins its slab.
+        """
         cfg = self._checkpoint_cfg
         metrics = self._metrics
-        progress = self._progress
+        batch_size = self._batch_size
         records_seen = resume_from.records_seen if resume_from is not None else 0
         for src_idx in range(start_source, len(self._sources)):
             head, source, wm_gen = self._sources[src_idx]
@@ -590,202 +591,88 @@ class StreamExecutionEnvironment:
             # the finally keeps it truthful when a FAIL_FAST failure aborts
             # the drain mid-stream.
             records_before = report.source_records
-            try:
-                for record in source.iter_from(offset):
-                    if record.event_time is None:
-                        ts_attr = source.schema.timestamp_attribute
-                        ts = record.get(ts_attr)
-                        if isinstance(ts, int):
-                            record.event_time = ts
-                    # Dispatching into the head runs the whole synchronous
-                    # DAG, so a sampled head latency is the record's
-                    # end-to-end pipeline latency. The countdown is inlined —
-                    # a method call per source record is measurable at this
-                    # loop's frequency.
-                    timed = False
-                    if head_obs is not None:
-                        head_obs._countdown -= 1
-                        if head_obs._countdown <= 0:
-                            head_obs._countdown = head_obs.sample_every
-                            timed = True
-                    start = perf_counter() if timed else 0.0
-                    if supervisor is not None:
-                        supervisor.offset = records_seen
-                        supervisor.dispatch(head, record)
-                    else:
-                        head.on_record(record)
-                    if timed:
-                        head_obs.latency.observe(perf_counter() - start)
-                    wm = None
-                    if wm_gen is not None and record.event_time is not None:
-                        wm = wm_gen.on_event(record.event_time)
-                    elif (
-                        self._auto_watermarks
-                        and wm_gen is None
-                        and record.event_time is not None
-                    ):
-                        if last_auto_wm is None or record.event_time > last_auto_wm:
-                            last_auto_wm = record.event_time
-                            wm = Watermark(record.event_time)
-                    if wm is not None:
-                        head.on_watermark(wm)
-                        if wm_lag is not None and record.event_time is not None:
-                            wm_lag.value = record.event_time - wm.timestamp
-                    offset += 1
-                    records_seen += 1
-                    report.source_records += 1
-                    if progress is not None and (records_seen & 1023) == 0:
-                        progress.tick(records_seen)
-                    if cfg is not None and records_seen % cfg.interval == 0:
-                        self.last_checkpoint = self._take_checkpoint(
-                            src_idx, offset, records_seen, last_auto_wm, wm_gen
-                        )
-                        report.checkpoints_taken += 1
-            finally:
-                if src_counter is not None:
-                    src_counter.value += report.source_records - records_before
-            head.on_watermark(Watermark.max())
-        if progress is not None:
-            progress.tick(records_seen)
-
-    def _drain_sources_batched(
-        self,
-        report: ExecutionReport,
-        supervisor: Supervisor | None,
-        resume_from: Checkpoint | None,
-        start_source: int,
-        start_offset: int,
-    ) -> None:
-        """Batch-mode source drain: slabs of ``batch_size`` through the DAG.
-
-        Cuts are aligned to the checkpoint interval — a slab never straddles
-        a checkpoint boundary, so at every checkpoint the nodes have seen
-        exactly the records the per-record drain would have fed them, in the
-        same order, and snapshots are interchangeable between the two modes.
-        Watermarks are coalesced to one emission per slab; the emitted value
-        equals the last watermark the per-record path would have emitted at
-        the cut, so downstream event-time state agrees at every boundary.
-
-        Supervised runs add slab atomicity: operator state (via the
-        checkpoint snapshot protocol) and emit counters are captured before
-        each slab, and a slab that raises anywhere in the DAG is rolled back
-        and replayed per-record under the supervisor. Because the batch and
-        per-record paths draw identical RNG streams, the replayed slab is
-        byte-identical to a run that had dispatched per-record throughout —
-        only the poison record is adjudicated away.
-        """
-        cfg = self._checkpoint_cfg
-        metrics = self._metrics
-        ledger = self._ledger
-        progress = self._progress
-        batch_size = self._batch_size
-        records_seen = resume_from.records_seen if resume_from is not None else 0
-        for src_idx in range(start_source, len(self._sources)):
-            head, source, wm_gen = self._sources[src_idx]
-            if metrics is not None:
-                src_counter = metrics.counter("source_records_total", source=head.name)
-                wm_lag = metrics.gauge("watermark_lag_seconds", source=head.name)
-            else:
-                src_counter = None
-                wm_lag = None
-            head_obs = head._obs
-            resuming_here = resume_from is not None and src_idx == start_source
-            offset = start_offset if resuming_here else 0
-            last_auto_wm: int | None = None
-            if resuming_here:
-                last_auto_wm = resume_from.auto_watermark
-                if wm_gen is not None and resume_from.generator_state is not None:
-                    wm_gen.restore_state(resume_from.generator_state)
-            records_before = report.source_records
             ts_attr = source.schema.timestamp_attribute
-            buffer: list[Record] = []
+            slab: list[Record] = []
             try:
                 for record in source.iter_from(offset):
                     if record.event_time is None:
                         ts = record.get(ts_attr)
                         if isinstance(ts, int):
                             record.event_time = ts
-                    buffer.append(record)
+                    slab.append(record)
                     offset += 1
                     records_seen += 1
                     report.source_records += 1
                     boundary = cfg is not None and records_seen % cfg.interval == 0
-                    if boundary or len(buffer) >= batch_size:
-                        slab_records = len(buffer)
-                        last_auto_wm = self._dispatch_batch(
-                            head, buffer, wm_gen, last_auto_wm, head_obs, wm_lag,
-                            supervisor, records_seen - len(buffer),
+                    if boundary or len(slab) >= batch_size:
+                        last_auto_wm = self._dispatch(
+                            head, slab, records_seen, boundary, wm_gen,
+                            last_auto_wm, head_obs, wm_lag, supervisor,
                         )
-                        buffer = []
-                        if ledger is not None:
-                            ledger.record(
-                                "batch.slab",
-                                records=slab_records,
-                                records_seen=records_seen,
-                                boundary=boundary,
-                            )
-                        if progress is not None:
-                            progress.tick(records_seen)
+                        slab = []
                     if boundary:
                         self.last_checkpoint = self._take_checkpoint(
                             src_idx, offset, records_seen, last_auto_wm, wm_gen
                         )
                         report.checkpoints_taken += 1
-                if buffer:
-                    slab_records = len(buffer)
-                    last_auto_wm = self._dispatch_batch(
-                        head, buffer, wm_gen, last_auto_wm, head_obs, wm_lag,
-                        supervisor, records_seen - len(buffer),
+                if slab:
+                    self._dispatch(
+                        head, slab, records_seen, False, wm_gen,
+                        last_auto_wm, head_obs, wm_lag, supervisor,
                     )
-                    if ledger is not None:
-                        ledger.record(
-                            "batch.slab",
-                            records=slab_records,
-                            records_seen=records_seen,
-                            boundary=False,
-                        )
-                    if progress is not None:
-                        progress.tick(records_seen)
             finally:
                 if src_counter is not None:
                     src_counter.value += report.source_records - records_before
             head.on_watermark(Watermark.max())
+        if self._progress is not None:
+            self._progress.tick(records_seen)
 
-    def _dispatch_batch(
+    def _dispatch(
         self,
         head: Node,
-        batch: list[Record],
+        slab: list[Record],
+        records_seen: int,
+        boundary: bool,
         wm_gen: WatermarkGenerator | None,
         last_auto_wm: int | None,
         head_obs,
         wm_lag,
-        supervisor: Supervisor | None = None,
-        base_offset: int = 0,
+        supervisor: Supervisor | None,
     ) -> int | None:
-        """Push one slab into a source head and emit its coalesced watermark.
+        """Push one slab into a source head, then emit its coalesced watermark.
 
-        ``base_offset`` is the stream offset of the slab's first record;
-        supervised replay uses it so dead-letter entries carry the same
-        offsets a per-record run would record.
+        The environment's slab size, not the slab's length, picks the path:
+        at 1 the record goes through ``on_record`` (or the supervisor), so
+        ``batch_size=1`` stays the per-record oracle; above 1 every slab, a
+        short remainder too, goes through ``on_batch``. ``records_seen``
+        counts the stream through the slab's last record; supervised
+        offsets and :data:`PROGRESS_EVERY` progress ticks derive from it.
         """
         timed = False
         if head_obs is not None:
-            head_obs._countdown -= len(batch)
+            head_obs._countdown -= len(slab)
             if head_obs._countdown <= 0:
                 head_obs._countdown = head_obs.sample_every
                 timed = True
         start = perf_counter() if timed else 0.0
-        if supervisor is None:
-            head.on_batch(batch)
+        base_offset = records_seen - len(slab)
+        if self._batch_size == 1:
+            if supervisor is None:
+                head.on_record(slab[0])
+            else:
+                supervisor.offset = base_offset
+                supervisor.dispatch(head, slab[0])
+        elif supervisor is None:
+            head.on_batch(slab)
         else:
             # Slab atomicity: snapshot → attempt whole → on failure restore
             # and replay per-record. Records are copied up front because
             # operators mutate them in place and a torn slab would otherwise
             # replay half-polluted inputs.
             snapshot = self._slab_snapshot()
-            replay = [record.copy() for record in batch]
+            replay = [record.copy() for record in slab]
             try:
-                head.on_batch(batch)
+                head.on_batch(slab)
             except NodeFailure:
                 raise  # adjudicated fail-fast below us; state is moot
             except Exception:  # noqa: BLE001 - slab supervision boundary
@@ -793,15 +680,15 @@ class StreamExecutionEnvironment:
                 for i, record in enumerate(replay):
                     supervisor.offset = base_offset + i
                     supervisor.dispatch(head, record)
-                batch[:] = replay  # watermark bookkeeping reads the survivors
+                slab[:] = replay  # watermark bookkeeping reads the survivors
         if timed:
             head_obs.latency.observe(perf_counter() - start)
         wm: Watermark | None = None
         trigger_et: int | None = None
         if wm_gen is not None:
             # Feed the generator every event in order (identical generator
-            # state to per-record mode); emit only the last produced mark.
-            for record in batch:
+            # state to one-record slabs); emit only the last produced mark.
+            for record in slab:
                 et = record.event_time
                 if et is not None:
                     out = wm_gen.on_event(et)
@@ -810,7 +697,7 @@ class StreamExecutionEnvironment:
                         trigger_et = et
         elif self._auto_watermarks:
             advanced = False
-            for record in batch:
+            for record in slab:
                 et = record.event_time
                 if et is not None and (last_auto_wm is None or et > last_auto_wm):
                     last_auto_wm = et
@@ -822,6 +709,15 @@ class StreamExecutionEnvironment:
             head.on_watermark(wm)
             if wm_lag is not None and trigger_et is not None:
                 wm_lag.value = trigger_et - wm.timestamp
+        if self._ledger is not None and self._batch_size > 1:
+            self._ledger.record(
+                "batch.slab",
+                records=len(slab),
+                records_seen=records_seen,
+                boundary=boundary,
+            )
+        if self._progress is not None and records_seen % PROGRESS_EVERY < len(slab):
+            self._progress.tick(records_seen)
         return last_auto_wm
 
     def _slab_snapshot(self) -> list[tuple[Node, Any, Any, int]]:

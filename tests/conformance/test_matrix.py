@@ -4,8 +4,8 @@ One :class:`ExecutionPlan` IR feeds every runtime, so every cell of the
 engine matrix must produce **byte-identical** output: records CSV with
 metadata, pollution-log CSV, and post-run RNG/state snapshots, all
 compared against the named per-record sequential oracle, ``batch_size=1``.
-The ``default`` cells (no batch size) must land on the slab engine, and a
-failure policy without a batch size on per-record dispatch.
+The ``default`` cells (no batch size) must run in 256-record slabs, and a
+failure policy without a batch size in one-record slabs.
 
 Two sub-matrices:
 
@@ -22,9 +22,9 @@ Two sub-matrices:
   cross-branch dependencies, which the planner keeps per record unless
   keyed.
 
-Each cell first compiles its plan and asserts the planner routed it to
-the engine the cell names — conformance proves the *planner's* routing,
-not just the engines.
+Each cell first compiles its plan and asserts the planner gave it the slab
+size the cell names, on the one sequential engine (``stream``) —
+conformance proves the *planner's* routing, not just the engines.
 """
 
 from __future__ import annotations
@@ -157,38 +157,39 @@ def _csv_bytes(result) -> tuple[str, str]:
 
 
 def _run_cell(spec, seed, n=110, **kwargs):
-    """Run one matrix cell; returns (engine, csv-bytes, rng snapshot)."""
+    """Run one matrix cell; returns (slab size, csv-bytes, rng snapshot)."""
     pipeline = pipeline_from_config(spec)
     plan = compile_plan(
         PlanRequest(pipelines=pipeline, schema=SCHEMA, seed=seed, **kwargs)
     )
+    assert plan.engine == "stream"
     result = pollute(
         _rows(n), pipeline, schema=SCHEMA, seed=seed, check="off", **kwargs
     )
-    return plan.engine, _csv_bytes(result), pipeline.snapshot_state()
+    return plan.batch_size, _csv_bytes(result), pipeline.snapshot_state()
 
 
 #: The oracle every unkeyed cell is compared against: per-record dispatch.
 ORACLE = {"batch_size": 1}
 
-# every sequential cell: (id, pollute kwargs, engine the planner must pick)
+# every sequential cell: (id, pollute kwargs, slab size the planner must pick)
 SEQUENTIAL_CELLS = [
-    ("default", {}, "stream-batch"),
-    ("batch-7", {"batch_size": 7}, "stream-batch"),
-    ("batch-256", {"batch_size": 256}, "stream-batch"),
-    ("stream", {"engine": "stream"}, "stream-batch"),
-    ("stream-batch-1", {"engine": "stream", "batch_size": 1}, "stream"),
-    ("stream-batch-7", {"engine": "stream", "batch_size": 7}, "stream-batch"),
-    ("skip", {"failure_policy": SKIP}, "stream"),
+    ("default", {}, 256),
+    ("batch-7", {"batch_size": 7}, 7),
+    ("batch-256", {"batch_size": 256}, 256),
+    ("stream", {"engine": "stream"}, 256),
+    ("stream-batch-1", {"engine": "stream", "batch_size": 1}, 1),
+    ("stream-batch-7", {"engine": "stream", "batch_size": 7}, 7),
+    ("skip", {"failure_policy": SKIP}, 1),
     (
         "retry-batch-64",
         {"failure_policy": FailurePolicy.retry(3), "batch_size": 64},
-        "stream-batch",
+        64,
     ),
     (
         "dead-letter-batch-7",
         {"failure_policy": DEAD_LETTER, "batch_size": 7},
-        "stream-batch",
+        7,
     ),
 ]
 
@@ -200,13 +201,13 @@ SEQUENTIAL_CELLS = [
 )
 @given(spec=plan_spec(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_unkeyed_matrix_is_byte_identical(spec, seed):
-    """Every engine × batch-size × failure-policy cell matches the oracle."""
-    oracle_engine, oracle_bytes, oracle_snap = _run_cell(spec, seed, **ORACLE)
-    assert oracle_engine == "stream"
-    for cell_id, kwargs, engine in SEQUENTIAL_CELLS:
-        got_engine, got_bytes, got_snap = _run_cell(spec, seed, **kwargs)
-        assert got_engine == engine, (
-            f"cell {cell_id}: planner chose {got_engine}, expected {engine}"
+    """Every engine hint × batch-size × failure-policy cell matches the oracle."""
+    oracle_size, oracle_bytes, oracle_snap = _run_cell(spec, seed, **ORACLE)
+    assert oracle_size == 1
+    for cell_id, kwargs, size in SEQUENTIAL_CELLS:
+        got_size, got_bytes, got_snap = _run_cell(spec, seed, **kwargs)
+        assert got_size == size, (
+            f"cell {cell_id}: planner chose slabs of {got_size}, expected {size}"
         )
         assert got_bytes == oracle_bytes, f"cell {cell_id} diverged from oracle"
         assert got_snap == oracle_snap, (
@@ -245,6 +246,7 @@ def _run_keyed_sequential(spec, seed, n, **kwargs):
         PlanRequest(pipelines=pipeline, schema=SCHEMA, seed=seed, key_by="station", **kwargs)
     )
     assert "keyed-sequential" in plan.decision_slugs
+    assert plan.engine == "stream"
     result = pollute(
         _rows(n),
         pipeline,
@@ -254,7 +256,7 @@ def _run_keyed_sequential(spec, seed, n, **kwargs):
         check="off",
         **kwargs,
     )
-    return plan.engine, _csv_bytes(result)
+    return plan.batch_size, _csv_bytes(result)
 
 
 def _run_keyed_parallel(spec, seed, n, parallelism, **kwargs):
@@ -302,31 +304,29 @@ _KEYED_SPEC = {
     ],
 }
 
-# every keyed sequential cell: (id, pollute kwargs, engine the planner must pick)
+# every keyed sequential cell: (id, pollute kwargs, slab size the planner must pick)
 KEYED_SEQUENTIAL_CELLS = [
-    ("default", {}, "stream-batch"),
-    ("batch-1", {"batch_size": 1}, "stream"),
-    ("batch-7", {"batch_size": 7}, "stream-batch"),
-    ("fail-fast", {"failure_policy": FAIL_FAST}, "stream"),
-    ("skip", {"failure_policy": SKIP}, "stream"),
-    ("retry-batch-64", {"failure_policy": FailurePolicy.retry(3), "batch_size": 64},
-     "stream-batch"),
-    ("dead-letter-batch-7", {"failure_policy": DEAD_LETTER, "batch_size": 7},
-     "stream-batch"),
+    ("default", {}, 256),
+    ("batch-1", {"batch_size": 1}, 1),
+    ("batch-7", {"batch_size": 7}, 7),
+    ("fail-fast", {"failure_policy": FAIL_FAST}, 1),
+    ("skip", {"failure_policy": SKIP}, 1),
+    ("retry-batch-64", {"failure_policy": FailurePolicy.retry(3), "batch_size": 64}, 64),
+    ("dead-letter-batch-7", {"failure_policy": DEAD_LETTER, "batch_size": 7}, 7),
 ]
 
 
 @pytest.mark.parametrize(
-    "cell_id,kwargs,engine",
+    "cell_id,kwargs,size",
     KEYED_SEQUENTIAL_CELLS,
     ids=[c[0] for c in KEYED_SEQUENTIAL_CELLS],
 )
-def test_keyed_sequential_matrix_is_byte_identical(cell_id, kwargs, engine):
+def test_keyed_sequential_matrix_is_byte_identical(cell_id, kwargs, size):
     """Keyed runs on the stream engine, under every failure policy and
     batch size, reproduce the per-key loop byte for byte."""
     oracle = _keyed_oracle(_KEYED_SPEC, seed=11, n=120)
-    got_engine, got = _run_keyed_sequential(_KEYED_SPEC, seed=11, n=120, **kwargs)
-    assert got_engine == engine, f"cell {cell_id}: planner chose {got_engine}"
+    got_size, got = _run_keyed_sequential(_KEYED_SPEC, seed=11, n=120, **kwargs)
+    assert got_size == size, f"cell {cell_id}: planner chose slabs of {got_size}"
     assert got[0] == oracle[0], f"cell {cell_id}: records diverged"
     assert got[1] == oracle[1], f"cell {cell_id}: pollution log diverged"
 
@@ -370,21 +370,17 @@ def test_keyed_resume_converges_to_the_oracle(tmp_path):
     """A keyed run checkpointed mid-stream resumes, per record or batched,
     to the oracle's records; its log is the oracle log's post-cut tail."""
     oracle_records, oracle_log = _keyed_oracle(_KEYED_SPEC, seed=5, n=150)
-    _engine, full = _run_keyed_sequential(
+    _size, full = _run_keyed_sequential(
         _KEYED_SPEC, seed=5, n=150, checkpoint_dir=tmp_path, checkpoint_interval=40
     )
     assert full == (oracle_records, oracle_log)
     checkpoints = sorted(glob.glob(str(tmp_path / "chk-*")))
     assert len(checkpoints) >= 3
-    for kwargs, engine in (
-        ({}, "stream-batch"),
-        ({"batch_size": 1}, "stream"),
-        ({"batch_size": 7}, "stream-batch"),
-    ):
-        got_engine, (records, log) = _run_keyed_sequential(
+    for kwargs, size in (({}, 256), ({"batch_size": 1}, 1), ({"batch_size": 7}, 7)):
+        got_size, (records, log) = _run_keyed_sequential(
             _KEYED_SPEC, seed=5, n=150, resume_from=checkpoints[1], **kwargs
         )
-        assert got_engine == engine, f"resume {kwargs}: planner chose {got_engine}"
+        assert got_size == size, f"resume {kwargs}: planner chose slabs of {got_size}"
         assert records == oracle_records, f"resume {kwargs}: records diverged"
         _header, *rows = log.splitlines(keepends=True)
         assert rows and oracle_log.endswith("".join(rows)), (
@@ -496,20 +492,20 @@ def _tied_rows(n: int):
     return [{**row, "timestamp": 1_600_000_000 + 60 * (i // 2)} for i, row in enumerate(_rows(n))]
 
 
-# (id, pollute kwargs, engine the planner must pick)
+# (id, pollute kwargs, slab size the planner must pick)
 HISTORY_CELLS = [
-    ("default", {}, "stream"),
-    ("batch-7", {"batch_size": 7}, "stream"),
-    ("stream", {"engine": "stream"}, "stream"),
-    ("keyed-default", {"key_by": "station"}, "stream-batch"),
-    ("keyed-batch-7", {"key_by": "station", "batch_size": 7}, "stream-batch"),
+    ("default", {}, 1),
+    ("batch-7", {"batch_size": 7}, 1),
+    ("stream", {"engine": "stream"}, 1),
+    ("keyed-default", {"key_by": "station"}, 256),
+    ("keyed-batch-7", {"key_by": "station", "batch_size": 7}, 7),
 ]
 
 
 @pytest.mark.parametrize(
-    "cell_id,kwargs,engine", HISTORY_CELLS, ids=[c[0] for c in HISTORY_CELLS]
+    "cell_id,kwargs,size", HISTORY_CELLS, ids=[c[0] for c in HISTORY_CELLS]
 )
-def test_history_linked_cells_match_per_record(cell_id, kwargs, engine):
+def test_history_linked_cells_match_per_record(cell_id, kwargs, size):
     """track/fired_recently plans with tied timestamps and cross-branch
     dependencies give the per-record output in every cell: unkeyed plans
     are planned per record, keyed slabs dispatch per record."""
@@ -522,16 +518,17 @@ def test_history_linked_cells_match_per_record(cell_id, kwargs, engine):
         plan = compile_plan(
             PlanRequest(pipelines=pipelines, schema=SCHEMA, seed=21, **cell)
         )
+        assert plan.engine == "stream"
         result = pollute(
             _tied_rows(120), pipelines, schema=SCHEMA, seed=21, check="off", **cell
         )
-        return plan.engine, _csv_bytes(result)
+        return plan.batch_size, _csv_bytes(result)
 
-    oracle_engine, oracle = run(**ORACLE, **({"key_by": key_by} if key_by else {}))
-    assert oracle_engine == "stream"
+    oracle_size, oracle = run(**ORACLE, **({"key_by": key_by} if key_by else {}))
+    assert oracle_size == 1
     assert "after-" in oracle[1], "no dependent polluter fired; the cell tests nothing"
-    got_engine, got = run(**kwargs)
-    assert got_engine == engine, f"cell {cell_id}: planner chose {got_engine}"
+    got_size, got = run(**kwargs)
+    assert got_size == size, f"cell {cell_id}: planner chose slabs of {got_size}"
     assert got[0] == oracle[0], f"cell {cell_id}: records diverged"
     assert got[1] == oracle[1], f"cell {cell_id}: pollution log diverged"
 
@@ -556,16 +553,16 @@ _CKPT_SPEC = {
     ],
 }
 
-# every resuming cell: (id, pollute kwargs, engine the planner must pick)
+# every resuming cell: (id, pollute kwargs, slab size the planner must pick)
 RESUME_CELLS = [
-    ("resume-default", {}, "stream-batch"),
-    ("resume-batch-1", {"batch_size": 1}, "stream"),
-    ("resume-batch-7", {"batch_size": 7}, "stream-batch"),
-    ("resume-stream", {"engine": "stream"}, "stream-batch"),
-    ("resume-stream-batch-64", {"engine": "stream", "batch_size": 64}, "stream-batch"),
-    ("resume-retry", {"failure_policy": FailurePolicy.retry(3)}, "stream"),
+    ("resume-default", {}, 256),
+    ("resume-batch-1", {"batch_size": 1}, 1),
+    ("resume-batch-7", {"batch_size": 7}, 7),
+    ("resume-stream", {"engine": "stream"}, 256),
+    ("resume-stream-batch-64", {"engine": "stream", "batch_size": 64}, 64),
+    ("resume-retry", {"failure_policy": FailurePolicy.retry(3)}, 1),
     ("resume-retry-batch-64",
-     {"failure_policy": FailurePolicy.retry(3), "batch_size": 64}, "stream-batch"),
+     {"failure_policy": FailurePolicy.retry(3), "batch_size": 64}, 64),
 ]
 
 
@@ -587,7 +584,7 @@ def test_resume_matrix_converges_to_the_oracle(tmp_path):
     assert len(checkpoints) >= 2
     middle = checkpoints[1]
     outputs = {}
-    for cell_id, kwargs, engine in RESUME_CELLS:
+    for cell_id, kwargs, size in RESUME_CELLS:
         plan = compile_plan(
             PlanRequest(
                 pipelines=pipeline_from_config(_CKPT_SPEC),
@@ -597,7 +594,10 @@ def test_resume_matrix_converges_to_the_oracle(tmp_path):
                 **kwargs,
             )
         )
-        assert plan.engine == engine, f"cell {cell_id}: resume compiled to {plan.engine}"
+        assert (plan.engine, plan.batch_size) == ("stream", size), (
+            f"cell {cell_id}: resume compiled to {plan.engine} in slabs of "
+            f"{plan.batch_size}"
+        )
         result = pollute(
             _rows(250),
             pipeline_from_config(_CKPT_SPEC),

@@ -54,7 +54,7 @@ def test_plan_text_output(workspace, capsys):
     rc = main(_plan(workspace, "--seed", "7"))
     out = capsys.readouterr().out
     assert rc == 0
-    assert "engine=stream-batch" in out
+    assert "engine=stream\n" in out
     assert "default-slabs" in out
     assert "pollute[0]" in out
 
@@ -63,7 +63,7 @@ def test_plan_json_output(workspace, capsys):
     rc = main(_plan(workspace, "--format", "json", "--batch-size", "256"))
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert payload["engine"] == "stream-batch"
+    assert (payload["engine"], payload["batched"]) == ("stream", True)
     assert "batch-kernels" in [d["slug"] for d in payload["decisions"]]
 
 
@@ -79,7 +79,7 @@ def test_plan_surfaces_the_composition_decision(workspace, capsys):
     )
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert payload["engine"] == "stream-batch"
+    assert (payload["engine"], payload["batched"]) == ("stream", True)
     assert "supervised-batching-composes" in [
         d["slug"] for d in payload["decisions"]
     ]
@@ -100,7 +100,7 @@ def test_plan_writes_output_file(workspace, capsys):
     rc = main(_plan(workspace, "--format", "json", "--output", str(workspace["out"])))
     assert rc == 0
     payload = json.loads(workspace["out"].read_text())
-    assert payload["engine"] == "stream-batch"
+    assert (payload["engine"], payload["batched"]) == ("stream", True)
     assert "wrote 1 plan(s)" in capsys.readouterr().out
 
 
@@ -124,7 +124,7 @@ def test_check_json_includes_the_plan(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     entry = payload["reports"][0]
-    assert entry["plan"]["engine"] == "stream-batch"
+    assert (entry["plan"]["engine"], entry["plan"]["batched"]) == ("stream", True)
     assert entry["plan"]["decisions"]
 
 
@@ -141,5 +141,6 @@ def test_check_explain_renders_the_plan(workspace, capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert "execution plan: engine=stream-batch" in out
+    assert "execution plan: engine=stream\n" in out
+    assert "batch_size=64" in out
     assert "supervised-batching-composes" in out

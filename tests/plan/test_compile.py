@@ -25,9 +25,8 @@ from repro.plan import (
     DEFAULT_BATCH_SIZE,
     ENGINE_PARALLEL,
     ENGINE_SHARD_STREAM,
-    ENGINE_SHARD_STREAM_BATCH,
     ENGINE_STREAM,
-    ENGINE_STREAM_BATCH,
+    ENGINES,
     PLAN_FORMAT_VERSION,
     PlanRequest,
     compile_plan,
@@ -74,7 +73,8 @@ def _request(**kwargs) -> PlanRequest:
 
 def test_default_is_the_slab_engine():
     plan = compile_plan(_request())
-    assert plan.engine == ENGINE_STREAM_BATCH
+    assert plan.engine == ENGINE_STREAM
+    assert plan.batched
     assert plan.batch_size == DEFAULT_BATCH_SIZE == 256
     assert plan.decision_slugs[0] == "default-slabs"
     assert plan.request.batch_size is None
@@ -83,7 +83,7 @@ def test_default_is_the_slab_engine():
 
 def test_stream_hint_is_honoured():
     plan = compile_plan(_request(engine="stream"))
-    assert plan.engine == ENGINE_STREAM_BATCH
+    assert plan.engine == ENGINE_STREAM
     assert plan.stages == compile_plan(_request()).stages
 
 
@@ -92,33 +92,33 @@ def _shard_request(plan):
     return PlanRequest.for_shard(_shard_task(batch_size=plan.batch_size))
 
 
-# (id, request fields, resolved batch_size, sequential engine, resolution slug)
+# (id, request fields, resolved batch_size, resolution slug)
 DEFAULT_RESOLUTION = [
-    ("default", {}, 256, ENGINE_STREAM_BATCH, "default-slabs"),
-    ("batch-1", {"batch_size": 1}, 1, ENGINE_STREAM, None),
-    ("batch-7", {"batch_size": 7}, 7, ENGINE_STREAM_BATCH, None),
-    ("skip", {"failure_policy": SKIP}, None, ENGINE_STREAM, "supervised-per-record"),
-    ("skip-batch-64", {"failure_policy": SKIP, "batch_size": 64}, 64,
-     ENGINE_STREAM_BATCH, None),
-    ("skip-batch-1", {"failure_policy": SKIP, "batch_size": 1}, 1, ENGINE_STREAM, None),
-    ("checkpointed", {"checkpoint_dir": "chk"}, 256, ENGINE_STREAM_BATCH,
-     "default-slabs"),
+    ("default", {}, 256, "default-slabs"),
+    ("batch-1", {"batch_size": 1}, 1, None),
+    ("batch-7", {"batch_size": 7}, 7, None),
+    ("skip", {"failure_policy": SKIP}, 1, "supervised-per-record"),
+    ("skip-batch-64", {"failure_policy": SKIP, "batch_size": 64}, 64, None),
+    ("skip-batch-1", {"failure_policy": SKIP, "batch_size": 1}, 1, None),
+    ("checkpointed", {"checkpoint_dir": "chk"}, 256, "default-slabs"),
 ]
 
 
 @pytest.mark.parametrize("key_by", [None, "station"])
 @pytest.mark.parametrize(
-    "fields,batch_size,engine,slug",
+    "fields,batch_size,slug",
     [row[1:] for row in DEFAULT_RESOLUTION],
     ids=[row[0] for row in DEFAULT_RESOLUTION],
 )
-def test_default_resolution_table(fields, batch_size, engine, slug, key_by):
+def test_default_resolution_table(fields, batch_size, slug, key_by):
     """The slab size is resolved once, by the planner: unsupervised plans
     without a batch_size get 256, supervised ones stay per record, and an
     explicit batch_size is kept. Sequential, keyed, parallel and shard
-    plans agree; shards read the coordinator's size from their task."""
+    plans agree; shards read the coordinator's size from their task. The
+    slab size never changes the engine."""
     plan = compile_plan(_request(key_by=key_by, **fields))
-    assert (plan.batch_size, plan.engine) == (batch_size, engine)
+    assert (plan.batch_size, plan.engine) == (batch_size, ENGINE_STREAM)
+    assert plan.batched == (batch_size > 1)
     resolution = {"default-slabs", "supervised-per-record"} & set(plan.decision_slugs)
     assert resolution == ({slug} if slug else set())
 
@@ -128,14 +128,11 @@ def test_default_resolution_table(fields, batch_size, engine, slug, key_by):
         parallel.decision_slugs
     )
     shard_stage = next(s for s in parallel.stages if s.kind == "shard")
-    shard_engine = (
-        ENGINE_SHARD_STREAM_BATCH if engine == ENGINE_STREAM_BATCH else ENGINE_SHARD_STREAM
-    )
-    assert shard_stage.params["engine"] == shard_engine
+    assert shard_stage.params["engine"] == ENGINE_SHARD_STREAM
     assert shard_stage.params["batch_size"] == batch_size
 
     shard = compile_plan(_shard_request(parallel))
-    assert (shard.batch_size, shard.engine) == (batch_size, shard_engine)
+    assert (shard.batch_size, shard.engine) == (batch_size, ENGINE_SHARD_STREAM)
     assert not {"default-slabs", "supervised-per-record"} & set(shard.decision_slugs)
 
 
@@ -156,11 +153,11 @@ def _history_linked_pipelines():
 
 # (id, request fields, resolved batch_size, resolution slug)
 HISTORY_RESOLUTION = [
-    ("default", {}, None, "history-linked-per-record"),
-    ("batch-64", {"batch_size": 64}, None, "history-linked-per-record"),
+    ("default", {}, 1, "history-linked-per-record"),
+    ("batch-64", {"batch_size": 64}, 1, "history-linked-per-record"),
     ("batch-1", {"batch_size": 1}, 1, None),
-    ("skip", {"failure_policy": SKIP}, None, "supervised-per-record"),
-    ("skip-batch-64", {"failure_policy": SKIP, "batch_size": 64}, None,
+    ("skip", {"failure_policy": SKIP}, 1, "supervised-per-record"),
+    ("skip-batch-64", {"failure_policy": SKIP, "batch_size": 64}, 1,
      "history-linked-per-record"),
 ]
 
@@ -192,13 +189,13 @@ def test_keyed_history_linked_plans_keep_slabs():
     history-linked plan keeps the default slab size."""
     pipeline = _history_linked_pipelines()[1]
     plan = compile_plan(_request(pipelines=pipeline, key_by="station"))
-    assert (plan.engine, plan.batch_size) == (ENGINE_STREAM_BATCH, DEFAULT_BATCH_SIZE)
+    assert (plan.engine, plan.batch_size) == (ENGINE_STREAM, DEFAULT_BATCH_SIZE)
     assert "history-linked-per-record" not in plan.decision_slugs
 
 
 def test_batching_selects_the_batch_engine():
     plan = compile_plan(_request(batch_size=256))
-    assert plan.engine == ENGINE_STREAM_BATCH
+    assert (plan.engine, plan.batched) == (ENGINE_STREAM, True)
     assert "batch-kernels" in plan.decision_slugs
     assert any(s.kind == "batch" for s in plan.stages)
 
@@ -207,6 +204,10 @@ def test_batch_size_one_stays_per_record():
     plan = compile_plan(_request(batch_size=1))
     assert plan.engine == ENGINE_STREAM
     assert not plan.batched
+
+
+def test_slab_size_is_not_an_engine():
+    assert ENGINES == (ENGINE_STREAM, ENGINE_PARALLEL, ENGINE_SHARD_STREAM)
 
 
 @pytest.mark.parametrize("key_by", [None, "station"])
@@ -230,11 +231,12 @@ def test_options_keep_the_requested_engine(field, value, batch_size, key_by):
     default per record (see test_default_resolution_table)."""
     bare = compile_plan(_request(batch_size=batch_size, key_by=key_by))
     plan = compile_plan(_request(batch_size=batch_size, key_by=key_by, **{field: value}))
+    assert plan.engine == bare.engine == ENGINE_STREAM
     if field == "failure_policy" and batch_size is None:
-        assert plan.engine == ENGINE_STREAM
+        assert plan.batch_size == 1
         assert "supervised-per-record" in plan.decision_slugs
     else:
-        assert plan.engine == bare.engine
+        assert plan.batch_size == bare.batch_size
     assert not any("stream" in slug for slug in plan.decision_slugs)
 
 
@@ -244,7 +246,7 @@ def test_supervised_batching_composes():
     plan = compile_plan(
         _request(failure_policy=FailurePolicy.retry(3), batch_size=256)
     )
-    assert plan.engine == ENGINE_STREAM_BATCH
+    assert (plan.engine, plan.batch_size) == (ENGINE_STREAM, 256)
     assert "supervised-batching-composes" in plan.decision_slugs
     assert "batch-kernels" in plan.decision_slugs
 
@@ -252,7 +254,7 @@ def test_supervised_batching_composes():
 @pytest.mark.parametrize("policy", [FAIL_FAST, SKIP, DEAD_LETTER])
 def test_every_policy_composes_with_batching(policy):
     plan = compile_plan(_request(failure_policy=policy, batch_size=64))
-    assert plan.engine == ENGINE_STREAM_BATCH
+    assert (plan.engine, plan.batch_size) == (ENGINE_STREAM, 64)
 
 
 def test_kernel_facts_drive_a_vectorization_decision():
@@ -315,7 +317,7 @@ def test_keyed_batching_stays_per_record():
     """A keyed plan moves slabs on the batched engine but dispatches per
     record, so no batch-kernel decision may appear on it."""
     plan = compile_plan(_request(key_by="station", batch_size=256))
-    assert plan.engine == ENGINE_STREAM_BATCH
+    assert (plan.engine, plan.batched) == (ENGINE_STREAM, True)
     assert plan.decision_slugs == ("keyed-sequential", "keyed-batching-per-record")
     pollute = next(s for s in plan.stages if s.kind == "pollute")
     assert pollute.params["dispatch"] == "per-record"
@@ -327,7 +329,10 @@ def test_parallel_keyed_batching_has_no_kernel_decisions():
     assert "keyed-batching-per-record" in slugs
     assert not any(slug.startswith("batch-kernels") for slug in slugs)
     shard = next(s for s in plan.stages if s.kind == "shard")
-    assert shard.params["engine"] == ENGINE_SHARD_STREAM_BATCH
+    assert (shard.params["engine"], shard.params["batch_size"]) == (
+        ENGINE_SHARD_STREAM,
+        64,
+    )
 
 
 @pytest.mark.parametrize("parallelism", [None, 2])
@@ -413,15 +418,12 @@ def test_shard_unkeyed_engine_and_seed_decision():
 
 def test_shard_batched_engine():
     plan = compile_plan(PlanRequest.for_shard(_shard_task(batch_size=64)))
-    assert plan.engine == ENGINE_SHARD_STREAM_BATCH
+    assert (plan.engine, plan.batched) == (ENGINE_SHARD_STREAM, True)
     assert "shard-batch-kernels" in plan.decision_slugs
 
 
-@pytest.mark.parametrize(
-    "batch_size,engine",
-    [(None, ENGINE_SHARD_STREAM), (64, ENGINE_SHARD_STREAM_BATCH)],
-)
-def test_shard_keyed_engine(batch_size, engine):
+@pytest.mark.parametrize("batch_size", [1, 64])
+def test_shard_keyed_engine(batch_size):
     task = _shard_task(
         keyed=True,
         pipelines=None,
@@ -430,7 +432,7 @@ def test_shard_keyed_engine(batch_size, engine):
         batch_size=batch_size,
     )
     plan = compile_plan(PlanRequest.for_shard(task))
-    assert plan.engine == engine
+    assert (plan.engine, plan.batch_size) == (ENGINE_SHARD_STREAM, batch_size)
     assert plan.keyed
     assert "keyed-shard-base-seed" in plan.decision_slugs
     assert "shard-batch-kernels" not in plan.decision_slugs
@@ -478,7 +480,7 @@ def test_to_dict_round_trips_through_json():
 def test_render_text_mentions_engine_and_decisions():
     plan = compile_plan(_request(batch_size=7, failure_policy=SKIP))
     text = plan.render_text()
-    assert "engine=stream-batch" in text
+    assert "engine=stream\n" in text
     assert "supervised-batching-composes" in text
     for stage in plan.stages:
         assert stage.name in text

@@ -20,8 +20,9 @@ from repro.core.runner import pollute
 from repro.obs import MetricsRegistry, ProgressRenderer, RunLedger, Tracer
 from repro.parallel.runner import pollute_parallel
 from repro.plan import (
+    DEFAULT_BATCH_SIZE,
     ENGINE_PARALLEL,
-    ENGINE_STREAM_BATCH,
+    ENGINE_STREAM,
     compile_plan,
 )
 from repro.streaming.schema import Attribute, DataType, Schema
@@ -95,7 +96,7 @@ def test_pollute_routes_through_the_planner():
         pollute(_rows(40), pipeline_from_config(SPEC), schema=SCHEMA, seed=1,
                 check="off")
     assert len(seen) == 1
-    assert seen[0].engine == ENGINE_STREAM_BATCH
+    assert (seen[0].engine, seen[0].batch_size) == (ENGINE_STREAM, DEFAULT_BATCH_SIZE)
 
 
 def test_pollute_keyed_routes_through_the_planner():
@@ -103,7 +104,7 @@ def test_pollute_keyed_routes_through_the_planner():
     with patcher:
         pollute(_rows(40), pipeline_from_config(SPEC), schema=SCHEMA, seed=1,
                 key_by="station", check="off")
-    assert seen[0].engine == ENGINE_STREAM_BATCH
+    assert (seen[0].engine, seen[0].batch_size) == (ENGINE_STREAM, DEFAULT_BATCH_SIZE)
     assert seen[0].keyed
 
 
@@ -167,7 +168,7 @@ def test_retry_with_batch_256_compiles_to_the_batch_engine():
             batch_size=256,
         )
     )
-    assert plan.engine == ENGINE_STREAM_BATCH
+    assert (plan.engine, plan.batch_size) == (ENGINE_STREAM, 256)
     assert "supervised-batching-composes" in plan.decision_slugs
 
 
@@ -232,17 +233,17 @@ SERVE_SCHEMA = {
 
 
 @pytest.mark.parametrize(
-    "options,engine,slug",
+    "options,batch_size,slug",
     [
         # serve wires a progress hook for streaming delivery; the hook does
         # not move the job off the engine the bare options compile to
-        ({}, "stream-batch", "default-slabs"),
-        ({"batch_size": 1}, "stream", None),
-        ({"batch_size": 64}, "stream-batch", "batch-kernels"),
-        ({"key_by": "station"}, "stream-batch", "keyed-sequential"),
+        ({}, 256, "default-slabs"),
+        ({"batch_size": 1}, 1, None),
+        ({"batch_size": 64}, 64, "batch-kernels"),
+        ({"key_by": "station"}, 256, "keyed-sequential"),
     ],
 )
-def test_serve_job_publishes_its_plan(options, engine, slug):
+def test_serve_job_publishes_its_plan(options, batch_size, slug):
     from repro.serve.jobs import JobManager
 
     manager = JobManager(max_concurrent_jobs=1)
@@ -260,7 +261,8 @@ def test_serve_job_publishes_its_plan(options, engine, slug):
         assert job.done_event.wait(30), "job never finished"
         assert job.state == "completed", job.error
         status = job.status()
-        assert status["plan"]["engine"] == engine
+        assert status["plan"]["engine"] == "stream"
+        assert status["plan"]["batch_size"] == batch_size
         if slug is not None:
             assert slug in status["plan"]["decisions"]
     finally:

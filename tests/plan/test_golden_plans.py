@@ -61,8 +61,11 @@ def test_snapshot_covers_every_applicable_scenario(config_name, schema_name):
         assert snapshot["scenarios"][name]["keyed"], f"scenario {name} is not keyed"
     assert snapshot["version"] == 1
     for name, plan in snapshot["scenarios"].items():
-        # Only the default per-record sequential engine needs no reason.
-        assert plan["decisions"] or plan["engine"] == "stream", (
+        # Only an explicit one-record-slab sequential plan needs no reason.
+        assert plan["decisions"] or (plan["engine"], plan["batched"]) == (
+            "stream",
+            False,
+        ), (
             f"scenario {name} compiled to {plan['engine']} with no decisions"
         )
 
@@ -78,7 +81,8 @@ def test_engine_hint_does_not_change_the_plan():
     for config_name, schema_name in PAIRS:
         scenarios = _fresh(config_name, schema_name)["scenarios"]
         default, stream = dict(scenarios["default"]), dict(scenarios["stream"])
-        assert default["engine"] == stream["engine"] == "stream-batch"
+        assert default["engine"] == stream["engine"] == "stream"
+        assert default["batched"] and stream["batched"]
         default.pop("options")
         stream.pop("options")
         assert default == stream
@@ -90,6 +94,6 @@ def test_scenarios_pin_the_composition_fix():
     for config_name, schema_name in PAIRS:
         snapshot = _fresh(config_name, schema_name)
         plan = snapshot["scenarios"]["supervised-retry-batched-256"]
-        assert plan["engine"] == "stream-batch"
+        assert (plan["engine"], plan["batched"]) == ("stream", True)
         slugs = [d["slug"] for d in plan["decisions"]]
         assert "supervised-batching-composes" in slugs

@@ -7,7 +7,9 @@ a slab costs O(operator state), not O(records collected so far). These
 tests pin the byte identity of that rollback (sequential and retaining
 shard sinks) against the per-record path, and that an unsupervised run
 without a ``batch_size`` moves slabs while a bare
-:class:`StreamExecutionEnvironment` still dispatches per record.
+:class:`StreamExecutionEnvironment` still dispatches per record. A
+one-record slab is the per-record oracle: it never reaches the batch path
+(``on_batch``, ``process_batch``, the batch kernels).
 """
 
 from __future__ import annotations
@@ -17,20 +19,23 @@ from typing import Sequence
 
 import pytest
 
+from repro.batch import kernels
 from repro.core.conditions import ProbabilityCondition
-from repro.core.errors import GaussianNoise
+from repro.core.dependencies import ErrorHistory, FiredRecentlyCondition, track
+from repro.core.errors import GaussianNoise, SetToNull
 from repro.core.errors.base import ErrorFunction, ErrorOutput
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import StandardPolluter
-from repro.core.runner import pollute
+from repro.core.runner import PollutionProcessFunction, pollute
 from repro.obs.ledger import RunLedger
 from repro.parallel.shard import ShardOutputSink
 from repro.streaming.environment import StreamExecutionEnvironment
-from repro.streaming.operators import ProcessFunction
+from repro.streaming.operators import Node, ProcessFunction
 from repro.streaming.record import Record
 from repro.streaming.schema import Attribute, DataType, Schema
 from repro.streaming.sink import CollectSink, CsvSink
 from repro.streaming.supervision import DEAD_LETTER, SKIP
+from repro.streaming.time import Duration
 
 SCHEMA = Schema(
     [
@@ -237,6 +242,29 @@ def test_bare_environment_stays_per_record():
     assert recorder.watermarks == 11  # one per record, plus the final max
 
 
+class _Ticks:
+    def __init__(self) -> None:
+        self.seen: list[int] = []
+
+    def tick(self, records_seen: int) -> None:
+        self.seen.append(records_seen)
+
+
+@pytest.mark.parametrize(
+    "batch_size,ticks",
+    [(1, [256, 300]), (7, [259, 300]), (256, [256, 300])],
+)
+def test_progress_ticks_when_a_slab_crosses_256_records(batch_size, ticks):
+    """One progress rule at every slab size: a tick after each slab that
+    crosses a multiple of 256 records (never one per record), plus one
+    when the sources are drained."""
+    progress = _Ticks()
+    env = StreamExecutionEnvironment(batch_size=batch_size, progress=progress)
+    env.from_collection(SCHEMA, ROWS).add_sink(CollectSink())
+    env.execute()
+    assert progress.seen == ticks
+
+
 @pytest.mark.parametrize("key_by", [None, "station"], ids=["unkeyed", "keyed"])
 def test_unsupervised_default_moves_slabs(key_by):
     """No batch_size and no failure policy: 256-record slabs, byte-identical
@@ -254,3 +282,79 @@ def test_unsupervised_default_moves_slabs(key_by):
     assert runs["default"][1] == [256, len(ROWS) - 256]
     assert runs["per-record"][1] == runs["supervised"][1] == []
     assert runs["default"][0] == runs["per-record"][0] == runs["supervised"][0]
+
+
+@pytest.fixture
+def slab_calls(monkeypatch, tmp_path):
+    """Record every batch-path call (kernel compilation, a pollution
+    operator's ``process_batch``, any slab emit) in a file, so forked shard
+    workers report theirs too; returns a reader for the recorded names."""
+    trace = tmp_path / "slab-calls.txt"
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            with trace.open("a") as out:
+                out.write(name + "\n")
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in (
+        (kernels, "compile_pipeline"),
+        (PollutionProcessFunction, "process_batch"),
+        (Node, "emit_batch"),
+    ):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    return lambda: trace.read_text().split() if trace.exists() else []
+
+
+def _history_linked_pipelines() -> list[PollutionPipeline]:
+    """Two branches linked through one error history: the first reads
+    firings of a polluter the second tracks."""
+    history = ErrorHistory()
+    reader = StandardPolluter(
+        SetToNull(), ["value"], FiredRecentlyCondition(history, "up", Duration(600)),
+        name="reader",
+    )
+    tracked = track(
+        StandardPolluter(
+            GaussianNoise(1.0), ["value"], ProbabilityCondition(0.3), name="up"
+        ),
+        history,
+    )
+    return [PollutionPipeline([reader], name="p0"), PollutionPipeline([tracked], name="p1")]
+
+
+ORACLE_PATH_RUNS = [
+    ("sequential", {"batch_size": 1}),
+    ("keyed", {"batch_size": 1, "key_by": "station"}),
+    ("parallel-1", {"batch_size": 1, "parallelism": 1}),
+    ("skip-without-batch-size", {"failure_policy": SKIP}),
+    ("history-linked-256", {"batch_size": 256, "pipelines": "history-linked"}),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs", [run[1] for run in ORACLE_PATH_RUNS], ids=[run[0] for run in ORACLE_PATH_RUNS]
+)
+def test_one_record_slabs_take_the_oracle_path(slab_calls, kwargs):
+    """Every plan that resolves to one-record slabs dispatches each record
+    through ``on_record`` (``PollutionPipeline.apply``), never through the
+    batch path: otherwise ``batch_size=1`` would stop being the oracle the
+    byte-identity tests compare the batch kernels against."""
+    kwargs = dict(kwargs)
+    pipelines = (
+        _history_linked_pipelines()
+        if kwargs.pop("pipelines", None) == "history-linked"
+        else _poison_pipeline(-1)
+    )
+    result = pollute(ROWS, pipelines, schema=SCHEMA, seed=17, check="off", **kwargs)
+    assert len(result.polluted) >= len(ROWS)
+    assert slab_calls() == []
+
+
+def test_default_slabs_compile_the_kernels(slab_calls):
+    pollute(ROWS, _poison_pipeline(-1), schema=SCHEMA, seed=17, check="off")
+    calls = slab_calls()
+    assert calls.count("compile_pipeline") == 1
+    assert calls.count("process_batch") == 2  # slabs of 256 and 44
