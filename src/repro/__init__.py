@@ -74,7 +74,7 @@ from repro.check import (
 )
 from repro.core.keyed_pollution import FreshPipelineFactory
 from repro.obs import MetricsRegistry, Tracer, render_metrics, write_metrics
-from repro.parallel import ShardedEnvironment, pollute_parallel
+from repro.parallel import ShardedEnvironment
 from repro.streaming import (
     Attribute,
     DataType,
@@ -125,7 +125,6 @@ __all__ = [
     "analyze_config",
     "pipeline_from_config",
     "pollute",
-    "pollute_parallel",
     "polluter_from_config",
     "render_metrics",
     "write_metrics",

@@ -1,10 +1,11 @@
 """Micro-batching execution fast path (byte-identical to record-at-a-time).
 
 ``repro.batch`` lets the pollution engines move slabs of records at once:
-sources emit :class:`RecordBatch` objects, the polluter chain of each
-pipeline is compiled once per run into fused batch kernels
-(:func:`compile_pipeline`), and operators without a batch implementation
-transparently fall back to per-record iteration.
+the engine's source drain hands each operator a slab (a plain
+``list[Record]``), the polluter chain of each pipeline is compiled once per
+run into fused batch kernels (:func:`compile_pipeline`), and operators
+without a batch implementation transparently fall back to per-record
+iteration.
 
 The hard contract — enforced by the differential-equivalence suite in
 ``tests/property/test_property_batch_diff.py`` — is that batched execution
@@ -28,11 +29,9 @@ path for every plan, at every batch size. The reasons this holds:
   within-record chain order is preserved by append order.
 """
 
-from repro.batch.batch import RecordBatch
 from repro.batch.kernels import CompiledPipeline, compile_pipeline
 
 __all__ = [
     "CompiledPipeline",
-    "RecordBatch",
     "compile_pipeline",
 ]

@@ -11,7 +11,8 @@ results sorted by timestamp (Algorithm 1).
 
 Public entry points:
 
-* :func:`repro.core.runner.pollute` — Algorithm 1 end-to-end,
+* :func:`repro.core.runner.pollute` — Algorithm 1 end-to-end, and the one
+  entry point for keyed (``key_by``) and parallel (``parallelism``) runs,
 * :class:`repro.core.pipeline.PollutionPipeline` — compose polluters,
 * :class:`repro.core.polluter.StandardPolluter` /
   :class:`repro.core.composite.CompositePolluter` — the two polluter kinds,
@@ -27,7 +28,7 @@ from repro.core.dependencies import (
     TrackedPolluter,
     track,
 )
-from repro.core.keyed_pollution import KeyedPollutionProcessFunction, pollute_keyed
+from repro.core.keyed_pollution import KeyedPollutionProcessFunction
 from repro.core.log import PollutionEvent, PollutionLog
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import Polluter, StandardPolluter
@@ -49,7 +50,6 @@ __all__ = [
     "TrackedPolluter",
     "pipeline_from_config",
     "pollute",
-    "pollute_keyed",
     "polluter_from_config",
     "track",
 ]

@@ -15,9 +15,9 @@ extension on the reproduction's substrate:
   of ``split -> pollute[i]``, and every parallel shard runs the same stage
   over its key partition, so supervision, checkpointing and tracing apply
   to keyed runs as to any other.
-* :func:`pollute_keyed` — Algorithm 1 with key-partitioned pollution: one
-  logical multiplexed stream in, per-key pipelines applied, merged output
-  sorted by timestamp.
+* :class:`FreshPipelineFactory` — the picklable factory cloning one template
+  pipeline per key, used when ``pollute(key_by=...)`` gets a pipeline
+  instead of a ``pipeline_factory``.
 
 Determinism: the per-key pipelines draw from named streams keyed by
 ``pipeline-name/key/polluter-name``, so adding a key (a new sensor) never
@@ -28,7 +28,7 @@ design decision in :mod:`repro.core.rng`.
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
@@ -38,7 +38,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.streaming.keyed import KeyedContext, KeyedProcessFunction
 from repro.streaming.operators import Collector
 from repro.streaming.record import Record
-from repro.streaming.schema import Schema
 
 PipelineFactory = Callable[[Hashable], PollutionPipeline]
 KeySelector = Callable[[Record], Hashable]
@@ -168,33 +167,3 @@ class KeyedPollutionProcessFunction(KeyedProcessFunction):
 
     def slab_rollback(self, token: int) -> None:
         del self._log.events[token:]
-
-
-def pollute_keyed(
-    data: Sequence[Mapping[str, Any] | Record],
-    key_selector: KeySelector,
-    pipeline_factory: PipelineFactory,
-    schema: Schema,
-    seed: int | None = None,
-    log: bool = True,
-    metrics: MetricsRegistry | None = None,
-):
-    """Algorithm 1 with key-partitioned pollution.
-
-    Shorthand for :func:`~repro.core.runner.pollute` with ``key_by`` and
-    ``pipeline_factory`` (and no pre-flight check): returns a
-    :class:`~repro.core.runner.PollutionResult` whose polluted stream
-    interleaves all keys, sorted by the (possibly polluted) timestamp.
-    """
-    from repro.core.runner import pollute
-
-    return pollute(
-        data,
-        schema=schema,
-        seed=seed,
-        log=log,
-        metrics=metrics,
-        key_by=key_selector,
-        pipeline_factory=pipeline_factory,
-        check="off",
-    )

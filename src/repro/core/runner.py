@@ -3,7 +3,9 @@
 :func:`pollute` executes the full workflow — prepare, split into
 sub-streams, pollute each sub-stream with its pipeline, integrate, and
 return both the clean and the polluted stream (Algorithm 1 returns
-``D, D^p``) plus the pollution log.
+``D, D^p``) plus the pollution log. It is the one entry point for every
+plan: keyed (``key_by``) and parallel (``parallelism``) runs are options,
+which :func:`repro.plan.compile_plan` turns into an engine choice.
 
 Every sequential run executes on the
 :class:`~repro.streaming.environment.StreamExecutionEnvironment`, the
@@ -223,10 +225,10 @@ def pollute(
         A :class:`~repro.obs.tracing.Tracer` receiving span records for node
         lifecycle, checkpoint, and supervision events.
     parallelism:
-        When set, runs the sharded multi-process runtime
-        (:func:`repro.parallel.pollute_parallel`): prepared records are
-        partitioned across ``parallelism`` worker processes and the outputs
-        deterministically merged. Keyed plans (``key_by``) are byte-identical
+        When set, the plan compiles to the ``parallel`` engine
+        (:mod:`repro.parallel`): prepared records are partitioned across
+        ``parallelism`` worker processes and the outputs deterministically
+        merged. Keyed plans (``key_by``) are byte-identical
         to the sequential run; unkeyed plans are reproducible per
         ``(seed, parallelism)``. Incompatible with ``tracer`` (spans cannot
         cross process boundaries).
@@ -284,7 +286,10 @@ def pollute(
         Opt-in wall-time attribution (:class:`~repro.obs.profile.Profiler`):
         run phases, per-node exclusive time, and per-kernel timing —
         including which polluters run on the ``FallbackKernel`` — land in
-        ``result.profile``. Observational only; output is byte-identical.
+        ``result.profile``. The profiler starts before the pre-flight
+        ``check``, so every profile, sequential or parallel, opens with
+        a ``preflight`` and a ``plan`` (compilation) phase.
+        Observational only; output is byte-identical.
     ledger:
         A :class:`~repro.obs.ledger.RunLedger` receiving the run's
         structured lifecycle event log (run start/complete, checkpoint
@@ -297,20 +302,23 @@ def pollute(
         stderr: an in-place ``top``-style table on a TTY, one plain line per
         refresh otherwise.
     """
-    _run_preflight(
-        check,
-        pipelines,
-        data,
-        schema,
-        seed=seed,
-        parallelism=parallelism,
-        key_by=key_by,
-        pipeline_factory=pipeline_factory,
-        failure_policy=failure_policy,
-        batch_size=batch_size,
-    )
     from repro.plan import PlanRequest, compile_plan, execute_plan
 
+    profiler = Profiler() if profile else None
+    phase = profiler.phase if profiler is not None else lambda name: nullcontext()
+    with phase("preflight"):
+        _run_preflight(
+            check,
+            pipelines,
+            data,
+            schema,
+            seed=seed,
+            parallelism=parallelism,
+            key_by=key_by,
+            pipeline_factory=pipeline_factory,
+            failure_policy=failure_policy,
+            batch_size=batch_size,
+        )
     request = PlanRequest(
         pipelines=pipelines,
         schema=schema,
@@ -332,10 +340,13 @@ def pollute(
         max_shard_restarts=max_shard_restarts,
         heartbeat_timeout=heartbeat_timeout,
         profile=profile,
+        profiler=profiler,
         ledger=ledger,
         progress=progress,
     )
-    return execute_plan(compile_plan(request), data)
+    with phase("plan"):
+        plan = compile_plan(request)
+    return execute_plan(plan, data)
 
 
 def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
@@ -353,11 +364,7 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
     profiler = request.profiler
     if profiler is None and request.profile:
         profiler = Profiler()
-    renderer: ProgressRenderer | None = (
-        request.progress
-        if isinstance(request.progress, ProgressRenderer)
-        else (ProgressRenderer() if request.progress else None)
-    )
+    renderer = _progress_renderer(request.progress)
 
     source, schema = _coerce_source(data, request.schema)
     pollution_log = PollutionLog() if request.log else None
@@ -420,8 +427,19 @@ def _execute_sequential_plan(plan: Any, data: Any) -> PollutionResult:
     )
 
 
+def _progress_renderer(progress: ProgressRenderer | bool) -> ProgressRenderer | None:
+    """The live view a run's ``progress`` option asks for, if any."""
+    if isinstance(progress, ProgressRenderer):
+        return progress
+    return ProgressRenderer() if progress else None
+
+
 def _config_digest(body: dict[str, Any]) -> str:
-    """SHA-256 over a run configuration in canonical (sorted, compact) JSON."""
+    """SHA-256 over a run configuration in canonical (sorted, compact) JSON.
+
+    The ledger's ``run.start`` ``config_hash`` on every engine, and the
+    integrity digest of a parallel run's ``parallel.json`` manifest.
+    """
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

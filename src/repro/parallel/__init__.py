@@ -21,9 +21,9 @@ Layout:
 * :mod:`repro.parallel.environment` — the coordinator: process lifecycle,
   bounded-queue backpressure, heartbeat watchdog, in-run shard recovery,
   failure-policy composition, abort propagation;
-* :mod:`repro.parallel.runner` — :func:`pollute_parallel`, the user-facing
-  entry point mirroring :func:`repro.core.runner.pollute`, including the
-  per-shard checkpoint layout and resume of partially failed runs;
+* :mod:`repro.parallel.runner` — the ``parallel`` engine's executor, which
+  ``pollute(parallelism=N, ...)`` compiles to, including the per-shard
+  checkpoint layout and resume of partially failed runs;
 * :mod:`repro.parallel.chaos` — process-level fault injectors (worker
   kill/hang/slowdown, checkpoint corruption) backing the self-healing
   test and benchmark harnesses.
@@ -39,7 +39,6 @@ from repro.parallel.environment import ShardedEnvironment, ShardOutcome
 from repro.parallel.merge import ShardMerger
 from repro.parallel.runner import (
     PARALLEL_MANIFEST,
-    pollute_parallel,
     read_manifest,
     shard_store_dir,
     write_manifest,
@@ -58,7 +57,6 @@ __all__ = [
     "ShardOutputSink",
     "ShardTask",
     "ShardedEnvironment",
-    "pollute_parallel",
     "read_manifest",
     "run_shard",
     "shard_store_dir",

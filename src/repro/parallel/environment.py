@@ -430,7 +430,16 @@ class ShardedEnvironment:
             name=f"repro-shard-{rt.shard}",
             daemon=True,
         )
+        # Stamped before the start: a forked worker can log its first slab
+        # before this thread resumes, and replay() requires the spawn first.
+        spawn = (
+            self._ledger.record("shard.spawn", shard=rt.shard, epoch=rt.epoch)
+            if self._ledger is not None
+            else None
+        )
         rt.worker.start()
+        if spawn is not None:
+            spawn["pid"] = rt.worker.pid
         rt.feeder = threading.Thread(
             target=self._feed_shard,
             args=(rt.assignment, rt.in_queue, rt.stop, rt.worker.is_alive),
@@ -439,10 +448,6 @@ class ShardedEnvironment:
         )
         rt.feeder.start()
         rt.last_seen = time.monotonic()
-        if self._ledger is not None:
-            self._ledger.record(
-                "shard.spawn", shard=rt.shard, epoch=rt.epoch, pid=rt.worker.pid
-            )
         if self._telemetry is not None:
             self._telemetry.mark_spawn(rt.shard, rt.epoch)
 

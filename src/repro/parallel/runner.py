@@ -1,11 +1,12 @@
-"""``pollute_parallel``: Algorithm 1 sharded across worker processes.
+"""The ``parallel`` engine: Algorithm 1 sharded across worker processes.
 
-The parallel counterpart of :func:`repro.core.runner.pollute`. The
-coordinator runs the *preparation* step (global record IDs + the replicated
-event time ``tau``) exactly as the sequential runner would, hash- or
-round-robin-partitions the prepared stream across ``parallelism`` worker
-processes, lets each worker run Algorithm 1's pollution step over its
-partition on a private stream engine, and then deterministically
+``pollute(parallelism=N, ...)`` compiles to this engine
+(:func:`repro.plan.compile_plan`); :func:`_execute_parallel_plan` runs the
+plan. The coordinator runs the *preparation* step (global record IDs +
+the replicated event time ``tau``) exactly as the sequential runner would,
+hash- or round-robin-partitions the prepared stream across ``parallelism``
+worker processes, lets each worker run Algorithm 1's pollution step over
+its partition on a private stream engine, and then deterministically
 re-integrates output, pollution log, and metrics.
 
 Determinism contract
@@ -33,18 +34,23 @@ manifest whose geometry or seed disagrees with the requested run.
 
 from __future__ import annotations
 
-import hashlib
 import json
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any
 
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
 from repro.core.prepare import IdGenerator, prepare_stream
-from repro.errors import CheckpointError, PollutionError, ShardError
-from repro.obs.ledger import LEDGER_SCHEMA_VERSION, RunLedger
-from repro.obs.live import LiveAggregator, ProgressRenderer
-from repro.obs.metrics import MetricsRegistry
+from repro.core.runner import (
+    PollutionResult,
+    _coerce_source,
+    _config_digest,
+    _progress_renderer,
+)
+from repro.errors import CheckpointError, ShardError
+from repro.obs.ledger import LEDGER_SCHEMA_VERSION
+from repro.obs.live import LiveAggregator
 from repro.obs.profile import Profiler
 from repro.parallel.environment import ShardedEnvironment, ShardOutcome
 from repro.parallel.shard import ShardTask
@@ -53,15 +59,11 @@ from repro.streaming.partition import (
     Partitioner,
     RoundRobinPartitioner,
 )
-from repro.streaming.record import Record
-from repro.streaming.schema import Schema
-from repro.streaming.source import Source
 from repro.streaming.split import SplitStrategy
 from repro.streaming.supervision import (
     DeadLetter,
     ExecutionReport,
     FailureContext,
-    FailurePolicy,
 )
 
 #: Manifest filename marking a checkpoint directory as a *parallel* run's.
@@ -73,12 +75,6 @@ PARALLEL_FORMAT_VERSION = 1
 def shard_store_dir(checkpoint_dir: str | Path, shard: int) -> Path:
     """The per-shard checkpoint store directory inside a parallel run's dir."""
     return Path(checkpoint_dir) / f"shard-{shard:02d}"
-
-
-def _manifest_digest(body: dict[str, Any]) -> str:
-    """SHA-256 over the manifest body in canonical (sorted, compact) JSON."""
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def write_manifest(
@@ -105,7 +101,7 @@ def write_manifest(
         "seed": seed,
         "checkpoint_interval": checkpoint_interval,
     }
-    body["digest"] = _manifest_digest(body)
+    body["digest"] = _config_digest(body)
     path.write_text(json.dumps(body, indent=2))
     return path
 
@@ -143,7 +139,7 @@ def read_manifest(checkpoint_dir: str | Path) -> dict[str, Any]:
     stored = manifest.get("digest")
     if stored is not None:
         body = {k: v for k, v in manifest.items() if k != "digest"}
-        if _manifest_digest(body) != stored:
+        if _config_digest(body) != stored:
             raise CheckpointError(
                 f"manifest {path} failed integrity verification: SHA-256 "
                 "digest mismatch (the file was corrupted or edited after the "
@@ -191,19 +187,6 @@ def _resolve_resume(
     return paths
 
 
-def _coerce_source(
-    data: Source | Sequence[Mapping[str, Any] | Record],
-    schema: Schema | None,
-) -> tuple[Source, Schema]:
-    from repro.streaming.source import CollectionSource
-
-    if isinstance(data, Source):
-        return data, data.schema
-    if schema is None:
-        raise PollutionError("a schema is required when passing raw rows")
-    return CollectionSource(schema, data, validate=False), schema
-
-
 def _rebuild_dead_letters(report: ExecutionReport, outcomes: list[ShardOutcome]) -> None:
     for outcome in outcomes:
         for summary in outcome.dead_letters:
@@ -225,126 +208,6 @@ def _rebuild_dead_letters(report: ExecutionReport, outcomes: list[ShardOutcome])
             )
 
 
-def pollute_parallel(
-    data: Source | Sequence[Mapping[str, Any] | Record],
-    pipelines: PollutionPipeline | Sequence[PollutionPipeline] | None = None,
-    schema: Schema | None = None,
-    *,
-    parallelism: int = 2,
-    key_by: str | Callable[[Record], Hashable] | None = None,
-    pipeline_factory: Callable[[Hashable], PollutionPipeline] | None = None,
-    split: SplitStrategy | None = None,
-    seed: int | None = None,
-    log: bool = True,
-    failure_policy: FailurePolicy | None = None,
-    checkpoint_dir: str | Path | None = None,
-    checkpoint_interval: int = 100,
-    resume_from: str | Path | None = None,
-    metrics: MetricsRegistry | None = None,
-    mp_context: str | Any | None = None,
-    chunk_size: int = 256,
-    queue_depth: int = 8,
-    check: str = "warn",
-    batch_size: int | None = None,
-    max_shard_restarts: int = 2,
-    heartbeat_timeout: float | None = 30.0,
-    telemetry: LiveAggregator | None = None,
-    ledger: RunLedger | None = None,
-    profile: bool = False,
-    progress: ProgressRenderer | bool = False,
-):
-    """Run Algorithm 1 sharded across ``parallelism`` worker processes.
-
-    Mirrors :func:`repro.core.runner.pollute` (same inputs, same
-    :class:`~repro.core.runner.PollutionResult` output); see the module
-    docstring for the determinism contract and checkpoint layout. Keyed
-    plans take either ``pipeline_factory`` (a picklable per-key factory) or
-    a single template pipeline, which is cloned per key. ``check`` runs the
-    :mod:`repro.check` pre-flight before any worker starts (``"error"`` |
-    ``"warn"`` | ``"off"``). ``batch_size`` sets the slab size inside
-    every shard worker (:mod:`repro.batch`; default 256, or per record
-    under a ``failure_policy``, and always per record for an unkeyed
-    history-linked plan; 1 = per record); shard output is byte-identical
-    at every size.
-
-    ``max_shard_restarts`` and ``heartbeat_timeout`` configure the
-    self-healing coordinator: a worker that crashes or goes silent is
-    respawned in-run from its newest intact checkpoint up to
-    ``max_shard_restarts`` times per shard, after which ``failure_policy``
-    decides between failing the run (``FAIL_FAST``, the no-policy default)
-    and degrading that shard to a sequential drain on the coordinator.
-    ``heartbeat_timeout=None`` disables hang detection. Recovery of a keyed
-    checkpointed run is byte-identical to the unfaulted run.
-
-    The live telemetry plane is opt-in: ``telemetry`` (a
-    :class:`~repro.obs.live.LiveAggregator`) folds heartbeat-piggybacked
-    shard snapshots into live gauges; ``ledger`` (a
-    :class:`~repro.obs.ledger.RunLedger`) collects the merged lifecycle
-    event log; ``profile=True`` attributes wall time to phases, kernels,
-    and nodes (``result.profile``); ``progress`` (``True`` or a
-    :class:`~repro.obs.live.ProgressRenderer`) paints a live per-shard
-    table. All are observational only — output bytes are unaffected.
-    """
-    from repro.core.runner import _run_preflight
-    from repro.plan import PlanRequest, compile_plan, execute_plan
-
-    profiler = Profiler() if profile else None
-    if profiler is not None:
-        with profiler.phase("preflight"):
-            _run_preflight(
-                check,
-                pipelines,
-                data,
-                schema,
-                seed=seed,
-                parallelism=parallelism,
-                key_by=key_by,
-                pipeline_factory=pipeline_factory,
-                failure_policy=failure_policy,
-                batch_size=batch_size,
-            )
-    else:
-        _run_preflight(
-            check,
-            pipelines,
-            data,
-            schema,
-            seed=seed,
-            parallelism=parallelism,
-            key_by=key_by,
-            pipeline_factory=pipeline_factory,
-            failure_policy=failure_policy,
-            batch_size=batch_size,
-        )
-    request = PlanRequest(
-        pipelines=pipelines,
-        schema=schema,
-        split=split,
-        seed=seed,
-        log=log,
-        failure_policy=failure_policy,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_interval=checkpoint_interval,
-        resume_from=resume_from,
-        metrics=metrics,
-        parallelism=parallelism,
-        key_by=key_by,
-        pipeline_factory=pipeline_factory,
-        mp_context=mp_context,
-        batch_size=batch_size,
-        max_shard_restarts=max_shard_restarts,
-        heartbeat_timeout=heartbeat_timeout,
-        profile=profile,
-        profiler=profiler,
-        ledger=ledger,
-        progress=progress,
-        telemetry=telemetry,
-        chunk_size=chunk_size,
-        queue_depth=queue_depth,
-    )
-    return execute_plan(compile_plan(request), data)
-
-
 def _execute_parallel_plan(plan, data):
     """Run a compiled parallel plan: the sharded coordinator loop.
 
@@ -353,8 +216,6 @@ def _execute_parallel_plan(plan, data):
     ``plan.pipeline_factory`` for keyed ones); every validation and mode
     decision already happened in :func:`repro.plan.compile_plan`.
     """
-    from repro.core.runner import PollutionResult
-
     request = plan.request
     parallelism: int = request.parallelism
     keyed = request.key_by is not None
@@ -368,7 +229,6 @@ def _execute_parallel_plan(plan, data):
     chunk_size = request.chunk_size
     batch_size = plan.batch_size
     ledger = request.ledger
-    progress = request.progress
     plan_pipelines: list[PollutionPipeline] | None = plan.pipelines
     strategy: SplitStrategy | None = plan.strategy
     key_selector = plan.key_selector
@@ -377,22 +237,12 @@ def _execute_parallel_plan(plan, data):
     profiler = request.profiler
     if profiler is None and request.profile:
         profiler = Profiler()
-        with profiler.phase("preflight"):
-            pass  # pre-flight already ran in the delegating entry point
-    aggregator = request.telemetry
-    renderer: ProgressRenderer | None = None
-    if isinstance(progress, ProgressRenderer):
-        renderer = progress
+    renderer = _progress_renderer(request.progress)
+    aggregator: LiveAggregator | None = None
+    if renderer is not None:
         if renderer.aggregator is None:
-            renderer.aggregator = aggregator = (
-                aggregator if aggregator is not None else LiveAggregator()
-            )
-        elif aggregator is None:
-            aggregator = renderer.aggregator
-    elif progress:
-        if aggregator is None:
-            aggregator = LiveAggregator()
-        renderer = ProgressRenderer(aggregator)
+            renderer.aggregator = LiveAggregator()
+        aggregator = renderer.aggregator
 
     source, schema = _coerce_source(data, request.schema)
     metered = request.metered
@@ -422,7 +272,7 @@ def _execute_parallel_plan(plan, data):
         ledger.record(
             "run.start",
             ledger_schema=LEDGER_SCHEMA_VERSION,
-            config_hash=_manifest_digest(config),
+            config_hash=_config_digest(config),
             parallelism=parallelism,
             keyed=keyed,
             seed=seed,
@@ -430,10 +280,7 @@ def _execute_parallel_plan(plan, data):
 
     # Preparation (Algorithm 1, lines 1-3) happens *before* sharding so
     # record identities are global and shard-count-independent.
-    if profiler is not None:
-        with profiler.phase("prepare"):
-            clean = list(prepare_stream(source, schema, IdGenerator()))
-    else:
+    with profiler.phase("prepare") if profiler is not None else nullcontext():
         clean = list(prepare_stream(source, schema, IdGenerator()))
 
     partitioner: Partitioner = (
@@ -485,19 +332,13 @@ def _execute_parallel_plan(plan, data):
         progress=renderer,
     )
     try:
-        if profiler is not None:
-            with profiler.phase("execute"):
-                outcomes, merger = env.execute(clean, partitioner, tasks)
-        else:
+        with profiler.phase("execute") if profiler is not None else nullcontext():
             outcomes, merger = env.execute(clean, partitioner, tasks)
     finally:
         if renderer is not None:
             renderer.finish()
 
-    if profiler is not None:
-        with profiler.phase("merge"):
-            polluted = merger.merge()
-    else:
+    with profiler.phase("merge") if profiler is not None else nullcontext():
         polluted = merger.merge()
     pollution_log = (
         PollutionLog.merged(outcome.log_events for outcome in outcomes)

@@ -15,9 +15,10 @@ engines — ``stream`` (sequential), ``parallel`` (the shard coordinator) and
 ``shard-stream`` (inside a shard worker); the slab size is the plan's
 ``batch_size`` field, resolved once, not a fourth engine.
 
-All five entry points route through here: :func:`repro.core.runner.pollute`,
-:func:`repro.parallel.runner.pollute_parallel`, the CLI (``repro pollute``
-and the ``repro plan`` inspector), the worker-side
+Every run routes through here: :func:`repro.core.runner.pollute` — the one
+Algorithm 1 entry point, keyed (``key_by``) and parallel (``parallelism``)
+runs included — the CLI (``repro pollute`` via ``pollute()``, and the
+``repro plan`` inspector), the worker-side
 :class:`~repro.parallel.shard.ShardTask` execution, and ``repro.serve``
 job execution. Compilation is pure — no records flow, no RNG draws — so a
 plan can be compiled, inspected, snapshotted as JSON, and diffed without

@@ -1,9 +1,9 @@
 """``compile_plan``: one request in, one justified execution plan out.
 
 This module is the *only* place a mode combination is decided. Every
-validation rule and engine choice that used to live inline in
-``pollute()``, ``pollute_parallel()``, and the shard worker moved here;
-the executors consume the plan's normalized fields and never re-derive a
+validation rule and engine choice for ``pollute()`` (sequential, keyed or
+parallel), the CLI, serve jobs and the shard worker lives here; the
+executors consume the plan's normalized fields and never re-derive a
 decision. A keyed plan compiles to the same engine as an unkeyed one: the
 planner only swaps the pollute stage (``key-by -> pollute-keyed`` for
 ``substreams -> pollute[i]``) and records the ``keyed-*`` decisions. The

@@ -78,7 +78,7 @@ class PlanRequest:
     """Everything an entry point knows about the run it wants.
 
     Field names and defaults mirror :func:`repro.core.runner.pollute`
-    (plus the parallel coordinator's transport knobs), so every entry point
+    (plus the parallel coordinator's transport knobs), so ``pollute()``
     builds a request by forwarding its own signature. Live objects —
     pipelines, policies, metrics registries, renderers — ride along
     untouched; the compiler only reads them.
@@ -106,13 +106,16 @@ class PlanRequest:
     max_shard_restarts: int = 2
     heartbeat_timeout: float | None = 30.0
     profile: bool = False
-    #: A pre-built live :class:`~repro.obs.profile.Profiler` — entry points
-    #: that profile work *before* compilation (the parallel coordinator's
-    #: pre-flight phase) pass theirs so the executor extends it.
+    #: The live :class:`~repro.obs.profile.Profiler` that
+    #: :func:`~repro.core.runner.pollute` starts before the pre-flight, so
+    #: its ``preflight`` and ``plan`` phases and the executor's phases
+    #: share one wall.
+    #: ``None`` with ``profile=True``: the executor starts its own.
     profiler: Any = None
     ledger: Any = None
     progress: Any = False
-    telemetry: Any = None
+    #: Parallel transport knobs: records per queue message and queue
+    #: capacity per shard. ``pollute()`` leaves them at their defaults.
     chunk_size: int = 256
     queue_depth: int = 8
     #: Set for worker-side compilation: the shard's complete picklable plan.

@@ -215,7 +215,3 @@ def log_frame(entries: Sequence[Mapping[str, Any]], cursor: int) -> dict[str, An
 
 def complete_frame(job: Any) -> dict[str, Any]:
     return {"type": "complete", **job.status()}
-
-
-def error_frame(message: str) -> dict[str, Any]:
-    return {"type": "error", "error": message}

@@ -39,7 +39,7 @@ import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.errors import CheckpointError
 
@@ -50,6 +50,21 @@ CHECKPOINT_FORMAT_VERSION = 1
 CHECKPOINT_MAGIC = b"ICEWAFL\x01"
 _DIGEST_LEN = 64  # sha256 hexdigest, ascii
 _HEADER_LEN = len(CHECKPOINT_MAGIC) + _DIGEST_LEN
+
+
+class SavedCheckpoint(NamedTuple):
+    """One file :meth:`CheckpointStore.save` wrote: its path, and the byte
+    count and SHA-256 hex digest of the pickle payload it framed."""
+
+    path: Path
+    size: int
+    digest: str
+
+
+def checkpoint_payload(checkpoint: Checkpoint) -> tuple[bytes, str]:
+    """The pickle bytes a checkpoint file frames, and their SHA-256 hex digest."""
+    payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
+    return payload, hashlib.sha256(payload).hexdigest()
 
 
 @dataclass
@@ -117,21 +132,22 @@ class CheckpointStore:
         except (IndexError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint filename {path.name!r}") from exc
 
-    def save(self, checkpoint: Checkpoint) -> Path:
+    def save(self, checkpoint: Checkpoint) -> SavedCheckpoint:
         """Persist one snapshot as the next ``chk-<seq>.ckpt``, atomically.
 
         The bytes go to a hidden temporary file in the same directory, which
         is then renamed over the final name: a process killed mid-save
         leaves no torn ``chk-*`` file behind, only the temporary one.
+        Returns the path with the payload size and digest, so a caller that
+        reports them need not pickle the snapshot again.
         """
         path = self.directory / f"chk-{self._seq:06d}{CHECKPOINT_SUFFIX}"
         partial = path.with_name(f".{path.name}.partial")
         self._seq += 1
         try:
-            payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
-            digest = hashlib.sha256(payload).hexdigest().encode("ascii")
+            payload, digest = checkpoint_payload(checkpoint)
             with open(partial, "wb") as f:
-                f.write(CHECKPOINT_MAGIC + digest + payload)
+                f.write(CHECKPOINT_MAGIC + digest.encode("ascii") + payload)
             os.replace(partial, path)
         except (OSError, pickle.PicklingError) as exc:
             raise CheckpointError(f"could not write checkpoint {path}: {exc}") from exc
@@ -139,7 +155,7 @@ class CheckpointStore:
             partial.unlink(missing_ok=True)  # gone already after a replace
         for stale in self._paths()[: -self._keep]:
             stale.unlink(missing_ok=True)
-        return path
+        return SavedCheckpoint(path, len(payload), digest)
 
     def latest_path(self) -> Path | None:
         paths = self._paths()

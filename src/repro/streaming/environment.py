@@ -20,11 +20,9 @@ Example
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.errors import CheckpointError, NodeFailure, StreamError
 from repro.obs.ledger import RunLedger
@@ -36,6 +34,7 @@ from repro.streaming.checkpoint import (
     Checkpoint,
     CheckpointConfig,
     CheckpointStore,
+    checkpoint_payload,
     load_checkpoint,
 )
 from repro.streaming.keyed import (
@@ -765,14 +764,17 @@ class StreamExecutionEnvironment:
             node_state=node_state,
         )
         cfg = self._checkpoint_cfg
-        saved_path: Path | None = None
+        saved = None
         if cfg is not None and cfg.store is not None:
-            saved_path = cfg.store.save(checkpoint)
+            saved = cfg.store.save(checkpoint)
         metrics, tracer, ledger = self._metrics, self._tracer, self._ledger
         if metrics is not None or tracer is not None or ledger is not None:
             duration = perf_counter() - start
-            payload = pickle.dumps(checkpoint, protocol=pickle.HIGHEST_PROTOCOL)
-            size = len(payload)
+            if saved is not None:
+                size, digest = saved.size, saved.digest
+            else:
+                payload, digest = checkpoint_payload(checkpoint)
+                size = len(payload)
             if metrics is not None:
                 metrics.counter("checkpoints_written_total").inc()
                 metrics.histogram("checkpoint_write_seconds").observe(duration)
@@ -789,15 +791,14 @@ class StreamExecutionEnvironment:
                 )
                 span.duration = duration
             if ledger is not None:
-                # The store frames its file with the sha256 of these same
-                # pickle bytes, so this digest matches the file header.
+                # With a store, this is the digest in the file's header.
                 ledger.record(
                     "checkpoint.write",
                     records_seen=records_seen,
                     offset=offset,
                     bytes=size,
-                    digest=hashlib.sha256(payload).hexdigest(),
-                    path=str(saved_path) if saved_path is not None else None,
+                    digest=digest,
+                    path=str(saved.path) if saved is not None else None,
                     duration_seconds=round(duration, 6),
                 )
         return checkpoint
@@ -891,15 +892,3 @@ class StreamExecutionEnvironment:
                     first_error = exc
         if first_error is not None and not suppress_errors:
             raise first_error
-
-    # -- convenience ----------------------------------------------------------
-
-    @staticmethod
-    def run_pass_through(
-        schema: Schema, rows: Sequence[Mapping[str, Any] | Record], sink: Sink
-    ) -> Sink:
-        """Load ``rows`` and write them straight to ``sink`` (Exp. 3 baseline)."""
-        env = StreamExecutionEnvironment()
-        env.from_collection(schema, rows, validate=False).add_sink(sink)
-        env.execute()
-        return sink

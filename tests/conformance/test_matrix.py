@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import glob
 import io
-from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -51,7 +50,6 @@ from repro.core.polluter import StandardPolluter
 from repro.core.prepare import IdGenerator, prepare_stream
 from repro.core.rng import RandomSource
 from repro.core.runner import pollute
-from repro.parallel.runner import pollute_parallel
 from repro.plan import PlanRequest, compile_plan
 from repro.streaming.schema import Attribute, DataType, Schema
 from repro.streaming.sink import CsvSink
@@ -273,7 +271,7 @@ def _run_keyed_parallel(spec, seed, n, parallelism, **kwargs):
     )
     assert plan.engine == "parallel"
     assert "parallel-keyed-byte-identical" in plan.decision_slugs
-    result = pollute_parallel(
+    result = pollute(
         _rows(n),
         pipeline_from_config(spec),
         schema=SCHEMA,
@@ -427,12 +425,9 @@ def test_keyed_poison_slab_rolls_back(poison, parallelism):
     per-record run: the slab rollback restores every live per-key pipeline
     (and re-derives the streams of keys first seen inside the slab), and
     truncates the log, so the replay neither redraws nor re-logs."""
-    runner = pollute if parallelism is None else partial(
-        pollute_parallel, parallelism=parallelism
-    )
     outputs = [
         _csv_bytes(
-            runner(
+            pollute(
                 _rows(120),
                 _poison_pipeline(poison),
                 schema=SCHEMA,
@@ -440,6 +435,7 @@ def test_keyed_poison_slab_rolls_back(poison, parallelism):
                 key_by="station",
                 failure_policy=SKIP,
                 check="off",
+                parallelism=parallelism,
                 **kwargs,
             )
         )

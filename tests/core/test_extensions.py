@@ -12,7 +12,6 @@ from repro.core.dependencies import (
     track,
 )
 from repro.core.errors import CumulativeDrift, FrozenValue, Offset, SetToNull
-from repro.core.keyed_pollution import pollute_keyed
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import StandardPolluter
 from repro.core.runner import pollute
@@ -88,14 +87,15 @@ class TestBurstCondition:
 
 class TestKeyedPollution:
     def test_stateful_errors_isolated_per_key(self):
-        result = pollute_keyed(
+        result = pollute(
             rows(40),
-            key_selector=lambda r: r["sensor"],
+            key_by=lambda r: r["sensor"],
             pipeline_factory=lambda key: PollutionPipeline(
                 [StandardPolluter(FrozenValue(), ["v"], name="freeze")], name="kp"
             ),
             schema=SCHEMA,
             seed=1,
+            check="off",
         )
         frozen_a = {r["v"] for r in result.polluted if r["sensor"] == "A"}
         frozen_b = {r["v"] for r in result.polluted if r["sensor"] == "B"}
@@ -104,14 +104,15 @@ class TestKeyedPollution:
         assert frozen_b == {1.0}
 
     def test_per_key_drift_accumulates_independently(self):
-        result = pollute_keyed(
+        result = pollute(
             rows(20),
-            key_selector=lambda r: r["sensor"],
+            key_by=lambda r: r["sensor"],
             pipeline_factory=lambda key: PollutionPipeline(
                 [StandardPolluter(CumulativeDrift(1.0), ["v"], name="drift")], name="kp"
             ),
             schema=SCHEMA,
             seed=1,
+            check="off",
         )
         clean = result.clean_by_id()
         per_key_drifts: dict[str, list[float]] = {"A": [], "B": []}
@@ -128,13 +129,19 @@ class TestKeyedPollution:
                 name="kp",
             )
 
-        r1 = pollute_keyed(rows(60), lambda r: r["sensor"], factory, SCHEMA, seed=9)
-        r2 = pollute_keyed(rows(60), lambda r: r["sensor"], factory, SCHEMA, seed=9)
+        def run(data):
+            return pollute(
+                data, key_by=lambda r: r["sensor"], pipeline_factory=factory,
+                schema=SCHEMA, seed=9, check="off",
+            )
+
+        r1 = run(rows(60))
+        r2 = run(rows(60))
         assert [r.as_dict() for r in r1.polluted] == [r.as_dict() for r in r2.polluted]
         # Key-stability: sensor A's decisions are identical when the stream
         # additionally contains a third sensor.
         three = rows(90, sensors=("A", "B", "C"))
-        r3 = pollute_keyed(three, lambda r: r["sensor"], factory, SCHEMA, seed=9)
+        r3 = run(three)
         nulls_a_two = [e.record_id for e in r1.log]
         # Compare by position within key A's sub-sequence, not raw ids.
         a_decisions_1 = [
@@ -150,12 +157,12 @@ class TestKeyedPollution:
         assert a_positions_1 == a_positions_3
 
     def test_output_sorted(self):
-        result = pollute_keyed(
-            rows(40), lambda r: r["sensor"],
-            lambda key: PollutionPipeline(
+        result = pollute(
+            rows(40), key_by=lambda r: r["sensor"],
+            pipeline_factory=lambda key: PollutionPipeline(
                 [StandardPolluter(SetToNull(), ["v"], name="n")], name="kp"
             ),
-            SCHEMA, seed=1,
+            schema=SCHEMA, seed=1, check="off",
         )
         ts = [r["timestamp"] for r in result.polluted]
         assert ts == sorted(ts)

@@ -1,5 +1,6 @@
 """Unit tests for the wall-time profiler and its attribution model."""
 
+import importlib
 import time
 
 import pytest
@@ -60,6 +61,49 @@ class TestPhases:
     def test_node_sample_every_must_be_positive(self):
         with pytest.raises(ValueError, match="node_sample_every"):
             Profiler(node_sample_every=0)
+
+
+class TestPolluteProfile:
+    """``pollute(profile=True)`` starts its profiler before the pre-flight
+    check, so the check's time is a ``preflight`` phase inside the wall on
+    every engine."""
+
+    @pytest.mark.parametrize("parallelism", [None, 2])
+    def test_preflight_is_a_phase_of_the_wall(self, monkeypatch, parallelism):
+        from repro.core.runner import pollute
+        from repro.streaming.schema import Attribute, DataType, Schema
+
+        # The package re-exports the function under the submodule's name.
+        preflight_module = importlib.import_module("repro.check.preflight")
+        real = preflight_module.preflight
+
+        def slow_preflight(*args, **kwargs):
+            time.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(preflight_module, "preflight", slow_preflight)
+        schema = Schema(
+            [
+                Attribute("v", DataType.FLOAT),
+                Attribute("station", DataType.STRING),
+                Attribute("timestamp", DataType.TIMESTAMP, nullable=False),
+            ]
+        )
+        rows = [
+            {"v": float(i), "station": f"s{i % 3}", "timestamp": 1_000 + i}
+            for i in range(60)
+        ]
+        pipeline = PollutionPipeline(
+            [StandardPolluter(GaussianNoise(1.0), ["v"], name="noise")], name="p"
+        )
+        result = pollute(
+            rows, pipeline, schema=schema, seed=1, key_by="station",
+            parallelism=parallelism, profile=True,
+        )
+        profile = result.profile
+        assert profile.phases["preflight"] >= 0.2
+        assert profile.wall_seconds >= profile.attributed_seconds
+        assert "execute" in profile.phases
 
 
 class TestKernels:

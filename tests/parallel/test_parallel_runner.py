@@ -1,4 +1,4 @@
-"""End-to-end tests for ``pollute(..., parallelism=N)`` / ``pollute_parallel``.
+"""End-to-end tests for ``pollute(..., parallelism=N)``.
 
 Worker processes are real: every plan object defined here is module-level
 so it can cross the process boundary.
@@ -20,7 +20,7 @@ from repro.core.polluter import StandardPolluter
 from repro.core.runner import pollute
 from repro.errors import CheckpointError, PollutionError, ShardError
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import pollute_parallel, read_manifest, write_manifest
+from repro.parallel import read_manifest, write_manifest
 from repro.streaming.record import Record
 from repro.streaming.split import Broadcast, RoundRobin
 from repro.streaming.supervision import DEAD_LETTER, FailurePolicy
@@ -155,15 +155,15 @@ class TestPlanValidation:
 
     def test_key_by_and_split_exclusive(self, station_schema, station_rows, template_pipeline):
         with pytest.raises(PollutionError, match="mutually exclusive"):
-            pollute_parallel(
+            pollute(
                 station_rows, template_pipeline, schema=station_schema,
-                key_by="station", split=Broadcast(1), seed=1,
+                key_by="station", split=Broadcast(1), seed=1, parallelism=2,
             )
 
     def test_factory_requires_key_by(self, station_schema, station_rows):
         with pytest.raises(PollutionError, match="requires key_by"):
-            pollute_parallel(
-                station_rows, schema=station_schema, seed=1,
+            pollute(
+                station_rows, schema=station_schema, seed=1, parallelism=2,
                 pipeline_factory=_crash_pipeline,
             )
 
@@ -171,9 +171,10 @@ class TestPlanValidation:
         self, station_schema, station_rows, template_pipeline
     ):
         with pytest.raises(PollutionError, match="not both"):
-            pollute_parallel(
+            pollute(
                 station_rows, template_pipeline, schema=station_schema,
                 key_by="station", pipeline_factory=_crash_pipeline, seed=1,
+                parallelism=2,
             )
 
     def test_keyed_rejects_multiple_templates(
@@ -183,20 +184,20 @@ class TestPlanValidation:
             [StandardPolluter(ScaleByFactor(2.0), ["value"], name="x")], name="other"
         )
         with pytest.raises(PollutionError, match="exactly one"):
-            pollute_parallel(
+            pollute(
                 station_rows, [template_pipeline, other], schema=station_schema,
-                key_by="station", seed=1,
+                key_by="station", seed=1, parallelism=2,
             )
 
     def test_unkeyed_needs_pipelines(self, station_schema, station_rows):
         with pytest.raises(PollutionError, match="at least one"):
-            pollute_parallel(station_rows, schema=station_schema, seed=1)
+            pollute(station_rows, schema=station_schema, seed=1, parallelism=2)
 
     def test_split_arity_mismatch(self, station_schema, station_rows, template_pipeline):
         with pytest.raises(PollutionError, match="sub-streams"):
-            pollute_parallel(
+            pollute(
                 station_rows, template_pipeline, schema=station_schema,
-                split=Broadcast(3), seed=1,
+                split=Broadcast(3), seed=1, parallelism=2,
             )
 
     def test_tracing_rejected_for_parallel(
@@ -212,7 +213,7 @@ class TestPlanValidation:
 
     def test_unpicklable_plan_fails_at_coordinator(self, station_schema, station_rows):
         with pytest.raises(ShardError, match="not picklable"):
-            pollute_parallel(
+            pollute(
                 station_rows, schema=station_schema, seed=1, parallelism=2,
                 key_by=lambda r: r.get("station"),
                 pipeline_factory=_crash_pipeline,
@@ -389,6 +390,20 @@ class TestCheckpointResume:
         assert manifest["parallelism"] == 3
         assert manifest["keyed"] is True
         assert manifest["seed"] == 77
+
+    def test_manifest_digest_is_pinned(self, tmp_path):
+        # Manifests already on disk must keep verifying: the digest is
+        # SHA-256 over the body in sorted, compact JSON.
+        digest = "d43ae876d690f08e1716c06e095bf2b837b48e13c8e4b1041e9989954bd383d3"
+        write_manifest(tmp_path / "new", 2, True, 7, 100)
+        assert read_manifest(tmp_path / "new")["digest"] == digest
+        stored = tmp_path / "stored"
+        stored.mkdir()
+        (stored / "parallel.json").write_text(
+            '{"version": 1, "parallelism": 2, "keyed": true, "seed": 7, '
+            f'"checkpoint_interval": 100, "digest": "{digest}"}}'
+        )
+        assert read_manifest(stored)["checkpoint_interval"] == 100
 
 
 class TestParallelMetrics:

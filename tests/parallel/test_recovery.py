@@ -238,19 +238,21 @@ class TestCrashRecovery:
         )
         marker = tmp_path / "kill.marker"
         marker.write_text("armed")
-        from repro.parallel import pollute_parallel
+        # The transport knobs are PlanRequest fields, not pollute() options.
+        from repro.plan import PlanRequest, compile_plan, execute_plan
 
-        faulted = pollute_parallel(
-            rows,
-            _chaos_pipeline(KillWorker(_ts(5), marker, attribute="timestamp")),
-            station_schema,
+        request = PlanRequest(
+            pipelines=_chaos_pipeline(
+                KillWorker(_ts(5), marker, attribute="timestamp")
+            ),
+            schema=station_schema,
             key_by="station",
             parallelism=2,
             seed=7,
-            check="off",
             queue_depth=1,
             chunk_size=1,
         )
+        faulted = execute_plan(compile_plan(request), rows)
         assert not marker.exists()
         assert faulted.report.shard_restarts >= 1
         assert _csv_bytes(faulted, station_schema) == _csv_bytes(

@@ -1,7 +1,8 @@
 """Every entry point executes through the one planner.
 
-``pollute()``, ``pollute_parallel()``, worker shards, and ``repro.serve``
-job execution all route through ``compile_plan()`` → ``execute_plan()``.
+``pollute()`` — the one Algorithm 1 entry point, keyed and parallel runs
+included — worker shards, and ``repro.serve`` job execution all route
+through ``compile_plan()`` → ``execute_plan()``.
 This suite proves the routing (by intercepting the handoff) and the
 headline composition fix it buys: supervised runs keep batch kernels
 instead of silently dropping to per-record dispatch.
@@ -18,7 +19,6 @@ import repro.plan
 from repro.core.config import pipeline_from_config
 from repro.core.runner import pollute
 from repro.obs import MetricsRegistry, ProgressRenderer, RunLedger, Tracer
-from repro.parallel.runner import pollute_parallel
 from repro.plan import (
     DEFAULT_BATCH_SIZE,
     ENGINE_PARALLEL,
@@ -111,7 +111,7 @@ def test_pollute_keyed_routes_through_the_planner():
 def test_pollute_parallel_routes_through_the_planner():
     seen, patcher = _spy_execute()
     with patcher:
-        pollute_parallel(
+        pollute(
             _rows(60),
             pipeline_from_config(SPEC),
             schema=SCHEMA,

@@ -43,7 +43,7 @@ class TestCheckpointStore:
         ck = Checkpoint(source_index=0, offset=5, records_seen=5,
                         auto_watermark=123, generator_state=None,
                         node_state={"n": 1})
-        path = store.save(ck)
+        path = store.save(ck).path
         assert path.exists()
         loaded = store.load_latest()
         assert loaded.offset == 5 and loaded.node_state == {"n": 1}
@@ -79,7 +79,7 @@ class TestCheckpointIntegrity:
                 source_index=0, offset=offset, records_seen=offset,
                 auto_watermark=123, generator_state=None, node_state={"n": offset},
             )
-        )
+        ).path
 
     def test_saved_file_carries_magic_and_digest(self, tmp_path):
         from repro.streaming.checkpoint import CHECKPOINT_MAGIC
@@ -130,8 +130,8 @@ class TestCheckpointIntegrity:
         from repro.streaming.checkpoint import latest_valid_checkpoint
 
         store = CheckpointStore(tmp_path)
-        first = store.save(Checkpoint(0, 1, 1, None, None, {}))
-        second = store.save(Checkpoint(0, 2, 2, None, None, {}))
+        first = store.save(Checkpoint(0, 1, 1, None, None, {})).path
+        second = store.save(Checkpoint(0, 2, 2, None, None, {})).path
         raw = second.read_bytes()
         second.write_bytes(raw[: len(raw) // 2])
         assert latest_valid_checkpoint(tmp_path) == first
@@ -154,7 +154,7 @@ class TestCheckpointIntegrity:
 
         store = CheckpointStore(tmp_path)
         store.save(Checkpoint(0, 1, 1, None, None, {}))
-        second = store.save(Checkpoint(0, 2, 2, None, None, {}))
+        second = store.save(Checkpoint(0, 2, 2, None, None, {})).path
         raw = bytearray(second.read_bytes())
         raw[-1] ^= 0xFF
         second.write_bytes(bytes(raw))
@@ -165,7 +165,7 @@ class TestCheckpointIntegrity:
         import repro.streaming.checkpoint as checkpoint_module
 
         store = CheckpointStore(tmp_path)
-        first = store.save(Checkpoint(0, 1, 1, None, None, {}))
+        first = store.save(Checkpoint(0, 1, 1, None, None, {})).path
 
         class TornFile:
             def __init__(self, path, mode):
@@ -198,6 +198,39 @@ class TestCheckpointIntegrity:
 
 
 class TestCheckpointedExecution:
+    def test_each_checkpoint_is_pickled_once(
+        self, simple_schema, simple_rows, tmp_path, monkeypatch
+    ):
+        from repro.obs.ledger import RunLedger
+        from repro.obs.metrics import MetricsRegistry
+        from repro.streaming.checkpoint import CHECKPOINT_MAGIC
+
+        real_dumps = pickle.dumps
+        pickled = []
+
+        def spy(obj, *args, **kwargs):
+            if isinstance(obj, Checkpoint):
+                pickled.append(obj.records_seen)
+            return real_dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", spy)
+        ledger = RunLedger()
+        env = StreamExecutionEnvironment(metrics=MetricsRegistry(), ledger=ledger)
+        env.enable_checkpointing(5, CheckpointStore(tmp_path, keep=10))
+        env.from_collection(simple_schema, simple_rows).key_by(
+            lambda r: r["label"]
+        ).process(RunningSum(), name="sum").add_sink(CollectSink(), name="out")
+        env.execute()
+
+        writes = ledger.find("checkpoint.write")
+        assert pickled == [5, 10, 15, 20]
+        assert len(writes) == 4
+        for write in writes:
+            raw = open(write["path"], "rb").read()
+            header = raw[len(CHECKPOINT_MAGIC) : len(CHECKPOINT_MAGIC) + 64]
+            assert write["digest"] == header.decode("ascii")
+            assert write["bytes"] == len(raw) - len(CHECKPOINT_MAGIC) - 64
+
     def test_checkpoints_taken_at_interval(self, simple_schema, simple_rows, tmp_path):
         env, _ = build_sum_topology(
             simple_schema, simple_rows, interval=5, store=tmp_path
