@@ -287,7 +287,6 @@ class StandardKernel(PolluterKernel):
             qualified = polluter._qualified_name
             described = error.describe()
             for record, tau, before in zip(fired, fired_taus, befores):
-                after = record.as_dict()
                 log.record_event(
                     record=record,
                     polluter=qualified,
@@ -295,7 +294,7 @@ class StandardKernel(PolluterKernel):
                     attributes=targets,
                     tau=tau,
                     before=before,
-                    after={a: after[a] for a in targets if a in after},
+                    after={a: record[a] for a in targets if a in record},
                     emitted=1,
                 )
 

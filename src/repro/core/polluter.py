@@ -294,7 +294,7 @@ class StandardPolluter(Polluter):
             # row — the pre-resolved injection counters.
             obs.n_fires += 1
         if log is not None:
-            after = records[0].as_dict() if records else None
+            after = records[0] if records else None
             log.record_event(
                 record=record,
                 polluter=self._qualified_name,
@@ -302,7 +302,7 @@ class StandardPolluter(Polluter):
                 attributes=targets,
                 tau=tau,
                 before=before or {},
-                after={a: after[a] for a in targets if after and a in after}
+                after={a: after[a] for a in targets if a in after}
                 if after is not None
                 else None,
                 emitted=len(records),

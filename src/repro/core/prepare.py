@@ -43,8 +43,9 @@ class IdGenerator:
 def prepare_record(record: Record, schema: Schema, ids: IdGenerator) -> Record:
     """Assign an ID and replicate the timestamp into the event time.
 
-    The record is modified in place and returned (sources already hand the
-    runner fresh copies).
+    The record's metadata is set in place and the record returned. Only
+    metadata changes, never values, so a source may hand the runner a
+    copy-on-write shell of a record the caller still holds.
     """
     ts = record.get(schema.timestamp_attribute)
     if ts is None:

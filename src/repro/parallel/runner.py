@@ -70,6 +70,8 @@ from repro.streaming.supervision import (
 PARALLEL_MANIFEST = "parallel.json"
 #: Bump when the manifest layout changes incompatibly.
 PARALLEL_FORMAT_VERSION = 1
+#: The geometry fields a resume reads from the manifest.
+_MANIFEST_FIELDS = ("parallelism", "keyed", "seed")
 
 
 def shard_store_dir(checkpoint_dir: str | Path, shard: int) -> Path:
@@ -111,7 +113,9 @@ def read_manifest(checkpoint_dir: str | Path) -> dict[str, Any]:
 
     Raises :class:`~repro.errors.CheckpointError` when the path is a
     sequential checkpoint file, lacks a manifest, or has an incompatible
-    format version — the three ways a resume target can be the wrong kind.
+    format version — the three ways a resume target can be the wrong kind —
+    and, naming the file, when the manifest is not UTF-8 JSON, not a JSON
+    object, fails its digest, or lacks a geometry field.
     """
     directory = Path(checkpoint_dir)
     if directory.is_file():
@@ -127,9 +131,15 @@ def read_manifest(checkpoint_dir: str | Path) -> dict[str, Any]:
             "run's checkpoint directory"
         )
     try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: malformed JSON or bytes that are not UTF-8.
         raise CheckpointError(f"could not read {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(
+            f"manifest {path} is not a JSON object "
+            f"(got {type(manifest).__name__})"
+        )
     if manifest.get("version") != PARALLEL_FORMAT_VERSION:
         raise CheckpointError(
             f"parallel checkpoint {directory} has format version "
@@ -145,6 +155,9 @@ def read_manifest(checkpoint_dir: str | Path) -> dict[str, Any]:
                 "digest mismatch (the file was corrupted or edited after the "
                 "run wrote it)"
             )
+    missing = [name for name in _MANIFEST_FIELDS if name not in manifest]
+    if missing:
+        raise CheckpointError(f"manifest {path} lacks {', '.join(missing)}")
     return manifest
 
 

@@ -667,7 +667,10 @@ class StreamExecutionEnvironment:
             # Slab atomicity: snapshot → attempt whole → on failure restore
             # and replay per-record. Records are copied up front because
             # operators mutate them in place and a torn slab would otherwise
-            # replay half-polluted inputs.
+            # replay half-polluted inputs. The copies are copy-on-write
+            # shells: a value write gives the written record a private dict,
+            # and metadata lives on each record object, so the replay copies
+            # keep the pre-slab values and metadata at O(1) each.
             snapshot = self._slab_snapshot()
             replay = [record.copy() for record in slab]
             try:

@@ -15,7 +15,7 @@ import copy
 import heapq
 from typing import Any, Callable, Generic, Hashable, TypeVar
 
-from repro.streaming.operators import Collector, Node
+from repro.streaming.operators import Collector, Node, NodeCollector
 from repro.streaming.record import Record
 from repro.streaming.watermarks import Watermark
 
@@ -205,7 +205,7 @@ class KeyedProcessNode(Node):
         self._store = StateStore()
         self._timers = TimerService()
         self._ctx = KeyedContext(self._store, self._timers)
-        self._collector = Collector(self.emit)
+        self._collector = NodeCollector(self)
 
     def open(self) -> None:
         self._fn.open()

@@ -11,6 +11,7 @@ operators of :mod:`repro.core` read like their PyFlink counterparts.
 from __future__ import annotations
 
 import copy
+import weakref
 from time import perf_counter
 from typing import Any, Callable, Iterable
 
@@ -84,13 +85,8 @@ class FlatMapFunction:
 class Collector:
     """Receives output records from a :class:`ProcessFunction`."""
 
-    def __init__(
-        self,
-        emit: Callable[[Record], None],
-        emit_batch: Callable[[list[Record]], None] | None = None,
-    ) -> None:
+    def __init__(self, emit: Callable[[Record], None]) -> None:
         self._emit = emit
-        self._emit_batch = emit_batch
         self.emitted = 0
 
     def collect(self, record: Record) -> None:
@@ -100,11 +96,30 @@ class Collector:
     def collect_batch(self, records: list[Record]) -> None:
         """Emit a whole slab downstream (batch-mode process functions)."""
         self.emitted += len(records)
-        if self._emit_batch is not None:
-            self._emit_batch(records)
-        else:
-            for record in records:
-                self._emit(record)
+        for record in records:
+            self._emit(record)
+
+
+class NodeCollector(Collector):
+    """The collector a process node hands its function.
+
+    It reaches the node through a weak proxy. Bound methods would close a
+    node → collector → node reference cycle, so a finished run's graph, and
+    every record its sinks collected, would wait for the cyclic garbage
+    collector instead of being freed with the run's result.
+    """
+
+    def __init__(self, node: "Node") -> None:
+        self._node = weakref.proxy(node)
+        self.emitted = 0
+
+    def collect(self, record: Record) -> None:
+        self.emitted += 1
+        self._node.emit(record)
+
+    def collect_batch(self, records: list[Record]) -> None:
+        self.emitted += len(records)
+        self._node.emit_batch(records)
 
 
 class ProcessContext:
@@ -402,7 +417,7 @@ class ProcessNode(Node):
         super().__init__(name)
         self._fn = fn
         self._ctx = ProcessContext()
-        self._collector = Collector(self.emit, self.emit_batch)
+        self._collector = NodeCollector(self)
         # Batch-capable process functions expose process_batch; everything
         # else transparently iterates (the per-node fallback rule).
         self._fn_process_batch = getattr(fn, "process_batch", None)

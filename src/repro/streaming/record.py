@@ -15,13 +15,22 @@ bookkeeping metadata Algorithm 1's preparation step attaches:
   (line 10) when multiple pipelines are merged.
 
 Records behave like lightweight mutable mappings over their values. Copies
-are cheap (a dict copy); the pollution runner copies each record once before
-the pipeline so the clean stream is never aliased by the dirty one.
+are copy-on-write: :meth:`Record.copy` returns a *shell*, a new record
+object that shares the original's values dict, and marks both records
+shared. :meth:`Record.__setitem__`, the only code path that writes the
+values, gives a shared record a private dict before its first write. The
+clean stream and the split's per-branch copies therefore share one dict per
+tuple until a polluter writes to a branch, so retaining the clean ground
+truth costs a small record object per tuple, not a second dict.
+
+Pickle and :func:`copy.deepcopy` carry the shared mark: their memo re-shares
+a dict that several records shared, and the mark keeps those records
+isolated after the round trip.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, ItemsView, Iterator, KeysView, Mapping, ValuesView
 
 from repro.errors import SchemaError
 
@@ -29,7 +38,9 @@ from repro.errors import SchemaError
 class Record:
     """One stream tuple: attribute values plus pollution metadata."""
 
-    __slots__ = ("_values", "record_id", "event_time", "substream")
+    # ``_shared`` is True when another record may hold the same ``_values``
+    # dict; every record that holds a shared dict carries the mark.
+    __slots__ = ("_values", "record_id", "event_time", "substream", "_shared")
 
     def __init__(
         self,
@@ -42,6 +53,7 @@ class Record:
         self.record_id = record_id
         self.event_time = event_time
         self.substream = substream
+        self._shared = False
 
     @classmethod
     def _adopt(cls, values: dict[str, Any]) -> "Record":
@@ -53,6 +65,7 @@ class Record:
         record = cls.__new__(cls)
         record._values = values
         record.record_id = record.event_time = record.substream = None
+        record._shared = False
         return record
 
     # -- mapping interface over attribute values ---------------------------
@@ -64,11 +77,15 @@ class Record:
             raise SchemaError(f"record has no attribute {name!r}") from None
 
     def __setitem__(self, name: str, value: Any) -> None:
-        if name not in self._values:
+        values = self._values
+        if name not in values:
             raise SchemaError(
                 f"cannot set unknown attribute {name!r}; records are fixed-schema"
             )
-        self._values[name] = value
+        if self._shared:
+            values = self._values = dict(values)
+            self._shared = False
+        values[name] = value
 
     def __contains__(self, name: object) -> bool:
         return name in self._values
@@ -82,13 +99,13 @@ class Record:
     def get(self, name: str, default: Any = None) -> Any:
         return self._values.get(name, default)
 
-    def keys(self):
+    def keys(self) -> KeysView[str]:
         return self._values.keys()
 
-    def values(self):
+    def values(self) -> ValuesView[Any]:
         return self._values.values()
 
-    def items(self):
+    def items(self) -> ItemsView[str, Any]:
         return self._values.items()
 
     def as_dict(self) -> dict[str, Any]:
@@ -121,13 +138,32 @@ class Record:
     # -- copying -------------------------------------------------------------
 
     def copy(self) -> "Record":
-        """An independent copy (values dict is copied; metadata preserved)."""
-        return Record(
-            self._values,
-            record_id=self.record_id,
-            event_time=self.event_time,
-            substream=self.substream,
+        """An independent copy, in O(1): a shell over the same values dict.
+
+        Metadata is copied; the values dict is shared and both records are
+        marked shared, so whichever is written first takes a private dict
+        (see :meth:`__setitem__`). Writes to either never reach the other.
+        """
+        self._shared = True
+        return _rebuild(self._values, self.record_id, self.event_time, self.substream, True)
+
+    __copy__ = copy
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (
+            _rebuild,
+            (self._values, self.record_id, self.event_time, self.substream, self._shared),
         )
+
+    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
+        # Only records pickled before copy-on-write reach here: their state
+        # is the default ``(None, {slot: value})`` of the four-slot layout.
+        # They carry no mark, so they load marked shared, which costs at most
+        # one dict copy on a record's first write.
+        _, slots = state
+        self._shared = True
+        for name, value in slots.items():
+            setattr(self, name, value)
 
     def with_values(self, **updates: Any) -> "Record":
         """A copy with some attribute values replaced."""
@@ -150,6 +186,23 @@ class Record:
         return out
 
 
+def _rebuild(
+    values: dict[str, Any],
+    record_id: int | None,
+    event_time: int | None,
+    substream: int | None,
+    shared: bool,
+) -> Record:
+    """A record over ``values`` as given: copies, unpickling and deep copies."""
+    record = Record.__new__(Record)
+    record._values = values
+    record.record_id = record_id
+    record.event_time = event_time
+    record.substream = substream
+    record._shared = shared
+    return record
+
+
 def _values_differ(a: Any, b: Any) -> bool:
     """True if two attribute values differ, treating NaN as equal to NaN."""
     if a is b:
@@ -157,4 +210,4 @@ def _values_differ(a: Any, b: Any) -> bool:
     if isinstance(a, float) and isinstance(b, float):
         if a != a and b != b:  # both NaN
             return False
-    return a != b
+    return bool(a != b)

@@ -78,7 +78,7 @@ class CollectionSource(Source):
         for row in self._rows[offset:]:
             if isinstance(row, Record):
                 if self._validate:
-                    self._schema.validate_values(row.as_dict())
+                    self._schema.validate_values(row)
                 yield row.copy()
             else:
                 yield self._to_record(row, self._validate)
