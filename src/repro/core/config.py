@@ -25,10 +25,17 @@ Composites nest naturally: a polluter spec with ``"type": "composite"``
 carries a ``"children"`` list of polluter specs. Every error/condition type
 in the catalogues is registered under a snake_case key; unknown keys raise
 :class:`~repro.errors.ConfigError` with the list of known types.
+
+Specs are untrusted input (``repro serve`` builds them from request
+bodies), so every builder type-checks the slots it reads: any JSON value
+in any slot either builds or raises :class:`~repro.errors.ConfigError`
+with the JSON path of the offending key — never a raw ``TypeError`` or
+``AttributeError``.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Mapping
 
 from repro.core import conditions as C
@@ -82,6 +89,65 @@ def _sub(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
+def _json_type(value: Any) -> str:
+    """The JSON name of a decoded value's type, for error messages."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, (list, tuple)):
+        return "array"
+    if isinstance(value, Mapping):
+        return "object"
+    return type(value).__name__
+
+
+def _object(spec: Any, path: str, what: str) -> Mapping[str, Any]:
+    """``spec`` itself, after checking that it is a JSON object."""
+    if not isinstance(spec, Mapping):
+        raise ConfigError(
+            f"{what} spec must be a JSON object, got {_json_type(spec)}",
+            path=path or None,
+        )
+    return spec
+
+
+def _name(spec: Mapping[str, Any], path: str, default: str | None = None) -> str | None:
+    """The optional ``name`` entry, which must be a string."""
+    name = spec.get("name", default)
+    if name is not None and not isinstance(name, str):
+        raise ConfigError(
+            f"'name' must be a string, got {_json_type(name)}",
+            path=_sub(path, "name"),
+        )
+    return name
+
+
+def _params(spec: Mapping[str, Any], path: str) -> dict[str, Any]:
+    """A registry entry's keyword arguments: every key but ``type``.
+
+    Parameters naming a schema attribute must be strings (a null
+    ``timestamp_attribute`` means the default): the analyzer hashes and
+    compares them, so anything else must stop at the config boundary.
+    """
+    kwargs = {k: v for k, v in spec.items() if k != "type"}
+    for key in ("attribute", "timestamp_attribute"):
+        if key not in kwargs or isinstance(kwargs[key], str):
+            continue
+        if key == "timestamp_attribute" and kwargs[key] is None:
+            continue
+        raise ConfigError(
+            f"{key!r} must be an attribute name (string), "
+            f"got {_json_type(kwargs[key])}",
+            path=_sub(path, key),
+        )
+    return kwargs
+
+
 def _located(exc: ConfigError, path: str) -> ConfigError:
     """Attach a location to a ConfigError raised below us, keeping the
     innermost (most specific) path when one is already set."""
@@ -131,13 +197,13 @@ _PATTERNS: dict[str, Callable[..., P.ChangePattern]] = {
 
 
 def pattern_from_config(spec: Mapping[str, Any], _path: str = "") -> P.ChangePattern:
-    kind = spec.get("type")
-    if kind not in _PATTERNS:
+    kind = _object(spec, _path, "pattern").get("type")
+    if not isinstance(kind, str) or kind not in _PATTERNS:
         raise ConfigError(
             f"unknown pattern type {kind!r}; known: {sorted(_PATTERNS)}",
             path=_path or None,
         )
-    kwargs = {k: v for k, v in spec.items() if k != "type"}
+    kwargs = _params(spec, _path)
     try:
         return _PATTERNS[kind](**kwargs)
     except ConfigError as exc:
@@ -180,10 +246,10 @@ _CONDITIONS: dict[str, Callable[..., C.Condition]] = {
 
 
 def condition_from_config(spec: Mapping[str, Any], _path: str = "") -> C.Condition:
-    kind = spec.get("type")
+    kind = _object(spec, _path, "condition").get("type")
     if kind in ("all_of", "and", "any_of", "or"):
         children = spec.get("children")
-        if not children:
+        if not children or not isinstance(children, list):
             raise ConfigError(
                 f"composite condition {kind!r} needs a non-empty 'children' list",
                 path=_path or None,
@@ -205,16 +271,19 @@ def condition_from_config(spec: Mapping[str, Any], _path: str = "") -> C.Conditi
                 "'pattern_probability' condition needs a 'pattern' entry",
                 path=_path or None,
             )
-        return C.PatternProbabilityCondition(
-            pattern_from_config(spec["pattern"], _sub(_path, "pattern")),
-            scale=spec.get("scale", 1.0),
-        )
-    if kind not in _CONDITIONS:
+        pattern = pattern_from_config(spec["pattern"], _sub(_path, "pattern"))
+        try:
+            return C.PatternProbabilityCondition(pattern, scale=spec.get("scale", 1.0))
+        except (TypeError, ValueError, IcewaflError) as exc:
+            raise ConfigError(
+                f"bad arguments for condition {kind!r}: {exc}", path=_path or None
+            ) from exc
+    if not isinstance(kind, str) or kind not in _CONDITIONS:
         known = sorted(_CONDITIONS) + ["all_of", "any_of", "not", "pattern_probability"]
         raise ConfigError(
             f"unknown condition type {kind!r}; known: {known}", path=_path or None
         )
-    kwargs = {k: v for k, v in spec.items() if k != "type"}
+    kwargs = _params(spec, _path)
     try:
         return _CONDITIONS[kind](**kwargs)
     except ConfigError as exc:
@@ -272,7 +341,7 @@ _ERRORS: dict[str, Callable[..., ErrorFunction]] = {
 
 
 def error_from_config(spec: Mapping[str, Any], _path: str = "") -> ErrorFunction:
-    kind = spec.get("type")
+    kind = _object(spec, _path, "error").get("type")
     if kind == "derived":
         for needed in ("error", "pattern"):
             if needed not in spec:
@@ -283,12 +352,12 @@ def error_from_config(spec: Mapping[str, Any], _path: str = "") -> ErrorFunction
             error_from_config(spec["error"], _sub(_path, "error")),
             pattern_from_config(spec["pattern"], _sub(_path, "pattern")),
         )
-    if kind not in _ERRORS:
+    if not isinstance(kind, str) or kind not in _ERRORS:
         known = sorted(_ERRORS) + ["derived"]
         raise ConfigError(
             f"unknown error type {kind!r}; known: {known}", path=_path or None
         )
-    kwargs = {k: v for k, v in spec.items() if k != "type"}
+    kwargs = _params(spec, _path)
     try:
         return _ERRORS[kind](**kwargs)
     except ConfigError as exc:
@@ -306,35 +375,46 @@ def error_from_config(spec: Mapping[str, Any], _path: str = "") -> ErrorFunction
 
 def polluter_from_config(spec: Mapping[str, Any], _path: str = "") -> Polluter:
     """Build a standard or composite polluter from its JSON-compatible spec."""
-    kind = spec.get("type", "standard")
+    kind = _object(spec, _path, "polluter").get("type", "standard")
+    if kind not in ("standard", "composite"):
+        raise ConfigError(
+            f"unknown polluter type {kind!r}; known: ['standard', 'composite']",
+            path=_path or None,
+        )
+    name = _name(spec, _path)
+    condition = (
+        condition_from_config(spec["condition"], _sub(_path, "condition"))
+        if "condition" in spec
+        else None
+    )
     if kind == "standard":
         if "error" not in spec:
             raise ConfigError(
                 "standard polluter spec needs an 'error' entry", path=_path or None
             )
-        condition = (
-            condition_from_config(spec["condition"], _sub(_path, "condition"))
-            if "condition" in spec
-            else None
-        )
-        return StandardPolluter(
-            error=error_from_config(spec["error"], _sub(_path, "error")),
-            attributes=spec.get("attributes", ()),
+        error = error_from_config(spec["error"], _sub(_path, "error"))
+        attributes = spec.get("attributes", ())
+        if not isinstance(attributes, (list, tuple)) or not all(
+            isinstance(a, str) for a in attributes
+        ):
+            raise ConfigError(
+                "'attributes' must be a list of attribute names (strings)",
+                path=_sub(_path, "attributes"),
+            )
+        build = partial(
+            StandardPolluter,
+            error=error,
+            attributes=attributes,
             condition=condition,
-            name=spec.get("name"),
+            name=name,
         )
-    if kind == "composite":
+    else:
         children_spec = spec.get("children")
-        if not children_spec:
+        if not children_spec or not isinstance(children_spec, list):
             raise ConfigError(
                 "composite polluter spec needs non-empty 'children'",
                 path=_path or None,
             )
-        condition = (
-            condition_from_config(spec["condition"], _sub(_path, "condition"))
-            if "condition" in spec
-            else None
-        )
         try:
             mode = CompositeMode(spec.get("mode", "all"))
         except ValueError as exc:
@@ -343,29 +423,34 @@ def polluter_from_config(spec: Mapping[str, Any], _path: str = "") -> Polluter:
                 f"{[m.value for m in CompositeMode]}",
                 path=_sub(_path, "mode") or None,
             ) from exc
-        return CompositePolluter(
-            children=[
-                polluter_from_config(c, _sub(_path, f"children[{i}]"))
-                for i, c in enumerate(children_spec)
-            ],
+        children = [
+            polluter_from_config(c, _sub(_path, f"children[{i}]"))
+            for i, c in enumerate(children_spec)
+        ]
+        build = partial(
+            CompositePolluter,
+            children=children,
             condition=condition,
             mode=mode,
             weights=spec.get("weights"),
-            name=spec.get("name"),
+            name=name,
         )
-    raise ConfigError(
-        f"unknown polluter type {kind!r}; known: ['standard', 'composite']",
-        path=_path or None,
-    )
+    try:
+        return build()
+    except (TypeError, ValueError, IcewaflError) as exc:
+        raise ConfigError(
+            f"bad {kind} polluter: {exc}", path=_path or None
+        ) from exc
 
 
 def pipeline_from_config(spec: Mapping[str, Any]) -> PollutionPipeline:
     """Build a :class:`PollutionPipeline` from a JSON-compatible dict."""
-    polluter_specs = spec.get("polluters")
-    if not polluter_specs:
+    polluter_specs = _object(spec, "", "pipeline").get("polluters")
+    if not polluter_specs or not isinstance(polluter_specs, list):
         raise ConfigError("pipeline spec needs a non-empty 'polluters' list")
+    name = _name(spec, "", default="pipeline")
     polluters = [
         polluter_from_config(p, f"polluters[{i}]")
         for i, p in enumerate(polluter_specs)
     ]
-    return PollutionPipeline(polluters, name=spec.get("name", "pipeline"))
+    return PollutionPipeline(polluters, name=name)

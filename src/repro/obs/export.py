@@ -58,7 +58,6 @@ METRIC_HELP: dict[str, str] = {
     "merged_watermark": "Low watermark of the coordinator's merged output.",
     "live_shard_records_out": "Live records emitted by the shard's current incarnation.",
     "live_shard_records_per_second": "Live per-shard throughput over the last telemetry interval.",
-    "live_shard_queue_depth": "Live input-queue backlog per shard.",
     "live_shard_watermark": "Live event-time watermark per shard.",
     "live_shard_restarts": "Live recovery count per shard.",
     "profile_wall_seconds": "Profiled wall time of the run.",

@@ -2,8 +2,8 @@
 
 During a parallel run the coordinator used to learn nothing until a shard
 finished. This module is the receiving half of the live telemetry channel:
-workers piggyback small cumulative snapshots (records in/out, watermark,
-queue depth) on the heartbeats they already send, and the coordinator folds
+workers piggyback small cumulative snapshots (records in/out, watermark)
+on the heartbeats they already send, and the coordinator folds
 them into a :class:`LiveAggregator` — a live :class:`~repro.obs.metrics.MetricsRegistry`
 view with per-shard gauges:
 
@@ -11,7 +11,6 @@ view with per-shard gauges:
   incarnation;
 * ``live_shard_records_per_second{shard=}`` — throughput over the last
   telemetry interval;
-* ``live_shard_queue_depth{shard=}`` — input queue backlog (backpressure);
 * ``live_shard_watermark{shard=}`` — event-time progress (lag = max
   watermark across shards minus this shard's);
 * ``live_shard_restarts{shard=}`` — recovery count.
@@ -48,7 +47,6 @@ class ShardView:
         "records_in",
         "records_out",
         "watermark",
-        "queue_depth",
         "restarts",
         "rate",
         "_rate_records",
@@ -63,7 +61,6 @@ class ShardView:
         self.records_in = 0
         self.records_out = 0
         self.watermark: int | float | None = None
-        self.queue_depth = 0
         self.restarts = 0
         self.rate = 0.0
         self._rate_records = 0
@@ -73,7 +70,6 @@ class ShardView:
     def _reset_incarnation(self) -> None:
         self.records_in = 0
         self.records_out = 0
-        self.queue_depth = 0
         self.rate = 0.0
         self._rate_records = 0
         self._rate_time = None
@@ -87,7 +83,6 @@ class ShardView:
             "records_in": self.records_in,
             "records_out": self.records_out,
             "watermark": self.watermark,
-            "queue_depth": self.queue_depth,
             "restarts": self.restarts,
             "records_per_second": round(self.rate, 3),
         }
@@ -177,8 +172,6 @@ class LiveAggregator:
             v.records_in = snapshot["records_in"]
         if snapshot.get("watermark") is not None:
             v.watermark = snapshot["watermark"]
-        if snapshot.get("queue_depth") is not None:
-            v.queue_depth = snapshot["queue_depth"]
         if v.state == "recovering":
             v.state = "running"
         self._publish(v)
@@ -208,7 +201,6 @@ class LiveAggregator:
         g = self.registry.gauge
         g("live_shard_records_out", shard=v.shard).set(v.records_out)
         g("live_shard_records_per_second", shard=v.shard).set(round(v.rate, 3))
-        g("live_shard_queue_depth", shard=v.shard).set(v.queue_depth)
         g("live_shard_restarts", shard=v.shard).set(v.restarts)
         if v.watermark is not None:
             g("live_shard_watermark", shard=v.shard).set(v.watermark)
@@ -328,14 +320,14 @@ class ProgressRenderer:
         assert self.aggregator is not None
         header = (
             f"  {'shard':>5}  {'state':<10}  {'records':>12}  {'rec/s':>10}  "
-            f"{'watermark':>12}  {'queue':>5}  {'restarts':>8}"
+            f"{'watermark':>12}  {'restarts':>8}"
         )
         rows = [header]
         for v in self.aggregator.snapshot():
             wm = "-" if v.watermark is None else f"{v.watermark:g}"
             rows.append(
                 f"  {v.shard:>5}  {v.state:<10}  {v.records_out:>12,}  "
-                f"{v.rate:>10,.0f}  {wm:>12}  {v.queue_depth:>5}  {v.restarts:>8}"
+                f"{v.rate:>10,.0f}  {wm:>12}  {v.restarts:>8}"
             )
         t = self.aggregator.totals()
         rows.append(

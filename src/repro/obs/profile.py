@@ -22,9 +22,9 @@ for unsupported polluters — but nothing named the cost. The
   depth-first, so raw histograms are *inclusive* of downstream work; the
   engine folds them into *exclusive* (self) time via the topology before
   they land here.
-* **Detail** — fine-grained costs inside phases: queue put/get time and
-  payload decode in parallel mode, coordinator chunk ingest, merge
-  sub-steps. Detail overlaps phases by design and is reported separately.
+* **Detail** — fine-grained costs inside phases, such as per-shard
+  segments merged from worker profiles. Detail overlaps phases by design
+  and is reported separately.
 
 Worker profiles travel in the terminal payload as plain dicts and fold
 into the coordinator's profiler with :meth:`Profiler.merge_shard`. The

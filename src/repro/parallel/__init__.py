@@ -14,12 +14,12 @@ reproducibility requirement survives parallelization).
 Layout:
 
 * :mod:`repro.parallel.shard` — the worker side: the picklable
-  :class:`~repro.parallel.shard.ShardTask` plan, the queue-backed source
-  and sink, and the process entry point;
+  :class:`~repro.parallel.shard.ShardTask` plan, the partition source, the
+  pipe-backed output sink, and the process entry point;
 * :mod:`repro.parallel.merge` — per-shard watermark reconciliation and the
   stable k-way output merge;
 * :mod:`repro.parallel.environment` — the coordinator: process lifecycle,
-  bounded-queue backpressure, heartbeat watchdog, in-run shard recovery,
+  one output pipe per worker, heartbeat watchdog, in-run shard recovery,
   failure-policy composition, abort propagation;
 * :mod:`repro.parallel.runner` — the ``parallel`` engine's executor, which
   ``pollute(parallelism=N, ...)`` compiles to, including the per-shard
@@ -43,13 +43,13 @@ from repro.parallel.runner import (
     shard_store_dir,
     write_manifest,
 )
-from repro.parallel.shard import QueueSource, ShardOutputSink, ShardTask, run_shard
+from repro.parallel.shard import PartitionSource, ShardOutputSink, ShardTask, run_shard
 
 __all__ = [
     "HangWorker",
     "KillWorker",
     "PARALLEL_MANIFEST",
-    "QueueSource",
+    "PartitionSource",
     "SlowWorker",
     "corrupt_checkpoint",
     "ShardMerger",

@@ -83,7 +83,8 @@ class KillWorker(_TriggeredFault):
     """SIGKILL the current process at the trigger record.
 
     The hard shape of worker loss: no exception, no cleanup, no terminal
-    message on the control queue — the coordinator only sees the exit code.
+    frame on the shard's pipe — the coordinator sees only its end-of-file
+    and the exit code.
     """
 
     def _fault(self) -> None:

@@ -3,26 +3,30 @@
 :class:`ShardedEnvironment` owns the full lifecycle of a parallel pollution
 run: it pre-flight-pickles every shard plan (so unpicklable plans fail with
 a coordinator-side :class:`~repro.errors.ShardError`, not a multiprocessing
-traceback), spawns one worker process per shard, streams prepared records to
-them through bounded queues (the bound *is* the backpressure: a slow worker
-stalls its feeder on its queue instead of letting the coordinator buffer
-unboundedly), drains output/terminal/heartbeat messages, and hands the
-collected per-shard outcomes plus the record merger back to the caller.
+traceback), partitions the prepared records, spawns one worker process per
+shard with its partition as a process argument and the write end of its own
+pipe, drains output/heartbeat/terminal frames from all pipes with
+:func:`multiprocessing.connection.wait`, and hands the collected per-shard
+outcomes plus the record merger back to the caller. A worker that writes
+faster than the coordinator merges blocks on its full pipe: that is the
+backpressure, with no coordinator-side buffer.
 
 Failure model and recovery protocol
 -----------------------------------
-A worker has exactly two legitimate ends: a ``done`` message or an
-``error`` message. An ``error`` is a *structured plan failure* — the shard's
+A worker has exactly two legitimate ends: a ``done`` frame or an
+``error`` frame. An ``error`` is a *structured plan failure* — the shard's
 environment raised deterministically — and aborts the run immediately:
 respawning would replay the same records into the same exception and burn
 the restart budget for nothing.
 
 Everything else is an *infrastructure fault*, and those are recovered
-in-run. The watchdog (run between queue polls) detects two shapes:
+in-run. The watchdog (run between pipe waits) detects two shapes:
 
-* **crashed** — the process is dead without a terminal message (OOM kill,
-  segfault in an extension, ``kill -9``), observed via the exit code;
-* **hung** — the process is alive but has sent no message (heartbeat,
+* **crashed** — the process is dead, or its pipe ended, without a terminal
+  frame (OOM kill, segfault in an extension, ``kill -9``, a frame torn by
+  any of these); the watchdog reads the dead shard's pipe to end-of-file
+  first, so a worker that finished just before dying still counts as done;
+* **hung** — the process is alive but has sent no frame (heartbeat,
   chunk, or terminal) for longer than ``heartbeat_timeout``. Heartbeats are
   progress-tied on the worker side, so a worker wedged inside an operator
   goes silent rather than heartbeating through its own hang.
@@ -33,8 +37,9 @@ Recovery is a per-shard state machine::
         RECOVERING --budget exhausted--> FAIL_FAST: raise ShardError
                                      \\-> else: DEGRADED coordinator drain
 
-``RECOVERING`` kills the old attempt, bumps the shard's *epoch* (messages
-from superseded attempts are dropped by epoch tag), discards the dead
+``RECOVERING`` kills the old attempt and closes its pipe, so nothing a
+superseded attempt wrote can reach the merger; it bumps the shard's
+*epoch* (which tags the new attempt's ledger events), discards the dead
 attempt's merged chunks, sleeps an exponential backoff, and respawns the
 shard from its newest *integrity-verified* checkpoint (a snapshot torn by
 the crash fails its SHA-256 digest and recovery falls back to the previous
@@ -55,11 +60,10 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import pickle
-import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ShardError
 from repro.obs.ledger import RunLedger
@@ -71,10 +75,16 @@ from repro.streaming.partition import Partitioner
 from repro.streaming.record import Record
 from repro.streaming.supervision import FailureAction, FailurePolicy
 
+#: Held from ``Pipe()`` until the coordinator closes its copy of the write
+#: end. Parallel runs may share a process (serve runs jobs in threads); a
+#: worker forked inside another run's window would inherit that run's write
+#: end and keep its pipe from ever reaching end-of-file.
+_SPAWN_LOCK = threading.Lock()
+
 
 @dataclass
 class ShardOutcome:
-    """What one worker shard reported in its terminal ``done`` message."""
+    """What one worker shard reported in its terminal ``done`` frame."""
 
     shard: int
     log_events: list = field(default_factory=list)
@@ -102,8 +112,8 @@ class _ShardRuntime:
     """Coordinator-side state of one shard across its attempts."""
 
     __slots__ = (
-        "shard", "task", "assignment", "epoch", "in_queue", "worker",
-        "feeder", "stop", "restarts", "last_seen",
+        "shard", "task", "assignment", "epoch", "worker", "reader", "restarts",
+        "last_seen",
     )
 
     def __init__(self, shard: int, task: ShardTask, assignment: list[Record]) -> None:
@@ -111,10 +121,9 @@ class _ShardRuntime:
         self.task = task
         self.assignment = assignment
         self.epoch = 0
-        self.in_queue: Any | None = None
         self.worker: Any | None = None
-        self.feeder: threading.Thread | None = None
-        self.stop = threading.Event()
+        #: The read end of the current attempt's pipe; None once it ended.
+        self.reader: Any | None = None
         self.restarts = 0
         self.last_seen = 0.0
 
@@ -129,14 +138,11 @@ class ShardedEnvironment:
         whole sharded path, which is what the determinism property tests
         rely on).
     mp_context:
-        A :mod:`multiprocessing` start-method name (``"fork"``, ``"spawn"``)
-        or context object; default is the platform context. Everything a
-        worker needs ships as explicit pickled bytes, so both start methods
-        behave identically.
-    queue_depth:
-        Chunks in flight per worker input queue — the backpressure window.
-    chunk_size:
-        Records per queue chunk (amortizes pickling overhead).
+        A :mod:`multiprocessing` start-method name (``"fork"``, ``"spawn"``,
+        ``"forkserver"``) or context object; default is the platform
+        context. A worker's plan ships as explicit pickled bytes and its
+        partition as a process argument (inherited under ``fork``, pickled
+        once otherwise), so every start method behaves identically.
     max_shard_restarts:
         In-run respawn budget *per shard* for crashed or hung workers; 0
         disables recovery (first fault falls through to the policy).
@@ -157,7 +163,7 @@ class ShardedEnvironment:
     ledger:
         A :class:`~repro.obs.ledger.RunLedger` recording coordinator-side
         lifecycle events (spawn, crash/hang detection, respawn, policy
-        decisions, terminal messages) and absorbing worker-streamed events.
+        decisions, terminal frames) and absorbing worker-streamed events.
     progress:
         A :class:`~repro.obs.live.ProgressRenderer` refreshed from the
         coordinator's drain loop.
@@ -167,8 +173,6 @@ class ShardedEnvironment:
         self,
         parallelism: int,
         mp_context: str | Any | None = None,
-        queue_depth: int = 8,
-        chunk_size: int = 256,
         poll_interval: float = 0.05,
         max_shard_restarts: int = 2,
         heartbeat_timeout: float | None = 30.0,
@@ -193,8 +197,6 @@ class ShardedEnvironment:
             self._ctx = multiprocessing.get_context(mp_context)
         else:
             self._ctx = mp_context
-        self.queue_depth = max(1, queue_depth)
-        self.chunk_size = max(1, chunk_size)
         self.poll_interval = poll_interval
         self.max_shard_restarts = max_shard_restarts
         self.heartbeat_timeout = heartbeat_timeout
@@ -203,52 +205,6 @@ class ShardedEnvironment:
         self._telemetry = telemetry
         self._ledger = ledger
         self._progress = progress
-
-    # -- feeding -------------------------------------------------------------
-
-    def _put(
-        self, q: Any, item: Any, stop: threading.Event, live: Callable[[], bool]
-    ) -> bool:
-        """Put with backpressure, aborting on a stopped attempt or dead peer.
-
-        Blocking forever on a full queue whose consumer has died is the
-        classic coordinator deadlock; every timeout slice re-checks both the
-        attempt's stop flag (set by recovery/teardown) and the worker's own
-        liveness, so a feeder never outlives the process it feeds by more
-        than ~0.1s.
-        """
-        while not stop.is_set():
-            try:
-                q.put(item, timeout=0.1)
-                return True
-            except queue_mod.Full:
-                if not live():
-                    return False
-        return False
-
-    def _feed_shard(
-        self,
-        assignment: list[Record],
-        in_queue: Any,
-        stop: threading.Event,
-        live: Callable[[], bool],
-    ) -> None:
-        """Feed one attempt its full partition, then EOF.
-
-        Respawned attempts get the identical feed: resume skipping happens
-        on the worker side (``QueueSource.iter_from``), which keeps the
-        coordinator's partitioning single-pass and deterministic.
-        """
-        chunk = self.chunk_size
-        try:
-            for start in range(0, len(assignment), chunk):
-                if not self._put(
-                    in_queue, ("records", assignment[start : start + chunk]), stop, live
-                ):
-                    return
-            self._put(in_queue, ("eof", None), stop, live)
-        except Exception:  # noqa: BLE001 - queue torn down under the feeder
-            pass
 
     # -- decoding ------------------------------------------------------------
 
@@ -365,36 +321,37 @@ class ShardedEnvironment:
         for rt in runtimes:
             self._pickle_task(rt.task)
 
-        out_queue = self._ctx.Queue()
+        # Imported here: it loads ``subprocess``, which a CLI run that
+        # never goes parallel should not pay for at start-up.
+        from multiprocessing.connection import wait
+
         merger = ShardMerger(tasks[0].schema, n)
         outcomes: dict[int, ShardOutcome] = {}
         failure: ShardError | None = None
         try:
             for rt in runtimes:
-                self._start_attempt(rt, out_queue)
+                self._start_attempt(rt)
             next_watchdog = time.monotonic() + self.poll_interval
             while len(outcomes) < n and failure is None:
-                try:
-                    msg = out_queue.get(timeout=self.poll_interval)
-                except queue_mod.Empty:
-                    msg = None
-                except (OSError, EOFError, pickle.UnpicklingError):
-                    # A message torn by a worker dying mid-send; the
-                    # watchdog will see the corpse and recover the shard.
-                    msg = None
-                if msg is not None:
-                    failure = self._dispatch(msg, runtimes, merger, outcomes)
+                readers = {
+                    rt.reader: rt
+                    for rt in runtimes
+                    if rt.reader is not None and rt.shard not in outcomes
+                }
+                for reader in wait(list(readers), timeout=self.poll_interval):
+                    failure = self._receive(readers[reader], merger, outcomes)
+                    if failure is not None:
+                        break
                 now = time.monotonic()
                 if failure is None and now >= next_watchdog:
-                    # Time-budgeted: a busy out-queue cannot starve
-                    # liveness checking.
+                    # Time-budgeted: busy pipes cannot starve liveness
+                    # checking.
                     next_watchdog = now + self.poll_interval
-                    failure = self._watchdog(runtimes, out_queue, merger, outcomes)
+                    failure = self._watchdog(runtimes, merger, outcomes)
                 if self._progress is not None:
                     self._progress.maybe_render()
         finally:
             for rt in runtimes:
-                rt.stop.set()
                 worker = rt.worker
                 if (
                     worker is not None
@@ -403,89 +360,100 @@ class ShardedEnvironment:
                 ):
                     worker.terminate()
             for rt in runtimes:
-                if rt.feeder is not None:
-                    rt.feeder.join(timeout=5.0)
-                worker = rt.worker
-                if worker is not None:
-                    worker.join(timeout=5.0)
-                    if worker.is_alive():
-                        worker.kill()
-                        worker.join(timeout=5.0)
-                if rt.in_queue is not None:
-                    rt.in_queue.cancel_join_thread()
-                    rt.in_queue.close()
-            out_queue.cancel_join_thread()
-            out_queue.close()
+                self._reap(rt)  # a finished worker exits on its own
         if failure is not None:
             raise failure
         return [outcomes[i] for i in range(n)], merger
 
-    def _start_attempt(self, rt: _ShardRuntime, out_queue: Any) -> None:
+    def _start_attempt(self, rt: _ShardRuntime) -> None:
         blob = self._pickle_task(rt.task)
-        rt.stop = threading.Event()
-        rt.in_queue = self._ctx.Queue(maxsize=self.queue_depth)
-        rt.worker = self._ctx.Process(
-            target=run_shard,
-            args=(blob, rt.in_queue, out_queue),
-            name=f"repro-shard-{rt.shard}",
-            daemon=True,
-        )
-        # Stamped before the start: a forked worker can log its first slab
-        # before this thread resumes, and replay() requires the spawn first.
-        spawn = (
-            self._ledger.record("shard.spawn", shard=rt.shard, epoch=rt.epoch)
-            if self._ledger is not None
-            else None
-        )
-        rt.worker.start()
+        with _SPAWN_LOCK:
+            reader, writer = self._ctx.Pipe(duplex=False)
+            rt.worker = self._ctx.Process(
+                target=run_shard,
+                args=(blob, rt.assignment, writer),
+                name=f"repro-shard-{rt.shard}",
+                daemon=True,
+            )
+            # Stamped before the start: a forked worker can log its first
+            # slab before this thread resumes, and replay() requires the
+            # spawn first.
+            spawn = (
+                self._ledger.record("shard.spawn", shard=rt.shard, epoch=rt.epoch)
+                if self._ledger is not None
+                else None
+            )
+            try:
+                rt.worker.start()
+            except BaseException:
+                reader.close()
+                raise
+            finally:
+                # The worker holds the only write end left, so its exit is
+                # the pipe's end-of-file.
+                writer.close()
+        rt.reader = reader
         if spawn is not None:
             spawn["pid"] = rt.worker.pid
-        rt.feeder = threading.Thread(
-            target=self._feed_shard,
-            args=(rt.assignment, rt.in_queue, rt.stop, rt.worker.is_alive),
-            name=f"repro-shard-feeder-{rt.shard}",
-            daemon=True,
-        )
-        rt.feeder.start()
         rt.last_seen = time.monotonic()
         if self._telemetry is not None:
             self._telemetry.mark_spawn(rt.shard, rt.epoch)
 
     def _stop_attempt(self, rt: _ShardRuntime) -> None:
-        """Tear one attempt down hard: worker, feeder, input queue."""
-        rt.stop.set()
+        """Tear one attempt down hard: worker process, then its pipe."""
+        if rt.worker is not None and rt.worker.is_alive():
+            rt.worker.terminate()
+        self._reap(rt)
+
+    def _reap(self, rt: _ShardRuntime) -> None:
+        """Join the attempt's worker, killing it after 5 s, and close its pipe."""
         worker = rt.worker
         if worker is not None:
-            if worker.is_alive():
-                worker.terminate()
             worker.join(timeout=5.0)
             if worker.is_alive():
                 worker.kill()
                 worker.join(timeout=5.0)
-        if rt.feeder is not None:
-            rt.feeder.join(timeout=5.0)
-            rt.feeder = None
-        if rt.in_queue is not None:
-            rt.in_queue.cancel_join_thread()
-            rt.in_queue.close()
-            rt.in_queue = None
+        self._close_reader(rt)
+
+    @staticmethod
+    def _close_reader(rt: _ShardRuntime) -> None:
+        if rt.reader is not None:
+            rt.reader.close()
+            rt.reader = None
 
     # -- dispatch ------------------------------------------------------------
 
-    def _dispatch(
+    def _receive(
         self,
-        msg: tuple,
-        runtimes: list[_ShardRuntime],
+        rt: _ShardRuntime,
         merger: ShardMerger,
         outcomes: dict[int, ShardOutcome],
     ) -> ShardError | None:
-        kind = msg[0]
+        """Read and dispatch one frame from a shard's pipe.
+
+        End-of-file, or a frame torn by the worker dying mid-send, ends the
+        pipe; the watchdog then finds the shard without an outcome and
+        recovers it.
+        """
+        try:
+            frame = rt.reader.recv()
+        except (OSError, EOFError, pickle.UnpicklingError):
+            self._close_reader(rt)
+            return None
+        return self._dispatch(frame, rt, merger, outcomes)
+
+    def _dispatch(
+        self,
+        frame: tuple,
+        rt: _ShardRuntime,
+        merger: ShardMerger,
+        outcomes: dict[int, ShardOutcome],
+    ) -> ShardError | None:
+        kind = frame[0]
+        shard, epoch = rt.shard, rt.epoch
+        rt.last_seen = time.monotonic()
         if kind == "heartbeat":
-            _, shard, epoch, telemetry = msg
-            rt = runtimes[shard]
-            if epoch != rt.epoch:
-                return None  # superseded attempt; drop
-            rt.last_seen = time.monotonic()
+            telemetry = frame[1]
             if telemetry:
                 events = telemetry.pop("events", None)
                 if events and self._ledger is not None:
@@ -496,24 +464,15 @@ class ShardedEnvironment:
                 self._ledger.record("shard.heartbeat", shard=shard, epoch=epoch)
             return None
         if kind == "chunk":
-            _, shard, records, watermark, epoch = msg
-            rt = runtimes[shard]
-            if epoch != rt.epoch:
-                return None  # superseded attempt; drop
-            rt.last_seen = time.monotonic()
+            _, records, watermark = frame
             merger.add_chunk(shard, records, watermark)
             if self._telemetry is not None:
                 self._telemetry.observe_chunk(shard, epoch, len(records), watermark)
             return None
         if kind == "done":
-            _, shard, blob, epoch = msg
-            rt = runtimes[shard]
-            if epoch != rt.epoch:
-                return None
-            outcome = self._decode_done(shard, blob)
+            outcome = self._decode_done(shard, frame[1])
             outcome.restarts = rt.restarts
             outcomes[shard] = outcome
-            rt.stop.set()
             if self._ledger is not None:
                 self._ledger.absorb(outcome.ledger_events)
                 self._ledger.record(
@@ -528,11 +487,7 @@ class ShardedEnvironment:
             return None
         # Structured plan failure: deterministic, so recovery would replay
         # straight back into it — abort the run instead.
-        _, shard, blob, epoch = msg
-        rt = runtimes[shard]
-        if epoch != rt.epoch:
-            return None
-        error = self._decode_error(shard, blob)
+        error = self._decode_error(shard, frame[1])
         if self._ledger is not None:
             self._ledger.record(
                 "shard.error", shard=shard, epoch=epoch, error=str(error)
@@ -543,37 +498,9 @@ class ShardedEnvironment:
 
     # -- watchdog + recovery -------------------------------------------------
 
-    def _grace_drain(
-        self,
-        out_queue: Any,
-        runtimes: list[_ShardRuntime],
-        merger: ShardMerger,
-        outcomes: dict[int, ShardOutcome],
-    ) -> ShardError | None:
-        """Drain straggler messages after seeing a dead worker.
-
-        A process can be dead while its final message still sits in the
-        queue's pipe buffer; give delivery a moment before respawning what
-        may in fact have finished.
-        """
-        deadline = time.monotonic() + 1.0
-        failure: ShardError | None = None
-        while time.monotonic() < deadline:
-            try:
-                msg = out_queue.get(timeout=0.1)
-            except queue_mod.Empty:
-                continue
-            except (OSError, EOFError, pickle.UnpicklingError):
-                continue
-            failure = self._dispatch(msg, runtimes, merger, outcomes) or failure
-            if failure is not None:
-                break
-        return failure
-
     def _watchdog(
         self,
         runtimes: list[_ShardRuntime],
-        out_queue: Any,
         merger: ShardMerger,
         outcomes: dict[int, ShardOutcome],
     ) -> ShardError | None:
@@ -582,33 +509,12 @@ class ShardedEnvironment:
             if rt.shard in outcomes:
                 continue
             worker = rt.worker
-            crashed = worker is not None and not worker.is_alive()
-            hung = (
-                not crashed
-                and self.heartbeat_timeout is not None
-                and now - rt.last_seen > self.heartbeat_timeout
-            )
-            if not crashed and not hung:
-                continue
-            if crashed:
-                failure = self._grace_drain(out_queue, runtimes, merger, outcomes)
-                if failure is not None:
-                    return failure
-                if rt.shard in outcomes:
+            if rt.reader is not None and worker.is_alive():
+                if (
+                    self.heartbeat_timeout is None
+                    or now - rt.last_seen <= self.heartbeat_timeout
+                ):
                     continue
-                reason = (
-                    f"worker died without reporting "
-                    f"(exit code {worker.exitcode})"
-                )
-                if self._ledger is not None:
-                    self._ledger.record(
-                        "shard.crash",
-                        shard=rt.shard,
-                        epoch=rt.epoch,
-                        exitcode=worker.exitcode,
-                        reason=reason,
-                    )
-            else:
                 reason = (
                     f"worker sent no heartbeat or output for more than "
                     f"{self.heartbeat_timeout:.1f}s (hung)"
@@ -621,7 +527,30 @@ class ShardedEnvironment:
                         silent_seconds=round(now - rt.last_seen, 3),
                         reason=reason,
                     )
-            failure = self._recover(rt, reason, out_queue, merger, outcomes)
+            else:
+                # Dead, or its pipe ended: everything the worker wrote is in
+                # the pipe, so read it to end-of-file before deciding — it
+                # may have finished just before dying.
+                while rt.reader is not None:
+                    failure = self._receive(rt, merger, outcomes)
+                    if failure is not None:
+                        return failure
+                if rt.shard in outcomes:
+                    continue
+                worker.join(timeout=1.0)  # a worker whose pipe ended is exiting
+                reason = (
+                    f"worker died without reporting "
+                    f"(exit code {worker.exitcode})"
+                )
+                if self._ledger is not None:
+                    self._ledger.record(
+                        "shard.crash",
+                        shard=rt.shard,
+                        epoch=rt.epoch,
+                        exitcode=worker.exitcode,
+                        reason=reason,
+                    )
+            failure = self._recover(rt, reason, merger, outcomes)
             if failure is not None:
                 return failure
         return None
@@ -630,7 +559,6 @@ class ShardedEnvironment:
         self,
         rt: _ShardRuntime,
         reason: str,
-        out_queue: Any,
         merger: ShardMerger,
         outcomes: dict[int, ShardOutcome],
     ) -> ShardError | None:
@@ -656,7 +584,7 @@ class ShardedEnvironment:
                 resume=resume_path,
                 backoff_seconds=backoff,
             )
-        self._start_attempt(rt, out_queue)
+        self._start_attempt(rt)
         # After mark_spawn, so the view shows "recovering" until the fresh
         # incarnation's first telemetry snapshot arrives.
         if self._telemetry is not None:
@@ -746,18 +674,11 @@ class ShardedEnvironment:
                 )
             )
         )
-        in_q: Any = queue_mod.SimpleQueue()
-        out_q: Any = queue_mod.SimpleQueue()
-        for start in range(0, len(rt.assignment), self.chunk_size):
-            in_q.put(
-                (
-                    "records",
-                    [r.copy() for r in rt.assignment[start : start + self.chunk_size]],
-                )
-            )
-        in_q.put(("eof", None))
+        frames: list[tuple] = []
         try:
-            payload = _execute_shard(task, in_q, out_q)
+            payload = _execute_shard(
+                task, [r.copy() for r in rt.assignment], frames.append
+            )
         except Exception as exc:  # noqa: BLE001 - last-resort boundary
             failure = ShardError(
                 f"shard {rt.shard} degraded coordinator drain failed: "
@@ -766,19 +687,8 @@ class ShardedEnvironment:
             )
             failure.__cause__ = exc
             return failure
-        while True:
-            try:
-                msg = out_q.get_nowait()
-            except queue_mod.Empty:
-                break
-            if msg[0] == "chunk":
-                _, shard, records, watermark, epoch = msg
-                if epoch == rt.epoch:
-                    merger.add_chunk(shard, records, watermark)
-                    if self._telemetry is not None:
-                        self._telemetry.observe_chunk(
-                            shard, epoch, len(records), watermark
-                        )
+        for frame in frames:  # output chunks only: heartbeats are off
+            self._dispatch(frame, rt, merger, outcomes)
         outcome = self._outcome_from_payload(rt.shard, payload)
         outcome.restarts = rt.restarts
         outcome.degraded = True

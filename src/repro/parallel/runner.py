@@ -27,7 +27,7 @@ With ``checkpoint_dir``, the run writes a ``parallel.json`` manifest (the
 sharding geometry) plus one ``shard-NN/`` checkpoint store per worker.
 ``resume_from`` pointing at that directory restarts only from each shard's
 latest snapshot: finished shards fast-forward through their (deterministic)
-re-fed input, and a shard that crashed before its first checkpoint simply
+partition, and a shard that crashed before its first checkpoint simply
 reruns. A sequential ``.ckpt`` file is rejected with a clear error, as is a
 manifest whose geometry or seed disagrees with the requested run.
 """
@@ -239,7 +239,6 @@ def _execute_parallel_plan(plan, data):
     checkpoint_dir = request.checkpoint_dir
     checkpoint_interval = request.checkpoint_interval
     resume_from = request.resume_from
-    chunk_size = request.chunk_size
     batch_size = plan.batch_size
     ledger = request.ledger
     plan_pipelines: list[PollutionPipeline] | None = plan.pipelines
@@ -275,7 +274,6 @@ def _execute_parallel_plan(plan, data):
             "seed": seed,
             "checkpoint_interval": checkpoint_interval if checkpoint_dir else None,
             "batch_size": batch_size,
-            "chunk_size": chunk_size,
             "pipelines": (
                 sorted(p.name for p in plan_pipelines)
                 if plan_pipelines is not None
@@ -323,7 +321,6 @@ def _execute_parallel_plan(plan, data):
             ),
             checkpoint_interval=checkpoint_interval,
             resume_path=resume_paths[shard],
-            chunk_size=chunk_size,
             batch_size=batch_size,
             telemetry=aggregator is not None,
             ledger=ledger is not None,
@@ -335,8 +332,6 @@ def _execute_parallel_plan(plan, data):
     env = ShardedEnvironment(
         parallelism,
         mp_context=request.mp_context,
-        queue_depth=request.queue_depth,
-        chunk_size=chunk_size,
         max_shard_restarts=request.max_shard_restarts,
         heartbeat_timeout=request.heartbeat_timeout,
         failure_policy=failure_policy,

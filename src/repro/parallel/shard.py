@@ -5,8 +5,10 @@ One shard is one worker process running a full, independent
 record partition. The coordinator (see
 :class:`~repro.parallel.environment.ShardedEnvironment`) prepares records —
 global IDs and the event time ``tau`` are assigned *before* sharding, so
-worker output carries coordinator-consistent identities — and streams them
-over a bounded queue; the worker streams polluted output back.
+worker output carries coordinator-consistent identities — partitions them,
+and hands each worker its partition as a process argument: inherited
+memory under ``fork``, pickled once with the arguments under ``spawn`` and
+``forkserver``. The worker streams polluted output back over its own pipe.
 
 Everything a worker needs travels in one :class:`ShardTask`, which the
 coordinator pickles explicitly before spawning anything: an unpicklable
@@ -14,34 +16,27 @@ plan (a lambda key selector, an open file handle in a sink) fails at the
 coordinator with a clear :class:`~repro.errors.ShardError` instead of a
 cryptic traceback from the multiprocessing machinery.
 
-The queue protocol is tiny and one-directional per queue:
-
-* coordinator -> worker (``in_queue``): ``("records", [Record, ...])``
-  chunks, then one ``("eof", None)``;
-* worker -> coordinator (``out_queue``): ``("chunk", shard, [Record, ...],
-  watermark, epoch)`` output chunks, ``("heartbeat", shard, epoch,
-  telemetry_or_None)`` liveness marks, then exactly one terminal message —
-  either ``("done", shard, payload_bytes, epoch)`` or ``("error", shard,
-  payload_bytes, epoch)``. Terminal payloads are pre-pickled *by the
-  worker* so a result the multiprocessing pickler would choke on (an
-  exotic exception, say) degrades to its ``repr`` instead of killing the
-  queue feeder thread.
+The pipe protocol is one-directional, worker -> coordinator, and the pipe
+itself names the shard and the attempt, so no frame repeats them:
+``("chunk", [Record, ...], watermark)`` output chunks,
+``("heartbeat", telemetry_or_None)`` liveness marks, then exactly one
+terminal frame — either ``("done", payload_bytes)`` or ``("error",
+payload_bytes)`` — after which the worker closes its end. Terminal payloads
+are pre-pickled *by the worker* so a result the pickler would choke on (an
+exotic exception, say) degrades to its ``repr`` instead of failing the send.
+A worker that dies without a terminal frame, or mid-frame, ends only its own
+pipe: the coordinator reads end-of-file and recovers that one shard.
 
 Heartbeats double as the live telemetry channel: when the task enables
 telemetry or a run ledger, each beat carries a small plain-dict payload —
-cumulative records in/out, the sink watermark, the input queue depth, and
-the worker ledger's not-yet-shipped event tail (see
-:meth:`repro.obs.ledger.RunLedger.drain`) — so the coordinator's live view
-and merged ledger advance while the shard runs, and events streamed before
-a SIGKILL survive the kill. With both disabled the payload is ``None`` and
-the channel costs nothing beyond the tuple slot.
-
-Every outbound message carries the shard's *attempt epoch*: the coordinator
-bumps it on each respawn and drops messages from earlier epochs, so output
-a dead attempt left buffered in the pipe can never contaminate the retried
-attempt's stream. Heartbeats are *progress-tied* — they are sent from the
-record path, not a side thread — so a worker wedged inside an operator goes
-silent and the coordinator's watchdog can tell a hang from slow progress.
+cumulative records in/out, the sink watermark, and the worker ledger's
+not-yet-shipped event tail (see :meth:`repro.obs.ledger.RunLedger.drain`) —
+so the coordinator's live view and merged ledger advance while the shard
+runs, and events streamed before a SIGKILL survive the kill. With both
+disabled the payload is ``None`` and the channel costs nothing beyond the
+tuple slot. Heartbeats are *progress-tied* — they are sent from the record
+path, not a side thread — so a worker wedged inside an operator goes silent
+and the coordinator's watchdog can tell a hang from slow progress.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ import pickle
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
@@ -93,10 +88,8 @@ class ShardTask:
     checkpoint_dir: str | None = None
     checkpoint_interval: int = 100
     resume_path: str | None = None
-    chunk_size: int = 256
     batch_size: int = 1
-    #: Attempt number of this shard; stamped on every outbound message so
-    #: the coordinator can discard output from superseded attempts.
+    #: Attempt number of this shard; tags the worker ledger's events.
     epoch: int = 0
     #: Send a heartbeat at most this often (seconds); None disables them.
     heartbeat_interval: float | None = None
@@ -111,51 +104,34 @@ class ShardTask:
 class _Heartbeat:
     """Time-gated liveness marks on the worker's record path.
 
-    ``beat()`` is called once per record the shard pulls from its input
-    queue; it only actually enqueues a ``("heartbeat", shard, epoch,
-    telemetry)`` message when ``interval`` has elapsed, so the hot path
-    pays a clock read per record and the control queue stays quiet. Send
-    failures are swallowed — a heartbeat that cannot be delivered
-    (coordinator tearing the run down) must never kill the shard itself.
+    ``beat()`` is called once per record the shard pulls from its
+    partition; it only actually sends a ``("heartbeat", telemetry)`` frame
+    when ``interval`` has elapsed, so the hot path pays a clock read per
+    record and the pipe stays quiet. Send failures are swallowed — a
+    heartbeat that cannot be delivered (coordinator tearing the run down)
+    must never kill the shard itself.
 
     When ``telemetry``/``ledger`` are enabled the elapsed-interval branch
     (never the hot path) builds a small snapshot dict: cumulative records
-    in (:attr:`records_in`, counted by :class:`QueueSource`) and out (from
-    the attached ``sink``), the sink watermark, the input queue depth, and
-    the worker ledger's drained event tail.
+    in (:attr:`records_in`, counted by :class:`PartitionSource`) and out
+    (from the attached ``sink``), the sink watermark, and the worker
+    ledger's drained event tail.
     """
 
-    __slots__ = (
-        "_queue",
-        "_shard",
-        "_epoch",
-        "interval",
-        "_next",
-        "records_in",
-        "sink",
-        "in_queue",
-        "ledger",
-        "telemetry",
-    )
+    __slots__ = ("_send", "interval", "_next", "records_in", "sink", "ledger", "telemetry")
 
     def __init__(
         self,
-        queue: Any,
-        shard: int,
-        epoch: int,
+        send: Callable[[tuple], None],
         interval: float,
         telemetry: bool = False,
-        in_queue: Any = None,
         ledger: Any = None,
     ) -> None:
-        self._queue = queue
-        self._shard = shard
-        self._epoch = epoch
+        self._send = send
         self.interval = interval
         self._next = 0.0  # first beat fires immediately
         self.records_in = 0
         self.sink: ShardOutputSink | None = None  # attached after construction
-        self.in_queue = in_queue
         self.ledger = ledger
         self.telemetry = telemetry
 
@@ -171,29 +147,23 @@ class _Heartbeat:
                     payload["records_in"] = self.records_in
                     payload["records_out"] = sink.emitted if sink is not None else 0
                     payload["watermark"] = sink.watermark if sink is not None else None
-                    if self.in_queue is not None:
-                        try:
-                            payload["queue_depth"] = self.in_queue.qsize()
-                        except (NotImplementedError, OSError):
-                            pass  # qsize is unimplemented on some platforms
                 if self.ledger is not None:
                     events = self.ledger.drain()
                     if events:
                         payload["events"] = events
             try:
-                self._queue.put(("heartbeat", self._shard, self._epoch, payload))
+                self._send(("heartbeat", payload))
             except Exception:  # noqa: BLE001 - liveness must not be fatal
                 pass
 
 
-class QueueSource(Source):
-    """A stream source draining prepared record chunks from a process queue.
+class PartitionSource(Source):
+    """A stream source over the shard's partition, handed over at spawn.
 
-    Yields until the ``("eof", None)`` sentinel. The default
-    :meth:`~repro.streaming.source.Source.iter_from` (skip via iteration)
-    gives checkpoint resume for free: on restore the coordinator re-feeds
-    the shard's full partition and the environment skips the first
-    ``offset`` records of this source.
+    The default :meth:`~repro.streaming.source.Source.iter_from` (skip via
+    iteration) gives checkpoint resume for free: a respawned attempt gets
+    the same partition and the environment skips the first ``offset``
+    records of this source.
 
     With a ``heartbeat`` attached, the source beats once per yielded record
     — progress-tied liveness: a downstream operator that stops consuming
@@ -201,27 +171,25 @@ class QueueSource(Source):
     """
 
     def __init__(
-        self, schema: Schema, queue: Any, heartbeat: _Heartbeat | None = None
+        self,
+        schema: Schema,
+        records: Sequence[Record],
+        heartbeat: _Heartbeat | None = None,
     ) -> None:
         super().__init__(schema)
-        self._queue = queue
+        self._records = records
         self._heartbeat = heartbeat
 
     def __iter__(self) -> Iterator[Record]:
         heartbeat = self._heartbeat
-        while True:
-            if heartbeat is not None:
-                heartbeat.beat()
-            kind, payload = self._queue.get()
-            if kind == "eof":
-                return
-            if heartbeat is None:
-                yield from payload
-            else:
-                for record in payload:
-                    heartbeat.records_in += 1
-                    heartbeat.beat()
-                    yield record
+        if heartbeat is None:
+            yield from self._records
+            return
+        heartbeat.beat()
+        for record in self._records:
+            heartbeat.records_in += 1
+            heartbeat.beat()
+            yield record
 
 
 class ShardOutputSink(Sink):
@@ -244,18 +212,14 @@ class ShardOutputSink(Sink):
 
     def __init__(
         self,
-        queue: Any,
-        shard: int,
+        send: Callable[[tuple], None],
         chunk_size: int = 256,
         retain: bool = False,
         log: PollutionLog | None = None,
-        epoch: int = 0,
     ) -> None:
-        self._queue = queue
-        self._shard = shard
+        self._send_frame = send
         self._chunk_size = max(1, chunk_size)
         self._retain = retain
-        self._epoch = epoch
         # In retain mode the sink also carries the shard's pollution log
         # through checkpoints: by the time a snapshot barrier reaches the
         # sink, every processed record's log events have been appended, so
@@ -276,7 +240,7 @@ class ShardOutputSink(Sink):
             self._buffer = []
 
     def _send(self, records: list[Record]) -> None:
-        self._queue.put(("chunk", self._shard, records, self.watermark, self._epoch))
+        self._send_frame(("chunk", records, self.watermark))
 
     def close(self) -> None:
         buffer, self._buffer = self._buffer, []
@@ -351,7 +315,9 @@ def _dead_letter_summaries(report) -> list[dict[str, Any]]:
     return out
 
 
-def _execute_shard(task: ShardTask, in_queue: Any, out_queue: Any) -> dict[str, Any]:
+def _execute_shard(
+    task: ShardTask, records: Sequence[Record], send: Callable[[tuple], None]
+) -> dict[str, Any]:
     """Compile and run one shard's plan inside the worker process.
 
     The worker routes through the same :func:`repro.plan.compile_plan` /
@@ -365,10 +331,12 @@ def _execute_shard(task: ShardTask, in_queue: Any, out_queue: Any) -> dict[str, 
     from repro.plan import PlanRequest, compile_plan, execute_plan
 
     plan = compile_plan(PlanRequest.for_shard(task))
-    return execute_plan(plan, in_queue=in_queue, out_queue=out_queue)
+    return execute_plan(plan, records, send=send)
 
 
-def _execute_shard_plan(plan: Any, in_queue: Any, out_queue: Any) -> dict[str, Any]:
+def _execute_shard_plan(
+    plan: Any, records: Sequence[Record], send: Callable[[tuple], None]
+) -> dict[str, Any]:
     from repro.obs.ledger import RunLedger
     from repro.obs.profile import Profiler
 
@@ -396,27 +364,18 @@ def _execute_shard_plan(plan: Any, in_queue: Any, out_queue: Any) -> dict[str, A
 
     heartbeat = (
         _Heartbeat(
-            out_queue,
-            task.shard,
-            task.epoch,
-            task.heartbeat_interval,
-            telemetry=task.telemetry,
-            in_queue=in_queue,
-            ledger=ledger,
+            send, task.heartbeat_interval, telemetry=task.telemetry, ledger=ledger
         )
         if task.heartbeat_interval is not None
         else None
     )
-    source = QueueSource(task.schema, in_queue, heartbeat=heartbeat)
+    source = PartitionSource(task.schema, records, heartbeat=heartbeat)
     # Output retention (checkpoint/resume snapshots and supervised-batching
     # slab rollback need the emitted prefix in-process) is a planner
     # decision: see the shard-retains-output / shard-streams-output slugs.
     retain = plan.shard_retain
     log = PollutionLog() if task.log else None
-    sink = ShardOutputSink(
-        out_queue, task.shard, task.chunk_size, retain=retain, log=log,
-        epoch=task.epoch,
-    )
+    sink = ShardOutputSink(send, retain=retain, log=log)
     if heartbeat is not None:
         heartbeat.sink = sink
     stream = env.from_source(source, name="shard-input")
@@ -473,27 +432,27 @@ def _execute_shard_plan(plan: Any, in_queue: Any, out_queue: Any) -> dict[str, A
     }
 
 
-def run_shard(task_bytes: bytes, in_queue: Any, out_queue: Any) -> None:
-    """Worker process entry point: run one shard to its terminal message.
+def run_shard(task_bytes: bytes, records: Sequence[Record], conn: Any) -> None:
+    """Worker process entry point: run one shard to its terminal frame.
 
     ``task_bytes`` is the coordinator-pickled :class:`ShardTask` — passing
-    bytes (rather than the object) keeps fork and spawn start methods
-    byte-identical and guarantees the worker operates on a private deep
-    copy of every pipeline, never on memory shared with the coordinator.
+    bytes (rather than the object) keeps every start method byte-identical
+    and guarantees the worker operates on a private deep copy of every
+    pipeline, never on memory shared with the coordinator. ``records`` is
+    the shard's partition and ``conn`` the write end of its pipe, closed
+    after the terminal frame.
     """
-    shard, epoch = -1, 0
     try:
         task = pickle.loads(task_bytes)
-        shard, epoch = task.shard, task.epoch
-        payload = _execute_shard(task, in_queue, out_queue)
-        out_queue.put(("done", shard, _safe_dumps(payload), epoch))
+        frame = ("done", _safe_dumps(_execute_shard(task, records, conn.send)))
     except BaseException as exc:  # noqa: BLE001 - must report before dying
         payload = {
-            "shard": shard,
             "error_type": type(exc).__name__,
             "error": str(exc),
             "node": getattr(exc, "node", None),
             "record_id": getattr(exc, "record_id", None),
             "traceback": traceback.format_exc(limit=20),
         }
-        out_queue.put(("error", shard, _safe_dumps(payload), epoch))
+        frame = ("error", _safe_dumps(payload))
+    conn.send(frame)
+    conn.close()

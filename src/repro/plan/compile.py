@@ -45,8 +45,7 @@ from repro.streaming.partition import AttributeKeySelector
 from repro.streaming.split import Broadcast
 
 #: The slab size of a plan whose caller set neither ``batch_size`` nor a
-#: ``failure_policy`` — the same as the shard transport's ``chunk_size``
-#: default. Every plan the planner lets run in slabs (see
+#: ``failure_policy``. Every plan the planner lets run in slabs (see
 #: :func:`_resolve_batch_size`) is byte-identical to per-record dispatch.
 DEFAULT_BATCH_SIZE = 256
 
@@ -610,13 +609,13 @@ def _compile_shard(request: PlanRequest) -> ExecutionPlan:
         decisions.append(
             PlanDecision(
                 "shard-streams-output",
-                f"records leave the worker in chunks of {task.chunk_size} as "
-                "they are produced, keeping worker memory bounded",
+                "records leave the worker in chunks as they are produced, "
+                "keeping worker memory bounded",
             )
         )
 
     stages: list[PlanStage] = [
-        PlanStage("source", "shard-input", {"transport": "queue"}),
+        PlanStage("source", "shard-input", {"transport": "partition"}),
     ]
     stages += _pollute_stages(
         task.pipelines or [],
@@ -631,7 +630,7 @@ def _compile_shard(request: PlanRequest) -> ExecutionPlan:
         PlanStage(
             "sink",
             "shard-output",
-            {"retain": retain, "chunk_size": task.chunk_size},
+            {"retain": retain},
         )
     )
     return ExecutionPlan(

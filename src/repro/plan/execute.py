@@ -21,23 +21,18 @@ from repro.plan.ir import (
 )
 
 
-def execute_plan(
-    plan: ExecutionPlan,
-    data: Any = None,
-    *,
-    in_queue: Any = None,
-    out_queue: Any = None,
-) -> Any:
-    """Run a compiled plan.
+def execute_plan(plan: ExecutionPlan, data: Any = None, *, send: Any = None) -> Any:
+    """Run a compiled plan over ``data``.
 
-    ``data`` is the input source for coordinator-side engines (rows,
-    DataSource, path); shard engines instead take the worker's
-    ``in_queue``/``out_queue`` pair and return the shard payload dict.
+    ``data`` is the input source: rows, a DataSource or a path for the
+    coordinator-side engines, the shard's partition for the shard engine.
+    The shard engine also takes ``send``, the callable its output and
+    heartbeat frames go through, and returns the shard payload dict.
     """
     if plan.engine == ENGINE_SHARD_STREAM:
         from repro.parallel.shard import _execute_shard_plan
 
-        return _execute_shard_plan(plan, in_queue, out_queue)
+        return _execute_shard_plan(plan, data, send)
     if plan.engine == ENGINE_PARALLEL:
         from repro.parallel.runner import _execute_parallel_plan
 

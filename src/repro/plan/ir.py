@@ -77,11 +77,10 @@ class PlanStage:
 class PlanRequest:
     """Everything an entry point knows about the run it wants.
 
-    Field names and defaults mirror :func:`repro.core.runner.pollute`
-    (plus the parallel coordinator's transport knobs), so ``pollute()``
-    builds a request by forwarding its own signature. Live objects —
-    pipelines, policies, metrics registries, renderers — ride along
-    untouched; the compiler only reads them.
+    Field names and defaults mirror :func:`repro.core.runner.pollute`, so
+    ``pollute()`` builds a request by forwarding its own signature. Live
+    objects — pipelines, policies, metrics registries, renderers — ride
+    along untouched; the compiler only reads them.
     """
 
     pipelines: Any = None
@@ -114,10 +113,6 @@ class PlanRequest:
     profiler: Any = None
     ledger: Any = None
     progress: Any = False
-    #: Parallel transport knobs: records per queue message and queue
-    #: capacity per shard. ``pollute()`` leaves them at their defaults.
-    chunk_size: int = 256
-    queue_depth: int = 8
     #: Set for worker-side compilation: the shard's complete picklable plan.
     shard_task: Any = None
 
@@ -138,7 +133,6 @@ class PlanRequest:
             pipeline_factory=task.pipeline_factory,
             batch_size=task.batch_size,
             profile=task.profile,
-            chunk_size=task.chunk_size,
             shard_task=task,
         )
 

@@ -338,6 +338,10 @@ PARALLEL_CELLS = [
         "parallel-2-retry",
         {"parallelism": 2, "failure_policy": FailurePolicy.retry(2)},
     ),
+    # Partitions are pickled with the process arguments under these two
+    # start methods instead of inherited.
+    ("parallel-2-spawn", {"parallelism": 2, "mp_context": "spawn"}),
+    ("parallel-2-forkserver", {"parallelism": 2, "mp_context": "forkserver"}),
 ]
 
 

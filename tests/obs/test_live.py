@@ -20,12 +20,10 @@ class TestLiveAggregator:
     def test_update_folds_snapshot_into_view_and_gauges(self):
         agg = LiveAggregator()
         agg.mark_spawn(0, 0)
-        agg.update(
-            0, 0, {"records_in": 10, "records_out": 8, "watermark": 600, "queue_depth": 2}
-        )
+        agg.update(0, 0, {"records_in": 10, "records_out": 8, "watermark": 600})
         v = agg.view(0)
         assert v.records_in == 10 and v.records_out == 8
-        assert v.watermark == 600 and v.queue_depth == 2
+        assert v.watermark == 600
         assert agg.registry.gauge("live_shard_records_out", shard=0).value == 8
         assert agg.registry.gauge("live_shard_watermark", shard=0).value == 600
 
@@ -55,10 +53,10 @@ class TestLiveAggregator:
     def test_restart_resets_incarnation_counters_not_restarts(self):
         agg = LiveAggregator()
         agg.mark_spawn(0, 0)
-        agg.update(0, 0, {"records_out": 50, "queue_depth": 4})
+        agg.update(0, 0, {"records_in": 60, "records_out": 50})
         agg.mark_restart(0, 1)
         v = agg.view(0)
-        assert v.records_out == 0 and v.queue_depth == 0
+        assert v.records_out == 0 and v.records_in == 0
         assert v.restarts == 1 and v.epoch == 1
         assert agg.registry.gauge("live_shard_restarts", shard=0).value == 1
         assert agg.registry.gauge("live_shard_records_out", shard=0).value == 0

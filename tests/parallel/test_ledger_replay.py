@@ -11,11 +11,9 @@ unfaulted baseline and ``--profile``-style attribution accounts for the wall.
 from __future__ import annotations
 
 import io
-import threading
 import time
-import types
+from multiprocessing.context import ForkContext, ForkProcess
 
-import repro.parallel.environment as environment
 from repro.core.runner import pollute
 from repro.obs import LiveAggregator, ProgressRenderer, RunLedger, replay
 from repro.obs.ledger import LEDGER_SCHEMA_VERSION, shard_timeline
@@ -34,25 +32,31 @@ def _run(rows, pipeline, schema, **kwargs):
     return pollute(rows, pipeline, schema=schema, **kwargs)
 
 
-class _SlowFeederThread(threading.Thread):
-    """A feeder thread whose ``start`` returns late, long after the worker
-    it feeds has drained its partition and logged its slabs."""
+class _SlowStartProcess(ForkProcess):
+    """A worker process whose ``start`` returns late, long after the worker
+    has drained its partition and logged its slabs."""
 
     def start(self) -> None:
         super().start()
         time.sleep(1.0)
 
 
+class _SlowStartContext(ForkContext):
+    Process = _SlowStartProcess
+
+
 def test_spawn_is_recorded_before_the_worker_logs(
-    monkeypatch, station_schema, station_rows, template_pipeline
+    station_schema, station_rows, template_pipeline
 ):
-    monkeypatch.setattr(
-        environment,
-        "threading",
-        types.SimpleNamespace(Thread=_SlowFeederThread, Event=threading.Event),
-    )
     ledger = RunLedger()
-    _run(station_rows, template_pipeline, station_schema, parallelism=2, ledger=ledger)
+    _run(
+        station_rows,
+        template_pipeline,
+        station_schema,
+        parallelism=2,
+        ledger=ledger,
+        mp_context=_SlowStartContext(),
+    )
     events = ledger.merged_events()
     assert ledger.find("batch.slab"), "no worker event to race the spawn"
     assert replay(events) == []

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import io
 import os
+import pickle
 import signal
-import threading
+import struct
 import time
 from typing import Sequence
 
@@ -22,6 +23,7 @@ from repro.core.errors import GaussianNoise
 from repro.core.errors.base import ErrorFunction, ErrorOutput
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import StandardPolluter
+import repro.parallel.environment as environment
 from repro.core.runner import pollute
 from repro.errors import ShardError
 from repro.parallel.chaos import HangWorker, KillWorker, SlowWorker
@@ -100,6 +102,22 @@ def _csv_bytes(result, schema: Schema) -> tuple[str, str]:
     log = io.StringIO()
     result.log.to_csv(log)
     return out.getvalue(), log.getvalue()
+
+
+_run_shard = environment.run_shard
+
+
+def _tear_frame_then_die(task_bytes, records, conn):
+    """Worker entry point whose shard-0 first attempt writes a torn frame.
+
+    The length header promises 1 MiB and four bytes of it follow; then the
+    worker SIGKILLs itself, leaving the frame unfinished on its pipe.
+    """
+    task = pickle.loads(task_bytes)
+    if task.shard == 0 and task.epoch == 0:
+        os.write(conn.fileno(), struct.pack("!i", 1 << 20) + b"torn")
+        os.kill(os.getpid(), signal.SIGKILL)
+    _run_shard(task_bytes, records, conn)
 
 
 def _run(rows, pipeline, schema, **kwargs):
@@ -215,46 +233,29 @@ class TestCrashRecovery:
             baseline, station_schema
         )
 
-    def test_feeder_unblocks_when_worker_dies_under_backpressure(
-        self, station_schema, tmp_path
+    def test_worker_killed_mid_frame_ends_only_its_pipe(
+        self, monkeypatch, station_schema, station_rows, template_pipeline
     ):
-        # Kill the worker while the feeder is wedged on a full input queue
-        # (queue_depth=1, chunk_size=1): the feeder must observe the death
-        # and abort instead of deadlocking the coordinator forever.
-        rows = [
-            {"value": float(i), "station": "s0", "timestamp": _ts(i)}
-            for i in range(300)
-        ]
-        baseline = pollute(
-            rows,
-            _chaos_pipeline(
-                KillWorker(_ts(5), tmp_path / "absent", attribute="timestamp")
-            ),
-            schema=station_schema,
-            key_by="station",
-            parallelism=2,
-            seed=7,
-            check="off",
+        # Shard 0's first attempt dies mid-frame. Its pipe reaches
+        # end-of-file at the kill, the other shard's pipe is untouched, and
+        # the shard is recovered long before the heartbeat timeout could
+        # call it hung.
+        baseline = _run(
+            station_rows, template_pipeline, station_schema, mp_context="fork"
         )
-        marker = tmp_path / "kill.marker"
-        marker.write_text("armed")
-        # The transport knobs are PlanRequest fields, not pollute() options.
-        from repro.plan import PlanRequest, compile_plan, execute_plan
-
-        request = PlanRequest(
-            pipelines=_chaos_pipeline(
-                KillWorker(_ts(5), marker, attribute="timestamp")
-            ),
-            schema=station_schema,
-            key_by="station",
-            parallelism=2,
-            seed=7,
-            queue_depth=1,
-            chunk_size=1,
+        monkeypatch.setattr(environment, "run_shard", _tear_frame_then_die)
+        started = time.monotonic()
+        faulted = _run(
+            station_rows,
+            template_pipeline,
+            station_schema,
+            mp_context="fork",
+            heartbeat_timeout=5.0,
+            max_shard_restarts=1,
         )
-        faulted = execute_plan(compile_plan(request), rows)
-        assert not marker.exists()
-        assert faulted.report.shard_restarts >= 1
+        elapsed = time.monotonic() - started
+        assert faulted.report.shard_restarts == 1
+        assert elapsed < 2.5, f"recovery took {elapsed:.2f}s"
         assert _csv_bytes(faulted, station_schema) == _csv_bytes(
             baseline, station_schema
         )
@@ -478,29 +479,6 @@ class TestCheckpointFallback:
 
 
 class TestCoordinatorPrimitives:
-    def test_put_aborts_when_consumer_is_dead(self):
-        env = ShardedEnvironment(1)
-        q = env._ctx.Queue(maxsize=1)
-        q.put("occupied")
-        time.sleep(0.05)  # let the queue's feeder thread enqueue it
-        started = time.monotonic()
-        ok = env._put(q, "blocked", threading.Event(), lambda: False)
-        assert not ok
-        assert time.monotonic() - started < 2.0
-        q.cancel_join_thread()
-        q.close()
-
-    def test_put_aborts_when_attempt_is_stopped(self):
-        env = ShardedEnvironment(1)
-        q = env._ctx.Queue(maxsize=1)
-        q.put("occupied")
-        time.sleep(0.05)
-        stop = threading.Event()
-        stop.set()
-        assert not env._put(q, "blocked", stop, lambda: True)
-        q.cancel_join_thread()
-        q.close()
-
     def test_heartbeat_interval_scales_with_timeout(self):
         assert ShardedEnvironment(1, heartbeat_timeout=None)._heartbeat_interval() is None
         assert ShardedEnvironment(1, heartbeat_timeout=2.0)._heartbeat_interval() == 0.5

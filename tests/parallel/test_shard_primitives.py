@@ -10,14 +10,6 @@ from repro.parallel.shard import ShardOutputSink, _safe_dumps
 from repro.streaming.record import Record
 
 
-class _FakeQueue:
-    def __init__(self):
-        self.items = []
-
-    def put(self, item):
-        self.items.append(item)
-
-
 def _rec(ts, rid):
     r = Record({"v": 0.0, "timestamp": ts})
     r.record_id = rid
@@ -94,50 +86,49 @@ class TestLogMerge:
 
 class TestShardOutputSink:
     def test_streaming_mode_emits_chunks(self):
-        q = _FakeQueue()
-        sink = ShardOutputSink(q, shard=1, chunk_size=2)
+        sent = []
+        sink = ShardOutputSink(sent.append, chunk_size=2)
         for i in range(5):
             sink.invoke(_rec(i, i))
         sink.close()
-        kinds = [(m[0], m[1], len(m[2])) for m in q.items]
-        assert kinds == [("chunk", 1, 2), ("chunk", 1, 2), ("chunk", 1, 1)]
+        kinds = [(m[0], len(m[1])) for m in sent]
+        assert kinds == [("chunk", 2), ("chunk", 2), ("chunk", 1)]
         assert sink.emitted == 5
 
     def test_watermark_tracks_max_event_time(self):
-        q = _FakeQueue()
-        sink = ShardOutputSink(q, shard=0, chunk_size=100)
+        sent = []
+        sink = ShardOutputSink(sent.append, chunk_size=100)
         sink.invoke(_rec(30, 0))
         sink.invoke(_rec(10, 1))
         sink.close()
         assert sink.watermark == 30
-        assert q.items[-1][3] == 30
+        assert sent[-1][2] == 30
 
     def test_retain_mode_holds_until_close(self):
-        q = _FakeQueue()
-        sink = ShardOutputSink(q, shard=0, chunk_size=1, retain=True)
+        sent = []
+        sink = ShardOutputSink(sent.append, chunk_size=1, retain=True)
         sink.invoke(_rec(1, 0))
         sink.invoke(_rec(2, 1))
-        assert q.items == []
+        assert sent == []
         sink.close()
-        assert sum(len(m[2]) for m in q.items) == 2
+        assert sum(len(m[1]) for m in sent) == 2
 
     def test_retain_snapshot_round_trip_includes_log(self):
-        q = _FakeQueue()
         log = PollutionLog()
         log.extend([TestLogMerge._event(0)])
-        sink = ShardOutputSink(q, shard=0, chunk_size=4, retain=True, log=log)
+        sink = ShardOutputSink([].append, chunk_size=4, retain=True, log=log)
         sink.invoke(_rec(1, 0))
         state = sink.snapshot_state()
         assert len(state["records"]) == 1 and len(state["log_events"]) == 1
 
         fresh_log = PollutionLog()
-        fresh = ShardOutputSink(_FakeQueue(), shard=0, retain=True, log=fresh_log)
+        fresh = ShardOutputSink([].append, retain=True, log=fresh_log)
         fresh.restore_state(state)
         assert fresh.emitted == 1 and fresh.watermark == 1
         assert len(fresh_log) == 1
 
     def test_streaming_mode_has_no_snapshot(self):
-        sink = ShardOutputSink(_FakeQueue(), shard=0)
+        sink = ShardOutputSink([].append)
         assert sink.snapshot_state() is None
 
 

@@ -10,14 +10,24 @@ rebuild -> ``pollute`` — must:
 * keep record ids within the input id space,
 * keep the output sorted by timestamp, and
 * round-trip through serialization with byte-identical pollution.
+
+Configs are also untrusted input (``repro serve`` builds them from request
+bodies): arbitrary JSON in any slot of a valid config must end in a check
+report or a :class:`~repro.errors.ConfigError` naming the slot, never a raw
+exception.
 """
 
+import copy
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.check import CheckReport, analyze_config
 from repro.core.config import pipeline_from_config
 from repro.core.runner import pollute
 from repro.core.serialize import pipeline_to_config
+from repro.errors import ConfigError
 from repro.streaming.schema import Attribute, DataType, Schema
 
 SCHEMA = Schema(
@@ -142,3 +152,162 @@ class TestConfigFuzz:
         assert [r.as_dict() for r in round_tripped.polluted] == [
             r.as_dict() for r in result.polluted
         ]
+
+
+#: A valid config touching every builder: composites, nested and negated
+#: conditions, derived errors, patterns, weights and attribute parameters.
+UNTRUSTED_BASE = {
+    "name": "untrusted",
+    "polluters": [
+        {
+            "type": "standard",
+            "name": "noise",
+            "attributes": ["num"],
+            "error": {"type": "gaussian_noise", "sigma": 1.0},
+            "condition": {"type": "probability", "p": 0.5},
+        },
+        {
+            "type": "composite",
+            "name": "either",
+            "mode": "choose_one",
+            "weights": [1, 1],
+            "condition": {
+                "type": "any_of",
+                "children": [
+                    {
+                        "type": "not",
+                        "child": {"type": "attribute", "attribute": "num", "op": ">", "value": 3},
+                    },
+                    {
+                        "type": "pattern_probability",
+                        "scale": 0.5,
+                        "pattern": {"type": "sinusoidal", "amplitude": 0.2},
+                    },
+                ],
+            },
+            "children": [
+                {
+                    "type": "standard",
+                    "attributes": ["num"],
+                    "error": {
+                        "type": "derived",
+                        "error": {"type": "scale", "factor": 2},
+                        "pattern": {"type": "incremental", "start": T0, "end": TN},
+                    },
+                },
+                {
+                    "type": "standard",
+                    "error": {
+                        "type": "delay",
+                        "delay": {"minutes": 5},
+                        "timestamp_attribute": "timestamp",
+                    },
+                    "condition": {"type": "time_interval", "start": T0, "end": TN},
+                },
+            ],
+        },
+        {
+            "type": "standard",
+            "name": "category",
+            "attributes": ["cat"],
+            "error": {"type": "incorrect_category", "domain": ["red", "blue"]},
+            "condition": {
+                "type": "all_of",
+                "children": [
+                    {"type": "in_set", "attribute": "cat", "values": ["green"]},
+                    {"type": "range", "attribute": "num", "low": 0, "high": 5},
+                    {"type": "burst"},
+                ],
+            },
+        },
+        {
+            "type": "standard",
+            "name": "dup",
+            "error": {
+                "type": "duplicate",
+                "copies": 2,
+                "spacing": 60,
+                "timestamp_attribute": "timestamp",
+            },
+            "condition": {"type": "every_nth", "n": 3},
+        },
+    ],
+}
+
+
+def _slots(node, path=()):
+    """Every JSON path inside ``node``, the root included."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _slots(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node):
+            yield from _slots(child, path + (index,))
+
+
+SLOTS = list(_slots(UNTRUSTED_BASE))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _with(path, value):
+    """``UNTRUSTED_BASE`` with the slot at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    spec = copy.deepcopy(UNTRUSTED_BASE)
+    node = spec
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return spec
+
+
+class TestUntrustedConfig:
+    def test_base_config_builds_and_analyzes(self):
+        pipeline_from_config(UNTRUSTED_BASE)
+        report = analyze_config(UNTRUSTED_BASE, SCHEMA)
+        assert not any(d.rule == "ICE001" for d in report.diagnostics)
+
+    @given(path=st.sampled_from(SLOTS), value=json_values)
+    @settings(max_examples=400, deadline=None)
+    def test_any_json_in_any_slot_is_a_report_or_config_error(self, path, value):
+        spec = _with(path, value)
+        try:
+            pipeline_from_config(spec)
+        except ConfigError:
+            pass
+        assert isinstance(analyze_config(spec, SCHEMA), CheckReport)
+
+    @pytest.mark.parametrize(
+        "spec,location",
+        [
+            ([], ""),
+            (1, ""),
+            (None, ""),
+            ({"polluters": 3}, ""),
+            ({"polluters": [1]}, "polluters[0]"),
+            (_with(("polluters", 0, "error"), 5), "polluters[0].error"),
+            (_with(("polluters", 0, "error"), {"type": []}), "polluters[0].error"),
+            (_with(("polluters", 0, "condition"), 5), "polluters[0].condition"),
+            (_with(("polluters", 0, "attributes"), [["num"]]), "polluters[0].attributes"),
+            # A string is not read as a list of one-letter attributes.
+            (_with(("polluters", 0, "attributes"), "num"), "polluters[0].attributes"),
+            (_with(("polluters", 0, "name"), {}), "polluters[0].name"),
+            (
+                _with(("polluters", 1, "children", 1, "error", "timestamp_attribute"), [1]),
+                "polluters[1].children[1].error.timestamp_attribute",
+            ),
+        ],
+    )
+    def test_malformed_slot_is_a_config_error_at_its_path(self, spec, location):
+        with pytest.raises(ConfigError) as exc_info:
+            pipeline_from_config(spec)
+        assert (exc_info.value.path or "") == location
+        [diagnostic] = analyze_config(spec, SCHEMA).diagnostics
+        assert (diagnostic.rule, diagnostic.location) == ("ICE001", location)

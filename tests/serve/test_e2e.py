@@ -187,6 +187,13 @@ class TestAdmissionOverHttp:
         rules = [d["rule"] for d in body["check"]["diagnostics"]]
         assert "ICE101" in rules
 
+    def test_malformed_plan_config_is_422_not_500(self, harness):
+        with pytest.raises(ServeError) as exc_info:
+            harness.client().submit(job_spec(n_rows=5, config={"polluters": [1]}))
+        assert exc_info.value.status == 422
+        rules = [d["rule"] for d in exc_info.value.body["check"]["diagnostics"]]
+        assert rules == ["ICE001"]
+
     def test_structurally_malformed_submission_is_400(self, harness):
         with pytest.raises(ServeError) as exc_info:
             harness.client().submit({"config": {}, "schema": {}})

@@ -70,6 +70,12 @@ class TestExecution:
         with pytest.raises(ConfigError):
             manager.submit({"nonsense": True})
 
+    def test_malformed_plan_config_is_rejected_with_422(self, manager):
+        job, decision = manager.submit(job_spec(config={"polluters": [1]}))
+        assert job is None and decision.status == 422
+        [diagnostic] = decision.report["diagnostics"]
+        assert (diagnostic["rule"], diagnostic["location"]) == ("ICE001", "polluters[0]")
+
 
 class TestScheduling:
     def test_priority_orders_the_queue(self):

@@ -184,17 +184,13 @@ def test_checkpoints_still_snapshot_collected_output(monkeypatch, tmp_path):
     assert calls and max(calls) > 0
 
 
-class _ListQueue(list):
-    def put(self, item) -> None:
-        self.append(item)
-
-
 def _record(i: int) -> Record:
     return Record({"value": float(i), "station": "s", "timestamp": i}, event_time=i)
 
 
 def test_retaining_shard_sink_truncates_to_its_token():
-    sink = ShardOutputSink(_ListQueue(), shard=0, chunk_size=4, retain=True)
+    sent: list[tuple] = []
+    sink = ShardOutputSink(sent.append, chunk_size=4, retain=True)
     for i in range(5):
         sink.invoke(_record(i))
     token = sink.slab_token()
@@ -203,13 +199,12 @@ def test_retaining_shard_sink_truncates_to_its_token():
     sink.slab_rollback(token)
     assert (sink.emitted, sink.watermark) == (5, 4)
     sink.close()
-    sent = [r["timestamp"] for _, _, chunk, _, _ in sink._queue for r in chunk]
-    assert sent == [0, 1, 2, 3, 4]
+    assert [r["timestamp"] for _, chunk, _ in sent for r in chunk] == [0, 1, 2, 3, 4]
 
 
 def test_streaming_shard_sink_offers_no_token():
     """A streaming sink has already sent its chunks; it cannot truncate."""
-    sink = ShardOutputSink(_ListQueue(), shard=0, chunk_size=4, retain=False)
+    sink = ShardOutputSink([].append, chunk_size=4, retain=False)
     assert sink.slab_token() is None
 
 
