@@ -2,9 +2,10 @@
 
 Runs a metered pollution over a two-day sensor stream and renders what the
 observability layer collected — per-node throughput and latency
-percentiles, per-polluter condition hit rates and injection counts, and a
-span trace of the engine's structural events — then exports the same
-registry in all three formats (summary / JSONL / Prometheus).
+percentiles, per-polluter condition hit rates and injection counts, and
+the run ledger's event log (run start/complete, checkpoint writes, and
+any supervision decision) — then exports the same registry in all three
+formats (summary / JSONL / Prometheus).
 
 Counters for nodes and standard polluters are *buffered* on the hot path
 and folded into the registry when the run finishes; a live reader polling
@@ -14,6 +15,8 @@ to fold the deltas early, as shown at the bottom.
 Run:  python examples/metrics_dashboard.py
 """
 
+import tempfile
+
 from repro import (
     Attribute,
     DataType,
@@ -21,12 +24,13 @@ from repro import (
     PollutionPipeline,
     Schema,
     StandardPolluter,
-    Tracer,
     pollute,
     render_metrics,
 )
 from repro.core.conditions import DailyIntervalCondition, ProbabilityCondition
 from repro.core.errors import GaussianNoise, SetToNull
+from repro.obs import RunLedger
+from repro.streaming.supervision import SKIP
 from repro.streaming.time import parse_timestamp
 
 
@@ -73,20 +77,27 @@ def build_pipeline():
 def main() -> None:
     schema, rows = build_stream()
     metrics = MetricsRegistry(sample_every=4)  # time 1 in 4 dispatches
-    tracer = Tracer()
+    ledger = RunLedger()
 
-    # Metrics never change the pollution output. batch_size=1 dispatches
-    # record by record, so node_process_seconds times single records; the
-    # default slab dispatch would time one 256-record slab per sample.
-    result = pollute(
-        rows,
-        build_pipeline(),
-        schema=schema,
-        seed=7,
-        batch_size=1,
-        metrics=metrics,
-        tracer=tracer,
-    )
+    # Metrics and the ledger never change the pollution output.
+    # batch_size=1 dispatches record by record, so node_process_seconds
+    # times single records; the default slab dispatch would time one
+    # 256-record slab per sample. The run is supervised and checkpointed
+    # so the ledger has checkpoint events and would record every skipped
+    # record.
+    with tempfile.TemporaryDirectory() as checkpoints:
+        result = pollute(
+            rows,
+            build_pipeline(),
+            schema=schema,
+            seed=7,
+            batch_size=1,
+            failure_policy=SKIP,
+            checkpoint_dir=checkpoints,
+            checkpoint_interval=96,
+            metrics=metrics,
+            ledger=ledger,
+        )
 
     print("=" * 64)
     print("run summary")
@@ -109,11 +120,15 @@ def main() -> None:
 
     print()
     print("=" * 64)
-    print(f"trace ({len(tracer)} spans; lifecycle + checkpoint + supervision)")
+    events = ledger.merged_events()
+    skipped = len(ledger.find("supervision.skip"))
+    print(f"run ledger ({len(events)} events; {skipped} supervision decisions)")
     print("=" * 64)
-    for span in tracer.spans[:6]:
-        print(f"  {span.start:9.6f}s {span.name:<12} {span.attrs}")
-    print("  ...")
+    start = events[0]["mono"]
+    stamps = {"seq", "source", "event", "mono", "wall", "path", "digest", "config_hash"}
+    for event in events:
+        fields = {k: v for k, v in event.items() if k not in stamps}
+        print(f"  +{event['mono'] - start:9.6f}s {event['event']:<17} {fields}")
 
     print()
     print("=" * 64)

@@ -73,7 +73,7 @@ from repro.check import (
     analyze_config,
 )
 from repro.core.keyed_pollution import FreshPipelineFactory
-from repro.obs import MetricsRegistry, Tracer, render_metrics, write_metrics
+from repro.obs import MetricsRegistry, render_metrics, write_metrics
 from repro.parallel import ShardedEnvironment
 from repro.streaming import (
     Attribute,
@@ -119,7 +119,6 @@ __all__ = [
     "StandardPolluter",
     "StreamError",
     "StreamExecutionEnvironment",
-    "Tracer",
     "__version__",
     "analyze",
     "analyze_config",

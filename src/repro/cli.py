@@ -55,6 +55,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -62,7 +63,7 @@ from repro.core.config import pipeline_from_config
 from repro.core.runner import pollute
 from repro.datasets.io import load_records, save_records
 from repro.errors import ConfigError, IcewaflError
-from repro.obs import FORMATS, MetricsRegistry, RunLedger, Tracer, write_metrics
+from repro.obs import FORMATS, MetricsRegistry, RunLedger, write_metrics
 from repro.quality import (
     ExpectColumnMeanToBeBetween,
     ExpectColumnMedianToBeBetween,
@@ -234,11 +235,6 @@ def _check_parallel_args(args: argparse.Namespace) -> None:
     explanation up front instead of a deep traceback."""
     if args.parallel is not None and args.parallel < 1:
         raise ConfigError(f"--parallel must be >= 1, got {args.parallel}")
-    if args.parallel is not None and args.trace_out is not None:
-        raise ConfigError(
-            "--trace-out is not supported with --parallel: span context does "
-            "not cross the worker process boundary; drop one of the two"
-        )
     if args.resume_from is not None:
         resume = Path(args.resume_from)
         if args.parallel is not None and resume.is_file():
@@ -274,11 +270,9 @@ def cmd_pollute(args: argparse.Namespace) -> int:
     pipeline = pipeline_from_config(_load_json(args.config))
     records = load_records(schema, args.input)
     metrics = MetricsRegistry() if args.metrics_out else None
-    tracer = Tracer() if args.trace_out else None
     ledger = RunLedger() if args.ledger_out else None
     kwargs: dict[str, Any] = {
         "metrics": metrics,
-        "tracer": tracer,
         "ledger": ledger,
         "profile": bool(args.profile),
         "progress": bool(args.progress),
@@ -312,7 +306,7 @@ def cmd_pollute(args: argparse.Namespace) -> int:
         # The engines' cleanup already ran (worker processes terminated by
         # the coordinator's finally); persist whatever observability state
         # the run accumulated so an interrupted run still leaves evidence.
-        _flush_interrupted(args, ledger, metrics, tracer)
+        _flush_interrupted(args, ledger, metrics)
         raise
     save_records(result.polluted, schema, args.output)
     if args.log:
@@ -333,9 +327,7 @@ def cmd_pollute(args: argparse.Namespace) -> int:
         ledger.to_jsonl(args.ledger_out)
         print(f"run ledger: {len(ledger)} events ({args.ledger_out})")
     if metrics is not None:
-        write_metrics(metrics, args.metrics_out, args.metrics_format, tracer=tracer)
-    if tracer is not None:
-        tracer.to_jsonl(args.trace_out)
+        write_metrics(metrics, args.metrics_out, args.metrics_format)
     return 0
 
 
@@ -343,7 +335,6 @@ def _flush_interrupted(
     args: argparse.Namespace,
     ledger: RunLedger | None,
     metrics: MetricsRegistry | None,
-    tracer: Tracer | None,
 ) -> None:
     """Best-effort flush of partial observability output after an interrupt."""
     if ledger is not None and args.ledger_out:
@@ -358,7 +349,7 @@ def _flush_interrupted(
             pass
     if metrics is not None and args.metrics_out and str(args.metrics_out) != "-":
         try:
-            write_metrics(metrics, args.metrics_out, args.metrics_format, tracer=tracer)
+            write_metrics(metrics, args.metrics_out, args.metrics_format)
             print(f"interrupted: flushed metrics to {args.metrics_out}", file=sys.stderr)
         except OSError:
             pass
@@ -497,22 +488,26 @@ def cmd_validate(args: argparse.Namespace) -> int:
     schema = schema_from_config(_load_json(args.schema))
     suite = suite_from_config(_load_json(args.suite))
     records = load_records(schema, args.input)
-    tracer = Tracer() if args.trace_out else None
-    if tracer is not None:
-        with tracer.span("validate", kind="validation", suite=suite.name):
-            report = suite.validate(ValidationDataset(records, schema))
+    start = time.perf_counter()
+    report = suite.validate(ValidationDataset(records, schema))
+    duration = time.perf_counter() - start
+    print(report.summary())
+    if args.ledger_out:
+        ledger = RunLedger()
+        ledger.record(
+            "validate",
+            suite=suite.name,
+            success=report.success,
+            duration_seconds=round(duration, 6),
+        )
         for res in report.results:
-            tracer.event(
+            ledger.record(
                 "validate." + res.expectation,
-                kind="validation",
                 column=res.column or "",
                 success=res.success,
                 unexpected=res.unexpected_count,
             )
-        tracer.to_jsonl(args.trace_out)
-    else:
-        report = suite.validate(ValidationDataset(records, schema))
-    print(report.summary())
+        ledger.to_jsonl(args.ledger_out)
     if args.metrics_out:
         write_metrics(_validation_metrics(report), args.metrics_out, args.metrics_format)
     return 0 if report.success else 1
@@ -608,8 +603,10 @@ def _add_observability_args(p: argparse.ArgumentParser) -> None:
         help="metrics output format (default summary)",
     )
     p.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="write span records as JSONL to PATH; enables tracing",
+        "--ledger-out", default=None, metavar="PATH",
+        help="write the run's structured event log (run/shard/checkpoint/"
+        "supervision events, merged across workers; validate's per-"
+        "expectation events) as JSONL to PATH",
     )
 
 
@@ -623,11 +620,6 @@ def _add_live_args(p: argparse.ArgumentParser) -> None:
         "--profile", action="store_true",
         help="attribute run time to phases, nodes, and batch kernels "
         "(including FallbackKernel polluters); prints a top-offenders table",
-    )
-    p.add_argument(
-        "--ledger-out", default=None, metavar="PATH",
-        help="write the run's structured lifecycle event log (run/shard/"
-        "checkpoint events, merged across workers) as JSONL to PATH",
     )
 
 

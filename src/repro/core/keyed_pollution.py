@@ -13,7 +13,7 @@ extension on the reproduction's substrate:
   under partitioning. It is an ordinary operator of the one stream engine:
   ``pollute(key_by=...)`` runs it as ``key_by -> pollute-keyed`` in place
   of ``split -> pollute[i]``, and every parallel shard runs the same stage
-  over its key partition, so supervision, checkpointing and tracing apply
+  over its key partition, so supervision, checkpointing and the run ledger apply
   to keyed runs as to any other.
 * :class:`FreshPipelineFactory` — the picklable factory cloning one template
   pipeline per key, used when ``pollute(key_by=...)`` gets a pipeline

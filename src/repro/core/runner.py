@@ -22,8 +22,8 @@ them one at a time: 256 to a slab unless ``batch_size`` says otherwise,
 one-record slabs for ``batch_size=1`` or a supervised run without a batch
 size (the planner resolves this into ``ExecutionPlan.batch_size``, see
 :func:`repro.plan.compile_plan`; the engine is the same at every size).
-Supervision, checkpointing, metrics, tracing, profiling, the run
-ledger and live progress all attach to this one engine, keyed or not, so
+Supervision, checkpointing, metrics, profiling, the run ledger
+and live progress all attach to this one engine, keyed or not, so
 observing a run never changes which engine runs it.
 """
 
@@ -51,7 +51,6 @@ from repro.obs.ledger import LEDGER_SCHEMA_VERSION, RunLedger
 from repro.obs.live import ProgressRenderer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
-from repro.obs.tracing import Tracer
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore
 from repro.streaming.environment import DataStream, StreamExecutionEnvironment
 from repro.streaming.operators import Collector, ProcessContext, ProcessFunction
@@ -168,7 +167,6 @@ def pollute(
     checkpoint_interval: int = 100,
     resume_from: Checkpoint | str | Path | None = None,
     metrics: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
     parallelism: int | None = None,
     key_by: str | Any | None = None,
     pipeline_factory: Any | None = None,
@@ -221,22 +219,18 @@ def pollute(
         telemetry into: per-polluter activation/condition/injection counters
         plus the stream engine's node metrics. Pollution output is
         byte-identical with and without metrics.
-    tracer:
-        A :class:`~repro.obs.tracing.Tracer` receiving span records for node
-        lifecycle, checkpoint, and supervision events.
     parallelism:
         When set, the plan compiles to the ``parallel`` engine
         (:mod:`repro.parallel`): prepared records are partitioned across
         ``parallelism`` worker processes and the outputs deterministically
         merged. Keyed plans (``key_by``) are byte-identical
         to the sequential run; unkeyed plans are reproducible per
-        ``(seed, parallelism)``. Incompatible with ``tracer`` (spans cannot
-        cross process boundaries).
+        ``(seed, parallelism)``.
     key_by:
         Pollution key — an attribute name or a picklable key selector. Runs
         one pipeline instance per key (isolated stateful error functions)
         as a keyed operator on the same stream engine, so supervision,
-        checkpointing, tracing and every other hook apply as they do
+        checkpointing, the ledger and every other hook apply as they do
         unkeyed; combine with ``parallelism`` for hash-partitioned parallel
         keyed pollution. Mutually exclusive with ``split``.
     pipeline_factory:
@@ -292,9 +286,10 @@ def pollute(
         Observational only; output is byte-identical.
     ledger:
         A :class:`~repro.obs.ledger.RunLedger` receiving the run's
-        structured lifecycle event log (run start/complete, checkpoint
-        writes/restores, batch slab boundaries; plus the full shard
-        lifecycle in parallel runs). Write it out with
+        event log: run start/complete, checkpoint writes/restores, batch
+        slab boundaries and every supervision decision, plus the full shard
+        lifecycle in parallel runs, where each worker's events are merged
+        into this ledger. Write it out with
         :meth:`~repro.obs.ledger.RunLedger.to_jsonl`.
     progress:
         ``True`` (or a preconfigured
@@ -331,7 +326,6 @@ def pollute(
         checkpoint_interval=checkpoint_interval,
         resume_from=resume_from,
         metrics=metrics,
-        tracer=tracer,
         parallelism=parallelism,
         key_by=key_by,
         pipeline_factory=pipeline_factory,
@@ -564,7 +558,6 @@ def _run_stream(
     request = plan.request
     env = StreamExecutionEnvironment(
         metrics=metrics,
-        tracer=request.tracer,
         batch_size=plan.batch_size,
         ledger=request.ledger,
         profiler=profiler,

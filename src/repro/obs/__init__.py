@@ -1,20 +1,18 @@
-"""repro.obs — the observability layer: metrics, tracing, exporters.
+"""repro.obs — the observability layer: metrics, the run ledger, exporters.
 
 A zero-dependency subsystem threaded through every layer of the runtime:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with counters,
   gauges, and fixed-bucket histograms; disabled registries hand out shared
   no-ops so instrumentation costs nothing when off;
-* :mod:`repro.obs.tracing` — :class:`Tracer` emitting span records (node
-  open/close, checkpoint write/restore, retry attempts, sampled record
-  dispatches) to a bounded ring buffer or a JSONL sink;
 * :mod:`repro.obs.export` — summary-table, JSONL, and Prometheus text
   renderers (with ``# HELP``/``# TYPE`` conformance);
 * :mod:`repro.obs.live` — :class:`LiveAggregator` folding streaming
   per-shard telemetry into live gauges, plus the :class:`ProgressRenderer`
   behind ``--progress``;
-* :mod:`repro.obs.ledger` — :class:`RunLedger`, the merged JSONL lifecycle
-  event log behind ``--ledger-out`` (schema
+* :mod:`repro.obs.ledger` — :class:`RunLedger`, the one runtime event log
+  (run, shard, checkpoint, slab and supervision events, merged across
+  worker processes) behind ``--ledger-out`` (schema
   :data:`~repro.obs.ledger.LEDGER_SCHEMA_VERSION`);
 * :mod:`repro.obs.profile` — :class:`Profiler`, the opt-in wall-time
   attribution layer behind ``--profile``.
@@ -47,7 +45,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
 )
 from repro.obs.profile import PROFILE_SCHEMA_VERSION, Profiler
-from repro.obs.tracing import Span, Tracer
 
 __all__ = [
     "Counter",
@@ -65,8 +62,6 @@ __all__ = [
     "RunLedger",
     "SIZE_BUCKETS",
     "ShardView",
-    "Span",
-    "Tracer",
     "render_jsonl",
     "render_metrics",
     "render_prometheus",

@@ -17,7 +17,6 @@ import json
 from pathlib import Path
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.tracing import Tracer
 
 FORMATS = ("summary", "jsonl", "prom")
 
@@ -67,7 +66,6 @@ METRIC_HELP: dict[str, str] = {
     "profile_kernel_seconds": "Batch-kernel time per polluter.",
     "profile_kernel_mask_seconds": "Condition-mask evaluation time per polluter.",
     "profile_node_seconds": "Exclusive per-node processing time.",
-    "tracer_dropped_spans": "Spans evicted from the tracer ring buffer.",
     "factbase_cache_hits_total": "Plan-fact bases served from the plan-hash cache.",
     "factbase_cache_misses_total": "Plan-fact bases built from scratch.",
     "factbase_cache_entries": "Fact bases currently held by the plan-hash cache.",
@@ -124,7 +122,7 @@ def _escape_help(value: str) -> str:
     return value.replace("\\", r"\\").replace("\n", r"\n")
 
 
-def render_summary(registry: MetricsRegistry, tracer: Tracer | None = None) -> str:
+def render_summary(registry: MetricsRegistry) -> str:
     """A sectioned, aligned, human-readable dump of every instrument."""
     sections: list[tuple[str, list[tuple[str, str]]]] = []
     counters = [
@@ -149,16 +147,6 @@ def render_summary(registry: MetricsRegistry, tracer: Tracer | None = None) -> s
     sections.append(("counters", counters))
     sections.append(("gauges", gauges))
     sections.append(("histograms", histograms))
-    if tracer is not None:
-        sections.append(
-            (
-                "tracing",
-                [
-                    ("spans_buffered", str(len(tracer))),
-                    ("dropped_spans", str(tracer.dropped_spans)),
-                ],
-            )
-        )
     lines: list[str] = []
     for title, rows in sections:
         if not rows:
@@ -217,19 +205,10 @@ def render_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def render_metrics(
-    registry: MetricsRegistry, fmt: str, tracer: Tracer | None = None
-) -> str:
-    """Dispatch on one of :data:`FORMATS`.
-
-    ``tracer``, when given, surfaces ring-buffer health (buffered span
-    count and :attr:`Tracer.dropped_spans`) in the summary format, and as
-    a ``tracer_dropped_spans`` gauge in the machine formats.
-    """
+def render_metrics(registry: MetricsRegistry, fmt: str) -> str:
+    """Dispatch on one of :data:`FORMATS`."""
     if fmt == "summary":
-        return render_summary(registry, tracer=tracer) + "\n"
-    if tracer is not None and registry.enabled:
-        registry.gauge("tracer_dropped_spans").set(tracer.dropped_spans)
+        return render_summary(registry) + "\n"
     if fmt == "jsonl":
         return render_jsonl(registry)
     if fmt == "prom":
@@ -237,14 +216,9 @@ def render_metrics(
     raise ValueError(f"unknown metrics format {fmt!r}; use one of {FORMATS}")
 
 
-def write_metrics(
-    registry: MetricsRegistry,
-    out: str | Path,
-    fmt: str,
-    tracer: Tracer | None = None,
-) -> str:
+def write_metrics(registry: MetricsRegistry, out: str | Path, fmt: str) -> str:
     """Render and write to ``out`` (``"-"`` = stdout); returns the text."""
-    text = render_metrics(registry, fmt, tracer=tracer)
+    text = render_metrics(registry, fmt)
     if str(out) == "-":
         print(text, end="")
     else:

@@ -1,9 +1,9 @@
 """Opt-in wall-time attribution: where does a pollution run spend its time?
 
-BENCH_parallel.json says parallel runs can be *slower* than sequential, and
-the batch fast path silently falls back to :class:`~repro.batch.kernels.FallbackKernel`
-for unsupported polluters — but nothing named the cost. The
-:class:`Profiler` answers both with a layered attribution model:
+The :class:`Profiler` names where a run's wall time goes — including
+the polluters the batch fast path runs on
+:class:`~repro.batch.kernels.FallbackKernel` — with a layered attribution
+model:
 
 * **Phases** — contiguous, non-overlapping segments of the top-level run
   (preflight, prepare, execute, merge, ...) timed with
@@ -18,7 +18,7 @@ for unsupported polluters — but nothing named the cost. The
   uses), so ``--profile`` names would-be fallbacks in any engine.
 * **Nodes** — per-node stream-operator timing folded from the engine's
   sampled ``node_process_seconds`` histograms (forced to sample 1-in-
-  ``node_sample_every`` dispatches under profiling). Dispatch is
+  :data:`NODE_SAMPLE_EVERY` dispatches under profiling). Dispatch is
   depth-first, so raw histograms are *inclusive* of downstream work; the
   engine folds them into *exclusive* (self) time via the topology before
   they land here.
@@ -42,25 +42,17 @@ from typing import Any, Iterator
 #: Version of the ``profile`` dict schema (see :meth:`Profiler.as_dict`).
 PROFILE_SCHEMA_VERSION = 1
 
+#: Sampling stride for per-record node dispatch timing under profiling (two
+#: clock reads per timed dispatch). 4 keeps profiling overhead well inside
+#: the ≤10% budget; the fold scales sampled sums by the true arrival count.
+#: Batch runs time every slab dispatch exactly.
+NODE_SAMPLE_EVERY = 4
+
 
 class Profiler:
-    """Collects wall-time attribution for one pollution run.
+    """Collects wall-time attribution for one pollution run."""
 
-    Parameters
-    ----------
-    node_sample_every:
-        Sampling stride for per-node dispatch timing (two clock reads per
-        timed dispatch). ``1`` times every dispatch exactly; the default
-        of 4 keeps profiling overhead well inside the ≤10% budget while
-        the fold scales sampled sums by the true arrival count.
-    """
-
-    def __init__(self, node_sample_every: int = 4) -> None:
-        if node_sample_every < 1:
-            raise ValueError(
-                f"node_sample_every must be >= 1, got {node_sample_every}"
-            )
-        self.node_sample_every = node_sample_every
+    def __init__(self) -> None:
         self._t0 = perf_counter()
         self.wall_seconds: float | None = None
         self.phases: dict[str, float] = {}

@@ -400,11 +400,6 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
     parallelism = request.parallelism or 0
     if parallelism < 1:
         raise PollutionError(f"parallelism must be >= 1, got {parallelism}")
-    if request.tracer is not None:
-        raise PollutionError(
-            "tracing is not supported for parallel runs: spans cannot "
-            "cross worker process boundaries; drop tracer or parallelism"
-        )
     if isinstance(request.resume_from, Checkpoint):
         raise PollutionError(
             "resume_from is an in-memory sequential checkpoint; a "

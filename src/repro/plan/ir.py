@@ -96,7 +96,6 @@ class PlanRequest:
     checkpoint_interval: int = 100
     resume_from: Any = None
     metrics: Any = None
-    tracer: Any = None
     parallelism: int | None = None
     key_by: Any = None
     pipeline_factory: Any = None
@@ -259,7 +258,6 @@ class ExecutionPlan:
             ),
             "resume": resume,
             "metrics": request.metered,
-            "tracing": request.tracer is not None,
             "profile": bool(request.profile),
             "ledger": request.ledger is not None,
             "progress": bool(request.progress),

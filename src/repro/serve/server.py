@@ -59,6 +59,10 @@ _STATUS_TEXT = {
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
+#: Seconds a client may take to send a request head (the request line and
+#: headers through the blank line) before the server drops the connection.
+HEAD_TIMEOUT = 30.0
+
 
 @dataclass
 class ServeConfig:
@@ -83,7 +87,7 @@ class ServeConfig:
 
 
 class _HttpRequest:
-    __slots__ = ("method", "path", "query", "headers", "body")
+    __slots__ = ("method", "path", "query", "headers", "body", "reject")
 
     def __init__(
         self,
@@ -92,12 +96,15 @@ class _HttpRequest:
         query: dict[str, list[str]],
         headers: dict[str, str],
         body: bytes,
+        reject: tuple[int, str] | None = None,
     ) -> None:
         self.method = method
         self.path = path
         self.query = query
         self.headers = headers
         self.body = body
+        #: ``(status, message)`` when the request is refused unread.
+        self.reject = reject
 
     def query_int(self, name: str, default: int) -> int:
         values = self.query.get(name)
@@ -212,9 +219,23 @@ class PollutionServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> _HttpRequest | None:
+        """Read one request; ``None`` ends the connection unanswered.
+
+        That is the answer to a closed, truncated, unparsable or
+        :data:`HEAD_TIMEOUT`-late head. A head whose body cannot be read
+        (an oversize or malformed ``Content-Length``) or whose target does
+        not parse comes back with ``reject`` set, to be answered with that
+        4xx and the connection closed.
+        """
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            head = await asyncio.wait_for(
+                reader.readuntil(b"\r\n\r\n"), HEAD_TIMEOUT
+            )
+        except (
+            asyncio.IncompleteReadError,
+            asyncio.LimitOverrunError,
+            asyncio.TimeoutError,
+        ):
             return None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
@@ -227,11 +248,28 @@ class PollutionServer:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+
+        def refuse(status: int, message: str) -> _HttpRequest:
+            # The body stays unread, so the connection cannot carry another.
+            return _HttpRequest(
+                method.upper(), target, {}, {"connection": "close"}, b"",
+                reject=(status, message),
+            )
+
+        raw_length = headers.get("content-length", "") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return refuse(400, "Content-Length must be a non-negative decimal")
+        length = int(raw_length)
         if length > self.config.max_body:
-            return _HttpRequest(method, "__oversize__", {}, headers, b"")
-        body = await reader.readexactly(length) if length else b""
-        split = urlsplit(target)
+            return refuse(413, f"request body exceeds {self.config.max_body} bytes")
+        try:
+            split = urlsplit(target)
+        except ValueError as exc:
+            return refuse(400, f"bad request target: {exc}")
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            return None
         return _HttpRequest(
             method.upper(), split.path, parse_qs(split.query), headers, body
         )
@@ -248,13 +286,10 @@ class PollutionServer:
         route = "unknown"
         status = 404
         try:
-            if request.path == "__oversize__":
-                route, status = "body", 413
-                await self._send_json(
-                    writer,
-                    413,
-                    {"error": f"request body exceeds {self.config.max_body} bytes"},
-                )
+            if request.reject is not None:
+                route = "request"
+                status, message = request.reject
+                await self._send_json(writer, status, {"error": message})
             elif request.path == "/healthz":
                 route, status = "/healthz", 200
                 await self._send_json(writer, 200, {"ok": True})

@@ -24,12 +24,11 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.errors import CheckpointError, NodeFailure, StreamError
+from repro.errors import CheckpointError, StreamError
 from repro.obs.ledger import RunLedger
 from repro.obs.live import ProgressRenderer
 from repro.obs.metrics import SIZE_BUCKETS, Histogram, MetricsRegistry
-from repro.obs.profile import Profiler
-from repro.obs.tracing import Tracer
+from repro.obs.profile import NODE_SAMPLE_EVERY, Profiler
 from repro.streaming.checkpoint import (
     Checkpoint,
     CheckpointConfig,
@@ -265,9 +264,11 @@ class StreamExecutionEnvironment:
         records per-node records-in/out counters, sampled processing-latency
         histograms, watermark-lag gauges, and checkpoint size/duration; a
         disabled (or absent) registry leaves the fast path untouched.
-    tracer:
-        A :class:`~repro.obs.tracing.Tracer` receiving span records for node
-        open/close, checkpoint write/restore, and supervision decisions.
+    ledger:
+        A :class:`~repro.obs.ledger.RunLedger` receiving the run's events:
+        checkpoint write/restore, slab boundaries, and every supervision
+        decision (``supervision.retry`` per attempt, ``supervision.<action>``
+        per adjudicated record).
     batch_size:
         The slab size of the one source drain. At 1 (default) each record
         is its own slab: it is dispatched through ``on_record`` (under the
@@ -287,7 +288,6 @@ class StreamExecutionEnvironment:
         self,
         auto_watermarks: bool = True,
         metrics: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
         batch_size: int = 1,
         ledger: RunLedger | None = None,
         profiler: Profiler | None = None,
@@ -304,7 +304,6 @@ class StreamExecutionEnvironment:
         self._default_policy: FailurePolicy | None = None
         self._checkpoint_cfg: CheckpointConfig | None = None
         self._metrics = metrics if metrics is not None and metrics.enabled else None
-        self._tracer = tracer
         self._ledger = ledger
         self._profiler = profiler
         self._progress = progress
@@ -317,10 +316,6 @@ class StreamExecutionEnvironment:
     def metrics(self) -> MetricsRegistry | None:
         """The enabled metrics registry of this environment, if any."""
         return self._metrics
-
-    @property
-    def tracer(self) -> Tracer | None:
-        return self._tracer
 
     # -- fault tolerance -------------------------------------------------------
 
@@ -441,13 +436,13 @@ class StreamExecutionEnvironment:
             supervisor = self._supervisor_factory(
                 self._default_policy or FAIL_FAST, report
             )
-            supervisor.tracer = self._tracer
+            supervisor.ledger = self._ledger
             for node in self._nodes:
                 supervisor.attach(node)
         # Profiling needs per-node latency histograms even without a user
         # registry; a private one is created on demand. In batch mode the
         # profiler times every slab dispatch exactly (cheap — two clock
-        # reads per slab); per-record it samples 1-in-node_sample_every
+        # reads per slab); per-record it samples 1-in-NODE_SAMPLE_EVERY
         # dispatches and the fold scales by the true arrival count.
         profiler = self._profiler
         batched = self._batch_size > 1
@@ -456,7 +451,7 @@ class StreamExecutionEnvironment:
             obs_registry = MetricsRegistry(sample_every=1)
         if obs_registry is not None:
             if profiler is not None:
-                sample_every = 1 if batched else profiler.node_sample_every
+                sample_every = 1 if batched else NODE_SAMPLE_EVERY
             else:
                 sample_every = obs_registry.sample_every
             for node in self._nodes:
@@ -477,15 +472,10 @@ class StreamExecutionEnvironment:
                     f"{len(self._sources)} source(s) are registered"
                 )
 
-        tracer = self._tracer
         opened: list[Node] = []
         try:
             for node in self._nodes:
-                if tracer is not None:
-                    with tracer.span("node.open", kind="lifecycle", node=node.name):
-                        node.open()
-                else:
-                    node.open()
+                node.open()
                 opened.append(node)
             if resume_from is not None:
                 self._restore(resume_from, path=resume_path)
@@ -664,8 +654,9 @@ class StreamExecutionEnvironment:
         elif supervisor is None:
             head.on_batch(slab)
         else:
-            # Slab atomicity: snapshot → attempt whole → on failure restore
-            # and replay per-record. Records are copied up front because
+            # Slab atomicity: snapshot → attempt whole with the supervisor
+            # deferring, so every failure reaches this boundary unjudged →
+            # on failure restore and replay per-record. Records are copied up front because
             # operators mutate them in place and a torn slab would otherwise
             # replay half-polluted inputs. The copies are copy-on-write
             # shells: a value write gives the written record a private dict,
@@ -673,16 +664,18 @@ class StreamExecutionEnvironment:
             # keep the pre-slab values and metadata at O(1) each.
             snapshot = self._slab_snapshot()
             replay = [record.copy() for record in slab]
+            supervisor.deferred = True
             try:
                 head.on_batch(slab)
-            except NodeFailure:
-                raise  # adjudicated fail-fast below us; state is moot
             except Exception:  # noqa: BLE001 - slab supervision boundary
+                supervisor.deferred = False
                 self._slab_restore(snapshot)
                 for i, record in enumerate(replay):
                     supervisor.offset = base_offset + i
                     supervisor.dispatch(head, record)
                 slab[:] = replay  # watermark bookkeeping reads the survivors
+            else:
+                supervisor.deferred = False
         if timed:
             head_obs.latency.observe(perf_counter() - start)
         wm: Watermark | None = None
@@ -770,8 +763,8 @@ class StreamExecutionEnvironment:
         saved = None
         if cfg is not None and cfg.store is not None:
             saved = cfg.store.save(checkpoint)
-        metrics, tracer, ledger = self._metrics, self._tracer, self._ledger
-        if metrics is not None or tracer is not None or ledger is not None:
+        metrics, ledger = self._metrics, self._ledger
+        if metrics is not None or ledger is not None:
             duration = perf_counter() - start
             if saved is not None:
                 size, digest = saved.size, saved.digest
@@ -784,15 +777,6 @@ class StreamExecutionEnvironment:
                 metrics.histogram(
                     "checkpoint_size_bytes", buckets=SIZE_BUCKETS
                 ).observe(size)
-            if tracer is not None:
-                span = tracer.event(
-                    "checkpoint.write",
-                    kind="checkpoint",
-                    records_seen=records_seen,
-                    offset=offset,
-                    size_bytes=size,
-                )
-                span.duration = duration
             if ledger is not None:
                 # With a store, this is the digest in the file's header.
                 ledger.record(
@@ -862,14 +846,6 @@ class StreamExecutionEnvironment:
             node.restore_state(state)
         if self._metrics is not None:
             self._metrics.counter("checkpoints_restored_total").inc()
-        if self._tracer is not None:
-            span = self._tracer.event(
-                "checkpoint.restore",
-                kind="checkpoint",
-                records_seen=checkpoint.records_seen,
-                stateful_nodes=len(checkpoint.node_state),
-            )
-            span.duration = perf_counter() - start
         if self._ledger is not None:
             self._ledger.record(
                 "checkpoint.restore",
@@ -877,19 +853,15 @@ class StreamExecutionEnvironment:
                 records_seen=checkpoint.records_seen,
                 offset=checkpoint.offset,
                 stateful_nodes=len(checkpoint.node_state),
+                duration_seconds=round(perf_counter() - start, 6),
             )
 
     def _close_nodes(self, opened: list[Node], suppress_errors: bool) -> None:
         """Close every opened node; raise the first close error unless unwinding."""
-        tracer = self._tracer
         first_error: BaseException | None = None
         for node in opened:
             try:
-                if tracer is not None:
-                    with tracer.span("node.close", kind="lifecycle", node=node.name):
-                        node.close()
-                else:
-                    node.close()
+                node.close()
             except BaseException as exc:  # noqa: BLE001 - must close the rest
                 if first_error is None:
                     first_error = exc

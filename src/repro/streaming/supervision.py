@@ -31,7 +31,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.streaming.record import Record
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.tracing import Tracer
+    from repro.obs.ledger import RunLedger
     from repro.streaming.operators import Node
 
 
@@ -290,7 +290,9 @@ class Supervisor:
 
     The hot path lives in :meth:`repro.streaming.operators.Node.emit`: a
     successful dispatch costs one ``try`` block and one counter increment.
-    Only on exception does control enter :meth:`handle_failure`.
+    Only on exception does control enter :meth:`handle_failure`, which
+    records each retry attempt and the final decision in ``ledger`` (when
+    set) as ``supervision.retry`` and ``supervision.<action>`` events.
     """
 
     def __init__(
@@ -298,15 +300,19 @@ class Supervisor:
         default_policy: FailurePolicy = FAIL_FAST,
         report: ExecutionReport | None = None,
         sleep=time.sleep,
-        tracer: "Tracer | None" = None,
+        ledger: "RunLedger | None" = None,
     ) -> None:
         self.default_policy = default_policy
         self.report = report if report is not None else ExecutionReport(supervised=True)
         self.report.supervised = True
         self.dead_letters = self.report.dead_letters
         self.offset = 0  # current source offset, maintained by the environment
+        # True while a slab executes whole: failures then propagate raw to
+        # the slab boundary, which rolls the slab back and replays it per
+        # record, so each failure is adjudicated (counted, recorded) once.
+        self.deferred = False
         self._sleep = sleep
-        self.tracer = tracer
+        self.ledger = ledger
 
     def attach(self, node: "Node") -> None:
         """Wire a node into this supervisor (stats slot + hot-path flag)."""
@@ -323,9 +329,11 @@ class Supervisor:
             self.handle_failure(node, record, exc)
 
     def handle_failure(self, node: "Node", record: Record, exc: BaseException) -> None:
+        if self.deferred:
+            raise exc
         policy = node._policy or self.default_policy
         stats = node._stats
-        tracer = self.tracer
+        ledger = self.ledger
         attempts = 1
         action = policy.action
         if action is FailureAction.RETRY:
@@ -334,10 +342,9 @@ class Supervisor:
                     self._sleep(policy.backoff * (2**attempt))
                 stats.retried += 1
                 attempts += 1
-                if tracer is not None:
-                    tracer.event(
+                if ledger is not None:
+                    ledger.record(
                         "supervision.retry",
-                        kind="supervision",
                         node=node.name,
                         record_id=record.record_id,
                         offset=self.offset,
@@ -361,10 +368,9 @@ class Supervisor:
             attempts=attempts,
             values=record.as_dict(),
         )
-        if tracer is not None:
-            tracer.event(
+        if ledger is not None:
+            ledger.record(
                 "supervision." + action.value,
-                kind="supervision",
                 node=node.name,
                 record_id=record.record_id,
                 offset=self.offset,

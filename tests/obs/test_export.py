@@ -127,7 +127,7 @@ class TestPrometheus:
     def test_curated_families_get_curated_help_text(self):
         registry = MetricsRegistry()
         registry.counter("node_records_in_total", node="map").inc()
-        registry.gauge("tracer_dropped_spans").set(0)
+        registry.gauge("merged_watermark").set(0)
         text = render_prometheus(registry)
         for line in text.splitlines():
             if line.startswith("# HELP"):
@@ -156,31 +156,6 @@ class TestPrometheus:
                 assert not line.rstrip().endswith("metric."), (
                     f"fell back to the generic help text: {line}"
                 )
-
-
-class TestTracerSurfacing:
-    def _tracer_with_drops(self):
-        from repro.obs.tracing import Tracer
-
-        tracer = Tracer(capacity=2)
-        for i in range(5):
-            tracer.event(f"e{i}")
-        return tracer
-
-    def test_summary_reports_buffered_and_dropped_spans(self):
-        text = render_summary(sample_registry(), tracer=self._tracer_with_drops())
-        assert "tracing:" in text
-        assert "spans_buffered" in text
-        assert "dropped_spans" in text and "3" in text
-
-    def test_machine_formats_carry_a_dropped_spans_gauge(self):
-        registry = sample_registry()
-        prom = render_metrics(registry, "prom", tracer=self._tracer_with_drops())
-        assert "tracer_dropped_spans 3" in prom
-        jsonl = render_metrics(registry, "jsonl", tracer=self._tracer_with_drops())
-        objs = [json.loads(line) for line in jsonl.strip().splitlines()]
-        gauge = next(o for o in objs if o["name"] == "tracer_dropped_spans")
-        assert gauge["value"] == 3
 
 
 class TestDispatch:

@@ -58,10 +58,6 @@ class TestPhases:
         profiler.phases["execute"] = 1e9
         assert profiler.attributed_fraction == 1.0
 
-    def test_node_sample_every_must_be_positive(self):
-        with pytest.raises(ValueError, match="node_sample_every"):
-            Profiler(node_sample_every=0)
-
 
 class TestPolluteProfile:
     """``pollute(profile=True)`` starts its profiler before the pre-flight

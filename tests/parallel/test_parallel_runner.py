@@ -200,17 +200,6 @@ class TestPlanValidation:
                 split=Broadcast(3), seed=1, parallelism=2,
             )
 
-    def test_tracing_rejected_for_parallel(
-        self, station_schema, station_rows, template_pipeline
-    ):
-        from repro.obs.tracing import Tracer
-
-        with pytest.raises(PollutionError, match="tracing"):
-            pollute(
-                station_rows, template_pipeline, schema=station_schema,
-                seed=1, parallelism=2, tracer=Tracer(),
-            )
-
     def test_unpicklable_plan_fails_at_coordinator(self, station_schema, station_rows):
         with pytest.raises(ShardError, match="not picklable"):
             pollute(

@@ -20,7 +20,7 @@ from repro.core.errors import Offset, SetToNull
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import StandardPolluter
 from repro.errors import PollutionError
-from repro.obs import MetricsRegistry, RunLedger, Tracer
+from repro.obs import MetricsRegistry, RunLedger
 from repro.plan import (
     DEFAULT_BATCH_SIZE,
     ENGINE_PARALLEL,
@@ -219,10 +219,9 @@ def test_slab_size_is_not_an_engine():
         ("checkpoint_dir", "chk"),
         ("resume_from", "chk-000050.ckpt"),
         ("metrics", MetricsRegistry()),
-        ("tracer", Tracer()),
         ("profile", True),
-        ("ledger", RunLedger()),
         ("progress", True),
+        ("ledger", RunLedger()),
     ],
 )
 def test_options_keep_the_requested_engine(field, value, batch_size, key_by):

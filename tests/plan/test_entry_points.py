@@ -18,7 +18,7 @@ import pytest
 import repro.plan
 from repro.core.config import pipeline_from_config
 from repro.core.runner import pollute
-from repro.obs import MetricsRegistry, ProgressRenderer, RunLedger, Tracer
+from repro.obs import MetricsRegistry, ProgressRenderer, RunLedger
 from repro.plan import (
     DEFAULT_BATCH_SIZE,
     ENGINE_PARALLEL,
@@ -133,7 +133,6 @@ HOOKS = {
     "ledger": lambda: {"ledger": RunLedger()},
     "progress": lambda: {"progress": ProgressRenderer(stream=io.StringIO())},
     "metrics": lambda: {"metrics": MetricsRegistry()},
-    "tracer": lambda: {"tracer": Tracer()},
 }
 
 
@@ -141,8 +140,8 @@ HOOKS = {
 @pytest.mark.parametrize("batch_size", [None, 1, 64])
 @pytest.mark.parametrize("hook", sorted(HOOKS))
 def test_hooks_leave_the_engine_and_the_output_alone(hook, batch_size, key_by):
-    """A profile, ledger, progress view, metrics registry, or tracer runs on
-    the engine the bare request compiles to, with identical bytes — keyed
+    """A profile, ledger, progress view or metrics registry runs on the
+    engine the bare request compiles to, with identical bytes — keyed
     or not."""
     seen, patcher = _spy_execute()
     with patcher:

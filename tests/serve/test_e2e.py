@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -24,7 +25,7 @@ from repro.cli import schema_from_config
 from repro.core.config import pipeline_from_config
 from repro.core.runner import pollute
 from repro.obs.export import PROMETHEUS_CONTENT_TYPE
-from repro.serve import wsproto
+from repro.serve import jobs, wsproto
 from repro.serve.admission import AdmissionLimits
 from repro.serve.client import ServeError
 from repro.serve.protocol import dumps, record_to_wire
@@ -99,24 +100,37 @@ class TestDelivery:
 
 
 class TestLiveStatus:
-    def test_status_is_observable_mid_run(self, make_harness):
+    def test_status_is_observable_mid_run(self, make_harness, monkeypatch):
+        # The job holds at its first mid-run progress tick until the stream
+        # has shown it there, so the observation waits on the job, not on
+        # the job outlasting the stream's setup.
+        n_rows = 2_000
+        held = threading.Event()
+        seen_mid_run = threading.Event()
+        tick = jobs._JobProgress.tick
+
+        def holding_tick(self, records_seen):
+            tick(self, records_seen)
+            if 0 < records_seen < n_rows and not held.is_set():
+                held.set()
+                seen_mid_run.wait(timeout=30)
+
+        monkeypatch.setattr(jobs._JobProgress, "tick", holding_tick)
         h = make_harness(
             ServeConfig(port=0, max_concurrent_jobs=1, status_interval=0.02)
         )
         client = h.client()
-        job_id = client.submit(job_spec(n_rows=80_000, seed=5))["job_id"]
-        states = []
-        progress = []
+        job_id = client.submit(job_spec(n_rows=n_rows, seed=5))["job_id"]
+        seen = []
         for frame in client.stream(job_id):
             if frame["type"] == "status":
-                states.append(frame["state"])
-                progress.append(frame["progress"]["records_seen"])
-        assert "running" in states, f"never saw the job running: {states}"
-        # The progress counter moved while the job was live.
-        assert any(0 < p < 80_000 for p in progress), progress
+                seen.append((frame["state"], frame["progress"]["records_seen"]))
+                if frame["state"] == "running" and 0 < seen[-1][1] < n_rows:
+                    seen_mid_run.set()
+        assert seen_mid_run.is_set(), f"never saw the job running mid-run: {seen}"
         final = client.status(job_id)
         assert final["state"] == "completed"
-        assert final["progress"]["records_seen"] == 80_000
+        assert final["progress"]["records_seen"] == n_rows
 
     def test_queued_jobs_report_queued_over_the_stream(self, make_harness):
         h = make_harness(

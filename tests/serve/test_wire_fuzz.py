@@ -1,22 +1,27 @@
 """Fuzz the serve layer's untrusted inputs with hypothesis.
 
-Two parsers take outside bytes before anything else looks at them: the
+Three parsers take outside bytes before anything else looks at them: the
+HTTP request reader (every byte a client sends before a route runs), the
 RFC 6455 frame decoder (every byte a stream client sends) and
 ``JobSpec.from_dict`` (every ``POST /jobs`` body, once JSON-decoded). The
-property for both: success or the documented error class, never another
+property for all three: success or the documented refusal, never another
 exception. The frame decoder also keeps its buffer bounded by its message
-limit. Example budgets are fixed so CI time is too.
+limit, and the request reader lets go of a head that never ends. Example
+budgets are fixed so CI time is too.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.errors import ConfigError
-from repro.serve import protocol, wsproto
+from repro.serve import protocol, server, wsproto
 
 SETTINGS = settings(
     max_examples=300,
@@ -164,3 +169,84 @@ class TestJobSpecFromDict:
         assert isinstance(spec, protocol.JobSpec)
         assert set(spec.options) <= set(protocol.ALLOWED_OPTIONS)
         assert spec.input["type"] in ("inline", "dataset")
+
+
+#: A small body limit, so generated Content-Lengths reach it.
+MAX_BODY = 64
+HTTP_SERVER = server.PollutionServer(server.ServeConfig(max_body=MAX_BODY))
+
+CONTENT_LENGTHS = st.one_of(
+    st.integers(0, 2 * MAX_BODY).map(str),
+    st.sampled_from(["abc", "-5", "+5", "1_0", "0x10", "\u00b2", "5 5", ""]),
+    st.text(max_size=6),
+)
+HEADER_TEXT = st.text(max_size=10)
+
+
+@st.composite
+def request_bytes(draw) -> bytes:
+    """A request head, often near-valid, with hostile fields and some body."""
+    method = draw(st.sampled_from(["GET", "POST", "DELETE"]) | st.text(max_size=6))
+    target = draw(
+        st.sampled_from(["/jobs", "/healthz", "/jobs/x?cursor=1", "http://["])
+        | st.text(max_size=12)
+    )
+    lines = [f"{method} {target} HTTP/1.1"]
+    if draw(st.booleans()):
+        lines.append(f"Content-Length: {draw(CONTENT_LENGTHS)}")
+    lines += [
+        f"{name}: {value}"
+        for name, value in draw(st.lists(st.tuples(HEADER_TEXT, HEADER_TEXT), max_size=3))
+    ]
+    head = "\r\n".join(lines).encode("utf-8")
+    if draw(st.booleans()):
+        head += b"\r\n\r\n"  # otherwise the head never ends
+    return head + draw(st.binary(max_size=2 * MAX_BODY))
+
+
+async def read_request(pieces: list[bytes], eof: bool = True):
+    """Feed ``pieces`` to a fresh stream reader and read one request."""
+    reader = asyncio.StreamReader()
+
+    async def feed() -> None:
+        for piece in pieces:
+            reader.feed_data(piece)
+            await asyncio.sleep(0)
+        if eof:
+            reader.feed_eof()
+
+    feeder = asyncio.ensure_future(feed())
+    try:
+        return await asyncio.wait_for(HTTP_SERVER._read_request(reader), 5.0)
+    finally:
+        await feeder
+
+
+class TestHttpRequestReader:
+    @SETTINGS
+    @given(
+        data=st.data(),
+        stream=st.one_of(st.binary(max_size=256), request_bytes()),
+    )
+    def test_any_bytes_in_any_split_give_a_request_none_or_a_4xx(self, data, stream):
+        request = asyncio.run(read_request(data.draw(split_points(stream))))
+        if request is None:
+            return
+        if request.reject is not None:
+            status, message = request.reject
+            assert 400 <= status < 500 and message
+            assert request.headers == {"connection": "close"}
+            return
+        declared = request.headers.get("content-length", "") or "0"
+        assert len(request.body) == int(declared) <= MAX_BODY
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1_0", "\u00b2"])
+    def test_a_malformed_content_length_is_refused_with_400(self, length):
+        head = f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        request = asyncio.run(read_request([head.encode("utf-8")]))
+        assert request.reject == (400, "Content-Length must be a non-negative decimal")
+
+    def test_an_unfinished_head_is_let_go_after_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(server, "HEAD_TIMEOUT", 0.05)
+        head = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
+        assert asyncio.run(read_request([head], eof=False)) is None

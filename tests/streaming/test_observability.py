@@ -1,4 +1,4 @@
-"""End-to-end observability: engine metrics, tracing, and runner telemetry."""
+"""End-to-end observability: engine metrics, the run ledger, and runner telemetry."""
 
 import pytest
 
@@ -8,7 +8,7 @@ from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import StandardPolluter
 from repro.core.runner import pollute
 from repro.errors import StreamError
-from repro.obs import MetricsRegistry, Tracer, render_prometheus
+from repro.obs import MetricsRegistry, RunLedger, render_prometheus
 from repro.streaming.chaos import ChaosConfig, FaultingNode
 from repro.streaming.environment import StreamExecutionEnvironment
 from repro.streaming.sink import CollectSink
@@ -18,11 +18,11 @@ from repro.streaming.time import Duration
 from repro.streaming.watermarks import BoundedOutOfOrdernessWatermarks
 
 
-def run_topology(schema, rows, metrics=None, tracer=None, sample_every=16):
+def run_topology(schema, rows, metrics=None, sample_every=16):
     """source -> map (pass-through) -> filter (keeps value < 10) -> sink."""
     if metrics is None:
         metrics = MetricsRegistry(sample_every=sample_every)
-    env = StreamExecutionEnvironment(metrics=metrics, tracer=tracer)
+    env = StreamExecutionEnvironment(metrics=metrics)
     sink = CollectSink()
     env.from_collection(schema, rows, name="in").map(
         lambda r: r, name="double"
@@ -124,27 +124,31 @@ class TestCheckpointMetrics:
         assert size.count == 4 and size.sum > 0
 
 
-class TestTracing:
-    def test_lifecycle_spans_cover_every_node(self, simple_schema, simple_rows):
-        tracer = Tracer()
-        env = StreamExecutionEnvironment(tracer=tracer)
-        env.from_collection(simple_schema, simple_rows).map(
-            lambda r: r, name="m"
-        ).add_sink(CollectSink(), name="s")
-        env.execute()
-        opened = {s.attrs["node"] for s in tracer.find("node.open")}
-        closed = {s.attrs["node"] for s in tracer.find("node.close")}
-        assert opened == closed == {node.name for node in env._nodes}
-
-    def test_checkpoint_events_are_traced(self, simple_schema, simple_rows):
-        tracer = Tracer()
-        env = StreamExecutionEnvironment(tracer=tracer)
+class TestLedger:
+    def test_checkpoint_events_are_recorded(self, simple_schema, simple_rows):
+        ledger = RunLedger()
+        env = StreamExecutionEnvironment(ledger=ledger)
         env.enable_checkpointing(10)
         env.from_collection(simple_schema, simple_rows).add_sink(CollectSink())
         env.execute()
-        writes = tracer.find("checkpoint.write")
-        assert len(writes) == 2
-        assert all(s.attrs["size_bytes"] > 0 for s in writes)
+        writes = ledger.find("checkpoint.write")
+        assert [e["records_seen"] for e in writes] == [10, 20]
+        assert all(e["bytes"] > 0 and e["duration_seconds"] >= 0 for e in writes)
+
+    def test_restore_is_recorded_with_its_duration(
+        self, simple_schema, simple_rows
+    ):
+        first = StreamExecutionEnvironment()
+        first.enable_checkpointing(10)
+        first.from_collection(simple_schema, simple_rows).add_sink(CollectSink())
+        first.execute()
+        ledger = RunLedger()
+        env = StreamExecutionEnvironment(ledger=ledger)
+        env.from_collection(simple_schema, simple_rows).add_sink(CollectSink())
+        env.execute(resume_from=first.last_checkpoint)
+        (restore,) = ledger.find("checkpoint.restore")
+        assert restore["records_seen"] == 20
+        assert restore["duration_seconds"] >= 0
 
 
 class TestDeadLetterReconciliation:
@@ -254,9 +258,10 @@ class TestPolluteTelemetry:
         assert result.metrics is None
         assert result.report.metrics.get("source_records_total", source="input") is None
 
-    def test_tracer_spans_from_a_polluted_run(self, simple_schema, simple_rows):
-        tracer = Tracer()
+    def test_ledger_events_from_a_polluted_run(self, simple_schema, simple_rows):
+        ledger = RunLedger()
         pollute(
-            simple_rows, nulls_pipeline(), schema=simple_schema, seed=1, tracer=tracer
+            simple_rows, nulls_pipeline(), schema=simple_schema, seed=1, ledger=ledger
         )
-        assert tracer.find("node.open") and tracer.find("node.close")
+        events = [e["event"] for e in ledger.merged_events()]
+        assert events[0] == "run.start" and events[-1] == "run.complete"

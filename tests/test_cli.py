@@ -284,21 +284,25 @@ class TestObservabilityFlags:
         main(base + ["--metrics-out", str(tmp_path / "m.txt")])
         assert paths["dirty"].read_text() == plain
 
-    def test_trace_out_writes_spans(self, workspace, tmp_path):
+    def test_ledger_out_records_checkpoint_writes(self, workspace, tmp_path):
         paths, _ = workspace
-        trace = tmp_path / "trace.jsonl"
+        ledger = tmp_path / "run.jsonl"
         rc = main(
             [
                 "pollute", "--config", str(paths["config"]),
                 "--schema", str(paths["schema"]), "--input", str(paths["clean"]),
                 "--output", str(paths["dirty"]), "--seed", "42",
-                "--trace-out", str(trace),
+                "--on-error", "skip", "--checkpoint-dir", str(tmp_path / "ckpt"),
+                "--checkpoint-interval", "25", "--ledger-out", str(ledger),
             ]
         )
         assert rc == 0
-        spans = [json.loads(line) for line in trace.read_text().strip().splitlines()]
-        assert any(s["name"] == "node.open" for s in spans)
-        assert any(s["name"] == "node.close" for s in spans)
+        events = [json.loads(line) for line in ledger.read_text().splitlines()]
+        writes = [e for e in events if e["event"] == "checkpoint.write"]
+        assert [e["records_seen"] for e in writes] == [25, 50]
+        assert all(e["path"] and e["digest"] for e in writes)
+        # The clean config never fails, so no record was adjudicated.
+        assert not [e for e in events if e["event"].startswith("supervision.")]
 
     def test_validate_metrics_to_stdout(self, workspace, capsys):
         paths, _ = workspace
@@ -314,21 +318,25 @@ class TestObservabilityFlags:
         assert 'validation_expectations_total{outcome="pass"}' in out
         assert "validation_elements_total" in out
 
-    def test_validate_trace_records_expectations(self, workspace, tmp_path):
+    def test_validate_ledger_records_expectations(self, workspace, tmp_path):
         paths, _ = workspace
-        trace = tmp_path / "vtrace.jsonl"
+        ledger = tmp_path / "vledger.jsonl"
         rc = main(
             [
                 "validate", "--suite", str(paths["suite"]),
                 "--schema", str(paths["schema"]), "--input", str(paths["clean"]),
-                "--trace-out", str(trace),
+                "--ledger-out", str(ledger),
             ]
         )
         assert rc == 0
-        spans = [json.loads(line) for line in trace.read_text().strip().splitlines()]
-        names = {s["name"] for s in spans}
-        assert "validate" in names
-        assert "validate.expect_column_values_to_not_be_null" in names
+        events = [json.loads(line) for line in ledger.read_text().splitlines()]
+        assert [e["event"] for e in events] == [
+            "validate",
+            "validate.expect_column_values_to_not_be_null",
+        ]
+        run, expectation = events
+        assert run["success"] is True and run["duration_seconds"] >= 0
+        assert expectation["column"] == "v" and expectation["unexpected"] == 0
 
 
 class TestCleanCommand:
@@ -514,13 +522,6 @@ class TestParallelCli:
         paths, _ = keyed_workspace
         assert main(self._args(paths, "--parallel", "0")) == 2
         assert "--parallel must be >= 1" in capsys.readouterr().err
-
-    def test_parallel_rejects_tracing(self, keyed_workspace, capsys):
-        paths, _ = keyed_workspace
-        trace = paths["tmp"] / "trace.jsonl"
-        rc = main(self._args(paths, "--parallel", "2", "--trace-out", str(trace)))
-        assert rc == 2
-        assert "--trace-out is not supported with --parallel" in capsys.readouterr().err
 
     def test_parallel_rejects_sequential_checkpoint_file(self, keyed_workspace, capsys):
         paths, _ = keyed_workspace
