@@ -113,13 +113,15 @@ class _ShardRuntime:
 
     __slots__ = (
         "shard", "task", "assignment", "epoch", "worker", "reader", "restarts",
-        "last_seen",
+        "last_seen", "user_resume",
     )
 
     def __init__(self, shard: int, task: ShardTask, assignment: list[Record]) -> None:
         self.shard = shard
         self.task = task
         self.assignment = assignment
+        #: The checkpoint a user-requested resume started this shard from.
+        self.user_resume = task.resume_path
         self.epoch = 0
         self.worker: Any | None = None
         #: The read end of the current attempt's pipe; None once it ended.
@@ -325,7 +327,7 @@ class ShardedEnvironment:
         # never goes parallel should not pay for at start-up.
         from multiprocessing.connection import wait
 
-        merger = ShardMerger(tasks[0].schema, n)
+        merger = ShardMerger(tasks[0].schema, n, records)
         outcomes: dict[int, ShardOutcome] = {}
         failure: ShardError | None = None
         try:
@@ -574,7 +576,7 @@ class ShardedEnvironment:
         if backoff > 0:
             time.sleep(backoff)
         resume_path = self._recovery_resume_path(rt)
-        rt.task = dataclasses.replace(rt.task, epoch=rt.epoch, resume_path=resume_path)
+        rt.task = self._respawn_task(rt, resume_path)
         if self._ledger is not None:
             self._ledger.record(
                 "shard.respawn",
@@ -590,6 +592,20 @@ class ShardedEnvironment:
         if self._telemetry is not None:
             self._telemetry.mark_restart(rt.shard, rt.epoch)
         return None
+
+    @staticmethod
+    def _respawn_task(rt: _ShardRuntime, resume_path: str | None) -> ShardTask:
+        """The shard's task for a new attempt restoring ``resume_path``.
+
+        A checkpoint other than the user's own resume point was written by
+        this run, so the new attempt carries its report tallies on.
+        """
+        return dataclasses.replace(
+            rt.task,
+            epoch=rt.epoch,
+            resume_path=resume_path,
+            continues_run=resume_path is not None and resume_path != rt.user_resume,
+        )
 
     @staticmethod
     def _recovery_resume_path(rt: _ShardRuntime) -> str | None:
@@ -650,8 +666,10 @@ class ShardedEnvironment:
         shard plan executes over the same partition, resumed from the same
         newest-valid checkpoint a respawn would have used. The task is
         pickle-round-tripped so the in-process execution operates on private
-        pipeline copies (exactly what a worker would deserialize), and input
-        records are copied because shard pipelines mutate in place.
+        pipeline copies (exactly what a worker would deserialize); the
+        partition source shells each input record, so the clean records stay
+        unwritten. Output chunks go through the same :meth:`_dispatch` as a
+        worker's.
         """
         rt.epoch += 1
         merger.discard_shard(rt.shard)
@@ -667,18 +685,14 @@ class ShardedEnvironment:
         task: ShardTask = pickle.loads(
             self._pickle_task(
                 dataclasses.replace(
-                    rt.task,
-                    epoch=rt.epoch,
-                    resume_path=self._recovery_resume_path(rt),
+                    self._respawn_task(rt, self._recovery_resume_path(rt)),
                     heartbeat_interval=None,
                 )
             )
         )
         frames: list[tuple] = []
         try:
-            payload = _execute_shard(
-                task, [r.copy() for r in rt.assignment], frames.append
-            )
+            payload = _execute_shard(task, rt.assignment, frames.append)
         except Exception as exc:  # noqa: BLE001 - last-resort boundary
             failure = ShardError(
                 f"shard {rt.shard} degraded coordinator drain failed: "

@@ -21,7 +21,7 @@ within-shard order, the merge never has to adjudicate a cross-shard tie.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from repro.core.integrate import timestamp_sort_key
 from repro.errors import ShardError
@@ -30,26 +30,58 @@ from repro.streaming.schema import Schema
 
 
 class ShardMerger:
-    """Accumulates shard output chunks and merges them deterministically."""
+    """Accumulates shard output chunks and merges them deterministically.
 
-    def __init__(self, schema: Schema, n_shards: int) -> None:
+    A chunk holds :class:`Record` objects and, for each record no polluter
+    wrote, a ``(record_id, tau, substream)`` reference into ``clean``, the
+    prepared stream the shards were partitioned from (IDs ``0..n-1`` in
+    order, so ``clean[i].record_id == i``; see :mod:`repro.parallel.shard`).
+    :meth:`add_chunk` decodes each reference into a copy-on-write shell of
+    its clean tuple carrying the reference's event time and sub-stream, so
+    the two share one values dict until either is written.
+    """
+
+    def __init__(
+        self, schema: Schema, n_shards: int, clean: Sequence[Record] = ()
+    ) -> None:
         if n_shards < 1:
             raise ShardError(f"merger needs >= 1 shard, got {n_shards}")
         self._schema = schema
+        self._clean = clean
         self.n_shards = n_shards
         self._chunks: list[list[Record]] = [[] for _ in range(n_shards)]
         #: Largest event time each shard has reported so far (None = nothing).
         self.watermarks: list[int | None] = [None] * n_shards
 
     def add_chunk(
-        self, shard: int, records: Iterable[Record], watermark: int | None
+        self,
+        shard: int,
+        records: Iterable[Record | tuple[int, int | None, int | None]],
+        watermark: int | None,
     ) -> None:
         if shard < 0 or shard >= self.n_shards:
             raise ShardError(
                 f"chunk from unknown shard {shard} (run has {self.n_shards})",
                 shard=shard,
             )
-        self._chunks[shard].extend(records)
+        chunk = self._chunks[shard]
+        clean = self._clean
+        for item in records:
+            if type(item) is tuple:
+                record_id, event_time, substream = item
+                if not (
+                    0 <= record_id < len(clean)
+                    and clean[record_id].record_id == record_id
+                ):
+                    raise ShardError(
+                        f"shard {shard} referenced record {record_id}, which "
+                        f"is not clean[{record_id}]",
+                        shard=shard,
+                    )
+                item = clean[record_id].copy()
+                item.event_time = event_time
+                item.substream = substream
+            chunk.append(item)
         if watermark is not None:
             current = self.watermarks[shard]
             if current is None or watermark > current:

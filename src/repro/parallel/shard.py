@@ -18,14 +18,25 @@ cryptic traceback from the multiprocessing machinery.
 
 The pipe protocol is one-directional, worker -> coordinator, and the pipe
 itself names the shard and the attempt, so no frame repeats them:
-``("chunk", [Record, ...], watermark)`` output chunks,
-``("heartbeat", telemetry_or_None)`` liveness marks, then exactly one
-terminal frame — either ``("done", payload_bytes)`` or ``("error",
-payload_bytes)`` — after which the worker closes its end. Terminal payloads
-are pre-pickled *by the worker* so a result the pickler would choke on (an
-exotic exception, say) degrades to its ``repr`` instead of failing the send.
-A worker that dies without a terminal frame, or mid-frame, ends only its own
-pipe: the coordinator reads end-of-file and recovers that one shard.
+``("chunk", [Record | (record_id, tau, substream), ...], watermark)``
+output chunks, ``("heartbeat", telemetry_or_None)`` liveness marks, then
+exactly one terminal frame — either ``("done", payload_bytes)`` or
+``("error", payload_bytes)`` — after which the worker closes its end.
+
+A chunk sends each output record no polluter wrote *by reference*: when a
+record still holds its partition record's values dict, the frame carries
+only ``(record_id, tau, substream)`` and the coordinator rebuilds the record
+as a copy-on-write shell of its own clean tuple with that ID (see
+:class:`~repro.parallel.merge.ShardMerger`). Every other record — written by
+a polluter, or restored from a checkpoint — goes as a full :class:`Record`.
+The worker's source yields shells of the partition records, so an operator
+never writes a partition dict in place and the identity test cannot lie.
+
+Terminal payloads are pre-pickled *by the worker* so a result the pickler
+would choke on (an exotic exception, say) degrades to its ``repr`` instead
+of failing the send. A worker that dies without a terminal frame, or
+mid-frame, ends only its own pipe: the coordinator reads end-of-file and
+recovers that one shard.
 
 Heartbeats double as the live telemetry channel: when the task enables
 telemetry or a run ledger, each beat carries a small plain-dict payload —
@@ -45,7 +56,7 @@ import pickle
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
@@ -88,6 +99,11 @@ class ShardTask:
     checkpoint_dir: str | None = None
     checkpoint_interval: int = 100
     resume_path: str | None = None
+    #: True when ``resume_path`` is a checkpoint this run wrote (an in-run
+    #: respawn): the shard report then carries the checkpoint's tallies on,
+    #: as if the run had never faulted. A user-requested resume reports only
+    #: what it ran itself.
+    continues_run: bool = False
     batch_size: int = 1
     #: Attempt number of this shard; tags the worker ledger's events.
     epoch: int = 0
@@ -165,6 +181,11 @@ class PartitionSource(Source):
     the same partition and the environment skips the first ``offset``
     records of this source.
 
+    Each record is yielded as a copy-on-write shell (:meth:`Record.copy`),
+    so no operator writes a partition record's values dict: an output record
+    that still holds one is unwritten, and goes back by reference (see
+    :class:`ShardOutputSink`).
+
     With a ``heartbeat`` attached, the source beats once per yielded record
     — progress-tied liveness: a downstream operator that stops consuming
     stops the beats.
@@ -183,13 +204,14 @@ class PartitionSource(Source):
     def __iter__(self) -> Iterator[Record]:
         heartbeat = self._heartbeat
         if heartbeat is None:
-            yield from self._records
+            for record in self._records:
+                yield record.copy()
             return
         heartbeat.beat()
         for record in self._records:
             heartbeat.records_in += 1
             heartbeat.beat()
-            yield record
+            yield record.copy()
 
 
 class ShardOutputSink(Sink):
@@ -208,6 +230,16 @@ class ShardOutputSink(Sink):
     The watermark is the largest event time emitted so far; every outbound
     chunk carries it so the coordinator can track per-shard event-time
     progress while workers run.
+
+    ``partition`` maps each partition record's ID to its values dict. A
+    chunk encodes a record whose values are still that dict — no polluter
+    wrote it — as the reference ``(record_id, event_time, substream)``, and
+    any other record in full. Records restored from a checkpoint hold
+    unpickled dicts, so they go in full.
+
+    ``tallies``, when given, returns the shard's report counts so far; a
+    retaining sink snapshots them with its output so an in-run respawn can
+    report what the whole run counted (see :func:`_shard_tallies`).
     """
 
     def __init__(
@@ -216,10 +248,16 @@ class ShardOutputSink(Sink):
         chunk_size: int = 256,
         retain: bool = False,
         log: PollutionLog | None = None,
+        partition: Mapping[int, dict[str, Any]] | None = None,
+        tallies: Callable[[], dict[str, Any]] | None = None,
     ) -> None:
         self._send_frame = send
         self._chunk_size = max(1, chunk_size)
         self._retain = retain
+        self._partition = partition if partition is not None else {}
+        self._tallies = tallies
+        #: The tallies of the checkpoint this sink was restored from, if any.
+        self.restored_tallies: dict[str, Any] | None = None
         # In retain mode the sink also carries the shard's pollution log
         # through checkpoints: by the time a snapshot barrier reaches the
         # sink, every processed record's log events have been appended, so
@@ -240,7 +278,14 @@ class ShardOutputSink(Sink):
             self._buffer = []
 
     def _send(self, records: list[Record]) -> None:
-        self._send_frame(("chunk", records, self.watermark))
+        partition = self._partition
+        frame = [
+            (r.record_id, r.event_time, r.substream)
+            if partition.get(r.record_id) is r._values
+            else r
+            for r in records
+        ]
+        self._send_frame(("chunk", frame, self.watermark))
 
     def close(self) -> None:
         buffer, self._buffer = self._buffer, []
@@ -255,6 +300,7 @@ class ShardOutputSink(Sink):
             "watermark": self.watermark,
             "emitted": self.emitted,
             "log_events": list(self._log.events) if self._log is not None else None,
+            "tallies": self._tallies() if self._tallies is not None else None,
         }
 
     def slab_token(self) -> tuple[int, int | None, int] | None:
@@ -275,6 +321,7 @@ class ShardOutputSink(Sink):
         self.emitted = state["emitted"]
         if state.get("log_events") is not None and self._log is not None:
             self._log.events[:] = state["log_events"]
+        self.restored_tallies = state.get("tallies")
 
 
 def _safe_dumps(payload: Any) -> bytes:
@@ -313,6 +360,39 @@ def _dead_letter_summaries(report) -> list[dict[str, Any]]:
             }
         )
     return out
+
+
+def _shard_tallies(
+    env: StreamExecutionEnvironment, carried: dict[str, Any] | None
+) -> dict[str, Any]:
+    """The shard's report counts so far, plus those ``carried`` over.
+
+    ``carried`` is what a checkpoint's tallies held when an in-run respawn
+    restored it, so the sum counts the whole run once. A checkpoint calls
+    this mid-drain, before the environment counts the checkpoint it is
+    taking, so that one is added here.
+    """
+    report = env.last_report
+    env._finalize_stats(report, report.supervised)
+    tallies: dict[str, Any] = {
+        "source_records": report.source_records,
+        "checkpoints_taken": report.checkpoints_taken,
+        "resumed_from_offset": report.resumed_from_offset,
+        "dead_letters": _dead_letter_summaries(report),
+        "node_stats": {
+            name: stats.as_dict() for name, stats in report.node_stats.items()
+        },
+    }
+    if carried is not None:
+        tallies["source_records"] += carried["source_records"]
+        tallies["checkpoints_taken"] += carried["checkpoints_taken"]
+        tallies["resumed_from_offset"] = carried["resumed_from_offset"]
+        tallies["dead_letters"] = carried["dead_letters"] + tallies["dead_letters"]
+        for name, counts in carried["node_stats"].items():
+            mine = tallies["node_stats"].setdefault(name, dict.fromkeys(counts, 0))
+            for key, value in counts.items():
+                mine[key] += value
+    return tallies
 
 
 def _execute_shard(
@@ -375,7 +455,22 @@ def _execute_shard_plan(
     # decision: see the shard-retains-output / shard-streams-output slugs.
     retain = plan.shard_retain
     log = PollutionLog() if task.log else None
-    sink = ShardOutputSink(send, retain=retain, log=log)
+
+    def carried() -> dict[str, Any] | None:
+        return sink.restored_tallies if task.continues_run else None
+
+    def checkpoint_tallies() -> dict[str, Any]:
+        tallies = _shard_tallies(env, carried())
+        tallies["checkpoints_taken"] += 1
+        return tallies
+
+    sink = ShardOutputSink(
+        send,
+        retain=retain,
+        log=log,
+        partition={r.record_id: r._values for r in records},
+        tallies=checkpoint_tallies,
+    )
     if heartbeat is not None:
         heartbeat.sink = sink
     stream = env.from_source(source, name="shard-input")
@@ -414,16 +509,12 @@ def _execute_shard_plan(
         "metrics": metrics if task.metered else None,
         "watermark": sink.watermark,
         "records_out": sink.emitted,
-        "source_records": report.source_records,
-        "checkpoints_taken": report.checkpoints_taken,
-        "resumed_from_offset": report.resumed_from_offset,
-        "dead_letters": _dead_letter_summaries(report),
-        # Shard-local supervision tallies (skip/retry/dead-letter counts per
-        # node); the coordinator folds them into the run's ExecutionReport
-        # so failure policies report identically under any engine.
-        "node_stats": {
-            name: stats.as_dict() for name, stats in report.node_stats.items()
-        },
+        # source_records, checkpoints_taken, resumed_from_offset,
+        # dead_letters and node_stats: the shard-local supervision tallies
+        # (skip/retry/dead-letter counts per node) that the coordinator folds
+        # into the run's ExecutionReport, so failure policies report
+        # identically under any engine and across an in-run respawn.
+        **_shard_tallies(env, carried()),
         "completed": report.completed,
         # Ledger tail not yet shipped on a heartbeat, and the shard's profile
         # (kernel/node attribution) — both plain data, both optional.

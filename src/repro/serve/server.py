@@ -60,7 +60,8 @@ _STATUS_TEXT = {
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
 #: Seconds a client may take to send a request head (the request line and
-#: headers through the blank line) before the server drops the connection.
+#: headers through the blank line), and again its body, before the server
+#: drops the connection.
 HEAD_TIMEOUT = 30.0
 
 
@@ -222,7 +223,8 @@ class PollutionServer:
         """Read one request; ``None`` ends the connection unanswered.
 
         That is the answer to a closed, truncated, unparsable or
-        :data:`HEAD_TIMEOUT`-late head. A head whose body cannot be read
+        :data:`HEAD_TIMEOUT`-late head, and to a body that is truncated or
+        :data:`HEAD_TIMEOUT`-late. A head whose body cannot be read
         (an oversize or malformed ``Content-Length``) or whose target does
         not parse comes back with ``reject`` set, to be answered with that
         4xx and the connection closed.
@@ -267,8 +269,12 @@ class PollutionServer:
         except ValueError as exc:
             return refuse(400, f"bad request target: {exc}")
         try:
-            body = await reader.readexactly(length) if length else b""
-        except asyncio.IncompleteReadError:
+            body = (
+                await asyncio.wait_for(reader.readexactly(length), HEAD_TIMEOUT)
+                if length
+                else b""
+            )
+        except (asyncio.IncompleteReadError, asyncio.TimeoutError):
             return None
         return _HttpRequest(
             method.upper(), split.path, parse_qs(split.query), headers, body

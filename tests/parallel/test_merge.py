@@ -57,6 +57,34 @@ class TestShardMergerBookkeeping:
         assert merger.low_watermark == 40
 
 
+class TestReferenceDecoding:
+    def test_a_reference_becomes_a_shell_of_its_clean_record(self, schema):
+        clean = [_rec(10, 0, v=1.0), _rec(20, 1, v=2.0)]
+        merger = ShardMerger(schema, 1, clean)
+        written = _rec(20, 1, v=7.0)
+        merger.add_chunk(0, [(0, 10, None), written, (0, 12, 1)], 20)
+        first, full, duplicate = merger.shard_records(0)
+        assert first == clean[0] and first is not clean[0]
+        assert full is written
+        assert (duplicate.record_id, duplicate.event_time, duplicate.substream) == (0, 12, 1)
+        assert duplicate.as_dict() == clean[0].as_dict()
+        first["v"] = -1.0
+        assert clean[0]["v"] == 1.0 and duplicate["v"] == 1.0
+        clean[0]["v"] = -2.0
+        assert duplicate["v"] == 1.0
+
+    @pytest.mark.parametrize("reference", [(2, 0, None), (-1, 0, None)])
+    def test_a_reference_outside_the_clean_stream_is_refused(self, schema, reference):
+        merger = ShardMerger(schema, 1, [_rec(10, 0), _rec(20, 1)])
+        with pytest.raises(ShardError, match="referenced record"):
+            merger.add_chunk(0, [reference], None)
+
+    def test_a_clean_stream_out_of_id_order_is_refused(self, schema):
+        merger = ShardMerger(schema, 1, [_rec(10, 1), _rec(20, 0)])
+        with pytest.raises(ShardError, match="referenced record 0"):
+            merger.add_chunk(0, [(0, 10, None)], None)
+
+
 class TestMergeOrdering:
     def test_merge_equals_global_sort(self, schema):
         # Interleave event times across shards; the merge must equal one

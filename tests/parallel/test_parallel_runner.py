@@ -422,3 +422,47 @@ class TestParallelMetrics:
         )
         assert result.metrics is None
         assert len(registry) == 0
+
+
+class TestOutputIsolation:
+    """Unwritten output comes back as a shell of the coordinator's clean
+    tuple: the two share one values dict until either is written."""
+
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+    @pytest.mark.parametrize("as_records", [False, True], ids=["dicts", "records"])
+    def test_polluted_and_clean_records_write_independently(
+        self, station_schema, station_rows, mp_context, as_records
+    ):
+        rows = [Record(row) for row in station_rows] if as_records else station_rows
+        inputs = [dict(row) for row in rows]
+        pipeline = PollutionPipeline(
+            [
+                StandardPolluter(
+                    GaussianNoise(1.0), ["value"], ProbabilityCondition(0.4),
+                    name="noise",
+                )
+            ],
+            name="noise-plan",
+        )
+        kwargs = dict(schema=station_schema, key_by="station", seed=42, check="off")
+        sequential = pollute(rows, pipeline, **kwargs)
+        result = pollute(rows, pipeline, parallelism=2, mp_context=mp_context, **kwargs)
+        assert [r.as_dict() for r in result.polluted] == [
+            r.as_dict() for r in sequential.polluted
+        ]
+        assert [r.record_id for r in result.polluted] == list(range(len(rows)))
+        shared = [
+            p for p, c in zip(result.polluted, result.clean) if p._values is c._values
+        ]
+        assert 0 < len(shared) < len(rows), "no record came back by reference"
+
+        clean_before = [r.as_dict() for r in result.clean]
+        for record in result.polluted:
+            record["value"] = -1.0
+        assert [r.as_dict() for r in result.clean] == clean_before
+
+        polluted_before = [r.as_dict() for r in result.polluted]
+        for record in result.clean:
+            record["value"] = -2.0
+        assert [r.as_dict() for r in result.polluted] == polluted_before
+        assert [dict(row) for row in rows] == inputs

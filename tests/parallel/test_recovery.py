@@ -421,6 +421,126 @@ class RaiseOnTimestamp(ErrorFunction):
         return record
 
 
+class RaiseOnTimestamps(ErrorFunction):
+    """Deterministic structured failure at each of a set of records."""
+
+    native_temporal = True
+
+    def __init__(self, values) -> None:
+        super().__init__()
+        self.values = frozenset(values)
+
+    def apply(
+        self,
+        record: Record,
+        attributes: Sequence[str],
+        tau: int,
+        intensity: float = 1.0,
+    ) -> ErrorOutput:
+        if record.get("timestamp") in self.values:
+            raise RuntimeError("injected deterministic failure")
+        return record
+
+
+class TestRespawnReport:
+    """An in-run respawn reports what an unfaulted run reports."""
+
+    # Records 25 and 100 share a key with record 200, so they are skipped on
+    # the killed shard before its restore point; 300 and 450 after it.
+    SKIPPED = (25, 100, 300, 450)
+
+    def _run(self, schema, rows, marker, **kwargs):
+        pipeline = PollutionPipeline(
+            [
+                StandardPolluter(
+                    KillWorker(_ts(200), marker, attribute="timestamp"),
+                    [],
+                    name="chaos",
+                ),
+                StandardPolluter(
+                    RaiseOnTimestamps(_ts(i) for i in self.SKIPPED),
+                    [],
+                    name="faulty",
+                ),
+                StandardPolluter(
+                    GaussianNoise(1.0),
+                    ["value"],
+                    ProbabilityCondition(0.4),
+                    name="noise",
+                ),
+            ],
+            name="skip-plan",
+        )
+        return _run(
+            rows,
+            pipeline,
+            schema,
+            failure_policy=SKIP,
+            checkpoint_interval=10,
+            heartbeat_timeout=10.0,
+            **kwargs,
+        )
+
+    @staticmethod
+    def _counts(report):
+        return (
+            report.source_records,
+            report.resumed_from_offset,
+            report.checkpoints_taken,
+            len(report.dead_letters),
+            {name: s.as_dict() for name, s in report.node_stats.items()},
+        )
+
+    def test_respawned_shard_counts_the_records_before_its_restore_point(
+        self, station_schema, tmp_path
+    ):
+        rows = [
+            {"value": float(i), "station": f"s{i % 5}", "timestamp": _ts(i)}
+            for i in range(600)
+        ]
+        baseline = self._run(
+            station_schema,
+            rows,
+            tmp_path / "absent",
+            checkpoint_dir=str(tmp_path / "base-ckpt"),
+        )
+        marker = tmp_path / "kill.marker"
+        marker.write_text("armed")
+        faulted = self._run(
+            station_schema, rows, marker, checkpoint_dir=str(tmp_path / "ckpt")
+        )
+        assert not marker.exists(), "the kill fault never fired"
+        assert faulted.report.shard_restarts == 1
+        assert len(faulted.polluted) == 596
+        assert faulted.report.source_records == 600
+        assert faulted.report.stats_for("pollute-keyed").skipped == 4
+        assert faulted.report.resumed_from_offset == 0
+        assert self._counts(faulted.report) == self._counts(baseline.report)
+        assert _csv_bytes(faulted, station_schema) == _csv_bytes(
+            baseline, station_schema
+        )
+
+    def test_user_resume_still_reports_from_its_restore_point(
+        self, station_schema, station_rows, tmp_path
+    ):
+        ckpt = tmp_path / "ckpt"
+        absent = tmp_path / "absent"
+        first = self._run(
+            station_schema, station_rows, absent, checkpoint_dir=str(ckpt)
+        )
+        resumed = self._run(
+            station_schema, station_rows, absent, resume_from=str(ckpt)
+        )
+        assert first.report.source_records == len(station_rows)
+        # Each shard resumes from its last checkpoint; only the records
+        # after it are run and counted again.
+        assert resumed.report.resumed_from_offset > 0
+        assert (
+            resumed.report.source_records + resumed.report.resumed_from_offset
+            == len(station_rows)
+        )
+
+
 class TestCheckpointFallback:
     def test_corrupt_newest_checkpoint_falls_back_to_previous(
         self, station_schema, station_rows, tmp_path

@@ -132,6 +132,56 @@ class TestShardOutputSink:
         assert sink.snapshot_state() is None
 
 
+class TestChunkEncoding:
+    """A chunk sends each record no polluter wrote as a reference."""
+
+    @staticmethod
+    def _partition():
+        records = [_rec(10, 0), _rec(20, 1)]
+        return records, {r.record_id: r._values for r in records}
+
+    def test_unwritten_records_go_by_reference_written_ones_in_full(self):
+        records, partition = self._partition()
+        sent = []
+        sink = ShardOutputSink(sent.append, chunk_size=8, partition=partition)
+        unwritten = records[0].copy()
+        written = records[1].copy()
+        written["v"] = 9.0
+        duplicate = records[0].copy()
+        duplicate.event_time, duplicate.substream = 15, 1
+        for record in (unwritten, written, duplicate):
+            sink.invoke(record)
+        sink.close()
+        [(kind, frame, watermark)] = sent
+        assert kind == "chunk" and watermark == 20
+        assert frame[0] == (0, 10, None)
+        assert isinstance(frame[1], Record) and frame[1]["v"] == 9.0
+        assert frame[2] == (0, 15, 1)
+        assert records[1]["v"] == 0.0
+
+    def test_retaining_sink_encodes_at_close(self):
+        records, partition = self._partition()
+        sent = []
+        sink = ShardOutputSink(sent.append, retain=True, partition=partition)
+        sink.invoke(records[1].copy())
+        sink.close()
+        assert sent[0][1] == [(1, 20, None)]
+
+    def test_records_restored_from_a_checkpoint_go_in_full(self):
+        records, partition = self._partition()
+        sink = ShardOutputSink([].append, retain=True, partition=partition)
+        sink.invoke(records[0].copy())
+        state = pickle.loads(pickle.dumps(sink.snapshot_state()))
+        sent = []
+        fresh = ShardOutputSink(sent.append, retain=True, partition=partition)
+        fresh.restore_state(state)
+        fresh.invoke(records[1].copy())
+        fresh.close()
+        [restored, live] = sent[0][1]
+        assert isinstance(restored, Record) and restored == records[0]
+        assert live == (1, 20, None)
+
+
 class TestSafeDumps:
     def test_plain_payload_round_trips(self):
         payload = {"shard": 1, "records_out": 5}

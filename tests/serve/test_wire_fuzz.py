@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -250,3 +251,10 @@ class TestHttpRequestReader:
         monkeypatch.setattr(server, "HEAD_TIMEOUT", 0.05)
         head = b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n"
         assert asyncio.run(read_request([head], eof=False)) is None
+
+    def test_a_stalled_body_is_let_go_after_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(server, "HEAD_TIMEOUT", 0.05)
+        head = b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n"
+        start = time.monotonic()
+        assert asyncio.run(read_request([head, b"abc"], eof=False)) is None
+        assert time.monotonic() - start < 2.0
