@@ -28,7 +28,7 @@ from repro.core.dependencies import (
     TrackedPolluter,
     track,
 )
-from repro.core.keyed_pollution import KeyedPollutionProcessFunction
+from repro.core.keyed_pollution import KeyedPollutionNode
 from repro.core.log import PollutionEvent, PollutionLog
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import Polluter, StandardPolluter
@@ -40,7 +40,7 @@ __all__ = [
     "CompositePolluter",
     "ErrorHistory",
     "FiredRecentlyCondition",
-    "KeyedPollutionProcessFunction",
+    "KeyedPollutionNode",
     "Polluter",
     "PollutionEvent",
     "PollutionLog",

@@ -98,7 +98,7 @@ class BurstCondition(Condition):
         self._in_burst = False
 
     def _state_snapshot(self):
-        return self._in_burst or None
+        return self._in_burst
 
     def _restore_snapshot(self, state) -> None:
         self._in_burst = bool(state)

@@ -198,7 +198,8 @@ class EveryNthCondition(Condition):
         self._count = 0
 
     def _state_snapshot(self):
-        return self._count or None
+        # A count of 0 is state too: a rollback to it must rewind the count.
+        return self._count
 
     def _restore_snapshot(self, state) -> None:
         self._count = state

@@ -73,6 +73,12 @@ class ErrorHistory:
     def clear(self) -> None:
         self._firings.clear()
 
+    def snapshot_state(self) -> dict[str, list[tuple[int, Hashable]]]:
+        return {name: list(entries) for name, entries in self._firings.items()}
+
+    def restore_state(self, state: dict[str, list[tuple[int, Hashable]]]) -> None:
+        self._firings = {name: list(entries) for name, entries in state.items()}
+
 
 class _Min:
     """Sorts before every other orderable key."""
@@ -119,6 +125,15 @@ class TrackedPolluter(Polluter):
         # The shared history belongs to the *run*; the runner clears it via
         # the first tracked polluter it resets.
         self.history.clear()
+
+    def snapshot_state(self):
+        # Every tracker of a shared history snapshots it whole; all such
+        # snapshots are taken together, so restoring them agrees.
+        return {"inner": self.inner.snapshot_state(), "history": self.history.snapshot_state()}
+
+    def restore_state(self, state) -> None:
+        self.inner.restore_state(state["inner"])
+        self.history.restore_state(state["history"])
 
     def apply(self, record: Record, tau: int, log: PollutionLog | None = None) -> Application:
         outcome = self.inner.apply(record, tau, log)

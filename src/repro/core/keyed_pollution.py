@@ -5,15 +5,15 @@ The paper's future work plans to "leverage Flink's keyed process functions
 stream across individual computing nodes". This module implements that
 extension on the reproduction's substrate:
 
-* :class:`KeyedPollutionProcessFunction` — a keyed operator that runs one
-  pollution pipeline *per key* (e.g. per sensor/station). Stateful error
-  functions (frozen values, cumulative drift, swaps) are instantiated per
-  key through a pipeline factory, so sensor A freezing never contaminates
-  sensor B's memory — the property that makes stateful pollution correct
-  under partitioning. It is an ordinary operator of the one stream engine:
-  ``pollute(key_by=...)`` runs it as ``key_by -> pollute-keyed`` in place
-  of ``split -> pollute[i]``, and every parallel shard runs the same stage
-  over its key partition, so supervision, checkpointing and the run ledger apply
+* :class:`KeyedPollutionNode` — a dataflow node that runs one pollution
+  pipeline *per key* (e.g. per sensor/station). Stateful error functions
+  (frozen values, cumulative drift, swaps) are instantiated per key through
+  a pipeline factory, so sensor A freezing never contaminates sensor B's
+  memory — the property that makes stateful pollution correct under
+  partitioning. It is an ordinary node of the one stream engine:
+  ``pollute(key_by=...)`` runs it as ``key_by -> pollute-keyed`` in place of
+  ``split -> pollute[i]``, and every parallel shard runs the same stage over
+  its key partition, so supervision, checkpointing and the run ledger apply
   to keyed runs as to any other.
 * :class:`FreshPipelineFactory` — the picklable factory cloning one template
   pipeline per key, used when ``pollute(key_by=...)`` gets a pipeline
@@ -28,6 +28,7 @@ design decision in :mod:`repro.core.rng`.
 from __future__ import annotations
 
 import copy
+import pickle
 from typing import Any, Callable, Hashable, Mapping
 
 from repro.core.log import PollutionLog
@@ -35,8 +36,7 @@ from repro.core.pipeline import PollutionPipeline
 from repro.core.rng import RandomSource
 from repro.errors import PollutionError
 from repro.obs.metrics import MetricsRegistry
-from repro.streaming.keyed import KeyedContext, KeyedProcessFunction
-from repro.streaming.operators import Collector
+from repro.streaming.operators import Node
 from repro.streaming.record import Record
 
 PipelineFactory = Callable[[Hashable], PollutionPipeline]
@@ -49,8 +49,8 @@ class FreshPipelineFactory:
     Wraps the common case — "run *this* pipeline independently for every
     key" — as a serializable object that can ship to worker processes
     (lambda factories cannot). Each call deep-copies the unbound template,
-    so stateful error functions get per-key memory, and the caller (keyed
-    runner or shard worker) binds/scopes the clone afterwards.
+    so stateful error functions get per-key memory, and the keyed node
+    binds/scopes the clone afterwards.
     """
 
     def __init__(self, template: PollutionPipeline) -> None:
@@ -63,11 +63,13 @@ class FreshPipelineFactory:
         return f"FreshPipelineFactory({self._template.name!r})"
 
 
-class KeyedPollutionProcessFunction(KeyedProcessFunction):
-    """Runs a per-key pollution pipeline inside a keyed stream operator.
+class KeyedPollutionNode(Node):
+    """Selects each record's key and runs it through that key's pipeline.
 
     Parameters
     ----------
+    key_selector:
+        Maps a record to its key.
     pipeline_factory:
         Builds the pipeline for a key on first encounter. Factories must
         return *fresh* polluter objects per call (stateful error functions
@@ -78,16 +80,31 @@ class KeyedPollutionProcessFunction(KeyedProcessFunction):
     log:
         Optional shared pollution log (events carry record ids, so per-key
         attribution joins through the clean stream).
+
+    A slab is dispatched record by record — batch kernels do not cross
+    per-key pipeline instances — and its output leaves in one
+    ``emit_batch``, in the order per-record dispatch emits it.
+
+    Slab rollback costs O(keys the slab touched): before a supervised slab
+    the node records only its log cut and opens an empty journal; the first
+    time the slab touches a key, the key's pipeline state is saved into the
+    journal (a key first seen in the slab is saved right after its pipeline
+    is built, so its random streams rewind too). A rollback restores just
+    the journalled keys in place and truncates the log.
     """
 
     def __init__(
         self,
+        name: str,
+        key_selector: KeySelector,
         pipeline_factory: PipelineFactory,
         random_source: RandomSource,
         log: PollutionLog | None = None,
         metrics: MetricsRegistry | None = None,
         profiler: Any = None,
     ) -> None:
+        super().__init__(name)
+        self._key_selector = key_selector
         self._factory = pipeline_factory
         self._source = random_source
         self._log = log
@@ -95,9 +112,12 @@ class KeyedPollutionProcessFunction(KeyedProcessFunction):
         self._profiler = profiler
         self._pipelines: dict[Hashable, PollutionPipeline] = {}
         self._pending_state: dict[str, Any] = {}
+        #: Pre-slab state of every key the current supervised slab touched.
+        self._journal: dict[Hashable, Any] | None = None
 
     def _pipeline_for(self, key: Hashable) -> PollutionPipeline:
-        if key not in self._pipelines:
+        pipeline = self._pipelines.get(key)
+        if pipeline is None:
             pipeline = self._factory(key)
             if self._profiler is not None:
                 # Classify before the name is key-scoped: per-key polluter
@@ -115,15 +135,31 @@ class KeyedPollutionProcessFunction(KeyedProcessFunction):
             if stored is not None:
                 pipeline.restore_state(stored)
             self._pipelines[key] = pipeline
-        return self._pipelines[key]
+        journal = self._journal
+        if journal is not None and key not in journal:
+            # States are picklable (checkpoints pickle them), and a pickle
+            # round trip isolates one ~3x faster than copy.deepcopy.
+            journal[key] = pickle.loads(
+                pickle.dumps(pipeline.snapshot_state(), pickle.HIGHEST_PROTOCOL)
+            )
+        return pipeline
 
-    def process(self, record: Record, ctx: KeyedContext, out: Collector) -> None:
+    def _pollute(self, record: Record) -> list[Record]:
         tau = record.event_time
         if tau is None:
             raise PollutionError("keyed pollution received an unprepared record")
-        pipeline = self._pipeline_for(ctx.current_key)
-        for result in pipeline.apply(record, tau, self._log):
-            out.collect(result)
+        pipeline = self._pipeline_for(self._key_selector(record))
+        return pipeline.apply(record, tau, self._log)
+
+    def on_record(self, record: Record) -> None:
+        for result in self._pollute(record):
+            self.emit(result)
+
+    def on_batch(self, records: list[Record]) -> None:
+        out: list[Record] = []
+        for record in records:
+            out.extend(self._pollute(record))
+        self.emit_batch(out)
 
     def flush_metrics(self) -> None:
         """Fold every per-key pipeline's buffered tallies into the registry."""
@@ -142,28 +178,25 @@ class KeyedPollutionProcessFunction(KeyedProcessFunction):
             for key, pipeline in self._pipelines.items()
         }
         states = {k: s for k, s in states.items() if s is not None}
-        return {"pipelines": {**self._pending_state, **states}}
+        return {"pipelines": copy.deepcopy({**self._pending_state, **states})}
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
-        """Return every key to the snapshot: checkpoint resume and slab rollback.
+        """Resume from a checkpoint, before the node has seen a record.
 
-        Live pipelines are dropped and the random source re-derived, so each
-        key rebuilds on its next record: keys in the snapshot restore their
-        state, and keys first seen after it start fresh, exactly as they did
-        when the snapshot was taken.
+        Each key's state waits until the key's first record builds its
+        pipeline; keys first seen after the checkpoint start fresh.
         """
-        if self._metrics is not None:
-            # Tallies are not rolled back (unkeyed pipelines keep theirs
-            # across a slab rollback too), so hand them over before dropping.
-            self.flush_metrics()
-        self._pipelines.clear()
-        self._source = RandomSource(self._source.seed)
         self._pending_state = dict(state["pipelines"])
 
-    def slab_token(self) -> int | None:
-        # See PollutionProcessFunction.slab_token: a rolled-back slab must
-        # truncate the process-local log to the cut.
-        return len(self._log.events) if self._log is not None else None
+    def slab_snapshot(self) -> tuple[None, int]:
+        self._journal = {}
+        return None, len(self._log.events) if self._log is not None else 0
 
-    def slab_rollback(self, token: int) -> None:
-        del self._log.events[token:]
+    def slab_rollback(self, log_cut: int) -> None:
+        # Tallies are not rolled back (unkeyed pipelines keep theirs across
+        # a slab rollback too); only state and the log rewind.
+        for key, state in self._journal.items():
+            self._pipelines[key].restore_state(state)
+        self._journal = None
+        if self._log is not None:
+            del self._log.events[log_cut:]

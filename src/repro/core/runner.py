@@ -19,8 +19,8 @@ stage, ``key_by -> pollute-keyed`` (one pipeline per key, see
 parallel shard. Records move in slabs through compiled batch kernels (per
 record inside the keyed operator) with output byte-identical to moving
 them one at a time: 256 to a slab unless ``batch_size`` says otherwise,
-one-record slabs for ``batch_size=1`` or a supervised run without a batch
-size (the planner resolves this into ``ExecutionPlan.batch_size``, see
+supervised runs included, and one-record slabs for ``batch_size=1`` (the
+planner resolves this into ``ExecutionPlan.batch_size``, see
 :func:`repro.plan.compile_plan`; the engine is the same at every size).
 Supervision, checkpointing, metrics, profiling, the run ledger
 and live progress all attach to this one engine, keyed or not, so
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.core.integrate import integrate, sort_by_timestamp
-from repro.core.keyed_pollution import KeyedPollutionProcessFunction
+from repro.core.keyed_pollution import KeyedPollutionNode
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
 from repro.core.prepare import IdGenerator, PrepareFunction
@@ -248,8 +248,8 @@ def pollute(
         Slab size of the engine's one source drain: records move through
         the engine in slabs of this many tuples and, above 1, the polluter
         chains execute as compiled batch kernels (:mod:`repro.batch`) with
-        bulk RNG draws. ``None`` (default) lets the planner decide: 256, or
-        1 when a ``failure_policy`` is set. ``1`` runs one-record slabs,
+        bulk RNG draws. ``None`` (default) lets the planner decide: 256,
+        with or without a ``failure_policy``. ``1`` runs one-record slabs,
         each record dispatched through ``PollutionPipeline.apply`` — the
         per-record oracle. The slab size never changes the engine. An
         unkeyed plan linked through a shared error history (``track`` /
@@ -258,11 +258,12 @@ def pollute(
         metadata, pollution-log CSV, checkpoints — is byte-identical to the
         per-record path for every plan (the differential-equivalence suite
         enforces this). Applies to the sequential engine and to parallel
-        shard workers. Under a ``failure_policy`` with a ``batch_size``,
-        the engine executes whole slabs and, when one fails, rolls the slab
+        shard workers. Under a ``failure_policy``, the engine executes
+        whole slabs and, when one fails, rolls the slab
         back and replays it per-record so only the poison record is skipped,
         retried, or dead-lettered — never the surrounding ``batch_size - 1``
-        records. Keyed runs move slabs too, but the keyed operator
+        records; the keyed node rolls back only the keys the slab touched.
+        Keyed runs move slabs too, but the keyed node
         dispatches each record to its key's pipeline (batch kernels do not
         cross per-key pipeline instances); the planner records this as an
         explicit ``keyed-batching-per-record`` decision, visible via
@@ -527,11 +528,16 @@ def pollute_stage(
     ``flush_metrics()`` the caller runs once the engine stops.
     """
     if plan.keyed:
-        operator = KeyedPollutionProcessFunction(
-            plan.pipeline_factory, random_source, log, metrics, profiler=profiler
+        node = KeyedPollutionNode(
+            "pollute-keyed",
+            plan.key_selector,
+            plan.pipeline_factory,
+            random_source,
+            log,
+            metrics,
+            profiler=profiler,
         )
-        keyed = stream.key_by(plan.key_selector).process(operator, name="pollute-keyed")
-        return [keyed], [operator]
+        return [stream.transform(node)], [node]
     operators = []
     for pipeline in plan.pipelines:
         pipeline.bind(random_source)
@@ -571,7 +577,7 @@ def _run_stream(
         PrepareFunction(schema, IdGenerator()), name="prepare"
     )
     # The clean sink keeps the prepared record itself: the split copies each
-    # record per branch, but key_by does not, so the keyed stage pollutes
+    # record per branch, but the keyed node does not, so the keyed stage pollutes
     # a copy.
     clean_sink = prepared.add_sink(CollectSink(), name="clean")
     if plan.keyed:

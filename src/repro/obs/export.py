@@ -44,7 +44,6 @@ METRIC_HELP: dict[str, str] = {
     "records_skipped_total": "Records dropped by the SKIP failure policy.",
     "records_retried_total": "Record dispatches retried under the RETRY policy.",
     "dead_letters_total": "Records routed to the dead-letter sink.",
-    "watermark_lag_seconds": "Processing-time lag behind the newest event timestamp.",
     "checkpoints_written_total": "Checkpoints persisted by the engine.",
     "checkpoints_restored_total": "Checkpoint restores performed by the engine.",
     "checkpoint_write_seconds": "Wall time spent writing each checkpoint.",

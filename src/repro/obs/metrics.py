@@ -7,7 +7,7 @@ of every number. This module is the zero-dependency core of that layer:
 
 * :class:`Counter` — a monotonically increasing count (records emitted,
   polluter activations, dead letters);
-* :class:`Gauge` — a point-in-time value (watermark lag, checkpoint size);
+* :class:`Gauge` — a point-in-time value (a shard watermark, a cache size);
 * :class:`Histogram` — a fixed-bucket distribution with approximate
   percentiles (per-node processing latency, checkpoint duration);
 * :class:`MetricsRegistry` — the instrument factory and the single source
@@ -268,7 +268,7 @@ class MetricsRegistry:
 
         * **counters** — summed (shard counts are disjoint events);
         * **gauges** — the maximum is kept (shard gauges are point-in-time
-          high-water marks, e.g. watermark lag; summing them would invent a
+          high-water marks, e.g. a shard watermark; summing them would invent a
           value no shard ever observed);
         * **histograms** — bucket-wise sum plus sum/count (requires matching
           bucket bounds, which same-named engine histograms always have).

@@ -32,6 +32,11 @@ a polluter, or restored from a checkpoint — goes as a full :class:`Record`.
 The worker's source yields shells of the partition records, so an operator
 never writes a partition dict in place and the identity test cannot lie.
 
+Output leaves as the shard produces it, except that a shard that
+checkpoints or resumes retains its output until close, because its
+checkpoints must hold the emitted prefix. Under supervised slabs the sink
+sends only at slab cuts, so a slab that rolls back has sent nothing.
+
 Terminal payloads are pre-pickled *by the worker* so a result the pickler
 would choke on (an exotic exception, say) degrades to its ``repr`` instead
 of failing the send. A worker that dies without a terminal frame, or
@@ -214,18 +219,29 @@ class PartitionSource(Source):
             yield record.copy()
 
 
+#: Records per outbound chunk frame.
+CHUNK_SIZE = 256
+
+
 class ShardOutputSink(Sink):
     """Streams polluted records (plus a piggybacked watermark) back out.
 
     Two modes:
 
-    * **streaming** (no checkpointing) — records leave in ``chunk_size``
-      batches as they are produced, so worker memory stays bounded;
+    * **streaming** (no checkpointing) — records leave in chunks of
+      :data:`CHUNK_SIZE` as they are produced, so worker memory stays
+      bounded;
     * **retaining** (checkpointing or resume enabled) — records are held
       until :meth:`close` and snapshotted into checkpoints. A resumed worker
       restores the retained prefix and re-emits it along with post-resume
       output, so the *new* coordinator (which never saw the crashed run's
       chunks) receives the shard's complete output.
+
+    Supervised slabs roll back the same way in both modes: the token is
+    ``(len(buffer), watermark, emitted)`` and a rollback truncates to it. A
+    streaming sink first sends its buffered output, which earlier slabs
+    committed, and from then on sends only at slab cuts and on close, never
+    from the middle of a slab, so a rolled-back slab has sent nothing.
 
     The watermark is the largest event time emitted so far; every outbound
     chunk carries it so the coordinator can track per-shard event-time
@@ -245,15 +261,16 @@ class ShardOutputSink(Sink):
     def __init__(
         self,
         send: Callable[[tuple], None],
-        chunk_size: int = 256,
         retain: bool = False,
         log: PollutionLog | None = None,
         partition: Mapping[int, dict[str, Any]] | None = None,
         tallies: Callable[[], dict[str, Any]] | None = None,
     ) -> None:
         self._send_frame = send
-        self._chunk_size = max(1, chunk_size)
         self._retain = retain
+        # A streaming sink sends full chunks from invoke until the first
+        # supervised slab; from then on only slab cuts and close send.
+        self._sends_from_invoke = not retain
         self._partition = partition if partition is not None else {}
         self._tallies = tallies
         #: The tallies of the checkpoint this sink was restored from, if any.
@@ -273,7 +290,7 @@ class ShardOutputSink(Sink):
             self.watermark = et
         self._buffer.append(record)
         self.emitted += 1
-        if not self._retain and len(self._buffer) >= self._chunk_size:
+        if self._sends_from_invoke and len(self._buffer) >= CHUNK_SIZE:
             self._send(self._buffer)
             self._buffer = []
 
@@ -287,10 +304,13 @@ class ShardOutputSink(Sink):
         ]
         self._send_frame(("chunk", frame, self.watermark))
 
-    def close(self) -> None:
+    def _flush(self) -> None:
         buffer, self._buffer = self._buffer, []
-        for start in range(0, len(buffer), self._chunk_size):
-            self._send(buffer[start : start + self._chunk_size])
+        for start in range(0, len(buffer), CHUNK_SIZE):
+            self._send(buffer[start : start + CHUNK_SIZE])
+
+    def close(self) -> None:
+        self._flush()
 
     def snapshot_state(self) -> dict[str, Any] | None:
         if not self._retain:
@@ -303,12 +323,11 @@ class ShardOutputSink(Sink):
             "tallies": self._tallies() if self._tallies is not None else None,
         }
 
-    def slab_token(self) -> tuple[int, int | None, int] | None:
-        # Only a retaining sink can rewind: a streaming one has already
-        # sent its chunks (the planner never pairs it with slab rollback).
+    def slab_token(self) -> tuple[int, int | None, int]:
         # The pollution operator truncates the shared log itself.
         if not self._retain:
-            return None
+            self._sends_from_invoke = False
+            self._flush()
         return len(self._buffer), self.watermark, self.emitted
 
     def slab_rollback(self, token: tuple[int, int | None, int]) -> None:
@@ -395,6 +414,25 @@ def _shard_tallies(
     return tallies
 
 
+def _checkpoint_metrics(
+    metrics: MetricsRegistry, operators: list[Any], carried: dict[str, Any] | None
+) -> MetricsRegistry:
+    """A copy of the shard's registry as the checkpoint being taken sees it,
+    plus the ``carried`` registry of the checkpoint an in-run respawn
+    restored, so a later respawn can meter what the whole run counted.
+
+    Called after :func:`_shard_tallies` has finalized the node counters;
+    the checkpoint being written is not counted yet, so it is added here.
+    """
+    for operator in operators:
+        operator.flush_metrics()
+    snapshot = pickle.loads(pickle.dumps(metrics, pickle.HIGHEST_PROTOCOL))
+    snapshot.counter("checkpoints_written_total").inc()
+    if carried is not None:
+        snapshot.merge(carried["metrics"])
+    return snapshot
+
+
 def _execute_shard(
     task: ShardTask, records: Sequence[Record], send: Callable[[tuple], None]
 ) -> dict[str, Any]:
@@ -450,9 +488,9 @@ def _execute_shard_plan(
         else None
     )
     source = PartitionSource(task.schema, records, heartbeat=heartbeat)
-    # Output retention (checkpoint/resume snapshots and supervised-batching
-    # slab rollback need the emitted prefix in-process) is a planner
-    # decision: see the shard-retains-output / shard-streams-output slugs.
+    # Output retention (checkpoint/resume snapshots need the emitted prefix
+    # in-process) is a planner decision: see the shard-retains-output /
+    # shard-streams-output slugs.
     retain = plan.shard_retain
     log = PollutionLog() if task.log else None
 
@@ -462,6 +500,8 @@ def _execute_shard_plan(
     def checkpoint_tallies() -> dict[str, Any]:
         tallies = _shard_tallies(env, carried())
         tallies["checkpoints_taken"] += 1
+        if task.metered:
+            tallies["metrics"] = _checkpoint_metrics(metrics, operators, carried())
         return tallies
 
     sink = ShardOutputSink(
@@ -497,9 +537,15 @@ def _execute_shard_plan(
         profiler.finish()
     else:
         report = env.execute(resume_from=task.resume_path)
+    # Tally before folding carried metrics in: tallying finalizes the node
+    # counters from this incarnation's emit counts.
+    carried_tallies = carried()
+    tallies = _shard_tallies(env, carried_tallies)
     if task.metered:
         for operator in operators:
             operator.flush_metrics()
+        if carried_tallies is not None:
+            metrics.merge(carried_tallies["metrics"])
         metrics.counter("shard_records_out_total", shard=task.shard).value = sink.emitted
         if sink.watermark is not None:
             metrics.gauge("shard_watermark", shard=task.shard).set(sink.watermark)
@@ -514,7 +560,7 @@ def _execute_shard_plan(
         # (skip/retry/dead-letter counts per node) that the coordinator folds
         # into the run's ExecutionReport, so failure policies report
         # identically under any engine and across an in-run respawn.
-        **_shard_tallies(env, carried()),
+        **tallies,
         "completed": report.completed,
         # Ledger tail not yet shipped on a heartbeat, and the shard's profile
         # (kernel/node attribution) — both plain data, both optional.

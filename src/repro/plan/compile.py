@@ -8,8 +8,8 @@ decision. A keyed plan compiles to the same engine as an unkeyed one: the
 planner only swaps the pollute stage (``key-by -> pollute-keyed`` for
 ``substreams -> pollute[i]``) and records the ``keyed-*`` decisions. The
 slab size is resolved here too, once (:func:`_resolve_batch_size`), into
-the plan's ``batch_size``: an unsupervised plan without a ``batch_size``
-runs in slabs of :data:`DEFAULT_BATCH_SIZE`, and an unkeyed
+the plan's ``batch_size``: a plan without a ``batch_size``, supervised or
+not, runs in slabs of :data:`DEFAULT_BATCH_SIZE`, and an unkeyed
 history-linked plan always runs in one-record slabs. The slab size never
 changes the engine. Each branch
 taken emits a :class:`~repro.plan.ir.PlanDecision` with a stable slug, so
@@ -44,8 +44,8 @@ from repro.streaming.checkpoint import Checkpoint, CheckpointStore
 from repro.streaming.partition import AttributeKeySelector
 from repro.streaming.split import Broadcast
 
-#: The slab size of a plan whose caller set neither ``batch_size`` nor a
-#: ``failure_policy``. Every plan the planner lets run in slabs (see
+#: The slab size of a plan whose caller set no ``batch_size``. Every plan
+#: the planner lets run in slabs (see
 #: :func:`_resolve_batch_size`) is byte-identical to per-record dispatch.
 DEFAULT_BATCH_SIZE = 256
 
@@ -151,10 +151,9 @@ def _resolve_batch_size(
     """The plan's slab size, plus the decision when the planner chose it.
 
     An explicit ``batch_size`` is kept as given (1 is the named per-record
-    path). Without one, an unsupervised plan runs in slabs of
-    :data:`DEFAULT_BATCH_SIZE`; a supervised plan stays per record, because
-    slab rollback snapshots every node's state before each slab and keyed
-    state costs O(keys) per snapshot. An unkeyed history-linked plan
+    path). Without one, a plan runs in slabs of :data:`DEFAULT_BATCH_SIZE`,
+    a supervised one too: a slab rollback restores only the keys the slab
+    touched. An unkeyed history-linked plan
     (track / fired_recently) always runs per record: slab kernels run
     polluter by polluter and split branches one after another, so a
     shared :class:`~repro.core.dependencies.ErrorHistory` would fill in
@@ -162,20 +161,12 @@ def _resolve_batch_size(
     """
     if request.batch_size is not None:
         batch_size, decision = request.batch_size, None
-    elif request.failure_policy is None:
+    else:
         batch_size, decision = DEFAULT_BATCH_SIZE, PlanDecision(
             "default-slabs",
             f"no batch_size was set, so records move in slabs of "
             f"{DEFAULT_BATCH_SIZE}, byte-identical to per-record dispatch; "
             "batch_size=1 runs per record",
-        )
-    else:
-        return 1, PlanDecision(
-            "supervised-per-record",
-            "a failure_policy without batch_size keeps per-record dispatch: "
-            "slab rollback snapshots every node's state before each slab, and "
-            "keyed state costs O(keys) per snapshot; set batch_size to run "
-            "supervised slabs",
         )
     if batch_size > 1 and not keyed and any(
         base.history_linked for base in facts
@@ -578,26 +569,19 @@ def _compile_shard(request: PlanRequest) -> ExecutionPlan:
                 "slabs through compiled batch kernels",
             )
         )
-    supervised_batching = task.failure_policy is not None and batched
-    retain = (
-        task.checkpoint_dir is not None
-        or task.resume_path is not None
-        or supervised_batching
-    )
+    retain = task.checkpoint_dir is not None or task.resume_path is not None
     if retain:
         causes = []
         if task.checkpoint_dir is not None:
             causes.append("checkpointing")
         if task.resume_path is not None:
             causes.append("resume")
-        if supervised_batching:
-            causes.append("supervised batching (slab rollback)")
         decisions.append(
             PlanDecision(
                 "shard-retains-output",
                 "the output sink holds records in-process until close "
                 f"({', '.join(causes)} need the emitted prefix available "
-                "for snapshots or rollback)",
+                "for snapshots)",
             )
         )
     else:

@@ -9,14 +9,17 @@ stream processor:
 * event-time handling and watermarks (:mod:`repro.streaming.time`,
   :mod:`repro.streaming.watermarks`),
 * sources and sinks (:mod:`repro.streaming.source`, :mod:`repro.streaming.sink`),
-* stateless and keyed stateful operators (:mod:`repro.streaming.operators`,
-  :mod:`repro.streaming.keyed`),
-* event-time windows (:mod:`repro.streaming.windows`),
+* push-based operators, stateless or checkpointable
+  (:mod:`repro.streaming.operators`), and tumbling event-time windows
+  (:mod:`repro.streaming.windows`),
 * stream splitting/union for integration scenarios
   (:mod:`repro.streaming.split`), and
 * a fluent execution environment that wires operators into a dataflow graph
-  and runs it tuple-at-a-time or in micro-batches
-  (:mod:`repro.streaming.environment`).
+  and runs it in slabs of one or more records, with supervision and
+  checkpointing (:mod:`repro.streaming.environment`).
+
+Per-key state lives in one operator, the keyed pollution node of
+:mod:`repro.core.keyed_pollution`, which runs one pollution pipeline per key.
 
 The engine is push-based: sources emit records into a DAG of operator nodes;
 each node transforms records and forwards them downstream. Execution is
@@ -58,11 +61,10 @@ from repro.streaming.time import (
     hours_between,
     parse_timestamp,
 )
-from repro.streaming.watermarks import BoundedOutOfOrdernessWatermarks, Watermark
+from repro.streaming.watermarks import Watermark
 
 __all__ = [
     "Attribute",
-    "BoundedOutOfOrdernessWatermarks",
     "ChaosConfig",
     "Checkpoint",
     "CheckpointStore",

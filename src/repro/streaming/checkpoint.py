@@ -2,17 +2,17 @@
 
 A checkpoint is a consistent snapshot taken between two source records: the
 push-based engine is synchronous and depth-first, so once a record has fully
-traversed the DAG every operator is quiescent and its state — keyed state,
-window buffers, stateful error-function memory, sink contents — fully
-describes the run so far. The snapshot records:
+traversed the DAG every operator is quiescent and its state — per-key
+pollution pipelines, stateful error-function memory and RNG streams, sink
+contents — fully describes the run so far. The snapshot records:
 
 * **source position** — which source is being drained and how many of its
   records have been consumed (earlier sources are complete, including their
   end-of-stream watermark, and live on only through operator/sink state);
 * **node state** — ``snapshot_state()`` of every node that has any, keyed by
   node name (topologies are rebuilt deterministically, so names line up);
-* **watermark bookkeeping** — the auto-watermark high-water mark and, if the
-  source has an explicit strategy, its generator state.
+* **watermark bookkeeping** — the current source's watermark, the largest
+  event time it has produced.
 
 ``StreamExecutionEnvironment.execute(resume_from=...)`` rebuilds the run
 from such a snapshot: node state is restored by name, already-drained
@@ -29,7 +29,11 @@ the self-healing parallel runtime, which falls back to the previous snapshot
 when the newest one is torn. :meth:`CheckpointStore.save` writes through a
 temporary file and a rename, so a torn file is left only by a writer from
 before that, or by damage after the fact. Headerless files written by older
-releases are still read (without integrity verification).
+releases are still read (without integrity verification). A file whose
+format version is not :data:`CHECKPOINT_FORMAT_VERSION` is refused with a
+:class:`~repro.errors.CheckpointError` naming both versions: version 2
+dropped the watermark-generator state and stores the keyed pollution node
+as ``{"pipelines": {repr(key): state}}``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from repro.errors import CheckpointError
 
 CHECKPOINT_SUFFIX = ".ckpt"
 #: Bump when the Checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 #: Leading marker of digest-framed checkpoint files (8 bytes).
 CHECKPOINT_MAGIC = b"ICEWAFL\x01"
 _DIGEST_LEN = 64  # sha256 hexdigest, ascii
@@ -75,7 +79,6 @@ class Checkpoint:
     offset: int
     records_seen: int
     auto_watermark: int | None = None
-    generator_state: Any | None = None
     node_state: dict[str, Any] = field(default_factory=dict)
     version: int = CHECKPOINT_FORMAT_VERSION
 

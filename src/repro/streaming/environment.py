@@ -5,10 +5,11 @@ graph with a fluent API, then :meth:`StreamExecutionEnvironment.execute` it.
 Execution is synchronous and single-process; one source drain reads each
 source in registration order, cuts it into slabs of ``batch_size`` records
 and pushes each slab through the DAG depth-first, followed by at most one
-watermark (from an optional per-source strategy). A one-record slab — the
-default — dispatches that record through ``on_record``; a larger slab goes
-through ``on_batch``. A final ``Watermark.max()`` flushes all event-time
-state (windows, sorters) at end of stream.
+watermark: the largest event time seen so far, when the slab advanced it.
+A one-record slab — the default — dispatches that record through
+``on_record``; a larger slab goes through ``on_batch``. A final
+``Watermark.max()`` flushes all event-time state (sorters, validator
+windows) at end of stream.
 
 Example
 -------
@@ -36,11 +37,6 @@ from repro.streaming.checkpoint import (
     checkpoint_payload,
     load_checkpoint,
 )
-from repro.streaming.keyed import (
-    KeyedProcessFunction,
-    KeyedProcessNode,
-    KeySelector,
-)
 from repro.streaming.operators import (
     FilterFunction,
     FilterNode,
@@ -65,8 +61,7 @@ from repro.streaming.supervision import (
     FailurePolicy,
     Supervisor,
 )
-from repro.streaming.watermarks import Watermark, WatermarkGenerator
-from repro.streaming.windows import WindowAssigner, WindowFunction, WindowNode
+from repro.streaming.watermarks import Watermark
 
 #: Live progress ticks after each slab that crosses a multiple of this many
 #: records, and once when the sources are drained.
@@ -180,11 +175,6 @@ class DataStream:
     def process(self, fn: ProcessFunction, name: str = "process") -> "DataStream":
         return self._attach(ProcessNode(self._env._unique(name), fn))
 
-    # -- keyed / windowed -----------------------------------------------------
-
-    def key_by(self, key_selector: KeySelector) -> "KeyedStream":
-        return KeyedStream(self._env, self._node, self._schema, key_selector)
-
     # -- splitting & union ------------------------------------------------------
 
     def split(self, strategy: SplitStrategy, name: str = "split") -> list["DataStream"]:
@@ -218,52 +208,19 @@ class DataStream:
         return sink
 
 
-class KeyedStream:
-    """A stream partitioned by key; supports stateful process and windows."""
-
-    def __init__(
-        self,
-        env: "StreamExecutionEnvironment",
-        upstream: Node,
-        schema: Schema,
-        key_selector: KeySelector,
-    ) -> None:
-        self._env = env
-        self._upstream = upstream
-        self._schema = schema
-        self._key_selector = key_selector
-
-    def process(
-        self, fn: KeyedProcessFunction, name: str = "keyed_process"
-    ) -> DataStream:
-        node = KeyedProcessNode(self._env._unique(name), self._key_selector, fn)
-        self._upstream.add_downstream(node)
-        self._env._register(node)
-        return DataStream(self._env, node, self._schema)
-
-    def window(
-        self, assigner: WindowAssigner, fn: WindowFunction, name: str = "window"
-    ) -> DataStream:
-        node = WindowNode(self._env._unique(name), self._key_selector, assigner, fn)
-        self._upstream.add_downstream(node)
-        self._env._register(node)
-        return DataStream(self._env, node, self._schema)
-
-
 class StreamExecutionEnvironment:
     """Builds and executes a dataflow graph.
 
+    Each record whose ``event_time`` is set advances its source's
+    monotonous watermark, so event-time operators need no strategy.
+
     Parameters
     ----------
-    auto_watermarks:
-        When True (default), each record whose ``event_time`` is set advances
-        a per-source monotonous watermark automatically, so event-time
-        operators work without an explicit strategy.
     metrics:
         A :class:`~repro.obs.metrics.MetricsRegistry`. When enabled, the run
         records per-node records-in/out counters, sampled processing-latency
-        histograms, watermark-lag gauges, and checkpoint size/duration; a
-        disabled (or absent) registry leaves the fast path untouched.
+        histograms, and checkpoint size/duration; a disabled (or absent)
+        registry leaves the fast path untouched.
     ledger:
         A :class:`~repro.obs.ledger.RunLedger` receiving the run's events:
         checkpoint write/restore, slab boundaries, and every supervision
@@ -286,7 +243,6 @@ class StreamExecutionEnvironment:
 
     def __init__(
         self,
-        auto_watermarks: bool = True,
         metrics: MetricsRegistry | None = None,
         batch_size: int = 1,
         ledger: RunLedger | None = None,
@@ -295,10 +251,9 @@ class StreamExecutionEnvironment:
     ) -> None:
         if batch_size < 1:
             raise StreamError(f"batch_size must be >= 1, got {batch_size}")
-        self._sources: list[tuple[_SourceHead, Source, WatermarkGenerator | None]] = []
+        self._sources: list[tuple[_SourceHead, Source]] = []
         self._nodes: list[Node] = []
         self._names: set[str] = set()
-        self._auto_watermarks = auto_watermarks
         self._batch_size = batch_size
         self._executed = False
         self._default_policy: FailurePolicy | None = None
@@ -366,15 +321,10 @@ class StreamExecutionEnvironment:
     def _register(self, node: Node) -> None:
         self._nodes.append(node)
 
-    def from_source(
-        self,
-        source: Source,
-        watermarks: WatermarkGenerator | None = None,
-        name: str = "source",
-    ) -> DataStream:
+    def from_source(self, source: Source, name: str = "source") -> DataStream:
         head = _SourceHead(self._unique(name))
         self._register(head)
-        self._sources.append((head, source, watermarks))
+        self._sources.append((head, source))
         return DataStream(self, head, source.schema)
 
     def from_collection(
@@ -560,25 +510,21 @@ class StreamExecutionEnvironment:
         batch_size = self._batch_size
         records_seen = resume_from.records_seen if resume_from is not None else 0
         for src_idx in range(start_source, len(self._sources)):
-            head, source, wm_gen = self._sources[src_idx]
-            if metrics is not None:
-                src_counter = metrics.counter("source_records_total", source=head.name)
-                wm_lag = metrics.gauge("watermark_lag_seconds", source=head.name)
-            else:
-                src_counter = None
-                wm_lag = None
+            head, source = self._sources[src_idx]
+            src_counter = (
+                metrics.counter("source_records_total", source=head.name)
+                if metrics is not None
+                else None
+            )
             head_obs = head._obs
             resuming_here = resume_from is not None and src_idx == start_source
             offset = start_offset if resuming_here else 0
-            last_auto_wm: int | None = None
-            if resuming_here:
-                last_auto_wm = resume_from.auto_watermark
-                if wm_gen is not None and resume_from.generator_state is not None:
-                    wm_gen.restore_state(resume_from.generator_state)
-            # The source counter is folded from report.source_records after
-            # the loop (a per-record registry increment is measurable here);
-            # the finally keeps it truthful when a FAIL_FAST failure aborts
-            # the drain mid-stream.
+            last_auto_wm = resume_from.auto_watermark if resuming_here else None
+            # The source counter is folded from report.source_records at each
+            # checkpoint, so a checkpoint's view of the registry counts every
+            # record before it, and after the loop (a per-record registry
+            # increment is measurable here); the finally keeps it truthful
+            # when a FAIL_FAST failure aborts the drain mid-stream.
             records_before = report.source_records
             ts_attr = source.schema.timestamp_attribute
             slab: list[Record] = []
@@ -595,19 +541,22 @@ class StreamExecutionEnvironment:
                     boundary = cfg is not None and records_seen % cfg.interval == 0
                     if boundary or len(slab) >= batch_size:
                         last_auto_wm = self._dispatch(
-                            head, slab, records_seen, boundary, wm_gen,
-                            last_auto_wm, head_obs, wm_lag, supervisor,
+                            head, slab, records_seen, boundary,
+                            last_auto_wm, head_obs, supervisor,
                         )
                         slab = []
                     if boundary:
+                        if src_counter is not None:
+                            src_counter.value += report.source_records - records_before
+                            records_before = report.source_records
                         self.last_checkpoint = self._take_checkpoint(
-                            src_idx, offset, records_seen, last_auto_wm, wm_gen
+                            src_idx, offset, records_seen, last_auto_wm
                         )
                         report.checkpoints_taken += 1
                 if slab:
                     self._dispatch(
-                        head, slab, records_seen, False, wm_gen,
-                        last_auto_wm, head_obs, wm_lag, supervisor,
+                        head, slab, records_seen, False,
+                        last_auto_wm, head_obs, supervisor,
                     )
             finally:
                 if src_counter is not None:
@@ -622,10 +571,8 @@ class StreamExecutionEnvironment:
         slab: list[Record],
         records_seen: int,
         boundary: bool,
-        wm_gen: WatermarkGenerator | None,
         last_auto_wm: int | None,
         head_obs,
-        wm_lag,
         supervisor: Supervisor | None,
     ) -> int | None:
         """Push one slab into a source head, then emit its coalesced watermark.
@@ -678,32 +625,14 @@ class StreamExecutionEnvironment:
                 supervisor.deferred = False
         if timed:
             head_obs.latency.observe(perf_counter() - start)
-        wm: Watermark | None = None
-        trigger_et: int | None = None
-        if wm_gen is not None:
-            # Feed the generator every event in order (identical generator
-            # state to one-record slabs); emit only the last produced mark.
-            for record in slab:
-                et = record.event_time
-                if et is not None:
-                    out = wm_gen.on_event(et)
-                    if out is not None:
-                        wm = out
-                        trigger_et = et
-        elif self._auto_watermarks:
-            advanced = False
-            for record in slab:
-                et = record.event_time
-                if et is not None and (last_auto_wm is None or et > last_auto_wm):
-                    last_auto_wm = et
-                    advanced = True
-            if advanced:
-                wm = Watermark(last_auto_wm)
-                trigger_et = last_auto_wm
-        if wm is not None:
-            head.on_watermark(wm)
-            if wm_lag is not None and trigger_et is not None:
-                wm_lag.value = trigger_et - wm.timestamp
+        advanced = False
+        for record in slab:
+            et = record.event_time
+            if et is not None and (last_auto_wm is None or et > last_auto_wm):
+                last_auto_wm = et
+                advanced = True
+        if advanced:
+            head.on_watermark(Watermark(last_auto_wm))
         if self._ledger is not None and self._batch_size > 1:
             self._ledger.record(
                 "batch.slab",
@@ -743,7 +672,6 @@ class StreamExecutionEnvironment:
         offset: int,
         records_seen: int,
         auto_watermark: int | None,
-        wm_gen: WatermarkGenerator | None,
     ) -> Checkpoint:
         start = perf_counter()
         node_state = {}
@@ -756,7 +684,6 @@ class StreamExecutionEnvironment:
             offset=offset,
             records_seen=records_seen,
             auto_watermark=auto_watermark,
-            generator_state=wm_gen.snapshot_state() if wm_gen is not None else None,
             node_state=node_state,
         )
         cfg = self._checkpoint_cfg

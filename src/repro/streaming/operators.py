@@ -87,15 +87,12 @@ class Collector:
 
     def __init__(self, emit: Callable[[Record], None]) -> None:
         self._emit = emit
-        self.emitted = 0
 
     def collect(self, record: Record) -> None:
-        self.emitted += 1
         self._emit(record)
 
     def collect_batch(self, records: list[Record]) -> None:
         """Emit a whole slab downstream (batch-mode process functions)."""
-        self.emitted += len(records)
         for record in records:
             self._emit(record)
 
@@ -111,14 +108,11 @@ class NodeCollector(Collector):
 
     def __init__(self, node: "Node") -> None:
         self._node = weakref.proxy(node)
-        self.emitted = 0
 
     def collect(self, record: Record) -> None:
-        self.emitted += 1
         self._node.emit(record)
 
     def collect_batch(self, records: list[Record]) -> None:
-        self.emitted += len(records)
         self._node.emit_batch(records)
 
 

@@ -3,16 +3,14 @@
 A watermark ``W(t)`` asserts that no further record with event time ``<= t``
 will arrive. Operators that buffer by event time (windows, the event-time
 sorter used by Algorithm 1's output step) flush state when the watermark
-passes. The delayed-tuple error type (§3.1.3) produces out-of-order streams,
-so downstream consumers of a polluted stream genuinely need bounded
-out-of-orderness handling.
+passes. The environment derives one per source: the largest event time seen
+so far, advanced after each slab (see
+:class:`~repro.streaming.environment.StreamExecutionEnvironment`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.streaming.time import Duration
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -29,58 +27,3 @@ class Watermark:
     def max() -> "Watermark":
         """The end-of-stream watermark: flushes all remaining buffered state."""
         return Watermark(2**62)
-
-
-class WatermarkGenerator:
-    """Base class for watermark strategies."""
-
-    def on_event(self, event_time: int) -> Watermark | None:
-        """Observe a record's event time; optionally emit a new watermark."""
-        raise NotImplementedError
-
-    def snapshot_state(self):
-        """Serializable generator state for checkpointing (``None`` = stateless)."""
-        return None
-
-    def restore_state(self, state) -> None:
-        """Restore state produced by :meth:`snapshot_state`."""
-
-
-class BoundedOutOfOrdernessWatermarks(WatermarkGenerator):
-    """Watermarks lagging the max seen event time by a fixed bound.
-
-    With bound ``B``, after seeing event time ``t`` the generator knows that
-    (assuming at most ``B`` seconds of disorder) everything at or before
-    ``t - B`` has arrived. This matches Flink's strategy of the same name and
-    tolerates exactly the kind of disorder Icewafl's delay polluter creates.
-    """
-
-    def __init__(self, max_out_of_orderness: Duration) -> None:
-        if max_out_of_orderness.seconds < 0:
-            raise ValueError("out-of-orderness bound must be non-negative")
-        self._bound = max_out_of_orderness.seconds
-        self._max_seen: int | None = None
-        self._last_emitted: int | None = None
-
-    def on_event(self, event_time: int) -> Watermark | None:
-        if self._max_seen is None or event_time > self._max_seen:
-            self._max_seen = event_time
-        candidate = self._max_seen - self._bound
-        if self._last_emitted is None or candidate > self._last_emitted:
-            self._last_emitted = candidate
-            return Watermark(candidate)
-        return None
-
-    def snapshot_state(self):
-        return {"max_seen": self._max_seen, "last_emitted": self._last_emitted}
-
-    def restore_state(self, state) -> None:
-        self._max_seen = state["max_seen"]
-        self._last_emitted = state["last_emitted"]
-
-
-class MonotonousWatermarks(BoundedOutOfOrdernessWatermarks):
-    """Watermarks for perfectly ordered streams (zero out-of-orderness)."""
-
-    def __init__(self) -> None:
-        super().__init__(Duration.of_seconds(0))

@@ -1,24 +1,17 @@
 """Event-time windows.
 
-Windows group records of a keyed stream by event-time spans and apply an
-aggregation when the watermark passes the window end. The DQ experiments
-report *per-hour* error counts (Fig. 4), which is exactly a tumbling
-one-hour count window; the forecasting experiments consume contiguous
-training/evaluation spans, which the prequential evaluator cuts with the
-same assigner logic.
+The DQ experiments report *per-hour* error counts (Fig. 4), which is
+exactly a tumbling one-hour window; :mod:`repro.quality.streaming_validator`
+validates an expectation suite per such window, closing it when the
+watermark passes its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
 
 from repro.errors import StreamError
-from repro.streaming.keyed import KeySelector
-from repro.streaming.operators import Node
-from repro.streaming.record import Record
 from repro.streaming.time import Duration
-from repro.streaming.watermarks import Watermark
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -32,14 +25,7 @@ class TimeWindow:
         return self.start <= ts < self.end
 
 
-class WindowAssigner:
-    """Maps an event time to the windows it belongs to."""
-
-    def assign(self, event_time: int) -> list[TimeWindow]:
-        raise NotImplementedError
-
-
-class TumblingEventTimeWindows(WindowAssigner):
+class TumblingEventTimeWindows:
     """Fixed-size, non-overlapping windows aligned to the epoch (+offset)."""
 
     def __init__(self, size: Duration, offset: Duration | None = None) -> None:
@@ -51,162 +37,3 @@ class TumblingEventTimeWindows(WindowAssigner):
     def assign(self, event_time: int) -> list[TimeWindow]:
         start = event_time - ((event_time - self._offset) % self._size)
         return [TimeWindow(start, start + self._size)]
-
-
-class SlidingEventTimeWindows(WindowAssigner):
-    """Fixed-size windows that advance by ``slide`` (may overlap)."""
-
-    def __init__(self, size: Duration, slide: Duration) -> None:
-        if size.seconds <= 0 or slide.seconds <= 0:
-            raise StreamError("window size and slide must be positive")
-        if size.seconds % slide.seconds != 0:
-            raise StreamError("window size must be a multiple of the slide")
-        self._size = size.seconds
-        self._slide = slide.seconds
-
-    def assign(self, event_time: int) -> list[TimeWindow]:
-        last_start = event_time - (event_time % self._slide)
-        windows = []
-        start = last_start
-        while start > event_time - self._size:
-            windows.append(TimeWindow(start, start + self._size))
-            start -= self._slide
-        return sorted(windows)
-
-
-class SessionEventTimeWindows(WindowAssigner):
-    """Gap-based session windows.
-
-    Each record opens a proto-window ``[ts, ts + gap)``; the window operator
-    merges overlapping proto-windows of the same key at fire time, so a
-    burst of records separated by less than ``gap`` forms one session — the
-    natural unit for activity-tracker streams (a workout) and for bursty
-    error episodes (one bad-network incident).
-    """
-
-    is_merging = True
-
-    def __init__(self, gap: Duration) -> None:
-        if gap.seconds <= 0:
-            raise StreamError("session gap must be positive")
-        self.gap = gap.seconds
-
-    def assign(self, event_time: int) -> list[TimeWindow]:
-        return [TimeWindow(event_time, event_time + self.gap)]
-
-    @staticmethod
-    def merge(windows: list[TimeWindow]) -> list[TimeWindow]:
-        """Coalesce overlapping/touching proto-windows into sessions."""
-        if not windows:
-            return []
-        merged: list[TimeWindow] = []
-        for w in sorted(windows):
-            if merged and w.start <= merged[-1].end:
-                merged[-1] = TimeWindow(merged[-1].start, max(merged[-1].end, w.end))
-            else:
-                merged.append(w)
-        return merged
-
-
-WindowFunction = Callable[[Hashable, TimeWindow, list[Record]], Record]
-
-
-class WindowNode(Node):
-    """Buffers records per (key, window); fires on watermark passage.
-
-    Late records — event time at or below the current watermark — are routed
-    to :attr:`late_records` instead of silently dropped, since counting late
-    arrivals is how the bad-network experiment measures delay errors from the
-    consumer side.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        key_selector: KeySelector,
-        assigner: WindowAssigner,
-        fn: WindowFunction,
-    ) -> None:
-        super().__init__(name)
-        self._key_selector = key_selector
-        self._assigner = assigner
-        self._fn = fn
-        self._buffers: dict[tuple[Hashable, TimeWindow], list[Record]] = {}
-        self._watermark = Watermark.min().timestamp
-        self.late_records: list[Record] = []
-
-    def on_record(self, record: Record) -> None:
-        if record.event_time is None:
-            raise StreamError(
-                f"window operator {self.name!r} requires event-time-stamped records"
-            )
-        if record.event_time < self._watermark:
-            # Strictly behind the watermark: late. A record exactly *at* the
-            # watermark is on time (equal timestamps arrive in bursts); if
-            # its window already fired, the window simply fires again with
-            # the stragglers — a late update, never a silent drop.
-            self.late_records.append(record)
-            return
-        key = self._key_selector(record)
-        for window in self._assigner.assign(record.event_time):
-            self._buffers.setdefault((key, window), []).append(record)
-        if getattr(self._assigner, "is_merging", False):
-            self._merge_windows_for_key(key)
-
-    def _merge_windows_for_key(self, key: Hashable) -> None:
-        """Coalesce overlapping session proto-windows of one key."""
-        entries = [
-            (w, recs) for (k, w), recs in self._buffers.items() if k == key
-        ]
-        merged = SessionEventTimeWindows.merge([w for w, _ in entries])
-        if len(merged) == len(entries):
-            return
-        for w, _ in entries:
-            del self._buffers[(key, w)]
-        for m in merged:
-            bucket: list[Record] = []
-            for w, recs in entries:
-                if w.start >= m.start and w.end <= m.end:
-                    bucket.extend(recs)
-            self._buffers[(key, m)] = bucket
-
-    def snapshot_state(self) -> dict[str, Any]:
-        return {
-            "buffers": {
-                kw: [r.copy() for r in recs] for kw, recs in self._buffers.items()
-            },
-            "watermark": self._watermark,
-            "late": [r.copy() for r in self.late_records],
-        }
-
-    def restore_state(self, state: dict[str, Any]) -> None:
-        self._buffers = {
-            kw: [r.copy() for r in recs] for kw, recs in state["buffers"].items()
-        }
-        self._watermark = state["watermark"]
-        self.late_records = [r.copy() for r in state["late"]]
-
-    def on_watermark(self, watermark: Watermark) -> None:
-        self._watermark = watermark.timestamp
-        ready = sorted(
-            (kw for kw in self._buffers if kw[1].end - 1 <= watermark.timestamp),
-            key=lambda kw: (kw[1], _key_order(kw[0])),
-        )
-        for key, window in ready:
-            records = self._buffers.pop((key, window))
-            self.emit(self._fn(key, window, records))
-        self.emit_watermark(watermark)
-
-
-def _key_order(key: Hashable) -> Any:
-    """Deterministic ordering for heterogeneous keys (None sorts first)."""
-    return (key is not None, str(key))
-
-
-def count_window_function(key: Hashable, window: TimeWindow, records: list[Record]) -> Record:
-    """A window function producing ``{key, window_start, count}`` records."""
-    rec = Record(
-        {"key": str(key), "window_start": window.start, "count": len(records)}
-    )
-    rec.event_time = window.start
-    return rec

@@ -178,7 +178,7 @@ SEQUENTIAL_CELLS = [
     ("stream", {"engine": "stream"}, 256),
     ("stream-batch-1", {"engine": "stream", "batch_size": 1}, 1),
     ("stream-batch-7", {"engine": "stream", "batch_size": 7}, 7),
-    ("skip", {"failure_policy": SKIP}, 1),
+    ("skip", {"failure_policy": SKIP}, 256),
     (
         "retry-batch-64",
         {"failure_policy": FailurePolicy.retry(3), "batch_size": 64},
@@ -307,8 +307,8 @@ KEYED_SEQUENTIAL_CELLS = [
     ("default", {}, 256),
     ("batch-1", {"batch_size": 1}, 1),
     ("batch-7", {"batch_size": 7}, 7),
-    ("fail-fast", {"failure_policy": FAIL_FAST}, 1),
-    ("skip", {"failure_policy": SKIP}, 1),
+    ("fail-fast", {"failure_policy": FAIL_FAST}, 256),
+    ("skip", {"failure_policy": SKIP}, 256),
     ("retry-batch-64", {"failure_policy": FailurePolicy.retry(3), "batch_size": 64}, 64),
     ("dead-letter-batch-7", {"failure_policy": DEAD_LETTER, "batch_size": 7}, 7),
 ]
@@ -425,11 +425,12 @@ def _poison_pipeline(index: int) -> PollutionPipeline:
 @pytest.mark.parametrize("parallelism", [None, 1])
 @pytest.mark.parametrize("poison", [5, 53], ids=["first-slab", "later-slab"])
 def test_keyed_poison_slab_rolls_back(poison, parallelism):
-    """A supervised batched keyed run that skips a poison record matches the
-    per-record run: the slab rollback restores every live per-key pipeline
-    (and re-derives the streams of keys first seen inside the slab), and
-    truncates the log, so the replay neither redraws nor re-logs."""
-    outputs = [
+    """A supervised keyed run in slabs (the default 256, and 16) that skips
+    a poison record matches the per-record run: the slab rollback restores
+    every key the slab touched (keys first seen inside the slab to their
+    state right after creation, so their streams rewind too), and truncates
+    the log, so the replay neither redraws nor re-logs."""
+    oracle, *outputs = [
         _csv_bytes(
             pollute(
                 _rows(120),
@@ -443,10 +444,11 @@ def test_keyed_poison_slab_rolls_back(poison, parallelism):
                 **kwargs,
             )
         )
-        for kwargs in ({}, {"batch_size": 16})
+        for kwargs in ({"batch_size": 1}, {}, {"batch_size": 16})
     ]
-    assert outputs[1][0] == outputs[0][0], "records diverged under slab rollback"
-    assert outputs[1][1] == outputs[0][1], "pollution log diverged under slab rollback"
+    for records, log in outputs:
+        assert records == oracle[0], "records diverged under slab rollback"
+        assert log == oracle[1], "pollution log diverged under slab rollback"
 
 
 # -- history-linked plans ----------------------------------------------------
@@ -560,7 +562,7 @@ RESUME_CELLS = [
     ("resume-batch-7", {"batch_size": 7}, 7),
     ("resume-stream", {"engine": "stream"}, 256),
     ("resume-stream-batch-64", {"engine": "stream", "batch_size": 64}, 64),
-    ("resume-retry", {"failure_policy": FailurePolicy.retry(3)}, 1),
+    ("resume-retry", {"failure_policy": FailurePolicy.retry(3)}, 256),
     ("resume-retry-batch-64",
      {"failure_policy": FailurePolicy.retry(3), "batch_size": 64}, 64),
 ]

@@ -28,7 +28,7 @@ PROM_LINE = re.compile(
 def sample_registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("node_records_in_total", node="map").inc(10)
-    registry.gauge("watermark_lag_seconds", source="input").set(2.5)
+    registry.gauge("shard_watermark", shard=0).set(2.5)
     h = registry.histogram("node_process_seconds", buckets=(0.001, 0.01, 0.1), node="map")
     for v in (0.0005, 0.005, 0.05, 5.0):
         h.observe(v)
@@ -40,7 +40,7 @@ class TestSummary:
         text = render_summary(sample_registry())
         assert "counters:" in text and "gauges:" in text and "histograms:" in text
         assert 'node_records_in_total{node="map"}  10' in text
-        assert "watermark_lag_seconds" in text
+        assert "shard_watermark" in text
         assert "p50=" in text and "p90=" in text and "p99=" in text
 
     def test_empty_registry(self):

@@ -541,6 +541,67 @@ class TestRespawnReport:
         )
 
 
+    @staticmethod
+    def _counters(metrics):
+        # Restores and restarts are events of the faulted run itself.
+        return {
+            (c.name, c.labels): c.value
+            for c in metrics.instruments("counter")
+            if "restore" not in c.name and "restart" not in c.name
+        }
+
+    def test_respawned_shard_carries_its_metrics(self, station_schema, tmp_path):
+        from repro.obs.metrics import MetricsRegistry
+
+        rows = [
+            {"value": float(i), "station": f"s{i % 5}", "timestamp": _ts(i)}
+            for i in range(600)
+        ]
+        baseline = self._run(
+            station_schema,
+            rows,
+            tmp_path / "absent",
+            checkpoint_dir=str(tmp_path / "base-ckpt"),
+            metrics=MetricsRegistry(),
+        )
+        marker = tmp_path / "kill.marker"
+        marker.write_text("armed")
+        faulted = self._run(
+            station_schema,
+            rows,
+            marker,
+            checkpoint_dir=str(tmp_path / "ckpt"),
+            metrics=MetricsRegistry(),
+        )
+        assert not marker.exists(), "the kill fault never fired"
+        assert faulted.report.shard_restarts == 1
+        assert faulted.metrics.total("source_records_total") == 600
+        assert faulted.metrics.total("checkpoints_written_total") == 60
+        assert self._counters(faulted.metrics) == self._counters(baseline.metrics)
+
+    def test_user_resume_meters_only_what_it_ran(
+        self, station_schema, station_rows, tmp_path
+    ):
+        from repro.obs.metrics import MetricsRegistry
+
+        ckpt = tmp_path / "ckpt"
+        absent = tmp_path / "absent"
+        self._run(station_schema, station_rows, absent, checkpoint_dir=str(ckpt))
+        resumed = self._run(
+            station_schema,
+            station_rows,
+            absent,
+            resume_from=str(ckpt),
+            metrics=MetricsRegistry(),
+        )
+        assert resumed.report.resumed_from_offset > 0
+        assert (
+            resumed.metrics.total("source_records_total")
+            == resumed.report.source_records
+            == len(station_rows) - resumed.report.resumed_from_offset
+        )
+
+
 class TestCheckpointFallback:
     def test_corrupt_newest_checkpoint_falls_back_to_previous(
         self, station_schema, station_rows, tmp_path

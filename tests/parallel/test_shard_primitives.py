@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.log import PollutionEvent, PollutionLog
 from repro.core.rng import RandomSource, derive_shard_seed
+from repro.parallel import shard
 from repro.parallel.shard import ShardOutputSink, _safe_dumps
 from repro.streaming.record import Record
 
@@ -85,9 +86,10 @@ class TestLogMerge:
 
 
 class TestShardOutputSink:
-    def test_streaming_mode_emits_chunks(self):
+    def test_streaming_mode_emits_chunks(self, monkeypatch):
+        monkeypatch.setattr(shard, "CHUNK_SIZE", 2)
         sent = []
-        sink = ShardOutputSink(sent.append, chunk_size=2)
+        sink = ShardOutputSink(sent.append)
         for i in range(5):
             sink.invoke(_rec(i, i))
         sink.close()
@@ -97,7 +99,7 @@ class TestShardOutputSink:
 
     def test_watermark_tracks_max_event_time(self):
         sent = []
-        sink = ShardOutputSink(sent.append, chunk_size=100)
+        sink = ShardOutputSink(sent.append)
         sink.invoke(_rec(30, 0))
         sink.invoke(_rec(10, 1))
         sink.close()
@@ -106,7 +108,7 @@ class TestShardOutputSink:
 
     def test_retain_mode_holds_until_close(self):
         sent = []
-        sink = ShardOutputSink(sent.append, chunk_size=1, retain=True)
+        sink = ShardOutputSink(sent.append, retain=True)
         sink.invoke(_rec(1, 0))
         sink.invoke(_rec(2, 1))
         assert sent == []
@@ -116,7 +118,7 @@ class TestShardOutputSink:
     def test_retain_snapshot_round_trip_includes_log(self):
         log = PollutionLog()
         log.extend([TestLogMerge._event(0)])
-        sink = ShardOutputSink([].append, chunk_size=4, retain=True, log=log)
+        sink = ShardOutputSink([].append, retain=True, log=log)
         sink.invoke(_rec(1, 0))
         state = sink.snapshot_state()
         assert len(state["records"]) == 1 and len(state["log_events"]) == 1
@@ -143,7 +145,7 @@ class TestChunkEncoding:
     def test_unwritten_records_go_by_reference_written_ones_in_full(self):
         records, partition = self._partition()
         sent = []
-        sink = ShardOutputSink(sent.append, chunk_size=8, partition=partition)
+        sink = ShardOutputSink(sent.append, partition=partition)
         unwritten = records[0].copy()
         written = records[1].copy()
         written["v"] = 9.0

@@ -97,7 +97,7 @@ DEFAULT_RESOLUTION = [
     ("default", {}, 256, "default-slabs"),
     ("batch-1", {"batch_size": 1}, 1, None),
     ("batch-7", {"batch_size": 7}, 7, None),
-    ("skip", {"failure_policy": SKIP}, 1, "supervised-per-record"),
+    ("skip", {"failure_policy": SKIP}, 256, "default-slabs"),
     ("skip-batch-64", {"failure_policy": SKIP, "batch_size": 64}, 64, None),
     ("skip-batch-1", {"failure_policy": SKIP, "batch_size": 1}, 1, None),
     ("checkpointed", {"checkpoint_dir": "chk"}, 256, "default-slabs"),
@@ -111,29 +111,27 @@ DEFAULT_RESOLUTION = [
     ids=[row[0] for row in DEFAULT_RESOLUTION],
 )
 def test_default_resolution_table(fields, batch_size, slug, key_by):
-    """The slab size is resolved once, by the planner: unsupervised plans
-    without a batch_size get 256, supervised ones stay per record, and an
-    explicit batch_size is kept. Sequential, keyed, parallel and shard
+    """The slab size is resolved once, by the planner: plans without a
+    batch_size get 256, supervised ones too, and an explicit batch_size is
+    kept. Sequential, keyed, parallel and shard
     plans agree; shards read the coordinator's size from their task. The
     slab size never changes the engine."""
     plan = compile_plan(_request(key_by=key_by, **fields))
     assert (plan.batch_size, plan.engine) == (batch_size, ENGINE_STREAM)
     assert plan.batched == (batch_size > 1)
-    resolution = {"default-slabs", "supervised-per-record"} & set(plan.decision_slugs)
+    resolution = {"default-slabs"} & set(plan.decision_slugs)
     assert resolution == ({slug} if slug else set())
 
     parallel = compile_plan(_request(key_by=key_by, parallelism=2, **fields))
     assert parallel.batch_size == batch_size
-    assert resolution == {"default-slabs", "supervised-per-record"} & set(
-        parallel.decision_slugs
-    )
+    assert resolution == {"default-slabs"} & set(parallel.decision_slugs)
     shard_stage = next(s for s in parallel.stages if s.kind == "shard")
     assert shard_stage.params["engine"] == ENGINE_SHARD_STREAM
     assert shard_stage.params["batch_size"] == batch_size
 
     shard = compile_plan(_shard_request(parallel))
     assert (shard.batch_size, shard.engine) == (batch_size, ENGINE_SHARD_STREAM)
-    assert not {"default-slabs", "supervised-per-record"} & set(shard.decision_slugs)
+    assert "default-slabs" not in shard.decision_slugs
 
 
 def _history_linked_pipelines():
@@ -156,7 +154,7 @@ HISTORY_RESOLUTION = [
     ("default", {}, 1, "history-linked-per-record"),
     ("batch-64", {"batch_size": 64}, 1, "history-linked-per-record"),
     ("batch-1", {"batch_size": 1}, 1, None),
-    ("skip", {"failure_policy": SKIP}, 1, "supervised-per-record"),
+    ("skip", {"failure_policy": SKIP}, 1, "history-linked-per-record"),
     ("skip-batch-64", {"failure_policy": SKIP, "batch_size": 64}, 1,
      "history-linked-per-record"),
 ]
@@ -176,9 +174,9 @@ def test_history_linked_plans_run_per_record(fields, batch_size, slug):
             _request(pipelines=_history_linked_pipelines(), **extra, **fields)
         )
         assert (plan.engine, plan.batch_size) == (engine, batch_size)
-        resolution = {
-            "default-slabs", "supervised-per-record", "history-linked-per-record"
-        } & set(plan.decision_slugs)
+        resolution = {"default-slabs", "history-linked-per-record"} & set(
+            plan.decision_slugs
+        )
         assert resolution == ({slug} if slug else set())
     shard_stage = next(s for s in plan.stages if s.kind == "shard")
     assert shard_stage.params["engine"] == ENGINE_SHARD_STREAM
@@ -225,17 +223,12 @@ def test_slab_size_is_not_an_engine():
     ],
 )
 def test_options_keep_the_requested_engine(field, value, batch_size, key_by):
-    """No hook or checkpointing option moves a run, keyed or not, to
-    another engine; only a failure policy without a batch_size keeps the
-    default per record (see test_default_resolution_table)."""
+    """No hook, checkpointing option or failure policy moves a run, keyed
+    or not, to another engine or another slab size."""
     bare = compile_plan(_request(batch_size=batch_size, key_by=key_by))
     plan = compile_plan(_request(batch_size=batch_size, key_by=key_by, **{field: value}))
     assert plan.engine == bare.engine == ENGINE_STREAM
-    if field == "failure_policy" and batch_size is None:
-        assert plan.batch_size == 1
-        assert "supervised-per-record" in plan.decision_slugs
-    else:
-        assert plan.batch_size == bare.batch_size
+    assert plan.batch_size == bare.batch_size
     assert not any("stream" in slug for slug in plan.decision_slugs)
 
 
@@ -438,14 +431,15 @@ def test_shard_keyed_engine(batch_size):
     assert [s.name for s in plan.stages][1:3] == ["key-by", "pollute-keyed"]
 
 
-def test_shard_supervised_batching_retains_output():
-    """The shard-side face of the composition fix: a supervised batched
-    shard must retain records for rollback/replay instead of streaming."""
+def test_shard_supervised_batching_streams_output():
+    """A supervised batched shard streams its output: the sink sends at
+    slab cuts, so a rolled-back slab has sent nothing and the shard need
+    not hold its whole output until close."""
     plan = compile_plan(
         PlanRequest.for_shard(_shard_task(failure_policy=SKIP, batch_size=64))
     )
-    assert plan.shard_retain
-    assert "shard-retains-output" in plan.decision_slugs
+    assert not plan.shard_retain
+    assert "shard-streams-output" in plan.decision_slugs
 
 
 def test_shard_checkpointing_retains_output(tmp_path):

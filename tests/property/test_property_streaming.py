@@ -9,9 +9,10 @@ from repro.streaming.record import Record
 from repro.streaming.schema import Attribute, DataType, Schema
 from repro.streaming.sink import CollectSink
 from repro.streaming.split import Broadcast, ProbabilisticOverlap, RoundRobin
+from repro.streaming.operators import ProcessFunction
 from repro.streaming.time import Duration
-from repro.streaming.watermarks import BoundedOutOfOrdernessWatermarks
-from repro.streaming.windows import TumblingEventTimeWindows, count_window_function
+from repro.streaming.watermarks import Watermark
+from repro.streaming.windows import TumblingEventTimeWindows
 
 SCHEMA = Schema(
     [Attribute("v", DataType.FLOAT), Attribute("timestamp", DataType.TIMESTAMP, nullable=False)]
@@ -89,26 +90,44 @@ class TestWindowInvariants:
     @given(data=rows(), size_hours=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_window_counts_sum_to_stream_size(self, data, size_hours):
-        env = StreamExecutionEnvironment()
-        sink = CollectSink()
-        env.from_collection(SCHEMA, data).key_by(lambda r: None).window(
-            TumblingEventTimeWindows(Duration.of_hours(size_hours)),
-            count_window_function,
-        ).add_sink(sink)
-        env.execute()
-        assert sum(r["count"] for r in sink.records) == len(data)
+        """Tumbling windows partition the stream: each event lands in
+        exactly one window, and that window contains it."""
+        assigner = TumblingEventTimeWindows(Duration.of_hours(size_hours))
+        counts: dict = {}
+        for row in data:
+            [window] = assigner.assign(row["timestamp"])
+            assert window.contains(row["timestamp"])
+            counts[window] = counts.get(window, 0) + 1
+        assert sum(counts.values()) == len(data)
+
+
+class _Marks(ProcessFunction):
+    def __init__(self) -> None:
+        self.seen: list[int] = []
+
+    def process(self, record, ctx, out) -> None:
+        out.collect(record)
+
+    def on_watermark(self, watermark, out) -> None:
+        self.seen.append(watermark.timestamp)
 
 
 class TestWatermarkInvariants:
     @given(
         events=st.lists(st.integers(0, 10**6), min_size=1, max_size=100),
-        bound=st.integers(0, 1000),
+        batch_size=st.integers(1, 16),
     )
     @settings(max_examples=50, deadline=None)
-    def test_watermarks_never_regress(self, events, bound):
-        gen = BoundedOutOfOrdernessWatermarks(Duration.of_seconds(bound))
-        emitted = [wm for e in events if (wm := gen.on_event(e)) is not None]
-        values = [w.timestamp for w in emitted]
-        assert values == sorted(values)
-        if values:
-            assert values[-1] == max(events) - bound
+    def test_watermarks_never_regress(self, events, batch_size):
+        """Out-of-order event times at any slab size: the source watermark
+        only rises, and before end of stream it reaches the largest event."""
+        marks = _Marks()
+        env = StreamExecutionEnvironment(batch_size=batch_size)
+        env.from_collection(
+            SCHEMA, [{"v": 0.0, "timestamp": e} for e in events]
+        ).process(marks).add_sink(CollectSink())
+        env.execute()
+        values = marks.seen
+        assert values == sorted(values) and len(set(values)) == len(values)
+        assert values[-1] == Watermark.max().timestamp
+        assert values[-2] == max(events)

@@ -12,18 +12,28 @@ from repro.streaming.checkpoint import (
     load_checkpoint,
 )
 from repro.streaming.environment import StreamExecutionEnvironment
-from repro.streaming.keyed import KeyedProcessFunction, ValueState
+from repro.streaming.operators import ProcessFunction
 from repro.streaming.sink import CollectSink
 
 
-class RunningSum(KeyedProcessFunction):
+class RunningSum(ProcessFunction):
+    """A running sum of ``value`` per ``label``: operator state to checkpoint."""
+
+    def __init__(self):
+        self.sums = {}
+
     def process(self, record, ctx, out):
-        state = ctx.state("sum", ValueState)
-        total = (state.value() or 0.0) + record["value"]
-        state.update(total)
+        total = self.sums.get(record["label"], 0.0) + record["value"]
+        self.sums[record["label"]] = total
         result = record.copy()
         result["value"] = total
         out.collect(result)
+
+    def snapshot_state(self):
+        return dict(self.sums)
+
+    def restore_state(self, state):
+        self.sums = dict(state)
 
 
 def build_sum_topology(schema, rows, interval=None, store=None):
@@ -31,9 +41,9 @@ def build_sum_topology(schema, rows, interval=None, store=None):
     if interval is not None:
         env.enable_checkpointing(interval, store)
     sink = CollectSink()
-    env.from_collection(schema, rows).key_by(lambda r: r["label"]).process(
-        RunningSum(), name="sum"
-    ).add_sink(sink, name="out")
+    env.from_collection(schema, rows).process(RunningSum(), name="sum").add_sink(
+        sink, name="out"
+    )
     return env, sink
 
 
@@ -41,8 +51,7 @@ class TestCheckpointStore:
     def test_save_load_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path)
         ck = Checkpoint(source_index=0, offset=5, records_seen=5,
-                        auto_watermark=123, generator_state=None,
-                        node_state={"n": 1})
+                        auto_watermark=123, node_state={"n": 1})
         path = store.save(ck).path
         assert path.exists()
         loaded = store.load_latest()
@@ -52,7 +61,7 @@ class TestCheckpointStore:
     def test_prune_keeps_latest(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
         for offset in (1, 2, 3, 4):
-            store.save(Checkpoint(0, offset, offset, None, None, {}))
+            store.save(Checkpoint(0, offset, offset, None, {}))
         assert len(store) == 2
         assert store.load_latest().offset == 4
 
@@ -77,7 +86,7 @@ class TestCheckpointIntegrity:
         return store.save(
             Checkpoint(
                 source_index=0, offset=offset, records_seen=offset,
-                auto_watermark=123, generator_state=None, node_state={"n": offset},
+                auto_watermark=123, node_state={"n": offset},
             )
         ).path
 
@@ -121,17 +130,29 @@ class TestCheckpointIntegrity:
     def test_legacy_headerless_checkpoint_still_loads(self, tmp_path):
         # Pre-digest stores wrote the bare pickle; they must keep loading
         # (unverified) so old checkpoint directories stay resumable.
-        ck = Checkpoint(0, 7, 7, None, None, {"n": 7})
+        ck = Checkpoint(0, 7, 7, None, {"n": 7})
         legacy = tmp_path / "chk-000007.ckpt"
         legacy.write_bytes(pickle.dumps(ck, protocol=pickle.HIGHEST_PROTOCOL))
         assert load_checkpoint(legacy).offset == 7
+
+    def test_version_1_checkpoint_is_refused_naming_both_versions(self, tmp_path):
+        # Version 2 changed the keyed pollution node's state layout and
+        # dropped the watermark-generator state; a version-1 file must not
+        # half-restore into it.
+        store = CheckpointStore(tmp_path)
+        path = store.save(Checkpoint(0, 5, 5, None, {}, version=1)).path
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        message = str(exc.value)
+        assert "format version 1" in message and "version 2" in message
+        assert path.name in message
 
     def test_latest_valid_skips_corrupted_newest(self, tmp_path):
         from repro.streaming.checkpoint import latest_valid_checkpoint
 
         store = CheckpointStore(tmp_path)
-        first = store.save(Checkpoint(0, 1, 1, None, None, {})).path
-        second = store.save(Checkpoint(0, 2, 2, None, None, {})).path
+        first = store.save(Checkpoint(0, 1, 1, None, {})).path
+        second = store.save(Checkpoint(0, 2, 2, None, {})).path
         raw = second.read_bytes()
         second.write_bytes(raw[: len(raw) // 2])
         assert latest_valid_checkpoint(tmp_path) == first
@@ -153,8 +174,8 @@ class TestCheckpointIntegrity:
         from repro.streaming.checkpoint import latest_saved_checkpoint
 
         store = CheckpointStore(tmp_path)
-        store.save(Checkpoint(0, 1, 1, None, None, {}))
-        second = store.save(Checkpoint(0, 2, 2, None, None, {})).path
+        store.save(Checkpoint(0, 1, 1, None, {}))
+        second = store.save(Checkpoint(0, 2, 2, None, {})).path
         raw = bytearray(second.read_bytes())
         raw[-1] ^= 0xFF
         second.write_bytes(bytes(raw))
@@ -165,7 +186,7 @@ class TestCheckpointIntegrity:
         import repro.streaming.checkpoint as checkpoint_module
 
         store = CheckpointStore(tmp_path)
-        first = store.save(Checkpoint(0, 1, 1, None, None, {})).path
+        first = store.save(Checkpoint(0, 1, 1, None, {})).path
 
         class TornFile:
             def __init__(self, path, mode):
@@ -183,7 +204,7 @@ class TestCheckpointIntegrity:
 
         monkeypatch.setattr(checkpoint_module, "open", TornFile, raising=False)
         with pytest.raises(CheckpointError, match="could not write"):
-            store.save(Checkpoint(0, 2, 2, None, None, {}))
+            store.save(Checkpoint(0, 2, 2, None, {}))
         monkeypatch.undo()
         assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
         assert store.load_latest().offset == 1
@@ -217,9 +238,9 @@ class TestCheckpointedExecution:
         ledger = RunLedger()
         env = StreamExecutionEnvironment(metrics=MetricsRegistry(), ledger=ledger)
         env.enable_checkpointing(5, CheckpointStore(tmp_path, keep=10))
-        env.from_collection(simple_schema, simple_rows).key_by(
-            lambda r: r["label"]
-        ).process(RunningSum(), name="sum").add_sink(CollectSink(), name="out")
+        env.from_collection(simple_schema, simple_rows).process(
+            RunningSum(), name="sum"
+        ).add_sink(CollectSink(), name="out")
         env.execute()
 
         writes = ledger.find("checkpoint.write")
@@ -279,13 +300,13 @@ class TestCheckpointedExecution:
         ]
 
     def test_resume_rejects_unknown_topology(self, simple_schema, simple_rows):
-        ck = Checkpoint(0, 5, 5, None, None, {"no-such-node": 42})
+        ck = Checkpoint(0, 5, 5, None, {"no-such-node": 42})
         env, _ = build_sum_topology(simple_schema, simple_rows)
         with pytest.raises(CheckpointError, match="no-such-node"):
             env.execute(resume_from=ck)
 
     def test_resume_rejects_missing_source(self, simple_schema, simple_rows):
-        ck = Checkpoint(3, 0, 0, None, None, {})
+        ck = Checkpoint(3, 0, 0, None, {})
         env, _ = build_sum_topology(simple_schema, simple_rows)
         with pytest.raises(CheckpointError, match="source"):
             env.execute(resume_from=ck)

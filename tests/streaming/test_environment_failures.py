@@ -1,4 +1,4 @@
-"""Failure injection and watermark-strategy tests for the environment."""
+"""Failure injection tests for the environment."""
 
 import pytest
 
@@ -6,9 +6,6 @@ from repro.streaming.environment import StreamExecutionEnvironment
 from repro.streaming.operators import MapFunction, ProcessFunction
 from repro.streaming.record import Record
 from repro.streaming.sink import CollectSink
-from repro.streaming.time import Duration
-from repro.streaming.watermarks import BoundedOutOfOrdernessWatermarks
-from repro.streaming.windows import TumblingEventTimeWindows, count_window_function
 
 
 class Boom(RuntimeError):
@@ -66,50 +63,6 @@ class TestFailurePropagation:
         with pytest.raises(Boom):
             env.execute()
         assert [r["value"] for r in sink.records] == [0.0, 1.0, 2.0]
-
-
-class TestExplicitWatermarkStrategies:
-    def test_bounded_out_of_orderness_delays_window_firing(self, hourly_schema):
-        """With a lag bound, a slightly-late record still lands in its window."""
-        rows = [
-            {"reading": 1.0, "timestamp": 0},
-            {"reading": 1.0, "timestamp": 7200},  # advances max seen to 2h
-            {"reading": 1.0, "timestamp": 3599},  # late by ~1h: within bound
-        ]
-        from repro.streaming.source import CollectionSource
-
-        env = StreamExecutionEnvironment()
-        sink = CollectSink()
-        source = CollectionSource(hourly_schema, rows)
-        env.from_source(
-            source, watermarks=BoundedOutOfOrdernessWatermarks(Duration.of_hours(2))
-        ).key_by(lambda r: None).window(
-            TumblingEventTimeWindows(Duration.of_hours(1)), count_window_function
-        ).add_sink(sink)
-        env.execute()
-        counts = {r["window_start"]: r["count"] for r in sink.records}
-        assert counts[0] == 2  # the late record made it into window [0, 3600)
-
-    def test_zero_bound_drops_the_late_record_to_late_list(self, hourly_schema):
-        rows = [
-            {"reading": 1.0, "timestamp": 0},
-            {"reading": 1.0, "timestamp": 7200},
-            {"reading": 1.0, "timestamp": 3599},
-        ]
-        from repro.streaming.source import CollectionSource
-
-        env = StreamExecutionEnvironment()
-        sink = CollectSink()
-        source = CollectionSource(hourly_schema, rows)
-        keyed = env.from_source(
-            source, watermarks=BoundedOutOfOrdernessWatermarks(Duration.of_seconds(0))
-        ).key_by(lambda r: None)
-        windowed = keyed.window(
-            TumblingEventTimeWindows(Duration.of_hours(1)), count_window_function
-        )
-        windowed.add_sink(sink)
-        env.execute()
-        assert len(windowed.node.late_records) == 1
 
 
 class TestProcessFunctionLifecycleOnFailure:

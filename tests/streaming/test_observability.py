@@ -12,10 +12,7 @@ from repro.obs import MetricsRegistry, RunLedger, render_prometheus
 from repro.streaming.chaos import ChaosConfig, FaultingNode
 from repro.streaming.environment import StreamExecutionEnvironment
 from repro.streaming.sink import CollectSink
-from repro.streaming.source import CollectionSource
 from repro.streaming.supervision import DEAD_LETTER
-from repro.streaming.time import Duration
-from repro.streaming.watermarks import BoundedOutOfOrdernessWatermarks
 
 
 def run_topology(schema, rows, metrics=None, sample_every=16):
@@ -43,19 +40,6 @@ class TestEngineMetrics:
         assert metrics.get("node_records_out_total", node="keep").value == 10
         assert metrics.get("node_records_in_total", node="out").value == 10
         assert len(sink.records) == 10
-
-    def test_watermark_lag_gauge(self, simple_schema, simple_rows):
-        # A 120 s out-of-orderness bound holds the watermark 120 s behind
-        # the newest event time — exactly the exported lag.
-        metrics = MetricsRegistry()
-        env = StreamExecutionEnvironment(metrics=metrics)
-        env.from_source(
-            CollectionSource(simple_schema, simple_rows),
-            watermarks=BoundedOutOfOrdernessWatermarks(Duration.of_seconds(120)),
-            name="in",
-        ).add_sink(CollectSink(), name="out")
-        env.execute()
-        assert metrics.get("watermark_lag_seconds", source="in").value == 120
 
     def test_latency_histograms_every_dispatch_when_unsampled(
         self, simple_schema, simple_rows

