@@ -24,25 +24,41 @@ What gets vectorized — and why it is exact
   across the fired rows and performs one bulk ``rng.normal(0, sigma, k)``.
   Draw values are converted back to Python floats (``tolist``) before
   entering records so value formatting stays byte-identical.
+* **Composite polluters** compile to a :class:`CompositeKernel`: one gate
+  mask over the slab, then the child kernels polluter-major over the gated
+  rows — ``ALL`` in sequence over the surviving rows, ``FIRST_MATCH`` each
+  child over the rows no earlier child fired on, ``CHOOSE_ONE`` each child
+  over the rows one bulk ``choice`` draw assigned to it.
 * **Everything else** delegates to
   :meth:`~repro.core.polluter.StandardPolluter.apply_fired` per fired row —
   the exact sequential fired path (logging, observability tallies,
-  drop/duplicate fan-out) — or, for composite/custom polluters, to the
-  polluter's own ``apply``.
+  drop/duplicate fan-out) — or, for tracked/custom/overriding polluters
+  (:class:`FallbackKernel`), to the polluter's own ``apply``.
 
 Because each polluter owns private named random streams and private state,
 polluter-major batch order consumes every stream in the same order as
 record-major sequential execution; only the pollution-log append order
 changes (restored by a stable record-ID sort, see
 :meth:`repro.core.log.PollutionLog.sort_by_record`).
+
+Every kernel answers a slab with a :class:`SlabResult`: the output rows, the
+input positions that fired, and — sparsely — the outputs of the input rows
+that did not come out as themselves. A composite reads its children's fired
+positions and outputs from there, so a kernel touches only the rows a
+polluter fired on and hands its input lists back unchanged when no row
+changed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.check.factbase import KernelPrediction, predict_kernel
+from repro.core.composite import CompositeMode, CompositePolluter
 from repro.core.errors.base import require_numeric
 from repro.core.errors.static_numeric import _preserve_int
 from repro.core.log import PollutionLog
@@ -53,20 +69,39 @@ from repro.streaming.record import Record
 
 __all__ = [
     "CompiledPipeline",
+    "CompositeKernel",
     "FallbackKernel",
     "PolluterKernel",
+    "SlabResult",
     "StandardKernel",
     "compile_pipeline",
     "kernel_kind",
     "polluter_label",
 ]
 
-#: A mask function: records + taus -> per-row fired flags.
-MaskFn = Callable[[Sequence[Record], Sequence[int]], list[bool]]
+#: A mask function: records + taus -> the (ascending) positions that fire.
+MaskFn = Callable[[Sequence[Record], Sequence[int]], list[int]]
+
+
+class SlabResult(NamedTuple):
+    """What one kernel did to one slab.
+
+    ``records``/``taus`` are the output rows in arrival order (the input
+    lists themselves when ``changed`` is empty). ``fired`` lists the input
+    positions the polluter fired on, ascending. ``changed`` maps an input
+    position to its output rows for every row that did not come out as
+    exactly itself (dropped, fanned out, or replaced).
+    """
+
+    records: list[Record]
+    taus: list[int]
+    fired: list[int]
+    changed: dict[int, list[Record]]
 
 
 def kernel_kind(polluter: Polluter) -> str:
-    """``"standard"`` or ``"fallback"`` — the gate :func:`compile_pipeline` uses.
+    """``"standard"``, ``"composite"`` or ``"fallback"`` — the gate
+    :func:`compile_pipeline` uses.
 
     Delegates to the shared fact engine
     (:func:`repro.check.factbase.predict_kernel`); exposed on its own so
@@ -84,25 +119,24 @@ def polluter_label(polluter: Polluter) -> str:
     return str(name) if name else type(polluter).__name__
 
 
-def _build_mask(polluter: StandardPolluter, kind: str | None) -> MaskFn:
+def _build_mask(condition: Any, kind: str | None) -> MaskFn:
     """Materialize the mask closure for a strategy (unknown kinds: row-wise)."""
-    condition = polluter.condition
     if kind == "always":
-        return lambda records, taus: [True] * len(records)
+        return lambda records, taus: list(range(len(records)))
     if kind == "never":
-        return lambda records, taus: [False] * len(records)
+        return lambda records, taus: []
     if kind == "probability":
 
         def probability_mask(
             records: Sequence[Record],
             taus: Sequence[int],
             condition: Any = condition,
-        ) -> list[bool]:
+        ) -> list[int]:
             # One bulk draw == n scalar draws, value- and state-identical.
-            mask: list[bool] = (
+            fired: list[int] = np.flatnonzero(
                 condition.rng.random(len(records)) < condition.p
             ).tolist()
-            return mask
+            return fired
 
         return probability_mask
     if kind == "pattern":
@@ -111,10 +145,12 @@ def _build_mask(polluter: StandardPolluter, kind: str | None) -> MaskFn:
             records: Sequence[Record],
             taus: Sequence[int],
             condition: Any = condition,
-        ) -> list[bool]:
+        ) -> list[int]:
             draws = condition.rng.random(len(records)).tolist()
             probability = condition.probability
-            return [d < probability(tau) for d, tau in zip(draws, taus)]
+            return [
+                i for i, (d, tau) in enumerate(zip(draws, taus)) if d < probability(tau)
+            ]
 
         return pattern_mask
 
@@ -122,12 +158,71 @@ def _build_mask(polluter: StandardPolluter, kind: str | None) -> MaskFn:
         records: Sequence[Record],
         taus: Sequence[int],
         condition: Any = condition,
-    ) -> list[bool]:
+    ) -> list[int]:
         # The sequential computation in the sequential order: exact for
         # stateful, composed, value-dependent, and user-defined conditions.
-        return [condition.evaluate(r, tau) for r, tau in zip(records, taus)]
+        evaluate = condition.evaluate
+        return [
+            i for i, (r, tau) in enumerate(zip(records, taus)) if evaluate(r, tau)
+        ]
 
     return row_mask
+
+
+def _splice(values: list[Any], changed: Mapping[int, Sequence[Any]]) -> list[Any]:
+    """``values`` with each entry ``i`` in ``changed`` replaced by ``changed[i]``."""
+    out: list[Any] = []
+    start = 0
+    for i in sorted(changed):
+        out += values[start:i]
+        out += changed[i]
+        start = i + 1
+    out += values[start:]
+    return out
+
+
+def _repeat(values: list[Any], changed: dict[int, list[Record]]) -> list[Any]:
+    """``values`` with entry ``i`` repeated once per output of changed row ``i``."""
+    return _splice(values, {i: [values[i]] * len(out) for i, out in changed.items()})
+
+
+def _shares_an_id(records: list[Record]) -> bool:
+    ids = {record.record_id for record in records}
+    return len(ids) != len(records)
+
+
+def _result(
+    records: list[Record],
+    taus: list[int],
+    fired: list[int],
+    changed: dict[int, list[Record]],
+) -> SlabResult:
+    if not changed:
+        return SlabResult(records, taus, fired, changed)
+    # Every output row inherits its input row's tau.
+    return SlabResult(
+        _splice(records, changed), _repeat(taus, changed), fired, changed
+    )
+
+
+def _per_record(
+    polluter: Polluter,
+    records: list[Record],
+    taus: list[int],
+    log: PollutionLog | None,
+) -> SlabResult:
+    """The polluter's own ``apply`` on every row, in arrival order."""
+    fired: list[int] = []
+    changed: dict[int, list[Record]] = {}
+    apply = polluter.apply
+    for i, (record, tau) in enumerate(zip(records, taus)):
+        outcome = apply(record, tau, log)
+        if outcome.fired:
+            fired.append(i)
+        out = outcome.records
+        if len(out) != 1 or out[0] is not record:
+            changed[i] = out
+    return _result(records, taus, fired, changed)
 
 
 class PolluterKernel:
@@ -137,6 +232,7 @@ class PolluterKernel:
     :meth:`apply_batch` times each slab and feeds the polluter's row in
     :class:`~repro.obs.profile.Profiler` — timing is observational only and
     never touches the records, so the byte-identity contract is unaffected.
+    A composite's row includes the time of the children it runs.
     """
 
     profiler: Any = None  # repro.obs.profile.Profiler, attached at compile
@@ -148,7 +244,7 @@ class PolluterKernel:
         records: list[Record],
         taus: list[int],
         log: PollutionLog | None,
-    ) -> tuple[list[Record], list[int]]:
+    ) -> SlabResult:
         profiler = self.profiler
         if profiler is None:
             return self._apply_batch(records, taus, log)
@@ -168,16 +264,17 @@ class PolluterKernel:
         records: list[Record],
         taus: list[int],
         log: PollutionLog | None,
-    ) -> tuple[list[Record], list[int]]:
+    ) -> SlabResult:
         raise NotImplementedError
 
 
 class FallbackKernel(PolluterKernel):
     """Transparent per-record iteration for polluters without a batch kernel.
 
-    Used for :class:`~repro.core.composite.CompositePolluter` (whose modes
-    and choice draws are inherently per-row) and for any polluter subclass
-    that overrides the standard application path.
+    Used for tracked wrappers, custom :class:`~repro.core.polluter.Polluter`
+    classes and :class:`StandardPolluter` subclasses that override the
+    standard application path — at the top of a chain or as a child inside
+    a :class:`CompositeKernel`.
     """
 
     def __init__(self, polluter: Polluter) -> None:
@@ -188,15 +285,8 @@ class FallbackKernel(PolluterKernel):
         records: list[Record],
         taus: list[int],
         log: PollutionLog | None,
-    ) -> tuple[list[Record], list[int]]:
-        out_records: list[Record] = []
-        out_taus: list[int] = []
-        apply = self.polluter.apply
-        for record, tau in zip(records, taus):
-            for result in apply(record, tau, log).records:
-                out_records.append(result)
-                out_taus.append(tau)
-        return out_records, out_taus
+    ) -> SlabResult:
+        return _per_record(self.polluter, records, taus, log)
 
 
 class StandardKernel(PolluterKernel):
@@ -204,7 +294,7 @@ class StandardKernel(PolluterKernel):
 
     def __init__(self, polluter: StandardPolluter, prediction: KernelPrediction) -> None:
         self.polluter = polluter
-        self._mask = _build_mask(polluter, prediction.mask_kind)
+        self._mask = _build_mask(polluter.condition, prediction.mask_kind)
         self._gaussian = prediction.gaussian
 
     def _apply_batch(
@@ -212,42 +302,35 @@ class StandardKernel(PolluterKernel):
         records: list[Record],
         taus: list[int],
         log: PollutionLog | None,
-    ) -> tuple[list[Record], list[int]]:
+    ) -> SlabResult:
         polluter = self.polluter
         if self.profiler is None:
-            mask = self._mask(records, taus)
+            fired = self._mask(records, taus)
         else:
             mask_start = perf_counter()
-            mask = self._mask(records, taus)
+            fired = self._mask(records, taus)
             self.mask_seconds = perf_counter() - mask_start
-        n_fired = sum(mask)
         obs = polluter._obs
-        if obs is not None and n_fired != len(records):
+        if obs is not None and len(fired) != len(records):
             # Buffered integer adds commute; the total equals the sequential
             # per-miss increments.
-            obs.n_misses += len(records) - n_fired
-        if n_fired == 0:
-            return records, taus
+            obs.n_misses += len(records) - len(fired)
+        if not fired:
+            return SlabResult(records, taus, fired, {})
         if self._gaussian:
             self._apply_gaussian(
-                [r for r, fired in zip(records, mask) if fired],
-                [t for t, fired in zip(taus, mask) if fired],
-                log,
+                [records[i] for i in fired], [taus[i] for i in fired], log
             )
             # Gaussian noise mutates in place and never changes multiplicity.
-            return records, taus
-        out_records: list[Record] = []
-        out_taus: list[int] = []
+            return SlabResult(records, taus, fired, {})
+        changed: dict[int, list[Record]] = {}
         apply_fired = polluter.apply_fired
-        for record, tau, fired in zip(records, taus, mask):
-            if not fired:
-                out_records.append(record)
-                out_taus.append(tau)
-                continue
-            for result in apply_fired(record, tau, log).records:
-                out_records.append(result)
-                out_taus.append(tau)
-        return out_records, out_taus
+        for i in fired:
+            record = records[i]
+            out = apply_fired(record, taus[i], log).records
+            if len(out) != 1 or out[0] is not record:
+                changed[i] = out
+        return _result(records, taus, fired, changed)
 
     def _apply_gaussian(
         self,
@@ -299,6 +382,166 @@ class StandardKernel(PolluterKernel):
                 )
 
 
+class CompositeKernel(PolluterKernel):
+    """A :class:`~repro.core.composite.CompositePolluter` over a whole slab.
+
+    The gate is one mask over the slab (the composite's own condition, on
+    its own stream 0); its hits and misses reach the composite's counters
+    exactly as the per-row path counts them. The mode then runs the child
+    kernels — each through :meth:`PolluterKernel.apply_batch` — over the
+    gated rows, and a gated row fires when a child fired on it (on one of
+    its copies, for ``ALL``).
+
+    Every child owns private streams and state, so each child consuming
+    its rows in arrival order is exactly what the per-row path does:
+
+    * ``ALL`` — children one after another; a dropped row leaves the list
+      and a duplicated row hands its copies, in order, to later children;
+    * ``FIRST_MATCH`` — child *i* sees only the rows no earlier child fired
+      on, in arrival order;
+    * ``CHOOSE_ONE`` — one bulk ``choice(len(children), size=k, p=weights)``
+      on the composite's stream 2 (value- and state-identical to ``k``
+      scalar calls), then each child runs over the rows drawn for it.
+
+    One case stays per row. Copies from an upstream duplicate share their
+    record's ID, and the pollution log's stable record-ID sort cannot put
+    their events back in per-row order once polluter-major order has
+    interleaved them (the per-row path logs one copy's whole composite
+    before the next copy's). So a slab holding two rows with one record ID
+    runs the composite's own ``apply`` per row when a log is kept; streams
+    and state come out the same either way.
+    """
+
+    def __init__(
+        self,
+        polluter: CompositePolluter,
+        children: list[PolluterKernel],
+        prediction: KernelPrediction,
+    ) -> None:
+        self.polluter = polluter
+        self.children = children
+        self._mask = _build_mask(polluter.condition, prediction.mask_kind)
+        self._run = {
+            CompositeMode.ALL: self._run_all,
+            CompositeMode.FIRST_MATCH: self._run_first_match,
+            CompositeMode.CHOOSE_ONE: self._run_choose_one,
+        }[polluter.mode]
+
+    def _apply_batch(
+        self,
+        records: list[Record],
+        taus: list[int],
+        log: PollutionLog | None,
+    ) -> SlabResult:
+        if log is not None and _shares_an_id(records):
+            return _per_record(self.polluter, records, taus, log)
+        gated = self._mask(records, taus)
+        obs = self.polluter._obs
+        if obs is not None:
+            obs.hits.value += len(gated)
+            obs.misses.value += len(records) - len(gated)
+        if not gated:
+            return SlabResult(records, taus, gated, {})
+        if len(gated) == len(records):
+            fired, changed = self._run(records, taus, log)
+        else:
+            fired, changed = self._run(
+                [records[i] for i in gated], [taus[i] for i in gated], log
+            )
+            fired = [gated[j] for j in fired]
+            changed = {gated[j]: out for j, out in changed.items()}
+        if obs is not None:
+            obs.activations.value += len(fired)
+        return _result(records, taus, fired, changed)
+
+    def _run_all(
+        self, records: list[Record], taus: list[int], log: PollutionLog | None
+    ) -> tuple[list[int], dict[int, list[Record]]]:
+        fired: set[int] = set()
+        touched: set[int] = set()
+        # origin[j]: the gated row the j-th current row descends from
+        # (None while the list is still the gated rows themselves).
+        origin: list[int] | None = None
+        for child in self.children:
+            result = child.apply_batch(records, taus, log)
+            if origin is None:
+                fired.update(result.fired)
+                touched.update(result.changed)
+            else:
+                fired.update(origin[j] for j in result.fired)
+                touched.update(origin[j] for j in result.changed)
+            if result.changed:
+                origin = _repeat(
+                    origin if origin is not None else list(range(len(records))),
+                    result.changed,
+                )
+                records, taus = result.records, result.taus
+                if not records:
+                    break  # every row dropped; nothing left for later children
+        changed: dict[int, list[Record]] = {}
+        if origin is not None:
+            for j in touched:
+                changed[j] = records[bisect_left(origin, j):bisect_right(origin, j)]
+        return sorted(fired), changed
+
+    def _run_first_match(
+        self, records: list[Record], taus: list[int], log: PollutionLog | None
+    ) -> tuple[list[int], dict[int, list[Record]]]:
+        fired: list[int] = []
+        changed: dict[int, list[Record]] = {}
+        # open_rows[j]: the gated position of the j-th row still open
+        # (None while every gated row is open).
+        open_rows: list[int] | None = None
+        for child in self.children:
+            result = child.apply_batch(records, taus, log)
+            hits = result.fired
+            if not hits:
+                continue
+            for j in hits:
+                row = j if open_rows is None else open_rows[j]
+                fired.append(row)
+                out = result.changed.get(j)
+                if out is not None:
+                    changed[row] = out
+            if len(hits) == len(records):
+                break  # every row matched
+            # A row no child fired on keeps its input record, whatever an
+            # unfired child handed back — the per-row path does the same.
+            closed: Mapping[int, Sequence[Any]] = dict.fromkeys(hits, ())
+            if open_rows is None:
+                open_rows = list(range(len(records)))
+            open_rows = _splice(open_rows, closed)
+            records = _splice(records, closed)
+            taus = _splice(taus, closed)
+        fired.sort()
+        return fired, changed
+
+    def _run_choose_one(
+        self, records: list[Record], taus: list[int], log: PollutionLog | None
+    ) -> tuple[list[int], dict[int, list[Record]]]:
+        polluter = self.polluter
+        rng = polluter._choice_rng
+        if rng is None:
+            raise PollutionError(
+                f"composite {polluter.name!r} not bound; attach it to a pipeline first"
+            )
+        picks = rng.choice(len(self.children), size=len(records), p=polluter.weights)
+        fired: list[int] = []
+        changed: dict[int, list[Record]] = {}
+        for index, child in enumerate(self.children):
+            rows: list[int] = np.flatnonzero(picks == index).tolist()
+            if not rows:
+                continue
+            result = child.apply_batch(
+                [records[j] for j in rows], [taus[j] for j in rows], log
+            )
+            fired += [rows[j] for j in result.fired]
+            for j, out in result.changed.items():
+                changed[rows[j]] = out
+        fired.sort()
+        return fired, changed
+
+
 class CompiledPipeline:
     """A pipeline compiled into a polluter-major chain of batch kernels."""
 
@@ -321,10 +564,31 @@ class CompiledPipeline:
         if not records:
             return records, taus
         for kernel in self.kernels:
-            records, taus = kernel.apply_batch(records, taus, log)
+            records, taus, _fired, _changed = kernel.apply_batch(records, taus, log)
             if not records:
                 break
         return records, taus
+
+
+def _compile_kernel(polluter: Polluter, profiler: Any) -> PolluterKernel:
+    prediction = predict_kernel(polluter)
+    kernel: PolluterKernel
+    if prediction.kind == "standard":
+        kernel = StandardKernel(polluter, prediction)  # type: ignore[arg-type]
+    elif prediction.kind == "composite":
+        composite: Any = polluter
+        kernel = CompositeKernel(
+            composite,
+            [_compile_kernel(child, profiler) for child in composite.children],
+            prediction,
+        )
+    else:
+        kernel = FallbackKernel(polluter)
+    if profiler is not None:
+        kernel.profiler = profiler
+        kernel.label = polluter_label(polluter)
+        profiler.register_kernel(kernel.label, prediction.kind)
+    return kernel
 
 
 def compile_pipeline(
@@ -333,31 +597,21 @@ def compile_pipeline(
 ) -> CompiledPipeline:
     """Compile a (bound) pipeline into its batch-kernel chain.
 
-    Each polluter gets the kernel :func:`repro.check.factbase.predict_kernel`
-    names — the single authority on kernel eligibility, and the same
-    prediction the ICE7xx performance lints and ``repro check --explain``
-    report.
+    Each polluter — and each child of a composite, recursively — gets the
+    kernel :func:`repro.check.factbase.predict_kernel` names: the single
+    authority on kernel eligibility, and the same prediction the ICE7xx
+    performance lints and ``repro check --explain`` report.
 
     ``profiler`` (a :class:`repro.obs.profile.Profiler`) makes every kernel
-    time its slabs and registers each polluter's kernel kind, so fallback
-    polluters are named in the profile.
+    time its slabs and registers each polluter's kernel kind under its
+    qualified name, so composite children and fallback polluters are named
+    in the profile.
     """
     if not pipeline.is_bound and any(_needs_rng(p) for p in pipeline.polluters):
         raise PollutionError(
             f"pipeline {pipeline.name!r} contains stochastic polluters but was "
             "never bound to a RandomSource; call bind() or use the runner"
         )
-    kernels: list[PolluterKernel] = []
-    for polluter in pipeline.polluters:
-        prediction = predict_kernel(polluter)
-        kernel: PolluterKernel
-        if prediction.kind == "standard":
-            kernel = StandardKernel(polluter, prediction)  # type: ignore[arg-type]
-        else:
-            kernel = FallbackKernel(polluter)
-        if profiler is not None:
-            kernel.profiler = profiler
-            kernel.label = polluter_label(polluter)
-            profiler.register_kernel(kernel.label, prediction.kind)
-        kernels.append(kernel)
-    return CompiledPipeline(pipeline, kernels)
+    return CompiledPipeline(
+        pipeline, [_compile_kernel(p, profiler) for p in pipeline.polluters]
+    )

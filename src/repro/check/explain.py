@@ -68,9 +68,12 @@ def render_explain(base: PlanFactBase) -> str:
     lines.append("  kernels:")
     for pf in base.polluters:
         k = pf.kernel
-        shape = k.kind if k.kind == "fallback" else (
-            "standard/gaussian" if k.gaussian else f"standard/{k.mask_kind}-mask"
-        )
+        if k.kind == "fallback":
+            shape = k.kind
+        elif k.kind == "composite":
+            shape = f"composite/{k.mask_kind}-gate"
+        else:
+            shape = "standard/gaussian" if k.gaussian else f"standard/{k.mask_kind}-mask"
         lines.append(
             f"    [{pf.index}] {pf.name!r} ({pf.type_name}): {shape} "
             f"[{k.reason}]"

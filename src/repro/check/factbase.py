@@ -89,10 +89,11 @@ class KernelPrediction:
     ``reason`` is a stable machine-readable slug; ``detail`` is the human
     sentence ``repro check --explain`` and ICE701 print. For standard
     kernels ``mask_kind`` names the compiled mask strategy and ``gaussian``
-    flags the bulk-normal fast path.
+    flags the bulk-normal fast path; for composite kernels ``mask_kind``
+    names the gate's strategy.
     """
 
-    kind: str  # "standard" | "fallback"
+    kind: str  # "standard" | "composite" | "fallback"
     mask_kind: str | None
     gaussian: bool
     reason: str
@@ -119,28 +120,39 @@ def _fallback(reason: str, detail: str) -> KernelPrediction:
 
 
 def predict_kernel(polluter: Polluter) -> KernelPrediction:
-    """Predict :func:`compile_pipeline`'s choice for one top-level polluter.
+    """Predict :func:`compile_pipeline`'s choice for one polluter.
 
     This is the authoritative eligibility gate — the batch engine delegates
-    to it, so the prediction *is* the decision. Reasons:
+    to it, so the prediction *is* the decision. It is asked for every
+    top-level polluter and, recursively, for every child of a composite.
+    Kinds and reasons:
 
-    ``composite``
-        Composite modes and choice draws are inherently per-row.
-    ``tracked``
+    ``composite`` / ``composite-kernel``
+        A :class:`CompositePolluter` compiles to a composite kernel: one
+        gate mask per slab (``mask_kind`` names its strategy), its children
+        run polluter-major over the gated rows, each on its own kernel.
+    ``fallback`` / ``tracked``
         A :class:`TrackedPolluter` wrapper records history per record.
-    ``custom-polluter``
+    ``fallback`` / ``custom-polluter``
         An unknown :class:`Polluter` subclass with its own ``apply``.
-    ``overrides-apply`` / ``overrides-apply-fired``
+    ``fallback`` / ``overrides-apply`` / ``overrides-apply-fired``
         A :class:`StandardPolluter` subclass replaced part of the standard
         application path; the batch kernel can no longer replay it.
-    ``standard``
+    ``standard`` / ``standard``
         The exact library path — eligible for a fused mask + fired kernel.
     """
     if isinstance(polluter, CompositePolluter):
-        return _fallback(
-            "composite",
-            f"composite polluter ({polluter.mode.value} mode) chooses and gates "
-            "children per record; per-row apply is the exact semantics",
+        mask_kind = predict_mask_kind(polluter.condition)
+        return KernelPrediction(
+            kind="composite",
+            mask_kind=mask_kind,
+            gaussian=False,
+            reason="composite-kernel",
+            detail=(
+                f"composite kernel ({polluter.mode.value} mode): one {mask_kind!r} "
+                "gate mask per slab, children run polluter-major over the "
+                "gated rows"
+            ),
         )
     if isinstance(polluter, TrackedPolluter):
         return _fallback(

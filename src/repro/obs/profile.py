@@ -11,9 +11,11 @@ model:
   fraction of wall time is high by construction (the acceptance bar is
   ≥95%) and honest: nothing is counted twice and nothing is estimated.
 * **Kernels** — exact per-slab timing of every compiled kernel in batch
-  mode, split into mask evaluation (condition cost) and application, and
-  labeled ``standard`` or ``fallback`` so the polluters blocking kernel
-  coverage are named. Outside batch mode the kernel *classification* is
+  mode (a composite's children each get their own row, and the
+  composite's time includes theirs), split into mask evaluation
+  (condition cost) and application, and labeled ``standard``,
+  ``composite`` or ``fallback`` so the polluters blocking kernel coverage
+  are named. Outside batch mode the kernel *classification* is
   still recorded (the same method-identity gate :func:`repro.batch.kernels.compile_pipeline`
   uses), so ``--profile`` names would-be fallbacks in any engine.
 * **Nodes** — per-node stream-operator timing folded from the engine's
@@ -99,7 +101,8 @@ class Profiler:
     # -- kernels -------------------------------------------------------------
 
     def register_kernel(self, polluter: str, kind: str) -> None:
-        """Record that ``polluter`` compiles to a ``standard``/``fallback`` kernel."""
+        """Record the kernel kind ``polluter`` compiles to (``standard``,
+        ``composite`` or ``fallback``)."""
         entry = self.kernels.get(polluter)
         if entry is None:
             self.kernels[polluter] = {

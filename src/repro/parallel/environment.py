@@ -93,6 +93,7 @@ class ShardOutcome:
     records_out: int = 0
     source_records: int = 0
     checkpoints_taken: int = 0
+    slab_rollbacks: int = 0
     resumed_from_offset: int = 0
     dead_letters: list[dict[str, Any]] = field(default_factory=list)
     #: Shard-local supervision tallies per node (skipped/retried/...).
@@ -231,6 +232,7 @@ class ShardedEnvironment:
             records_out=payload["records_out"],
             source_records=payload["source_records"],
             checkpoints_taken=payload["checkpoints_taken"],
+            slab_rollbacks=payload["slab_rollbacks"],
             resumed_from_offset=payload.get("resumed_from_offset", 0),
             dead_letters=payload["dead_letters"],
             node_stats=payload.get("node_stats", {}),

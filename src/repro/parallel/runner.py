@@ -363,6 +363,7 @@ def _execute_parallel_plan(plan, data):
     report.completed = all(outcome.completed for outcome in outcomes)
     report.source_records = sum(outcome.source_records for outcome in outcomes)
     report.checkpoints_taken = sum(outcome.checkpoints_taken for outcome in outcomes)
+    report.slab_rollbacks = sum(outcome.slab_rollbacks for outcome in outcomes)
     report.resumed_from_offset = sum(
         outcome.resumed_from_offset for outcome in outcomes
     )

@@ -396,6 +396,7 @@ def _shard_tallies(
     tallies: dict[str, Any] = {
         "source_records": report.source_records,
         "checkpoints_taken": report.checkpoints_taken,
+        "slab_rollbacks": report.slab_rollbacks,
         "resumed_from_offset": report.resumed_from_offset,
         "dead_letters": _dead_letter_summaries(report),
         "node_stats": {
@@ -405,6 +406,7 @@ def _shard_tallies(
     if carried is not None:
         tallies["source_records"] += carried["source_records"]
         tallies["checkpoints_taken"] += carried["checkpoints_taken"]
+        tallies["slab_rollbacks"] += carried.get("slab_rollbacks", 0)
         tallies["resumed_from_offset"] = carried["resumed_from_offset"]
         tallies["dead_letters"] = carried["dead_letters"] + tallies["dead_letters"]
         for name, counts in carried["node_stats"].items():
@@ -555,11 +557,12 @@ def _execute_shard_plan(
         "metrics": metrics if task.metered else None,
         "watermark": sink.watermark,
         "records_out": sink.emitted,
-        # source_records, checkpoints_taken, resumed_from_offset,
-        # dead_letters and node_stats: the shard-local supervision tallies
-        # (skip/retry/dead-letter counts per node) that the coordinator folds
-        # into the run's ExecutionReport, so failure policies report
-        # identically under any engine and across an in-run respawn.
+        # source_records, checkpoints_taken, slab_rollbacks,
+        # resumed_from_offset, dead_letters and node_stats: the shard-local
+        # supervision tallies (skip/retry/dead-letter counts per node) that
+        # the coordinator folds into the run's ExecutionReport, so failure
+        # policies report identically under any engine and across an in-run
+        # respawn.
         **tallies,
         "completed": report.completed,
         # Ledger tail not yet shipped on a heartbeat, and the shard's profile

@@ -274,8 +274,8 @@ def _kernel_decisions(
         decisions.append(
             PlanDecision(
                 "batch-kernels-vectorized",
-                f"every polluter compiles to a standard batch kernel; "
-                f"{context} executes fused mask + fired kernels per slab",
+                "every polluter compiles to a standard or composite batch "
+                f"kernel; {context} executes fused mask + fired kernels per slab",
             )
         )
 

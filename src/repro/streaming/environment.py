@@ -614,9 +614,17 @@ class StreamExecutionEnvironment:
             supervisor.deferred = True
             try:
                 head.on_batch(slab)
-            except Exception:  # noqa: BLE001 - slab supervision boundary
+            except Exception as exc:  # noqa: BLE001 - slab supervision boundary
                 supervisor.deferred = False
                 self._slab_restore(snapshot)
+                self.last_report.slab_rollbacks += 1
+                if self._ledger is not None:
+                    self._ledger.record(
+                        "batch.rollback",
+                        records=len(slab),
+                        records_seen=records_seen,
+                        error=type(exc).__name__,
+                    )
                 for i, record in enumerate(replay):
                     supervisor.offset = base_offset + i
                     supervisor.dispatch(head, record)

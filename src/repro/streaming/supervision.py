@@ -252,6 +252,9 @@ class ExecutionReport:
     #: drain after exhausting their restart budget. Always 0 sequentially.
     shard_restarts: int = 0
     degraded_shards: int = 0
+    #: Supervised slabs that raised, were rolled back and replayed per
+    #: record (each also leaves a ``batch.rollback`` ledger event).
+    slab_rollbacks: int = 0
 
     def stats_for(self, node_name: str) -> NodeStats:
         stats = self.node_stats.get(node_name)
@@ -274,6 +277,8 @@ class ExecutionReport:
         ]
         if self.checkpoints_taken:
             lines.append(f"checkpoints taken: {self.checkpoints_taken}")
+        if self.slab_rollbacks:
+            lines.append(f"slabs rolled back and replayed: {self.slab_rollbacks}")
         if self.node_stats:
             lines.append("per-node: processed/skipped/retried/dead-lettered")
             for name, s in self.node_stats.items():

@@ -216,7 +216,7 @@ class TestCheckCommand:
         assert "kernels:" not in out
         assert "leaves:" not in out
 
-    def test_explain_names_fallbacks_under_batching(
+    def test_explain_names_composite_kernels_under_batching(
         self, workspace, tmp_path, capsys
     ):
         spec = {
@@ -249,10 +249,10 @@ class TestCheckCommand:
                 "--explain",
             ]
         )
-        assert rc == 0  # ICE701 is a warning; default --fail-on is error
+        assert rc == 0
         out = capsys.readouterr().out
-        assert "ICE701" in out
-        assert "fallback [composite]" in out
+        assert "ICE701" not in out  # a composite is no fallback kernel
+        assert "composite/always-gate [composite-kernel]" in out
 
     def test_missing_config_is_usage_error(self, workspace, capsys):
         rc = main(["check", "--schema", str(workspace["schema"])])

@@ -72,15 +72,17 @@ class TestPredictMaskKind:
 
 
 class TestPredictKernel:
-    def test_composite_falls_back(self):
+    def test_composite_compiles_to_a_composite_kernel(self):
         composite = CompositePolluter(
             children=[nulls("v", C.ProbabilityCondition(0.5))],
+            condition=C.EveryNthCondition(2),
             mode=CompositeMode.FIRST_MATCH,
             name="comp",
         )
         prediction = predict_kernel(composite)
-        assert prediction.kind == "fallback"
-        assert prediction.reason == "composite"
+        assert prediction.kind == "composite"
+        assert prediction.reason == "composite-kernel"
+        assert prediction.mask_kind == "row"  # the gate's mask strategy
         assert "first_match" in prediction.detail
 
     def test_tracked_wrapper_falls_back(self):
@@ -183,9 +185,10 @@ class TestBuildFactbase:
             mode=CompositeMode.FIRST_MATCH,
             name="comp",
         )
-        base = build_factbase(plan(nulls("v", C.AlwaysCondition()), composite))
-        assert [pf.name for pf in base.fallbacks] == ["comp"]
-        assert [k.kind for k in base.predictions] == ["standard", "fallback"]
+        custom = _CustomPolluter("custom")
+        base = build_factbase(plan(nulls("v", C.AlwaysCondition()), composite, custom))
+        assert [pf.name for pf in base.fallbacks] == ["custom"]
+        assert [k.kind for k in base.predictions] == ["standard", "composite", "fallback"]
 
     def test_polluter_facts_record_rng_and_declarative_form(self):
         base = build_factbase(

@@ -7,7 +7,7 @@ compared against the named per-record sequential oracle, ``batch_size=1``.
 The ``default`` cells (no batch size) must run in 256-record slabs, and a
 failure policy without a batch size in one-record slabs.
 
-Two sub-matrices:
+The sub-matrices:
 
 * unkeyed — hypothesis-generated plans across batch sizes {default, 7,
   256}, both engine hints, and every failure policy (supervision with no
@@ -20,7 +20,11 @@ Two sub-matrices:
   that pins keyed slab rollback;
 * history-linked — track/fired_recently plans with tied timestamps and
   cross-branch dependencies, which the planner keeps per record unless
-  keyed.
+  keyed;
+* composite — a fixed plan of nested composite polluters (first-match
+  drop/delay/duplicate children, an all-composite inside, a choose-one
+  composite after) in every sequential slab cell, and in unkeyed parallel
+  cells against the same shards run per record.
 
 Each cell first compiles its plan and asserts the planner gave it the slab
 size the cell names, on the one sequential engine (``stream``) —
@@ -211,6 +215,150 @@ def test_unkeyed_matrix_is_byte_identical(spec, seed):
         assert got_snap == oracle_snap, (
             f"cell {cell_id}: post-run RNG/state snapshot diverged"
         )
+
+
+# -- a fixed composite plan: composite batch kernels in every slab cell ------
+
+#: A first-match composite whose children drop, delay and duplicate rows and
+#: whose last child is a nested all-composite, then a second composite that
+#: sees the duplicated copies.
+_COMPOSITE_SPEC = {
+    "name": "composite-conform",
+    "polluters": [
+        {
+            "type": "composite",
+            "name": "faults",
+            "mode": "first_match",
+            "condition": {"type": "probability", "p": 0.9},
+            "children": [
+                {
+                    "name": "drop",
+                    "attributes": [],
+                    "condition": {"type": "probability", "p": 0.05},
+                    "error": {"type": "drop"},
+                },
+                {
+                    "name": "delay",
+                    "attributes": [],
+                    "condition": {"type": "probability", "p": 0.1},
+                    "error": {
+                        "type": "delay",
+                        "delay": {"minutes": 30},
+                        "timestamp_attribute": "timestamp",
+                    },
+                },
+                {
+                    "name": "dup",
+                    "attributes": [],
+                    "condition": {"type": "probability", "p": 0.1},
+                    "error": {
+                        "type": "duplicate",
+                        "copies": 1,
+                        "spacing": {"seconds": 5},
+                        "timestamp_attribute": "timestamp",
+                    },
+                },
+                {
+                    "type": "composite",
+                    "name": "degrade",
+                    "mode": "all",
+                    "condition": {"type": "range", "attribute": "value", "low": 2.0, "high": 8.0},
+                    "children": [
+                        {
+                            "name": "nulls",
+                            "attributes": ["value"],
+                            "condition": {"type": "probability", "p": 0.3},
+                            "error": {"type": "set_null"},
+                        },
+                        {
+                            "name": "drift",
+                            "attributes": ["value"],
+                            "condition": {"type": "every_nth", "n": 3},
+                            "error": {"type": "cumulative_drift", "step": 0.5},
+                        },
+                    ],
+                },
+            ],
+        },
+        {
+            "type": "composite",
+            "name": "after",
+            "mode": "choose_one",
+            "weights": [2, 1],
+            "children": [
+                {
+                    "name": "noise",
+                    "attributes": ["value"],
+                    "condition": {"type": "probability", "p": 0.5},
+                    "error": {"type": "gaussian_noise", "sigma": 1.0},
+                },
+                {
+                    "name": "offset",
+                    "attributes": ["value"],
+                    "error": {"type": "offset", "delta": 3.5},
+                },
+            ],
+        },
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "cell_id,kwargs,size",
+    SEQUENTIAL_CELLS,
+    ids=[c[0] for c in SEQUENTIAL_CELLS],
+)
+def test_composite_plan_matches_the_oracle(cell_id, kwargs, size):
+    """Composite batch kernels — first-match exclusivity, drop, delay and
+    duplicate children, a nested all-composite, duplicated copies entering
+    a second composite — reproduce the per-record oracle in every slab cell."""
+    oracle_size, oracle_bytes, oracle_snap = _run_cell(_COMPOSITE_SPEC, 29, n=400, **ORACLE)
+    assert oracle_size == 1
+    for polluter in ("faults/drop", "faults/delay", "faults/dup", "faults/degrade/nulls"):
+        assert f"composite-conform/{polluter}," in oracle_bytes[1], polluter
+    got_size, got_bytes, got_snap = _run_cell(_COMPOSITE_SPEC, 29, n=400, **kwargs)
+    assert got_size == size, f"cell {cell_id}: planner chose slabs of {got_size}"
+    assert got_bytes == oracle_bytes, f"cell {cell_id} diverged from oracle"
+    assert got_snap == oracle_snap, f"cell {cell_id}: post-run RNG/state snapshot diverged"
+
+
+UNKEYED_PARALLEL_CELLS = [
+    ("parallel-2", {"parallelism": 2}),
+    ("parallel-2-batch-64", {"parallelism": 2, "batch_size": 64}),
+    ("parallel-4", {"parallelism": 4}),
+    ("parallel-2-retry", {"parallelism": 2, "failure_policy": FailurePolicy.retry(2)}),
+]
+
+
+@pytest.mark.parametrize(
+    "cell_id,kwargs", UNKEYED_PARALLEL_CELLS, ids=[c[0] for c in UNKEYED_PARALLEL_CELLS]
+)
+def test_composite_plan_in_unkeyed_shards(cell_id, kwargs):
+    """Unkeyed parallel runs are reproducible per (seed, workers), not
+    sequential-identical; within that contract every shard's composite
+    kernels match the same shards run per record."""
+
+    def run(**cell):
+        plan = compile_plan(
+            PlanRequest(
+                pipelines=pipeline_from_config(_COMPOSITE_SPEC), schema=SCHEMA, seed=31, **cell
+            )
+        )
+        assert plan.engine == "parallel"
+        result = pollute(
+            _rows(400),
+            pipeline_from_config(_COMPOSITE_SPEC),
+            schema=SCHEMA,
+            seed=31,
+            check="off",
+            **cell,
+        )
+        return _csv_bytes(result)
+
+    oracle = run(**{**kwargs, "batch_size": 1})
+    got = run(**kwargs)
+    assert got[0] == oracle[0], f"cell {cell_id}: records diverged"
+    assert got[1] == oracle[1], f"cell {cell_id}: pollution log diverged"
 
 
 # -- keyed sub-matrix: an independent per-key loop vs every keyed cell -------

@@ -6,8 +6,9 @@ metadata, pollution-log CSV, and the pipelines' post-run RNG/state
 snapshots — at every batch size, on both engines. Hypothesis draws plans
 from the same component space the serialize registry covers (stochastic /
 pattern / stateful / composite conditions × numeric / string / temporal /
-cardinality errors) and the suite compares batch sizes 1, 7, 64, and 1024
-against the sequential engine.
+cardinality errors, leaves and composite polluters in every mode) and the
+suite compares batch sizes 1, 7, 64, and 1024 against the sequential
+engine.
 
 Checkpoint alignment is covered deterministically below: batch cuts align
 to the checkpoint interval, so checkpoint *files* are byte-identical for
@@ -19,9 +20,8 @@ from __future__ import annotations
 
 import glob
 import io
-from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import pipeline_from_config
@@ -160,7 +160,7 @@ def _condition_spec(draw, allow_composite: bool = True):
 
 
 @st.composite
-def _polluter_spec(draw, index: int):
+def _leaf_spec(draw, name: str):
     family = draw(st.sampled_from(["value", "string", "tuple"]))
     if family == "value":
         error = draw(_VALUE_ERRORS)
@@ -172,11 +172,73 @@ def _polluter_spec(draw, index: int):
         error = draw(_TUPLE_ERRORS)
         attributes = []
     return {
-        "name": f"p{index}",
+        "name": name,
         "error": error,
         "condition": draw(_condition_spec()),
         "attributes": attributes,
     }
+
+
+#: Composite gates: stateless, stateful (every_nth, burst) and
+#: value-dependent (range, null_value) conditions.
+_GATE_KINDS = ["always", "probability", "every_nth", "burst", "range", "null_value"]
+
+
+@st.composite
+def _gate_spec(draw):
+    kind = draw(st.sampled_from(_GATE_KINDS))
+    if kind == "always":
+        return {"type": "always"}
+    if kind == "probability":
+        return {"type": "probability", "p": draw(st.sampled_from([0.3, 0.8]))}
+    if kind == "every_nth":
+        return {"type": "every_nth", "n": draw(st.sampled_from([2, 3])), "offset": 1}
+    if kind == "burst":
+        return {
+            "type": "burst",
+            "p_enter": 0.2,
+            "p_exit": 0.3,
+            "p_error_good": 0.1,
+            "p_error_bad": 0.9,
+        }
+    if kind == "range":
+        return {"type": "range", "attribute": "value", "low": 2.0, "high": 14.0}
+    return {"type": "not", "child": {"type": "null_value", "attribute": "value"}}
+
+
+@st.composite
+def _composite_spec(draw, name: str, nested: bool = True):
+    """A composite of 1-3 children in any mode; one level of nesting."""
+    mode = draw(st.sampled_from(["all", "first_match", "choose_one"]))
+    children = []
+    for j in range(draw(st.integers(min_value=1, max_value=3))):
+        if nested and draw(st.integers(min_value=0, max_value=3)) == 0:
+            children.append(draw(_composite_spec(f"c{j}", nested=False)))
+        else:
+            children.append(draw(_leaf_spec(f"c{j}")))
+    spec = {
+        "type": "composite",
+        "name": name,
+        "mode": mode,
+        "condition": draw(_gate_spec()),
+        "children": children,
+    }
+    if mode == "choose_one" and draw(st.booleans()):
+        spec["weights"] = draw(
+            st.lists(
+                st.sampled_from([0.5, 1.0, 3.0]),
+                min_size=len(children),
+                max_size=len(children),
+            )
+        )
+    return spec
+
+
+@st.composite
+def _polluter_spec(draw, index: int):
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(_composite_spec(f"p{index}"))
+    return draw(_leaf_spec(f"p{index}"))
 
 
 @st.composite
@@ -186,6 +248,17 @@ def plan_spec(draw):
         "name": "diff",
         "polluters": [draw(_polluter_spec(index=i)) for i in range(n)],
     }
+
+
+@st.composite
+def composite_plan_spec(draw):
+    """One or two composites, with a leaf between them half the time."""
+    polluters = [draw(_composite_spec("k0"))]
+    if draw(st.booleans()):
+        polluters.append(draw(_leaf_spec("mid")))
+    if draw(st.booleans()):
+        polluters.append(draw(_composite_spec("k1")))
+    return {"name": "diff-composite", "polluters": polluters}
 
 
 # -- the differential runner -------------------------------------------------
@@ -240,6 +313,104 @@ def _run(spec, seed, *, batch_size=1, engine="direct", n=150, split=None):
 @given(spec=plan_spec(), seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_batched_direct_is_byte_identical(spec, seed):
     """Records CSV, log CSV, and RNG/state snapshots match at every size."""
+    base, base_snap = _run(spec, seed)
+    for batch_size in BATCH_SIZES:
+        got, got_snap = _run(spec, seed, batch_size=batch_size)
+        assert got == base, f"batch_size={batch_size} diverged from sequential"
+        assert got_snap == base_snap, (
+            f"batch_size={batch_size}: post-run RNG/state snapshots diverged"
+        )
+
+
+def _composite(mode, children, condition=None, weights=None, name="k0"):
+    spec = {
+        "type": "composite",
+        "name": name,
+        "mode": mode,
+        "condition": condition or {"type": "always"},
+        "children": children,
+    }
+    if weights is not None:
+        spec["weights"] = weights
+    return {"name": "diff-composite", "polluters": [spec]}
+
+
+def _leaf(name, error, p, attributes=("value",)):
+    return {
+        "name": name,
+        "error": error,
+        "condition": {"type": "probability", "p": p},
+        "attributes": list(attributes),
+    }
+
+
+_DROP = {"type": "drop"}
+_DUP = {"type": "duplicate", "copies": 1}
+_NOISE = {"type": "gaussian_noise", "sigma": 1.0}
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(spec=composite_plan_spec(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+# Fixed plans for the mode semantics the composite kernel must not bend:
+# first-match exclusivity, a drop leaving an all-chain, duplicates handing
+# their copies on, one choice draw per row (weighted and uniform), and a
+# nested composite under a stateful gate.
+@example(
+    spec=_composite(
+        "first_match",
+        [_leaf("a", _NOISE, 0.5), _leaf("b", {"type": "set_null"}, 0.5)],
+    ),
+    seed=1,
+)
+@example(
+    spec=_composite("all", [_leaf("d", _DROP, 0.3, ()), _leaf("n", _NOISE, 0.5)]),
+    seed=2,
+)
+@example(
+    spec=_composite("all", [_leaf("u", _DUP, 0.3, ()), _leaf("n", _NOISE, 0.5)]),
+    seed=3,
+)
+@example(
+    spec=_composite(
+        "choose_one", [_leaf("a", _NOISE, 0.6), _leaf("b", _DROP, 0.2, ())]
+    ),
+    seed=4,
+)
+@example(
+    spec=_composite(
+        "choose_one",
+        [_leaf("a", _NOISE, 0.6), _leaf("b", _DUP, 0.2, ()), _leaf("c", _DROP, 0.1, ())],
+        weights=[3.0, 1.0, 0.5],
+    ),
+    seed=5,
+)
+@example(
+    spec={
+        "name": "diff-composite",
+        "polluters": [
+            {
+                "type": "composite",
+                "name": "k0",
+                "mode": "first_match",
+                "condition": {"type": "every_nth", "n": 2, "offset": 1},
+                "children": [
+                    _composite("all", [_leaf("u", _DUP, 0.4, ()), _leaf("n", _NOISE, 0.5)],
+                               name="inner")["polluters"][0],
+                    _leaf("d", _DROP, 0.3, ()),
+                ],
+            }
+        ],
+    },
+    seed=6,
+)
+def test_batched_composites_are_byte_identical(spec, seed):
+    """Composite plans — every mode, stateful and value-dependent gates,
+    nesting, drop and duplicate children — match batch_size=1 at every
+    batch size, post-run RNG/state snapshots included."""
     base, base_snap = _run(spec, seed)
     for batch_size in BATCH_SIZES:
         got, got_snap = _run(spec, seed, batch_size=batch_size)

@@ -22,7 +22,12 @@ from __future__ import annotations
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.batch.kernels import FallbackKernel, StandardKernel, compile_pipeline
+from repro.batch.kernels import (
+    CompositeKernel,
+    FallbackKernel,
+    StandardKernel,
+    compile_pipeline,
+)
 from repro.check import CheckOptions, analyze, build_factbase
 from repro.core.config import pipeline_from_config
 from repro.core.rng import RandomSource
@@ -55,6 +60,11 @@ def test_predicted_kernel_matches_compiled_kernel(spec):
                 f"{type(kernel).__name__}"
             )
             assert kernel._gaussian == pf.kernel.gaussian
+        elif pf.kernel.kind == "composite":
+            assert isinstance(kernel, CompositeKernel), (
+                f"{pf.location}: predicted composite, compiled "
+                f"{type(kernel).__name__}"
+            )
         else:
             assert isinstance(kernel, FallbackKernel), (
                 f"{pf.location}: predicted fallback [{pf.kernel.reason}], "

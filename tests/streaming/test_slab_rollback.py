@@ -20,6 +20,7 @@ from typing import Sequence
 import pytest
 
 from repro.batch import kernels
+from repro.core.composite import CompositeMode, CompositePolluter
 from repro.core.conditions import BurstCondition, EveryNthCondition, ProbabilityCondition
 from repro.core.dependencies import ErrorHistory, FiredRecentlyCondition, track
 from repro.core.errors import GaussianNoise, SetToNull
@@ -125,6 +126,25 @@ def test_sequential_poison_slab_matches_per_record(poison, batch_size, policy):
     assert _outputs(got) == _outputs(oracle)
     assert len(got.polluted) == len(ROWS) - 1
     assert got.report.source_records == len(ROWS)
+
+
+@pytest.mark.parametrize("parallelism", [None, 2], ids=["sequential", "parallel-2"])
+def test_a_rolled_back_slab_is_recorded(parallelism):
+    """A supervised slab that raises leaves one ``batch.rollback`` ledger
+    event and one ``slab_rollbacks`` count (folded across shards in a
+    parallel run); a clean supervised run leaves neither."""
+    ledger = RunLedger()
+    result = _run(250, failure_policy=SKIP, parallelism=parallelism, ledger=ledger)
+    (event,) = ledger.find("batch.rollback")
+    assert event["error"] == "RuntimeError"
+    assert event["records"] > 1
+    assert event["records_seen"] >= event["records"]
+    assert result.report.slab_rollbacks == 1
+
+    clean_ledger = RunLedger()
+    clean = _run(-1, failure_policy=SKIP, parallelism=parallelism, ledger=clean_ledger)
+    assert clean_ledger.find("batch.rollback") == []
+    assert clean.report.slab_rollbacks == 0
 
 
 @pytest.mark.parametrize("key_by", [None, "station"], ids=["unkeyed", "keyed"])
@@ -350,8 +370,9 @@ def test_unsupervised_default_moves_slabs(key_by):
 @pytest.fixture
 def slab_calls(monkeypatch, tmp_path):
     """Record every batch-path call (kernel compilation, a pollution
-    operator's ``process_batch``, any slab emit) in a file, so forked shard
-    workers report theirs too; returns a reader for the recorded names."""
+    operator's ``process_batch``, any slab emit) and every per-record
+    ``CompositePolluter.apply`` in a file, so forked shard workers report
+    theirs too; returns a reader for the recorded names."""
     trace = tmp_path / "slab-calls.txt"
 
     def spy(name, original):
@@ -366,6 +387,7 @@ def slab_calls(monkeypatch, tmp_path):
         (kernels, "compile_pipeline"),
         (PollutionProcessFunction, "process_batch"),
         (Node, "emit_batch"),
+        (CompositePolluter, "apply"),
     ):
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     return lambda: trace.read_text().split() if trace.exists() else []
@@ -388,12 +410,35 @@ def _history_linked_pipelines() -> list[PollutionPipeline]:
     return [PollutionPipeline([reader], name="p0"), PollutionPipeline([tracked], name="p1")]
 
 
+def _composite_pipeline() -> PollutionPipeline:
+    """The poison pipeline's noise behind a first-match composite."""
+    return PollutionPipeline(
+        [
+            CompositePolluter(
+                [
+                    StandardPolluter(
+                        SetToNull(), ["value"], ProbabilityCondition(0.1), name="nulls"
+                    ),
+                    StandardPolluter(
+                        GaussianNoise(1.0), ["value"], ProbabilityCondition(0.4),
+                        name="noise",
+                    ),
+                ],
+                mode=CompositeMode.FIRST_MATCH,
+                name="faults",
+            )
+        ],
+        name="composite",
+    )
+
+
 ORACLE_PATH_RUNS = [
     ("sequential", {"batch_size": 1}),
     ("keyed", {"batch_size": 1, "key_by": "station"}),
     ("parallel-1", {"batch_size": 1, "parallelism": 1}),
     ("skip-batch-1", {"failure_policy": SKIP, "batch_size": 1}),
     ("history-linked-256", {"batch_size": 256, "pipelines": "history-linked"}),
+    ("composite-batch-1", {"batch_size": 1, "pipelines": "composite"}),
 ]
 
 
@@ -404,16 +449,21 @@ def test_one_record_slabs_take_the_oracle_path(slab_calls, kwargs):
     """Every plan that resolves to one-record slabs dispatches each record
     through ``on_record`` (``PollutionPipeline.apply``), never through the
     batch path: otherwise ``batch_size=1`` would stop being the oracle the
-    byte-identity tests compare the batch kernels against."""
+    byte-identity tests compare the batch kernels against. A composite
+    polluter runs its own ``apply`` once per record."""
     kwargs = dict(kwargs)
-    pipelines = (
-        _history_linked_pipelines()
-        if kwargs.pop("pipelines", None) == "history-linked"
-        else _poison_pipeline(-1)
-    )
+    shape = kwargs.pop("pipelines", None)
+    if shape == "history-linked":
+        pipelines = _history_linked_pipelines()
+    elif shape == "composite":
+        pipelines = _composite_pipeline()
+    else:
+        pipelines = _poison_pipeline(-1)
     result = pollute(ROWS, pipelines, schema=SCHEMA, seed=17, check="off", **kwargs)
     assert len(result.polluted) >= len(ROWS)
-    assert slab_calls() == []
+    calls = slab_calls()
+    assert [call for call in calls if call != "apply"] == []
+    assert calls.count("apply") == (len(ROWS) if shape == "composite" else 0)
 
 
 def test_default_slabs_compile_the_kernels(slab_calls):
@@ -421,3 +471,10 @@ def test_default_slabs_compile_the_kernels(slab_calls):
     calls = slab_calls()
     assert calls.count("compile_pipeline") == 1
     assert calls.count("process_batch") == 2  # slabs of 256 and 44
+
+
+def test_default_slabs_run_composites_as_kernels(slab_calls):
+    pollute(ROWS, _composite_pipeline(), schema=SCHEMA, seed=17, check="off")
+    calls = slab_calls()
+    assert calls.count("process_batch") == 2
+    assert "apply" not in calls  # CompositePolluter.apply is the per-record path
