@@ -22,6 +22,9 @@ path for every plan, at every batch size. The reasons this holds:
   ``n`` scalar draws, so vectorized condition masks and noise kernels are
   draw-for-draw identical (values are converted back to Python floats
   before entering records);
+* errors that draw nothing and hand back the record they got consume no
+  stream at all, so their kernels write the fired rows column by column
+  and append the slab's log events in one go;
 * batch execution appends pollution-log events polluter-major instead of
   record-major; a stable sort by record ID
   (:meth:`repro.core.log.PollutionLog.sort_by_record`) restores the sequential

@@ -29,11 +29,24 @@ What gets vectorized — and why it is exact
   rows — ``ALL`` in sequence over the surviving rows, ``FIRST_MATCH`` each
   child over the rows no earlier child fired on, ``CHOOSE_ONE`` each child
   over the rows one bulk ``choice`` draw assigned to it.
+* **Draw-free errors in bulk.** ``ScaleByFactor``, ``UnitConversion``
+  (except the affine celsius->fahrenheit case), ``Offset``,
+  ``RoundToPrecision``, ``SignFlip``, ``SetToConstant`` and ``SetToNull``,
+  matched by exact type, draw nothing and hand back the record they got.
+  Their kernel reads each target's column over the fired rows once,
+  computes every new value before writing any (a cell ``require_numeric``
+  refuses raises the per-row path's first error on an untouched slab),
+  writes the copy-on-write records column by column, adds the fire tally
+  as one integer and appends the slab's log events with one ``extend``.
+  With no draws there is no stream order to keep, and the events come out
+  in the fired rows' arrival order, as the per-row loop appends them.
 * **Everything else** delegates to
   :meth:`~repro.core.polluter.StandardPolluter.apply_fired` per fired row —
   the exact sequential fired path (logging, observability tallies,
   drop/duplicate fan-out) — or, for tracked/custom/overriding polluters
   (:class:`FallbackKernel`), to the polluter's own ``apply``.
+  ``batch_size=1`` never enters a kernel, so it stays the per-record
+  oracle every fast path is compared against.
 
 Because each polluter owns private named random streams and private state,
 polluter-major batch order consumes every stream in the same order as
@@ -51,7 +64,9 @@ changed.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left, bisect_right
+from itertools import repeat
 from time import perf_counter
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -60,8 +75,16 @@ import numpy as np
 from repro.check.factbase import KernelPrediction, predict_kernel
 from repro.core.composite import CompositeMode, CompositePolluter
 from repro.core.errors.base import require_numeric
-from repro.core.errors.static_numeric import _preserve_int
-from repro.core.log import PollutionLog
+from repro.core.errors.missing import SetToConstant, SetToNull
+from repro.core.errors.static_numeric import (
+    Offset,
+    RoundToPrecision,
+    ScaleByFactor,
+    SignFlip,
+    UnitConversion,
+    _preserve_int,
+)
+from repro.core.log import PollutionEvent, PollutionLog
 from repro.core.pipeline import PollutionPipeline, _needs_rng
 from repro.core.polluter import Polluter, StandardPolluter
 from repro.errors import PollutionError
@@ -75,7 +98,6 @@ __all__ = [
     "SlabResult",
     "StandardKernel",
     "compile_pipeline",
-    "kernel_kind",
     "polluter_label",
 ]
 
@@ -97,18 +119,6 @@ class SlabResult(NamedTuple):
     taus: list[int]
     fired: list[int]
     changed: dict[int, list[Record]]
-
-
-def kernel_kind(polluter: Polluter) -> str:
-    """``"standard"``, ``"composite"`` or ``"fallback"`` — the gate
-    :func:`compile_pipeline` uses.
-
-    Delegates to the shared fact engine
-    (:func:`repro.check.factbase.predict_kernel`); exposed on its own so
-    the profiler can name would-be fallback polluters even when a run never
-    enters batch mode.
-    """
-    return predict_kernel(polluter).kind
 
 
 def polluter_label(polluter: Polluter) -> str:
@@ -225,6 +235,88 @@ def _per_record(
     return _result(records, taus, fired, changed)
 
 
+#: A missing attribute's cell in a bulk column (``None`` is a null cell).
+_MISSING = object()
+
+#: Cell types the bulk numeric path computes without a per-row replay.
+_PLAIN_CELLS = frozenset((float, int, type(None)))
+
+
+def _numeric_cell(error: Any) -> Callable[[float], float] | None:
+    """A bulk-path error's ``apply`` on one non-null numeric cell, at the
+    intensity ``StandardPolluter`` applies it (1.0), before ``_preserve_int``;
+    ``None`` for the errors that write a constant into every cell."""
+    kind = type(error)
+    if kind is ScaleByFactor or kind is UnitConversion:
+        effective = 1.0 + 1.0 * (error.factor - 1.0)
+        return lambda value: value * effective
+    if kind is Offset:
+        delta = error.delta * 1.0
+        return lambda value: value + delta
+    if kind is RoundToPrecision:
+        digits = error.digits
+        return lambda value: round(value, digits)
+    if kind is SignFlip:
+        return operator.neg
+    if kind is SetToNull or kind is SetToConstant:
+        return None
+    raise PollutionError(f"{kind.__name__} has no bulk fired path")
+
+
+def _cell_dicts(names: tuple[str, ...], columns: list[list[Any]]) -> list[dict[str, Any]]:
+    """One ``{name: cell}`` dict per row: the log's ``before``/``after``."""
+    if len(names) == 1:
+        (name,) = names
+        return [{name: cell} for cell in columns[0]]
+    return [dict(zip(names, cells)) for cells in zip(*columns)]
+
+
+def _apply_cells(
+    cell: Callable[[float], float],
+    attributes: tuple[str, ...],
+    names: tuple[str, ...],
+    columns: list[list[Any]],
+) -> list[list[Any]]:
+    """Each distinct target's column after the error: ``cell`` once per
+    occurrence of the target, null and NaN cells left as they are."""
+    current = dict(zip(names, columns))
+    for name in attributes:
+        current[name] = [
+            v if v is None or v != v
+            else round(cell(float(v))) if isinstance(v, int)
+            else cell(float(v))
+            for v in current[name]
+        ]
+    return [current[name] for name in names]
+
+
+def _numeric_columns(
+    cell: Callable[[float], float],
+    error: Any,
+    records: list[Record],
+    taus: list[int],
+    attributes: tuple[str, ...],
+    names: tuple[str, ...],
+    columns: list[list[Any]],
+) -> list[list[Any]]:
+    """The new columns of a numeric bulk error, computed before any write.
+
+    Columns of plain floats, ints and nulls are computed directly. Any other
+    cell type (which ``require_numeric`` may refuse), or a cell the
+    arithmetic refuses, makes the error replay on a scratch copy of each
+    record in arrival order first: the first bad cell then raises exactly
+    what record-at-a-time execution raises, with no record written.
+    """
+    if all(_PLAIN_CELLS.issuperset(map(type, column)) for column in columns):
+        try:
+            return _apply_cells(cell, attributes, names, columns)
+        except (ArithmeticError, ValueError):
+            pass
+    for record, tau in zip(records, taus):
+        error.apply(Record(record.as_dict()), attributes, tau)
+    return _apply_cells(cell, attributes, names, columns)
+
+
 class PolluterKernel:
     """One compiled chain step: a batch in, a (possibly fanned) batch out.
 
@@ -295,7 +387,9 @@ class StandardKernel(PolluterKernel):
     def __init__(self, polluter: StandardPolluter, prediction: KernelPrediction) -> None:
         self.polluter = polluter
         self._mask = _build_mask(polluter.condition, prediction.mask_kind)
-        self._gaussian = prediction.gaussian
+        self._fired_path = prediction.fired_path
+        if prediction.fired_path == "bulk":
+            self._cell = _numeric_cell(polluter.error)
 
     def _apply_batch(
         self,
@@ -317,12 +411,15 @@ class StandardKernel(PolluterKernel):
             obs.n_misses += len(records) - len(fired)
         if not fired:
             return SlabResult(records, taus, fired, {})
-        if self._gaussian:
-            self._apply_gaussian(
-                [records[i] for i in fired], [taus[i] for i in fired], log
-            )
-            # Gaussian noise mutates in place and never changes multiplicity.
-            return SlabResult(records, taus, fired, {})
+        if self._fired_path != "per-row":
+            rows = records if len(fired) == len(records) else [records[i] for i in fired]
+            rows_taus = taus if len(fired) == len(records) else [taus[i] for i in fired]
+            if self._fired_path == "gaussian":
+                self._apply_gaussian(rows, rows_taus, log)
+                # Gaussian noise mutates in place and never changes multiplicity.
+                return SlabResult(records, taus, fired, {})
+            if self._apply_bulk(rows, rows_taus, log):
+                return SlabResult(records, taus, fired, {})
         changed: dict[int, list[Record]] = {}
         apply_fired = polluter.apply_fired
         for i in fired:
@@ -331,6 +428,70 @@ class StandardKernel(PolluterKernel):
             if len(out) != 1 or out[0] is not record:
                 changed[i] = out
         return _result(records, taus, fired, changed)
+
+    def _apply_bulk(
+        self,
+        fired: list[Record],
+        fired_taus: list[int],
+        log: PollutionLog | None,
+    ) -> bool:
+        """Apply a draw-free error to the fired rows column by column.
+
+        Replicates the error's ``apply`` and the fired-path bookkeeping of
+        ``StandardPolluter.apply_fired``: each distinct target's column is
+        read once and every new value is computed before any record is
+        written, so a cell ``require_numeric`` refuses raises the per-row
+        path's first error on an untouched slab (see
+        :func:`_numeric_columns`). A repeated target is applied once per
+        occurrence, and only the cells the per-row path writes are written.
+        One fire tally and one log ``extend`` cover the slab. Returns
+        ``False``, having touched nothing, when a fired record lacks a
+        target: the caller then runs the per-row path, which raises or skips
+        exactly as record-at-a-time execution does.
+        """
+        polluter = self.polluter
+        error = polluter.error
+        attributes = polluter.attributes
+        names = tuple(dict.fromkeys(attributes))
+        columns = [[record.get(name, _MISSING) for record in fired] for name in names]
+        if any(_MISSING in column for column in columns):
+            return False
+        written: list[range | list[int]]
+        if self._cell is None:  # SetToNull / SetToConstant write every cell
+            value = error.value if type(error) is SetToConstant else None
+            after = [[value] * len(fired) for _ in names]
+            written = [range(len(fired))] * len(names)
+        else:
+            after = _numeric_columns(
+                self._cell, error, fired, fired_taus, attributes, names, columns
+            )
+            written = [
+                [i for i, v in enumerate(column) if v is not None and v == v]
+                for column in columns
+            ]
+        for name, indices, values in zip(names, written, after):
+            for i in indices:
+                fired[i][name] = values[i]
+        obs = polluter._obs
+        if obs is not None:
+            obs.n_fires += len(fired)
+        if log is not None:
+            n = len(fired)
+            log.extend(
+                map(
+                    PollutionEvent,
+                    [record.record_id for record in fired],
+                    [record.substream for record in fired],
+                    repeat(polluter._qualified_name, n),
+                    repeat(error.describe(), n),
+                    repeat(attributes, n),
+                    fired_taus,
+                    _cell_dicts(names, columns),
+                    _cell_dicts(names, after),
+                    repeat(1, n),
+                )
+            )
+        return True
 
     def _apply_gaussian(
         self,
@@ -587,7 +748,7 @@ def _compile_kernel(polluter: Polluter, profiler: Any) -> PolluterKernel:
     if profiler is not None:
         kernel.profiler = profiler
         kernel.label = polluter_label(polluter)
-        profiler.register_kernel(kernel.label, prediction.kind)
+        profiler.register_kernel(kernel.label, prediction.kind, prediction.fired_path)
     return kernel
 
 

@@ -1,8 +1,9 @@
 """Human- and machine-readable dumps of the plan-fact base.
 
 ``repro check --explain`` renders :func:`render_explain` — one block per
-pipeline: plan-level facts (digest, sort stability, mergeability), then each top-level polluter's kernel
-eligibility with its machine-readable reason, then the per-leaf effect
+pipeline: plan-level facts (digest, sort stability, mergeability), then
+each polluter's kernel eligibility (a composite's children indented below
+it) with its machine-readable reason and fired path, then the per-leaf effect
 sets and condition/error facts. ``repro check --format json`` embeds
 :func:`plan_summary`, the same facts as data.
 """
@@ -11,12 +12,20 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.check.factbase import PlanFactBase
+from repro.check.factbase import KernelPrediction, PlanFactBase
 from repro.check.facts import LeafFacts
 
 
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
+
+
+def _kernel_shape(k: KernelPrediction) -> str:
+    if k.kind == "fallback":
+        return k.kind
+    if k.kind == "composite":
+        return f"composite/{k.mask_kind}-gate"
+    return f"standard/{k.mask_kind}-mask"
 
 
 def leaf_to_dict(leaf: LeafFacts) -> dict[str, Any]:
@@ -67,18 +76,18 @@ def render_explain(base: PlanFactBase) -> str:
     )
     lines.append("  kernels:")
     for pf in base.polluters:
-        k = pf.kernel
-        if k.kind == "fallback":
-            shape = k.kind
-        elif k.kind == "composite":
-            shape = f"composite/{k.mask_kind}-gate"
-        else:
-            shape = "standard/gaussian" if k.gaussian else f"standard/{k.mask_kind}-mask"
-        lines.append(
-            f"    [{pf.index}] {pf.name!r} ({pf.type_name}): {shape} "
-            f"[{k.reason}]"
-        )
-        lines.append(f"        {k.detail}")
+        for node in pf.kernels:
+            k = node.kernel
+            depth = node.location.count(".children[")
+            indent = "    " + "    " * depth
+            label = (
+                f"[{pf.index}] {pf.name!r} ({pf.type_name})"
+                if depth == 0
+                else f"{node.location} {node.name!r}"
+            )
+            fired = f", {k.fired_path} fired path" if k.fired_path else ""
+            lines.append(f"{indent}{label}: {_kernel_shape(k)} [{k.reason}]{fired}")
+            lines.append(f"{indent}    {k.detail}")
         lines.append(
             f"        picklable={_yn(pf.picklable)}  "
             f"needs_rng={_yn(pf.needs_rng)}  declarative={_yn(pf.declarative)}"

@@ -38,7 +38,7 @@ import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator, NamedTuple
 
 from repro.check.facts import PlanFacts, plan_facts
 from repro.core.composite import CompositePolluter
@@ -49,7 +49,15 @@ from repro.core.conditions.random import (
 )
 from repro.core.conditions.temporal import PatternProbabilityCondition
 from repro.core.dependencies import TrackedPolluter
-from repro.core.errors.static_numeric import GaussianNoise
+from repro.core.errors.missing import SetToConstant, SetToNull
+from repro.core.errors.static_numeric import (
+    GaussianNoise,
+    Offset,
+    RoundToPrecision,
+    ScaleByFactor,
+    SignFlip,
+    UnitConversion,
+)
 from repro.core.pipeline import PollutionPipeline, _needs_rng
 from repro.core.polluter import Polluter, StandardPolluter
 from repro.errors import ConfigError
@@ -82,20 +90,47 @@ def predict_mask_kind(condition: Any) -> str:
     return "row"
 
 
+#: Error classes the bulk fired path replays, matched by exact type: each
+#: draws nothing and hands back the record it got. A subclass could change
+#: ``apply``, and the affine celsius->fahrenheit conversion is excluded.
+BULK_ERRORS = (
+    ScaleByFactor,
+    UnitConversion,
+    Offset,
+    RoundToPrecision,
+    SignFlip,
+    SetToConstant,
+    SetToNull,
+)
+
+
+def predict_fired_path(error: Any) -> str:
+    """Classify a standard kernel's fired path from its error's exact type."""
+    kind = type(error)
+    if kind is GaussianNoise:
+        return "gaussian"
+    if kind in BULK_ERRORS and not (kind is UnitConversion and error._affine_c2f):
+        return "bulk"
+    return "per-row"
+
+
 @dataclass(frozen=True)
 class KernelPrediction:
     """Which kernel :func:`compile_pipeline` will build, and why.
 
     ``reason`` is a stable machine-readable slug; ``detail`` is the human
     sentence ``repro check --explain`` and ICE701 print. For standard
-    kernels ``mask_kind`` names the compiled mask strategy and ``gaussian``
-    flags the bulk-normal fast path; for composite kernels ``mask_kind``
-    names the gate's strategy.
+    kernels ``mask_kind`` names the compiled mask strategy and
+    ``fired_path`` the fired rows' path: ``"gaussian"`` (one bulk normal
+    draw), ``"bulk"`` (a draw-free error written column by column) or
+    ``"per-row"`` (``apply_fired`` per fired row). For composite kernels
+    ``mask_kind`` names the gate's strategy; composites and fallbacks have
+    no ``fired_path``.
     """
 
     kind: str  # "standard" | "composite" | "fallback"
     mask_kind: str | None
-    gaussian: bool
+    fired_path: str | None
     reason: str
     detail: str
 
@@ -107,7 +142,7 @@ class KernelPrediction:
         return {
             "kind": self.kind,
             "mask_kind": self.mask_kind,
-            "gaussian": self.gaussian,
+            "fired_path": self.fired_path,
             "reason": self.reason,
             "detail": self.detail,
         }
@@ -115,7 +150,7 @@ class KernelPrediction:
 
 def _fallback(reason: str, detail: str) -> KernelPrediction:
     return KernelPrediction(
-        kind="fallback", mask_kind=None, gaussian=False, reason=reason, detail=detail
+        kind="fallback", mask_kind=None, fired_path=None, reason=reason, detail=detail
     )
 
 
@@ -146,7 +181,7 @@ def predict_kernel(polluter: Polluter) -> KernelPrediction:
         return KernelPrediction(
             kind="composite",
             mask_kind=mask_kind,
-            gaussian=False,
+            fired_path=None,
             reason="composite-kernel",
             detail=(
                 f"composite kernel ({polluter.mode.value} mode): one {mask_kind!r} "
@@ -179,11 +214,8 @@ def predict_kernel(polluter: Polluter) -> KernelPrediction:
             "the kernel cannot replay the fired path in bulk",
         )
     mask_kind = predict_mask_kind(polluter.condition)
-    # Exact-type gate: a GaussianNoise subclass could change apply().
-    gaussian = type(polluter.error) is GaussianNoise
-    if gaussian:
-        detail = "standard kernel with one bulk rng.normal draw per slab"
-    elif mask_kind == "row":
+    fired_path = predict_fired_path(polluter.error)
+    if mask_kind == "row":
         detail = (
             "standard kernel; condition "
             f"{type(polluter.condition).__name__!r} needs a per-row mask "
@@ -191,13 +223,41 @@ def predict_kernel(polluter: Polluter) -> KernelPrediction:
         )
     else:
         detail = f"standard kernel with a vectorized {mask_kind!r} mask"
+    if fired_path == "gaussian":
+        detail += "; one bulk rng.normal draw per slab"
+    elif fired_path == "bulk":
+        detail += "; draw-free error written column by column over the fired rows"
     return KernelPrediction(
         kind="standard",
         mask_kind=mask_kind,
-        gaussian=gaussian,
+        fired_path=fired_path,
         reason="standard",
         detail=detail,
     )
+
+
+class KernelNode(NamedTuple):
+    """One polluter of a pipeline's tree and its kernel prediction.
+
+    ``location`` is the polluter's path (``polluters[0].children[1]``, as
+    the leaf facts write it).
+    """
+
+    location: str
+    name: str
+    kernel: KernelPrediction
+
+
+def kernel_tree(
+    polluter: Polluter, location: str
+) -> Iterator[tuple[str, Polluter, KernelPrediction]]:
+    """``polluter`` and, below a composite kernel, every descendant with its
+    prediction, in pre-order: the kernels :func:`compile_pipeline` builds."""
+    prediction = predict_kernel(polluter)
+    yield location, polluter, prediction
+    if prediction.kind == "composite":
+        for i, child in enumerate(polluter.children):  # type: ignore[attr-defined]
+            yield from kernel_tree(child, f"{location}.children[{i}]")
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +314,9 @@ def plan_digest(pipeline: PollutionPipeline) -> str | None:
 class PolluterFactBase:
     """Facts about one *top-level* pipeline polluter.
 
-    ``kernel`` is the batch-eligibility prediction; ``picklable`` /
+    ``kernel`` is the batch-eligibility prediction; ``kernels`` the
+    prediction of every kernel in the polluter's tree (the polluter first,
+    then a composite's descendants, pre-order); ``picklable`` /
     ``pickle_error`` record the worker-dispatch sweep; ``needs_rng`` the
     determinism audit input; ``declarative`` / ``config_error`` whether the
     polluter round-trips to JSON.
@@ -264,6 +326,7 @@ class PolluterFactBase:
     name: str
     type_name: str
     kernel: KernelPrediction
+    kernels: tuple[KernelNode, ...]
     picklable: bool
     pickle_error: str | None
     needs_rng: bool
@@ -339,8 +402,14 @@ class PlanFactBase:
         return tuple(pf.kernel for pf in self.polluters)
 
     @property
-    def fallbacks(self) -> tuple[PolluterFactBase, ...]:
-        return tuple(pf for pf in self.polluters if pf.kernel.kind == "fallback")
+    def fallbacks(self) -> tuple[KernelNode, ...]:
+        """Every polluter, at any depth, that compiles to a fallback kernel."""
+        return tuple(
+            node
+            for pf in self.polluters
+            for node in pf.kernels
+            if node.kernel.kind == "fallback"
+        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -367,11 +436,16 @@ def _polluter_factbase(index: int, polluter: Polluter) -> PolluterFactBase:
         polluter_to_config(polluter)
     except ConfigError as exc:
         config_error = str(exc)
+    kernels = tuple(
+        KernelNode(location, node.name, prediction)
+        for location, node, prediction in kernel_tree(polluter, f"polluters[{index}]")
+    )
     return PolluterFactBase(
         index=index,
         name=polluter.name,
         type_name=type(polluter).__name__,
-        kernel=predict_kernel(polluter),
+        kernel=kernels[0].kernel,
+        kernels=kernels,
         picklable=pickle_error is None,
         pickle_error=pickle_error,
         needs_rng=_needs_rng(polluter),

@@ -20,7 +20,6 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -28,19 +27,75 @@ from repro.streaming.record import Record
 from repro.streaming.time import hour_of_day_int
 
 
-@dataclass(frozen=True)
 class PollutionEvent:
-    """One firing of one polluter on one tuple."""
+    """One firing of one polluter on one tuple.
 
-    record_id: int | None
-    substream: int | None
-    polluter: str
-    error: str
-    attributes: tuple[str, ...]
-    tau: int
-    before: dict[str, Any]
-    after: dict[str, Any] | None  # None => the tuple was dropped
-    emitted: int  # how many records the error emitted (0 drop, 1 normal, >1 dup)
+    A slotted value object: a run keeps one per firing, so construction and
+    size matter. Treat it as immutable. Equality compares every field;
+    pickling carries the fields positionally, and a pickle from the older
+    dataclass layout (its fields as a state dict) still loads.
+    """
+
+    __slots__ = (
+        "record_id",
+        "substream",
+        "polluter",
+        "error",
+        "attributes",
+        "tau",
+        "before",
+        "after",
+        "emitted",
+    )
+
+    def __init__(
+        self,
+        record_id: int | None,
+        substream: int | None,
+        polluter: str,
+        error: str,
+        attributes: tuple[str, ...],
+        tau: int,
+        before: dict[str, Any],
+        after: dict[str, Any] | None,  # None => the tuple was dropped
+        emitted: int,  # how many records the error emitted (0 drop, 1 normal, >1 dup)
+    ) -> None:
+        self.record_id = record_id
+        self.substream = substream
+        self.polluter = polluter
+        self.error = error
+        self.attributes = attributes
+        self.tau = tau
+        self.before = before
+        self.after = after
+        self.emitted = emitted
+
+    def _values(self) -> tuple[Any, ...]:
+        return (
+            self.record_id, self.substream, self.polluter, self.error,
+            self.attributes, self.tau, self.before, self.after, self.emitted,
+        )
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        return (PollutionEvent, self._values())
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # Only pickles of the older dataclass layout reach here.
+        for name, value in state.items():
+            setattr(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not PollutionEvent:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # type: ignore[assignment]  # before/after are dicts
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"PollutionEvent({fields})"
 
     @property
     def dropped(self) -> bool:
@@ -88,22 +143,17 @@ class PollutionLog:
         after: dict[str, Any] | None,
         emitted: int,
     ) -> None:
+        """Append one event; ``before``/``after`` are kept, not copied, so
+        each must be a dict the caller built for this event."""
         self.events.append(
             PollutionEvent(
-                record_id=record.record_id,
-                substream=record.substream,
-                polluter=polluter,
-                error=error,
-                attributes=attributes,
-                tau=tau,
-                before=dict(before),
-                after=dict(after) if after is not None else None,
-                emitted=emitted,
+                record.record_id, record.substream, polluter, error,
+                attributes, tau, before, after, emitted,
             )
         )
 
     def extend(self, events: Iterable[PollutionEvent]) -> None:
-        """Append already-built events (used when folding shard logs)."""
+        """Append already-built events (a bulk kernel's slab, folded shard logs)."""
         self.events.extend(events)
 
     @classmethod
@@ -206,15 +256,14 @@ class PollutionLog:
                 ["record_id", "substream", "polluter", "error", "attribute",
                  "tau", "before", "after", "emitted"]
             )
-            for e in self.events:
-                targets = e.attributes or ("",)
-                for a in targets:
-                    writer.writerow(
-                        [e.record_id, e.substream, e.polluter, e.error, a, e.tau,
-                         e.before.get(a, ""),
-                         "" if e.after is None else e.after.get(a, ""),
-                         e.emitted]
-                    )
+            writer.writerows(
+                [e.record_id, e.substream, e.polluter, e.error, a, e.tau,
+                 e.before.get(a, ""),
+                 "" if e.after is None else e.after.get(a, ""),
+                 e.emitted]
+                for e in self.events
+                for a in e.attributes or ("",)
+            )
         finally:
             if owns:
                 f.close()

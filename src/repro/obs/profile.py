@@ -100,13 +100,17 @@ class Profiler:
 
     # -- kernels -------------------------------------------------------------
 
-    def register_kernel(self, polluter: str, kind: str) -> None:
+    def register_kernel(
+        self, polluter: str, kind: str, fired_path: str | None = None
+    ) -> None:
         """Record the kernel kind ``polluter`` compiles to (``standard``,
-        ``composite`` or ``fallback``)."""
+        ``composite`` or ``fallback``) and, for a standard kernel, its fired
+        path (``per-row``, ``gaussian`` or ``bulk``)."""
         entry = self.kernels.get(polluter)
         if entry is None:
             self.kernels[polluter] = {
                 "kind": kind,
+                "fired_path": fired_path,
                 "seconds": 0.0,
                 "mask_seconds": 0.0,
                 "rows": 0,
@@ -114,6 +118,7 @@ class Profiler:
             }
         else:
             entry["kind"] = kind
+            entry["fired_path"] = fired_path
 
     def add_kernel(
         self, polluter: str, seconds: float, rows: int, mask_seconds: float = 0.0
@@ -130,15 +135,20 @@ class Profiler:
     def register_pipeline(self, pipeline: Any) -> None:
         """Classify every polluter in ``pipeline`` without running batch mode.
 
-        Uses the same method-identity gate as
-        :func:`repro.batch.kernels.compile_pipeline`, so ``--profile`` names
-        would-be fallback polluters even in engines that never compile
-        kernels (per-record streaming, keyed). Idempotent per label.
+        Walks the same prediction tree as
+        :func:`repro.batch.kernels.compile_pipeline` (a composite's children
+        included), so ``--profile`` names would-be fallback polluters even
+        in engines that never compile kernels (per-record streaming, keyed).
+        Idempotent per label.
         """
-        from repro.batch.kernels import kernel_kind, polluter_label
+        from repro.batch.kernels import polluter_label
+        from repro.check.factbase import kernel_tree
 
-        for polluter in pipeline.polluters:
-            self.register_kernel(polluter_label(polluter), kernel_kind(polluter))
+        for i, top in enumerate(pipeline.polluters):
+            for _, polluter, prediction in kernel_tree(top, f"polluters[{i}]"):
+                self.register_kernel(
+                    polluter_label(polluter), prediction.kind, prediction.fired_path
+                )
 
     def fallback_polluters(self) -> list[str]:
         """Names of polluters that (would) run through ``FallbackKernel``."""
@@ -191,7 +201,7 @@ class Profiler:
         for name, seconds in payload.get("detail", {}).items():
             self.add_detail(name, seconds)
         for name, k in payload.get("kernels", {}).items():
-            self.register_kernel(name, k.get("kind", "unknown"))
+            self.register_kernel(name, k.get("kind", "unknown"), k.get("fired_path"))
             entry = self.kernels[name]
             entry["seconds"] += k.get("seconds", 0.0)
             entry["mask_seconds"] += k.get("mask_seconds", 0.0)
@@ -262,6 +272,8 @@ class Profiler:
             rows.append((seconds, f"detail:{name}", ""))
         for name, k in self.kernels.items():
             note = f"{k['kind']} kernel, {k['rows']:,} rows"
+            if k.get("fired_path"):
+                note += f", {k['fired_path']} fired path"
             if k["mask_seconds"]:
                 note += f", mask {k['mask_seconds']:.4f}s"
             rows.append((k["seconds"], f"kernel:{name}", note))

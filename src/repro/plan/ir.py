@@ -280,6 +280,7 @@ class ExecutionPlan:
                             "polluter": pf.name,
                             "kind": pf.kernel.kind,
                             "reason": pf.kernel.reason,
+                            "fired_path": pf.kernel.fired_path,
                         }
                         for pf in base.polluters
                     ],
@@ -333,8 +334,10 @@ class ExecutionPlan:
                 f"mergeable={'yes' if entry['deterministically_mergeable'] else 'no'}"
             )
             for kernel in entry["kernels"]:
+                fired = kernel["fired_path"]
                 lines.append(
                     f"      kernel {kernel['polluter']!r}: {kernel['kind']} "
                     f"[{kernel['reason']}]"
+                    + (f", {fired} fired path" if fired else "")
                 )
         return "\n".join(lines)

@@ -117,7 +117,7 @@ class TestPredictKernel:
         prediction = predict_kernel(p)
         assert prediction.kind == "standard"
         assert prediction.reason == "standard"
-        assert prediction.gaussian
+        assert prediction.fired_path == "gaussian"
         assert prediction.mask_kind == "probability"
         assert prediction.vectorized_mask
 
@@ -126,14 +126,14 @@ class TestPredictKernel:
         prediction = predict_kernel(p)
         assert prediction.kind == "standard"
         assert prediction.mask_kind == "row"
-        assert not prediction.gaussian
+        assert prediction.fired_path == "bulk"
         assert not prediction.vectorized_mask
 
     def test_to_dict_round_trips_every_field(self):
         d = predict_kernel(nulls("v", C.AlwaysCondition())).to_dict()
         assert d["kind"] == "standard"
         assert d["mask_kind"] == "always"
-        assert d["gaussian"] is False
+        assert d["fired_path"] == "bulk"
         assert d["reason"] == "standard"
         assert d["detail"]
 

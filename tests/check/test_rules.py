@@ -473,6 +473,20 @@ class TestPerformanceRules:
         assert diags
         assert "overrides-apply" in diags[0].message
 
+    def test_ice701_sees_a_fallback_child_inside_a_composite(self):
+        """A composite's per-row child is named at its own location, exactly
+        as the same polluter at top level is."""
+        wrapped = CompositePolluter(
+            children=[nulls("v", name="plain"), _custom_apply("inner")],
+            mode=CompositeMode.ALL,
+            name="outer",
+        )
+        diags = check(wrapped, batch_size=256).by_rule("ICE701")
+        assert [d.location for d in diags] == ["polluters[0].children[1]"]
+        assert "overrides-apply" in diags[0].message
+        top = check(_custom_apply("inner"), batch_size=256).by_rule("ICE701")
+        assert diags[0].message == top[0].message
+
     def test_ice702_is_retired(self):
         """The cost-model rule is gone and its ID is not reused: a
         fallback-only plan under batching gets ICE701 notes, nothing more."""

@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.streaming.record import Record
 from repro.streaming.schema import Attribute, DataType, Schema
+
+# A fixed fuzz budget with derandomized draws, for CI runs that must be
+# repeatable: ``pytest --hypothesis-profile=ci``. Tests that set their own
+# ``max_examples`` keep it.
+settings.register_profile("ci", max_examples=50, derandomize=True, deadline=None)
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Unit tests for the pollution log and analytic expected counts."""
 
 import json
+import pickle
 
 import pytest
 
@@ -43,6 +44,44 @@ class TestPollutionEvent:
 
     def test_drop_counts_all_attributes_changed(self):
         assert make_event(after=None, emitted=0).changed_attributes() == ("x",)
+
+    def test_value_semantics(self):
+        event = make_event()
+        assert event == make_event()
+        assert event != make_event(rid=2)
+        assert repr(event).startswith("PollutionEvent(record_id=1, substream=0, polluter='p'")
+        with pytest.raises(TypeError):
+            hash(event)
+
+    def test_pickle_round_trip(self):
+        events = [make_event(), make_event(after=None, emitted=0)]
+        assert pickle.loads(pickle.dumps(events, protocol=pickle.HIGHEST_PROTOCOL)) == events
+
+    def test_checkpoint_with_dataclass_events_still_loads(self, tmp_path, monkeypatch):
+        """A checkpoint written while events were frozen dataclasses (their
+        pickles carry a field dict) loads into equal events."""
+        import dataclasses
+
+        from repro.core import log as log_module
+        from repro.streaming.checkpoint import (
+            Checkpoint,
+            CheckpointStore,
+            load_checkpoint,
+        )
+
+        fields = list(PollutionEvent.__slots__)
+        Old = dataclasses.make_dataclass("PollutionEvent", fields, frozen=True)
+        Old.__module__ = "repro.core.log"
+        event = make_event(before={"x": 1.0, "y": None}, after=None, emitted=0)
+        old = Old(*(getattr(event, name) for name in fields))
+        checkpoint = Checkpoint(0, 5, 5, node_state={"sink": {"log_events": [old]}})
+        with monkeypatch.context() as patch:
+            patch.setattr(log_module, "PollutionEvent", Old)
+            saved = CheckpointStore(tmp_path).save(checkpoint)
+        (loaded,) = load_checkpoint(saved.path).node_state["sink"]["log_events"]
+        assert type(loaded) is PollutionEvent
+        assert loaded == event
+        assert loaded.dropped and loaded.changed_attributes() == ("x",)
 
 
 class TestPollutionLog:

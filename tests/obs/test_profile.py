@@ -10,7 +10,8 @@ from repro.core.errors import GaussianNoise, SetToNull
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import StandardPolluter
 from repro.core.rng import RandomSource
-from repro.batch.kernels import compile_pipeline, kernel_kind, polluter_label
+from repro.batch.kernels import compile_pipeline, polluter_label
+from repro.check.factbase import predict_kernel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import PROFILE_SCHEMA_VERSION, Profiler
 from repro.streaming.record import Record
@@ -106,8 +107,8 @@ class TestKernels:
     def test_kernel_kind_gates_on_method_identity(self):
         standard = StandardPolluter(GaussianNoise(1.0), ["v"], name="noise")
         bespoke = BespokePolluter(SetToNull(), ["v"], name="bespoke")
-        assert kernel_kind(standard) == "standard"
-        assert kernel_kind(bespoke) == "fallback"
+        assert predict_kernel(standard).kind == "standard"
+        assert predict_kernel(bespoke).kind == "fallback"
 
     def test_compile_registers_kernel_kinds_with_the_profiler(self):
         pipeline = PollutionPipeline(

@@ -257,6 +257,35 @@ def test_kernel_facts_drive_a_vectorization_decision():
     )
 
 
+class _OverridesApply(StandardPolluter):
+    def apply(self, record, tau, log=None):
+        return super().apply(record, tau, log)
+
+
+def test_fallback_child_of_a_composite_gets_the_fallback_decision():
+    """The kernel decision sees the whole polluter tree: an ``all``
+    composite around an ``apply``-overriding polluter is a fallback plan,
+    as the same polluter at top level is."""
+    from repro.core.composite import CompositeMode, CompositePolluter
+
+    def plan_for(polluter):
+        pipeline = PollutionPipeline([polluter], name="nested")
+        return compile_plan(_request(pipelines=pipeline, batch_size=64))
+
+    inner = _OverridesApply(SetToNull(), ["value"], name="custom")
+    nested = plan_for(
+        CompositePolluter(children=[inner], mode=CompositeMode.ALL, name="wrap")
+    )
+    top = plan_for(_OverridesApply(SetToNull(), ["value"], name="custom"))
+    for plan in (nested, top):
+        assert "batch-kernels-fallback" in plan.decision_slugs
+        assert "batch-kernels-vectorized" not in plan.decision_slugs
+    (detail,) = [
+        d.detail for d in nested.decisions if d.slug == "batch-kernels-fallback"
+    ]
+    assert "(custom)" in detail
+
+
 def test_split_strategy_checks_pipeline_count():
     with pytest.raises(PollutionError, match="routes to 2 sub-streams"):
         compile_plan(_request(split=RoundRobin(2)))

@@ -264,9 +264,9 @@ def composite_plan_spec(draw):
 # -- the differential runner -------------------------------------------------
 
 
-def _csv_bytes(result) -> tuple[str, str]:
+def _csv_bytes(result, schema: Schema = SCHEMA) -> tuple[str, str]:
     out = io.StringIO()
-    sink = CsvSink(SCHEMA, out, include_metadata=True)
+    sink = CsvSink(schema, out, include_metadata=True)
     sink.open()
     for record in result.polluted:
         sink.invoke(record)
@@ -559,3 +559,212 @@ def test_batch_size_one_matches_sequential():
     base, _ = _run(_CKPT_PLAN, 3, batch_size=1)
     got, _ = _run(_CKPT_PLAN, 3, batch_size=None)
     assert got == base
+
+
+# -- the bulk fired path: draw-free errors written column by column ----------
+
+BULK_SCHEMA = Schema(
+    [
+        Attribute("value", DataType.FLOAT),
+        Attribute("count", DataType.INT),
+        Attribute("ratio", DataType.FLOAT),
+        Attribute("station", DataType.STRING),
+        Attribute("timestamp", DataType.TIMESTAMP, nullable=False),
+    ]
+)
+
+
+def _bulk_rows(n: int):
+    # FLOAT and INT targets with null cells, and NaN cells in "ratio".
+    return [
+        {
+            "value": None if i % 23 == 11 else float(i % 17) + 0.25,
+            "count": None if i % 19 == 4 else (i * 7) % 50 - 10,
+            "ratio": (
+                None if i % 31 == 7
+                else float("nan") if i % 5 == 2
+                else (i % 13) / 4 - 1.0
+            ),
+            "station": f"station-{i % 3}",
+            "timestamp": 1_600_000_000 + 60 * i,
+        }
+        for i in range(n)
+    ]
+
+
+_BULK_ERRORS = st.sampled_from(
+    [
+        {"type": "scale", "factor": 1.8},
+        {"type": "scale", "factor": 0.125},
+        {"type": "unit_conversion", "from_unit": "km", "to_unit": "cm"},
+        {"type": "unit_conversion", "from_unit": "m", "to_unit": "km"},
+        {"type": "offset", "delta": -4.0},
+        {"type": "offset", "delta": 3},
+        {"type": "round", "digits": 0},
+        {"type": "round", "digits": 2},
+        {"type": "round", "digits": -1},
+        {"type": "sign_flip"},
+        {"type": "set_constant", "value": 99.5},
+        {"type": "set_constant", "value": 7},
+        {"type": "set_null"},
+    ]
+)
+
+#: Single, multi-attribute and repeated targets over FLOAT, INT and NaN cells.
+_BULK_TARGETS = st.sampled_from(
+    [
+        ["value"],
+        ["count"],
+        ["ratio"],
+        ["value", "count"],
+        ["ratio", "value", "ratio"],
+        ["count", "count"],
+        ["count", "ratio", "value"],
+    ]
+)
+
+_BULK_CONDITIONS = st.sampled_from(
+    [
+        {"type": "always"},
+        {"type": "probability", "p": 0.4},
+        {"type": "probability", "p": 0.9},
+        {"type": "every_nth", "n": 3, "offset": 1},
+        {"type": "range", "attribute": "value", "low": 3.0, "high": 12.0},
+    ]
+)
+
+#: Upstream copies share their record's ID (duplicate) or leave gaps (drop).
+_UPSTREAM = {
+    "dup": {
+        "name": "dup",
+        "error": {"type": "duplicate", "copies": 1},
+        "condition": {"type": "probability", "p": 0.3},
+        "attributes": [],
+    },
+    "drop": {
+        "name": "drop",
+        "error": {"type": "drop"},
+        "condition": {"type": "probability", "p": 0.1},
+        "attributes": [],
+    },
+}
+
+
+@st.composite
+def _bulk_leaf(draw, name: str):
+    return {
+        "name": name,
+        "error": draw(_BULK_ERRORS),
+        "condition": draw(_BULK_CONDITIONS),
+        "attributes": draw(_BULK_TARGETS),
+    }
+
+
+@st.composite
+def bulk_plan_spec(draw):
+    """Bulk-path leaves at top level and as composite children, behind an
+    optional upstream duplicate or drop."""
+    polluters = [
+        _UPSTREAM[kind]
+        for kind in draw(st.lists(st.sampled_from(["dup", "drop"]), unique=True))
+    ]
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            polluters.append(draw(_bulk_leaf(f"b{i}")))
+            continue
+        n = draw(st.integers(min_value=1, max_value=3))
+        polluters.append(
+            {
+                "type": "composite",
+                "name": f"k{i}",
+                "mode": draw(st.sampled_from(["all", "first_match", "choose_one"])),
+                "condition": draw(
+                    st.sampled_from(
+                        [{"type": "always"}, {"type": "probability", "p": 0.7}]
+                    )
+                ),
+                "children": [draw(_bulk_leaf(f"k{i}c{j}")) for j in range(n)],
+            }
+        )
+    return {"name": "diff-bulk", "polluters": polluters}
+
+
+def _bulk_run(spec, seed, batch_size):
+    pipeline = pipeline_from_config(spec)
+    result = pollute(
+        _bulk_rows(180),
+        pipeline,
+        schema=BULK_SCHEMA,
+        seed=seed,
+        check="off",
+        batch_size=batch_size,
+    )
+    return _csv_bytes(result, BULK_SCHEMA), pipeline.snapshot_state()
+
+
+def _bulk_leaves_predicted(spec) -> bool:
+    from repro.check import build_factbase
+
+    base = build_factbase(pipeline_from_config(spec))
+    return all(
+        node.kernel.fired_path == "bulk"
+        for pf in base.polluters
+        for node in pf.kernels
+        if node.kernel.kind == "standard" and node.name not in _UPSTREAM
+    )
+
+
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(spec=bulk_plan_spec(), seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(
+    spec={
+        "name": "diff-bulk",
+        "polluters": [
+            _UPSTREAM["dup"],
+            {
+                "name": "scale",
+                "error": {"type": "scale", "factor": 1.8},
+                "condition": {"type": "probability", "p": 0.9},
+                "attributes": ["ratio", "value", "ratio"],
+            },
+            {
+                "type": "composite",
+                "name": "k",
+                "mode": "all",
+                "condition": {"type": "always"},
+                "children": [
+                    {
+                        "name": "round",
+                        "error": {"type": "round", "digits": -1},
+                        "condition": {"type": "always"},
+                        "attributes": ["count", "count"],
+                    },
+                    {
+                        "name": "nulls",
+                        "error": {"type": "set_null"},
+                        "condition": {"type": "every_nth", "n": 3, "offset": 1},
+                        "attributes": ["value", "count"],
+                    },
+                ],
+            },
+        ],
+    },
+    seed=7,
+)
+def test_bulk_fired_path_is_byte_identical(spec, seed):
+    """Every bulk-path error — INT and FLOAT targets, null and NaN cells,
+    multi-attribute and repeated targets, copies sharing a record ID —
+    matches batch_size=1 in records, log CSV and RNG/state snapshots at
+    every batch size, at top level and as a composite's child."""
+    assert _bulk_leaves_predicted(spec)
+    base, base_snap = _bulk_run(spec, seed, 1)
+    for batch_size in BATCH_SIZES[1:]:
+        got, got_snap = _bulk_run(spec, seed, batch_size)
+        assert got == base, f"batch_size={batch_size} diverged from batch_size=1"
+        assert got_snap == base_snap, (
+            f"batch_size={batch_size}: post-run RNG/state snapshots diverged"
+        )

@@ -59,7 +59,7 @@ def test_predicted_kernel_matches_compiled_kernel(spec):
                 f"{pf.location}: predicted standard, compiled "
                 f"{type(kernel).__name__}"
             )
-            assert kernel._gaussian == pf.kernel.gaussian
+            assert kernel._fired_path == pf.kernel.fired_path
         elif pf.kernel.kind == "composite":
             assert isinstance(kernel, CompositeKernel), (
                 f"{pf.location}: predicted composite, compiled "

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import bridge, protocol
+from repro.serve import bridge, jobs, protocol
 from repro.serve.jobs import Job, JobManager, _list_digest
 from repro.serve.server import ServeConfig
 from tests.serve.conftest import job_spec
@@ -215,33 +215,60 @@ class TestWakeUp:
         loop.close()
         bridge._waker(loop, event)()  # must not raise into the job thread
 
-    def test_a_stream_delivers_complete_within_a_second_of_finishing(self, make_harness):
+    def test_a_stream_delivers_complete_within_a_second_of_finishing(
+        self, make_harness, monkeypatch
+    ):
+        release = _hold_jobs_at_their_first_tick(monkeypatch)
         h = make_harness(ServeConfig(port=0, max_concurrent_jobs=1, status_interval=30))
         client = h.client()
         client.submit(job_spec(n_rows=20_000, seed=1))  # holds the only slot
         second = client.submit(job_spec(n_rows=300, seed=2))["job_id"]
         frames = []
-        for frame in client.stream(second):
-            frames.append((time.time(), frame))
+        try:
+            for frame in client.stream(second):
+                frames.append((time.time(), frame))
+                if frame["type"] == "status":
+                    release.set()  # the second job was seen queued
+        finally:
+            release.set()
         kinds = [f["type"] for _, f in frames]
         assert kinds[:2] == ["hello", "status"], kinds  # it did wait
         arrived, complete = frames[-1]
         assert complete["type"] == "complete" and complete["state"] == "completed"
         assert arrived - complete["finished"] < 1.0
 
-    def test_a_cancelled_queued_job_wakes_its_stream(self, make_harness):
+    def test_a_cancelled_queued_job_wakes_its_stream(self, make_harness, monkeypatch):
+        release = _hold_jobs_at_their_first_tick(monkeypatch)
         h = make_harness(ServeConfig(port=0, max_concurrent_jobs=1, status_interval=30))
         client = h.client()
-        client.submit(job_spec(n_rows=20_000, seed=1))
+        client.submit(job_spec(n_rows=20_000, seed=1))  # holds the only slot
         second = client.submit(job_spec(n_rows=5, seed=2))["job_id"]
-        stream = client.stream(second)
-        assert next(stream)["type"] == "hello"
-        assert next(stream)["type"] == "status"
-        cancelled = time.monotonic()
-        client.cancel(second)
-        frames = list(stream)
+        try:
+            stream = client.stream(second)
+            assert next(stream)["type"] == "hello"
+            assert next(stream)["type"] == "status"
+            cancelled = time.monotonic()
+            client.cancel(second)
+            frames = list(stream)
+        finally:
+            release.set()
         assert frames[-1]["state"] == "cancelled"
         assert time.monotonic() - cancelled < 1.0
+
+
+def _hold_jobs_at_their_first_tick(monkeypatch) -> threading.Event:
+    """Make a running job wait at its first progress tick until the returned
+    event is set, so a job that holds the only slot cannot finish before the
+    test has seen the next job queued, however fast pollution runs."""
+    release = threading.Event()
+    tick = jobs._JobProgress.tick
+
+    def holding_tick(self, records_seen):
+        tick(self, records_seen)
+        release.wait(timeout=30)
+
+    monkeypatch.setattr(jobs._JobProgress, "tick", holding_tick)
+    return release
 
 
 HOP_HISTOGRAMS = (
