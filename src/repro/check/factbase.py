@@ -474,10 +474,6 @@ def build_factbase(pipeline: PollutionPipeline) -> PlanFactBase:
         leaf.condition.analyzable and leaf.error.analyzable for leaf in facts.leaves
     )
     mergeable = sort_stable and not stateful and not stochastic and not opaque
-    history_linked = any(
-        leaf.condition.depends_on or leaf.tracked_as is not None
-        for leaf in facts.leaves
-    )
     return PlanFactBase(
         facts=facts,
         polluters=polluters,
@@ -486,7 +482,7 @@ def build_factbase(pipeline: PollutionPipeline) -> PlanFactBase:
         stateful=stateful,
         stochastic=stochastic,
         deterministically_mergeable=mergeable,
-        history_linked=history_linked,
+        history_linked=facts.history_linked,
     )
 
 

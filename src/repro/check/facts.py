@@ -661,6 +661,14 @@ class PlanFacts:
         mode = self.composites.get(ancestor)
         return mode in ("first_match", "choose_one")
 
+    @property
+    def history_linked(self) -> bool:
+        """Some leaf is tracked into, or conditioned on, an error history."""
+        return any(
+            leaf.condition.depends_on or leaf.tracked_as is not None
+            for leaf in self.leaves
+        )
+
 
 def _nearest_common_composite(path_a: str, path_b: str) -> str | None:
     """Longest shared ``.children[i]`` prefix under which the paths diverge."""

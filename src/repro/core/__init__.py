@@ -28,7 +28,7 @@ from repro.core.dependencies import (
     TrackedPolluter,
     track,
 )
-from repro.core.keyed_pollution import KeyedPollutionNode
+from repro.core.keyed_pollution import PollutionNode
 from repro.core.log import PollutionEvent, PollutionLog
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import Polluter, StandardPolluter
@@ -40,10 +40,10 @@ __all__ = [
     "CompositePolluter",
     "ErrorHistory",
     "FiredRecentlyCondition",
-    "KeyedPollutionNode",
     "Polluter",
     "PollutionEvent",
     "PollutionLog",
+    "PollutionNode",
     "PollutionPipeline",
     "PollutionResult",
     "StandardPolluter",

@@ -10,17 +10,19 @@ which :func:`repro.plan.compile_plan` turns into an engine choice.
 Every sequential run executes on the
 :class:`~repro.streaming.environment.StreamExecutionEnvironment`, the
 substrate a Flink deployment would provide: source -> prepare -> split ->
-one pollution process per sub-stream -> one collecting sink per sub-stream,
+one pollution node per sub-stream -> one collecting sink per sub-stream,
 followed by :func:`~repro.core.integrate.integrate` (union and timestamp
 sort, Algorithm 1 lines 10-11). A keyed plan differs only in its pollute
-stage, ``key_by -> pollute-keyed`` (one pipeline per key, see
-:mod:`repro.core.keyed_pollution`), whose one sink is sorted by timestamp;
-:func:`pollute_stage` builds that stage for this runner and for every
-parallel shard. Records move in slabs through compiled batch kernels (per
-record inside the keyed operator) with output byte-identical to moving
-them one at a time: 256 to a slab unless ``batch_size`` says otherwise,
-supervised runs included, and one-record slabs for ``batch_size=1`` (the
-planner resolves this into ``ExecutionPlan.batch_size``, see
+stage, ``key_by -> pollute-keyed``, whose one sink is sorted by timestamp.
+Both stages are built from the one
+:class:`~repro.core.keyed_pollution.PollutionNode` (one pipeline per key;
+an unkeyed sub-stream is the one-key case), which :func:`pollute_stage`
+builds for this runner and for every parallel shard. Records move in slabs
+through compiled batch kernels, each key's share of a slab through that
+key's kernels, with output byte-identical to moving them one at a time:
+256 to a slab unless ``batch_size`` says otherwise, supervised runs
+included, and one-record slabs for ``batch_size=1`` (the planner resolves
+this into ``ExecutionPlan.batch_size``, see
 :func:`repro.plan.compile_plan`; the engine is the same at every size).
 Supervision, checkpointing, metrics, profiling, the run ledger
 and live progress all attach to this one engine, keyed or not, so
@@ -37,7 +39,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.core.integrate import integrate, sort_by_timestamp
-from repro.core.keyed_pollution import KeyedPollutionNode
+from repro.core.keyed_pollution import PollutionNode
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
 from repro.core.prepare import IdGenerator, PrepareFunction
@@ -53,7 +55,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import Profiler
 from repro.streaming.checkpoint import Checkpoint, CheckpointStore
 from repro.streaming.environment import DataStream, StreamExecutionEnvironment
-from repro.streaming.operators import Collector, ProcessContext, ProcessFunction
 from repro.streaming.record import Record
 from repro.streaming.schema import Schema
 from repro.streaming.sink import CollectSink
@@ -251,8 +252,8 @@ def pollute(
         bulk RNG draws. ``None`` (default) lets the planner decide: 256,
         with or without a ``failure_policy``. ``1`` runs one-record slabs,
         each record dispatched through ``PollutionPipeline.apply`` — the
-        per-record oracle. The slab size never changes the engine. An
-        unkeyed plan linked through a shared error history (``track`` /
+        per-record oracle. The slab size never changes the engine. A plan
+        linked through a shared error history (``track`` /
         ``fired_recently``) runs per record whatever the batch size
         (decision ``history-linked-per-record``). Output — records,
         metadata, pollution-log CSV, checkpoints — is byte-identical to the
@@ -262,12 +263,11 @@ def pollute(
         whole slabs and, when one fails, rolls the slab
         back and replays it per-record so only the poison record is skipped,
         retried, or dead-lettered — never the surrounding ``batch_size - 1``
-        records; the keyed node rolls back only the keys the slab touched.
-        Keyed runs move slabs too, but the keyed node
-        dispatches each record to its key's pipeline (batch kernels do not
-        cross per-key pipeline instances); the planner records this as an
-        explicit ``keyed-batching-per-record`` decision, visible via
-        ``repro plan``.
+        records; the pollution node rolls back only the keys the slab
+        touched. Keyed runs group each slab by key and run every key's share
+        through that key's batch kernels (a one-record share through
+        ``PollutionPipeline.apply``), then splice the outputs back into
+        arrival order.
     max_shard_restarts:
         Parallel runtime only (ignored otherwise): in-run respawn budget per
         shard for crashed or hung workers. After the budget,
@@ -444,72 +444,6 @@ def _config_digest(body: dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class PollutionProcessFunction(ProcessFunction):
-    """A pollution pipeline as a streaming-engine process operator."""
-
-    def __init__(
-        self,
-        pipeline: PollutionPipeline,
-        log: PollutionLog | None,
-        profiler: Profiler | None = None,
-    ) -> None:
-        self._pipeline = pipeline
-        self._log = log
-        self._profiler = profiler
-        self._compiled = None
-        if profiler is not None:
-            profiler.register_pipeline(pipeline)
-
-    def process(self, record: Record, ctx: ProcessContext, out: Collector) -> None:
-        tau = record.event_time
-        if tau is None:
-            raise PollutionError("pollution operator received unprepared record")
-        for result in self._pipeline.apply(record, tau, self._log):
-            out.collect(result)
-
-    def process_batch(self, records: list[Record], ctx: ProcessContext, out: Collector) -> None:
-        """Batch-mode entry point: the chain compiled into fused kernels.
-
-        Compiled lazily on the first slab so the operator is constructed
-        before the environment decides the execution mode; kernels hold
-        references to the live polluter objects, so checkpoint restore
-        (which rewrites polluter state in place) needs no recompilation.
-        """
-        compiled = self._compiled
-        if compiled is None:
-            from repro.batch.kernels import compile_pipeline
-
-            compiled = self._compiled = compile_pipeline(
-                self._pipeline, profiler=self._profiler
-            )
-        taus: list[int] = []
-        for record in records:
-            tau = record.event_time
-            if tau is None:
-                raise PollutionError("pollution operator received unprepared record")
-            taus.append(tau)
-        out_records, _ = compiled.apply_batch(list(records), taus, self._log)
-        out.collect_batch(out_records)
-
-    def flush_metrics(self) -> None:
-        self._pipeline.flush_metrics()
-
-    def snapshot_state(self):
-        return self._pipeline.snapshot_state()
-
-    def restore_state(self, state) -> None:
-        self._pipeline.restore_state(state)
-
-    def slab_token(self):
-        # The pollution log is process-local and append-only; a rolled-back
-        # slab must truncate it to the cut or the per-record replay would
-        # record every pre-failure event twice.
-        return len(self._log.events) if self._log is not None else None
-
-    def slab_rollback(self, token) -> None:
-        del self._log.events[token:]
-
-
 def pollute_stage(
     stream: DataStream,
     plan: Any,
@@ -520,15 +454,16 @@ def pollute_stage(
 ) -> tuple[list[DataStream], list[Any]]:
     """Attach Algorithm 1's pollute stage to ``stream``.
 
+    Every pollute node is a :class:`~repro.core.keyed_pollution.PollutionNode`.
     A keyed plan runs ``key_by -> pollute-keyed``: one pipeline per key,
     built by the plan's factory. Any other plan runs ``split -> pollute[i]``:
-    each sub-stream through its pipeline, bound here to ``random_source``.
-    Both the sequential run and every parallel shard build the stage here.
-    Returns the polluted streams and their operators, whose
+    each sub-stream through its pipeline, bound here to ``random_source`` —
+    the one-key case. Both the sequential run and every parallel shard build
+    the stage here. Returns the polluted streams and their nodes, whose
     ``flush_metrics()`` the caller runs once the engine stops.
     """
     if plan.keyed:
-        node = KeyedPollutionNode(
+        node = PollutionNode(
             "pollute-keyed",
             plan.key_selector,
             plan.pipeline_factory,
@@ -538,18 +473,16 @@ def pollute_stage(
             profiler=profiler,
         )
         return [stream.transform(node)], [node]
-    operators = []
-    for pipeline in plan.pipelines:
+    branches = stream.split(plan.strategy, name="substreams")
+    nodes = []
+    for index, (branch, pipeline) in enumerate(zip(branches, plan.pipelines)):
         pipeline.bind(random_source)
         pipeline.reset()
         pipeline.bind_metrics(metrics)
-        operators.append(PollutionProcessFunction(pipeline, log, profiler=profiler))
-    branches = stream.split(plan.strategy, name="substreams")
-    polluted = [
-        branch.process(operator, name=f"pollute[{i}]")
-        for i, (branch, operator) in enumerate(zip(branches, operators))
-    ]
-    return polluted, operators
+        nodes.append(
+            PollutionNode(f"pollute[{index}]", log=log, profiler=profiler, pipeline=pipeline)
+        )
+    return [branch.transform(node) for branch, node in zip(branches, nodes)], nodes
 
 
 def _run_stream(

@@ -138,8 +138,9 @@ class Profiler:
         Walks the same prediction tree as
         :func:`repro.batch.kernels.compile_pipeline` (a composite's children
         included), so ``--profile`` names would-be fallback polluters even
-        in engines that never compile kernels (per-record streaming, keyed).
-        Idempotent per label.
+        in runs that never compile kernels (one-record slabs), and names a
+        keyed run's per-key kernels once, unscoped by key. Idempotent per
+        label.
         """
         from repro.batch.kernels import polluter_label
         from repro.check.factbase import kernel_tree

@@ -9,8 +9,8 @@ planner only swaps the pollute stage (``key-by -> pollute-keyed`` for
 ``substreams -> pollute[i]``) and records the ``keyed-*`` decisions. The
 slab size is resolved here too, once (:func:`_resolve_batch_size`), into
 the plan's ``batch_size``: a plan without a ``batch_size``, supervised or
-not, runs in slabs of :data:`DEFAULT_BATCH_SIZE`, and an unkeyed
-history-linked plan always runs in one-record slabs. The slab size never
+not, runs in slabs of :data:`DEFAULT_BATCH_SIZE`, and a history-linked
+plan, keyed or not, always runs in one-record slabs. The slab size never
 changes the engine. Each branch
 taken emits a :class:`~repro.plan.ir.PlanDecision` with a stable slug, so
 ``repro plan`` / ``repro check --explain`` can show *why* a run landed on
@@ -146,18 +146,18 @@ def _normalize_shape(request: PlanRequest) -> tuple[Any, Any, Any, Any]:
 
 
 def _resolve_batch_size(
-    request: PlanRequest, facts: tuple[Any, ...], keyed: bool
+    request: PlanRequest, facts: tuple[Any, ...]
 ) -> tuple[int, PlanDecision | None]:
     """The plan's slab size, plus the decision when the planner chose it.
 
     An explicit ``batch_size`` is kept as given (1 is the named per-record
     path). Without one, a plan runs in slabs of :data:`DEFAULT_BATCH_SIZE`,
     a supervised one too: a slab rollback restores only the keys the slab
-    touched. An unkeyed history-linked plan
-    (track / fired_recently) always runs per record: slab kernels run
-    polluter by polluter and split branches one after another, so a
-    shared :class:`~repro.core.dependencies.ErrorHistory` would fill in
-    another order than per record. Keyed slabs already dispatch per record.
+    touched. A history-linked plan
+    (track / fired_recently), keyed or not, always runs per record: slab
+    kernels run polluter by polluter and split branches one after another,
+    so a shared :class:`~repro.core.dependencies.ErrorHistory` would fill
+    in another order than per record.
     """
     if request.batch_size is not None:
         batch_size, decision = request.batch_size, None
@@ -168,9 +168,7 @@ def _resolve_batch_size(
             f"{DEFAULT_BATCH_SIZE}, byte-identical to per-record dispatch; "
             "batch_size=1 runs per record",
         )
-    if batch_size > 1 and not keyed and any(
-        base.history_linked for base in facts
-    ):
+    if batch_size > 1 and any(base.history_linked for base in facts):
         return 1, PlanDecision(
             "history-linked-per-record",
             f"polluters linked through a shared error history (track / "
@@ -180,15 +178,6 @@ def _resolve_batch_size(
             "another order than per record",
         )
     return batch_size, decision
-
-
-def _keyed_batching(batch_size: int) -> PlanDecision:
-    return PlanDecision(
-        "keyed-batching-per-record",
-        f"batch_size={batch_size} moves records in slabs, but the keyed "
-        "operator dispatches each record to its key's pipeline inside the "
-        "slab: batch kernels do not cross per-key pipeline instances",
-    )
 
 
 def _pollute_stages(
@@ -208,7 +197,7 @@ def _pollute_stages(
                 "pollute-keyed",
                 {
                     "factory": type(pipeline_factory).__name__,
-                    "dispatch": "per-record",
+                    "dispatch": "batch-kernels" if batched else "per-record",
                 },
             ),
         ]
@@ -305,15 +294,13 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
             )
         )
     facts = _facts_for(_fact_targets(pipelines, pipeline_factory))
-    batch_size, resolved = _resolve_batch_size(request, facts, keyed)
+    batch_size, resolved = _resolve_batch_size(request, facts)
     if resolved is not None:
         decisions.append(resolved)
     batched = batch_size > 1
     if batched:
         decisions.append(
-            _keyed_batching(batch_size)
-            if keyed
-            else PlanDecision(
+            PlanDecision(
                 "batch-kernels",
                 f"batch_size={batch_size} moves records in slabs and "
                 "executes the polluter chains as compiled batch kernels with "
@@ -331,8 +318,7 @@ def _compile_sequential(request: PlanRequest) -> ExecutionPlan:
                     "per-record dispatch",
                 )
             )
-        if not keyed:
-            _kernel_decisions(facts, decisions, context="the sequential engine")
+        _kernel_decisions(facts, decisions, context="the sequential engine")
 
     stages = [
         PlanStage("source", "input"),
@@ -448,7 +434,7 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
                 )
             )
 
-    batch_size, resolved = _resolve_batch_size(request, facts, keyed)
+    batch_size, resolved = _resolve_batch_size(request, facts)
     if resolved is not None:
         decisions.append(resolved)
     batched = batch_size > 1
@@ -461,10 +447,7 @@ def _compile_parallel(request: PlanRequest) -> ExecutionPlan:
                 "byte-identical with or without it",
             )
         )
-        if keyed:
-            decisions.append(_keyed_batching(batch_size))
-        else:
-            _kernel_decisions(facts, decisions, context="each shard worker")
+        _kernel_decisions(facts, decisions, context="each shard worker")
     if request.failure_policy is not None:
         decisions.append(
             PlanDecision(
@@ -561,9 +544,7 @@ def _compile_shard(request: PlanRequest) -> ExecutionPlan:
         )
     if batched:
         decisions.append(
-            _keyed_batching(task.batch_size)
-            if task.keyed
-            else PlanDecision(
+            PlanDecision(
                 "shard-batch-kernels",
                 f"batch_size={task.batch_size} moves this shard's records in "
                 "slabs through compiled batch kernels",

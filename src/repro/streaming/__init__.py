@@ -18,8 +18,9 @@ stream processor:
   and runs it in slabs of one or more records, with supervision and
   checkpointing (:mod:`repro.streaming.environment`).
 
-Per-key state lives in one operator, the keyed pollution node of
-:mod:`repro.core.keyed_pollution`, which runs one pollution pipeline per key.
+Per-key state lives in one operator, the pollution node of
+:mod:`repro.core.keyed_pollution`, which runs one pollution pipeline per key
+(an unkeyed sub-stream is its one-key case).
 
 The engine is push-based: sources emit records into a DAG of operator nodes;
 each node transforms records and forwards them downstream. Execution is

@@ -28,12 +28,14 @@ half-written when the worker died" from "checkpoint is fine" — crucial for
 the self-healing parallel runtime, which falls back to the previous snapshot
 when the newest one is torn. :meth:`CheckpointStore.save` writes through a
 temporary file and a rename, so a torn file is left only by a writer from
-before that, or by damage after the fact. Headerless files written by older
-releases are still read (without integrity verification). A file whose
-format version is not :data:`CHECKPOINT_FORMAT_VERSION` is refused with a
+before that, or by damage after the fact. A file without the marker is
+refused before any of it is unpickled. A file whose format version is not
+:data:`CHECKPOINT_FORMAT_VERSION` is refused with a
 :class:`~repro.errors.CheckpointError` naming both versions: version 2
-dropped the watermark-generator state and stores the keyed pollution node
-as ``{"pipelines": {repr(key): state}}``.
+dropped the watermark-generator state and stored the keyed pollution node
+as ``{"pipelines": {repr(key): state}}``; version 3 stores every pollution
+node, keyed or not, in that shape (an unkeyed sub-stream's pipeline under
+``repr(None)``).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.errors import CheckpointError
 
 CHECKPOINT_SUFFIX = ".ckpt"
 #: Bump when the Checkpoint layout changes incompatibly.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 #: Leading marker of digest-framed checkpoint files (8 bytes).
 CHECKPOINT_MAGIC = b"ICEWAFL\x01"
 _DIGEST_LEN = 64  # sha256 hexdigest, ascii
@@ -175,9 +177,9 @@ class CheckpointStore:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Load one checkpoint file, verifying its digest and format version.
 
-    Digest-framed files (the current format) are rejected with a
-    :class:`CheckpointError` naming the file when truncated or corrupted;
-    headerless legacy pickles are parsed without verification.
+    A file is rejected with a :class:`CheckpointError` naming it when it
+    lacks the header marker, is truncated, or fails its digest — all before
+    its payload is unpickled.
     """
     try:
         with open(path, "rb") as f:
@@ -189,21 +191,23 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"checkpoint {path} is truncated: {len(raw)} bytes, shorter than "
             f"its {len(CHECKPOINT_MAGIC)}-byte header marker"
         )
-    if raw.startswith(CHECKPOINT_MAGIC):
-        if len(raw) < _HEADER_LEN:
-            raise CheckpointError(
-                f"checkpoint {path} is truncated: missing integrity header"
-            )
-        expected = raw[len(CHECKPOINT_MAGIC) : _HEADER_LEN].decode("ascii", "replace")
-        payload = raw[_HEADER_LEN:]
-        actual = hashlib.sha256(payload).hexdigest()
-        if actual != expected:
-            raise CheckpointError(
-                f"checkpoint {path} failed integrity verification: "
-                f"SHA-256 digest mismatch (file is truncated or corrupted)"
-            )
-    else:
-        payload = raw  # legacy headerless pickle
+    if not raw.startswith(CHECKPOINT_MAGIC):
+        raise CheckpointError(
+            f"{path} is not a checkpoint file: it lacks the "
+            f"{CHECKPOINT_MAGIC!r} header marker"
+        )
+    if len(raw) < _HEADER_LEN:
+        raise CheckpointError(
+            f"checkpoint {path} is truncated: missing integrity header"
+        )
+    expected = raw[len(CHECKPOINT_MAGIC) : _HEADER_LEN].decode("ascii", "replace")
+    payload = raw[_HEADER_LEN:]
+    actual = hashlib.sha256(payload).hexdigest()
+    if actual != expected:
+        raise CheckpointError(
+            f"checkpoint {path} failed integrity verification: "
+            f"SHA-256 digest mismatch (file is truncated or corrupted)"
+        )
     try:
         checkpoint = pickle.loads(payload)
     except (pickle.UnpicklingError, EOFError, AttributeError, ValueError,

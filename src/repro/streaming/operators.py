@@ -91,11 +91,6 @@ class Collector:
     def collect(self, record: Record) -> None:
         self._emit(record)
 
-    def collect_batch(self, records: list[Record]) -> None:
-        """Emit a whole slab downstream (batch-mode process functions)."""
-        for record in records:
-            self._emit(record)
-
 
 class NodeCollector(Collector):
     """The collector a process node hands its function.
@@ -111,9 +106,6 @@ class NodeCollector(Collector):
 
     def collect(self, record: Record) -> None:
         self._node.emit(record)
-
-    def collect_batch(self, records: list[Record]) -> None:
-        self._node.emit_batch(records)
 
 
 class ProcessContext:
@@ -412,9 +404,6 @@ class ProcessNode(Node):
         self._fn = fn
         self._ctx = ProcessContext()
         self._collector = NodeCollector(self)
-        # Batch-capable process functions expose process_batch; everything
-        # else transparently iterates (the per-node fallback rule).
-        self._fn_process_batch = getattr(fn, "process_batch", None)
 
     def open(self) -> None:
         self._fn.open()
@@ -427,9 +416,6 @@ class ProcessNode(Node):
         self._fn.process(record, self._ctx, self._collector)
 
     def on_batch(self, records: list[Record]) -> None:
-        if self._fn_process_batch is not None:
-            self._fn_process_batch(records, self._ctx, self._collector)
-            return
         ctx = self._ctx
         process = self._fn.process
         collector = self._collector
@@ -455,13 +441,6 @@ class ProcessNode(Node):
         self._ctx.current_watermark = state["watermark"]
         if state["fn"] is not None:
             self._fn.restore_state(state["fn"])
-
-    def slab_token(self) -> Any | None:
-        fn_token = getattr(self._fn, "slab_token", None)
-        return fn_token() if fn_token is not None else None
-
-    def slab_rollback(self, token: Any) -> None:
-        self._fn.slab_rollback(token)
 
 
 class UnionNode(Node):

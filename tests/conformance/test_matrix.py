@@ -647,8 +647,8 @@ HISTORY_CELLS = [
     ("default", {}, 1),
     ("batch-7", {"batch_size": 7}, 1),
     ("stream", {"engine": "stream"}, 1),
-    ("keyed-default", {"key_by": "station"}, 256),
-    ("keyed-batch-7", {"key_by": "station", "batch_size": 7}, 7),
+    ("keyed-default", {"key_by": "station"}, 1),
+    ("keyed-batch-7", {"key_by": "station", "batch_size": 7}, 1),
 ]
 
 
@@ -657,8 +657,8 @@ HISTORY_CELLS = [
 )
 def test_history_linked_cells_match_per_record(cell_id, kwargs, size):
     """track/fired_recently plans with tied timestamps and cross-branch
-    dependencies give the per-record output in every cell: unkeyed plans
-    are planned per record, keyed slabs dispatch per record."""
+    dependencies give the per-record output in every cell: keyed or not,
+    they are planned per record."""
     key_by = kwargs.get("key_by")
 
     def run(**cell):

@@ -12,9 +12,11 @@ from repro.core.conditions import BurstCondition, EveryNthCondition, Probability
 from repro.core.dependencies import ErrorHistory, FiredRecentlyCondition, track
 from repro.core.errors import DuplicateTuple, GaussianNoise, SetToNull
 from repro.core.errors.base import ErrorFunction, ErrorOutput
-from repro.core.keyed_pollution import FreshPipelineFactory, KeyedPollutionNode
+from repro.core.keyed_pollution import FreshPipelineFactory, PollutionNode
+from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import StandardPolluter
+from repro.core.prepare import IdGenerator, PrepareFunction
 from repro.core.rng import RandomSource
 from repro.core.runner import pollute
 from repro.streaming.environment import StreamExecutionEnvironment
@@ -94,7 +96,7 @@ def test_per_key_pipelines_keep_separate_state(simple_schema):
         [StandardPolluter(SetToNull(), ["value"], EveryNthCondition(2), name="every-2nd")],
         name="p",
     )
-    node = KeyedPollutionNode(
+    node = PollutionNode(
         "keyed", lambda r: r["label"], FreshPipelineFactory(pipeline), RandomSource(1)
     )
     env = StreamExecutionEnvironment()
@@ -120,7 +122,9 @@ class _SlabSpy(Node):
 @pytest.mark.parametrize("batch_size", [1, 7])
 def test_a_slab_leaves_in_one_batch_in_per_record_order(batch_size):
     """Per record, every output is its own emit; per slab, the slab's whole
-    output leaves in one emit_batch, in the same order."""
+    output leaves in one emit_batch, in the same order: each key's share
+    runs through its own kernels, and the outputs are spliced back into
+    arrival order by the IDs prepare assigned."""
     rows = _rows([f"s{i % 3}" for i in range(14)])
     pipeline = PollutionPipeline(
         [
@@ -130,12 +134,14 @@ def test_a_slab_leaves_in_one_batch_in_per_record_order(batch_size):
         ],
         name="p",
     )
-    node = KeyedPollutionNode(
+    node = PollutionNode(
         "keyed", lambda r: r["station"], FreshPipelineFactory(pipeline), RandomSource(1)
     )
     spy = _SlabSpy()
     env = StreamExecutionEnvironment(batch_size=batch_size)
-    env.from_collection(SCHEMA, rows).transform(node).transform(spy)
+    env.from_collection(SCHEMA, rows).map(
+        PrepareFunction(SCHEMA, IdGenerator()), name="prepare"
+    ).transform(node).transform(spy)
     env.execute()
     flat = [ts for call in spy.calls for ts in call]
     # Every key duplicates its 1st and 4th record.
@@ -308,3 +314,89 @@ def test_history_linked_keys_run_supervised_slabs_without_rollback(monkeypatch):
     ]
     assert outputs[1] == outputs[0]
     assert restores == []
+
+
+def test_rollback_restores_the_pre_slab_state_of_a_key_the_slab_changed():
+    """A key seen before the slab whose counter and random streams move
+    inside it comes back to its pre-slab state, and the log to its cut."""
+    pipeline = PollutionPipeline(
+        [
+            StandardPolluter(SetToNull(), ["value"], EveryNthCondition(3), name="nth"),
+            StandardPolluter(
+                GaussianNoise(1.0), ["value"], ProbabilityCondition(0.5), name="noise"
+            ),
+        ],
+        name="p",
+    )
+    log = PollutionLog()
+    node = PollutionNode(
+        "keyed",
+        lambda r: r["station"],
+        FreshPipelineFactory(pipeline),
+        RandomSource(4),
+        log,
+    )
+    node.add_downstream(_SlabSpy())
+    records = [
+        Record(row, record_id=i, event_time=row["timestamp"])
+        for i, row in enumerate(_rows(["a", "b"] * 8))
+    ]
+    node.on_batch(records[:8])
+    before = node.snapshot_state()
+    _, cut = node.slab_snapshot()
+    node.on_batch(records[8:])
+    assert node.snapshot_state() != before
+    assert len(log.events) > cut
+    node.slab_rollback(cut)
+    assert node.snapshot_state() == before
+    assert len(log.events) == cut
+
+
+def test_history_links_a_factory_hides_keep_record_order():
+    """A custom factory hides its pipelines from the planner, so the plan
+    keeps its slabs; a key whose pipeline is linked through an error
+    history still runs its share of a slab record by record, as the
+    planner would have planned it. Pairs of a key's records share a
+    timestamp, so a lag-0 reader sees its twin's firing only in record
+    order."""
+
+    def factory(key):
+        history = ErrorHistory()
+        return PollutionPipeline(
+            [
+                track(
+                    StandardPolluter(
+                        GaussianNoise(1.0), ["value"], ProbabilityCondition(0.3), name="up"
+                    ),
+                    history,
+                ),
+                StandardPolluter(
+                    SetToNull(),
+                    ["value"],
+                    FiredRecentlyCondition(history, "up", Duration(60)),
+                    name="after-up",
+                ),
+            ],
+            name="per-key",
+        )
+
+    rows = [
+        {"value": float(i), "station": f"s{(i // 2) % 3}", "timestamp": 1_000_000 + 60 * (i // 2)}
+        for i in range(120)
+    ]
+    oracle, slabs = [
+        _outputs(
+            pollute(
+                rows,
+                pipeline_factory=factory,
+                schema=SCHEMA,
+                seed=21,
+                key_by="station",
+                check="off",
+                **kwargs,
+            )
+        )
+        for kwargs in ({"batch_size": 1}, {})
+    ]
+    assert "after-up" in oracle[1], "no dependent polluter fired; the test tests nothing"
+    assert slabs == oracle

@@ -3,7 +3,9 @@
 Each plan/schema pair in ``examples/configs/manifest.json`` is run against a
 deterministic synthetic stream (seed-pinned) in three modes — sequential
 (per record, batch 1), batched (batch 64), and parallel (2 shards, the
-default slab size) — and the SHA-256 digest of the
+default slab size) — plus, for a schema with a key attribute (the one
+:func:`repro.plan.snapshots._key_attribute` picks), a ``keyed`` mode
+(``key_by`` that attribute, the default slab size); the SHA-256 digest of the
 serialized output (records CSV with metadata + pollution-log CSV) is
 compared against ``tests/golden/digests.json``. Any unintended drift in
 pollution semantics, RNG stream layout, serialization, merge order, or the
@@ -30,6 +32,7 @@ import pytest
 from repro.cli import schema_from_config
 from repro.core.config import pipeline_from_config
 from repro.core.runner import pollute
+from repro.plan.snapshots import _key_attribute
 from repro.streaming.sink import CsvSink
 
 CONFIG_DIR = Path(__file__).resolve().parents[2] / "examples" / "configs"
@@ -72,17 +75,18 @@ def _make_rows(schema_cfg: dict, n: int = N_ROWS) -> list[dict]:
     return rows
 
 
-def _digest(config_name: str, schema_name: str, mode: str) -> str:
+def _digest(config_name: str, schema_name: str, mode: str, **kwargs) -> str:
     schema_cfg = json.loads((CONFIG_DIR / schema_name).read_text())
     schema = schema_from_config(schema_cfg)
     pipeline = pipeline_from_config(json.loads((CONFIG_DIR / config_name).read_text()))
-    kwargs: dict = {}
     if mode == "sequential":
         kwargs["batch_size"] = 1  # the per-record path; slabs are the default
     elif mode == "batched":
         kwargs["batch_size"] = BATCH
     elif mode == "parallel2":
         kwargs["parallelism"] = 2
+    elif mode == KEYED:
+        kwargs["key_by"] = _key_attribute(schema)
     result = pollute(
         _make_rows(schema_cfg),
         pipeline,
@@ -104,6 +108,17 @@ def _digest(config_name: str, schema_name: str, mode: str) -> str:
 
 
 MODES = ("sequential", "batched", "parallel2")
+KEYED = "keyed"
+KEYED_PAIRS = [
+    (config, schema)
+    for config, schema in PAIRS
+    if _key_attribute(schema_from_config(json.loads((CONFIG_DIR / schema).read_text())))
+]
+
+
+def _modes(config_name: str) -> list[str]:
+    keyed = any(config == config_name for config, _ in KEYED_PAIRS)
+    return [*MODES, KEYED] if keyed else list(MODES)
 
 
 @pytest.fixture(scope="module")
@@ -136,17 +151,31 @@ def test_batched_digest_equals_sequential(config_name, schema_name, pinned):
     )
 
 
+@pytest.mark.parametrize("config_name,schema_name", KEYED_PAIRS)
+def test_keyed_digest_is_pinned(config_name, schema_name, pinned):
+    digest = _digest(config_name, schema_name, KEYED)
+    expected = pinned[config_name][KEYED]
+    assert digest == expected, (
+        f"{config_name} [{KEYED}]: output drifted from the golden digest.\n"
+        f"  expected {expected}\n  got      {digest}\n"
+        "If this change is intended, regenerate tests/golden/digests.json."
+    )
+    # Keyed slabs are byte-identical to the keyed per-record path.
+    assert _digest(config_name, schema_name, KEYED, batch_size=1) == expected
+
+
 def test_every_manifest_pair_is_pinned(pinned):
+    assert KEYED_PAIRS, "no manifest schema has a key attribute"
     assert sorted(pinned) == sorted(c for c, _ in PAIRS)
     for config_name in pinned:
-        assert sorted(pinned[config_name]) == sorted(MODES)
+        assert sorted(pinned[config_name]) == sorted(_modes(config_name))
 
 
 if __name__ == "__main__":
     print(
         json.dumps(
             {
-                config: {mode: _digest(config, schema, mode) for mode in MODES}
+                config: {mode: _digest(config, schema, mode) for mode in _modes(config)}
                 for config, schema in PAIRS
             },
             indent=2,

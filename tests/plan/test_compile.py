@@ -182,13 +182,13 @@ def test_history_linked_plans_run_per_record(fields, batch_size, slug):
     assert shard_stage.params["engine"] == ENGINE_SHARD_STREAM
 
 
-def test_keyed_history_linked_plans_keep_slabs():
-    """Keyed slabs dispatch per record inside each slab, so a keyed
-    history-linked plan keeps the default slab size."""
+def test_keyed_history_linked_plans_run_per_record():
+    """Keyed slabs run each key's share through batch kernels, polluter by
+    polluter, so a keyed history-linked plan runs per record too."""
     pipeline = _history_linked_pipelines()[1]
     plan = compile_plan(_request(pipelines=pipeline, key_by="station"))
-    assert (plan.engine, plan.batch_size) == (ENGINE_STREAM, DEFAULT_BATCH_SIZE)
-    assert "history-linked-per-record" not in plan.decision_slugs
+    assert (plan.engine, plan.batch_size) == (ENGINE_STREAM, 1)
+    assert "history-linked-per-record" in plan.decision_slugs
 
 
 def test_batching_selects_the_batch_engine():
@@ -334,21 +334,25 @@ def test_keyed_compiles_to_the_stream_engine():
     assert "substreams" not in names
 
 
-def test_keyed_batching_stays_per_record():
-    """A keyed plan moves slabs on the batched engine but dispatches per
-    record, so no batch-kernel decision may appear on it."""
+def test_keyed_batching_runs_the_batch_kernels():
+    """A keyed plan in slabs runs each key's share of a slab through that
+    key's batch kernels: the same decisions as an unkeyed plan."""
     plan = compile_plan(_request(key_by="station", batch_size=256))
     assert (plan.engine, plan.batched) == (ENGINE_STREAM, True)
-    assert plan.decision_slugs == ("keyed-sequential", "keyed-batching-per-record")
+    assert plan.decision_slugs == (
+        "keyed-sequential",
+        "batch-kernels",
+        "batch-kernels-vectorized",
+    )
     pollute = next(s for s in plan.stages if s.kind == "pollute")
-    assert pollute.params["dispatch"] == "per-record"
+    assert pollute.params["dispatch"] == "batch-kernels"
 
 
-def test_parallel_keyed_batching_has_no_kernel_decisions():
+def test_parallel_keyed_batching_gets_the_kernel_decisions():
     plan = compile_plan(_request(parallelism=2, key_by="station", batch_size=64))
     slugs = plan.decision_slugs
-    assert "keyed-batching-per-record" in slugs
-    assert not any(slug.startswith("batch-kernels") for slug in slugs)
+    assert "keyed-batching-per-record" not in slugs
+    assert "batch-kernels-vectorized" in slugs
     shard = next(s for s in plan.stages if s.kind == "shard")
     assert (shard.params["engine"], shard.params["batch_size"]) == (
         ENGINE_SHARD_STREAM,
@@ -456,7 +460,7 @@ def test_shard_keyed_engine(batch_size):
     assert (plan.engine, plan.batch_size) == (ENGINE_SHARD_STREAM, batch_size)
     assert plan.keyed
     assert "keyed-shard-base-seed" in plan.decision_slugs
-    assert "shard-batch-kernels" not in plan.decision_slugs
+    assert ("shard-batch-kernels" in plan.decision_slugs) == (batch_size > 1)
     assert [s.name for s in plan.stages][1:3] == ["key-by", "pollute-keyed"]
 
 

@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import glob
 import io
+import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import pipeline_from_config
+from repro.core.keyed_pollution import FreshPipelineFactory
 from repro.core.runner import pollute
 from repro.streaming.schema import Attribute, DataType, Schema
 from repro.streaming.sink import CsvSink
@@ -767,4 +770,120 @@ def test_bulk_fired_path_is_byte_identical(spec, seed):
         assert got == base, f"batch_size={batch_size} diverged from batch_size=1"
         assert got_snap == base_snap, (
             f"batch_size={batch_size}: post-run RNG/state snapshots diverged"
+        )
+
+
+# -- keyed slabs through the batch kernels ------------------------------------
+
+
+class _RecordingFactory(FreshPipelineFactory):
+    """Clones the template per key and keeps every clone, so the test can
+    read each key's post-run RNG/state snapshot."""
+
+    def __init__(self, template) -> None:
+        super().__init__(template)
+        self.built: dict = {}
+
+    def __call__(self, key):
+        pipeline = self.built[key] = super().__call__(key)
+        return pipeline
+
+
+def _keyed_run(spec, seed, keys, batch_size, n=150):
+    rows = [{**row, "station": f"station-{i % keys}"} for i, row in enumerate(_rows(n))]
+    factory = _RecordingFactory(pipeline_from_config(spec))
+    # Checkpoints hold the collected output in the order the pollution node
+    # emitted it, so a slab spliced back in key order instead of arrival
+    # order shows in their bytes; the final sort by timestamp and record ID
+    # hides it from the records CSV.
+    with tempfile.TemporaryDirectory() as directory:
+        result = pollute(
+            rows,
+            schema=SCHEMA,
+            seed=seed,
+            key_by="station",
+            pipeline_factory=factory,
+            batch_size=batch_size,
+            checkpoint_dir=directory,
+            checkpoint_interval=50,
+            check="off",
+        )
+        checkpoints = [path.read_bytes() for path in sorted(Path(directory).iterdir())]
+    snapshots = [(repr(key), p.snapshot_state()) for key, p in factory.built.items()]
+    return (*_csv_bytes(result), checkpoints), snapshots
+
+
+#: A polluter that rewrites the key attribute mid-slab (random_temporal.json's
+#: wrong-station): later records of the slab still group by the key they
+#: arrived with, as per-record dispatch selects it.
+_REKEY = {
+    "name": "wrong-station",
+    "error": {"type": "incorrect_category", "domain": ["station-0", "station-1", "station-9"]},
+    "condition": {"type": "probability", "p": 0.3},
+    "attributes": ["station"],
+}
+_STATEFUL = [
+    {
+        "name": "drift",
+        "error": {"type": "cumulative_drift", "step": 0.5},
+        "condition": {"type": "every_nth", "n": 2, "offset": 1},
+        "attributes": ["value"],
+    },
+    {
+        "name": "frozen",
+        "error": {"type": "frozen_value"},
+        "condition": {"type": "burst", "p_enter": 0.2, "p_exit": 0.3,
+                      "p_error_good": 0.1, "p_error_bad": 0.9},
+        "attributes": ["value"],
+    },
+]
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    spec=plan_spec(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    keys=st.sampled_from([1, 3, 40, 150]),
+)
+# A key-rewriting polluter ahead of stateful ones, on 3 keys.
+@example(
+    spec={"name": "diff-keyed", "polluters": [_REKEY, *_STATEFUL, _leaf("n", _NOISE, 0.5)]},
+    seed=1,
+    keys=3,
+)
+# More keys than slab rows: every group is one record.
+@example(
+    spec={"name": "diff-keyed", "polluters": [
+        _leaf("u", _DUP, 0.3, ()), *_STATEFUL, _leaf("d", _DROP, 0.2, ()),
+    ]},
+    seed=2,
+    keys=150,
+)
+# Composites with drop and duplicate children behind a stateful gate.
+@example(
+    spec={"name": "diff-keyed", "polluters": [
+        {**_composite("all", [_leaf("u", _DUP, 0.4, ()), _leaf("n", _NOISE, 0.5)])[
+            "polluters"][0], "condition": {"type": "every_nth", "n": 2, "offset": 1}},
+        _composite("first_match", [_leaf("d", _DROP, 0.2, ()), _REKEY], name="k1")[
+            "polluters"][0],
+    ]},
+    seed=3,
+    keys=3,
+)
+def test_keyed_slabs_are_byte_identical(spec, seed, keys):
+    """A keyed run in slabs — each key's group through that key's batch
+    kernels, a one-record group through its pipeline, the outputs spliced
+    back in arrival order — matches batch_size=1 in records, log CSV,
+    checkpoint files and every key's post-run RNG/state snapshot, at every
+    batch size."""
+    base, base_snap = _keyed_run(spec, seed, keys, 1)
+    for batch_size in BATCH_SIZES[1:]:
+        got, got_snap = _keyed_run(spec, seed, keys, batch_size)
+        assert got == base, f"keyed batch_size={batch_size} diverged from batch_size=1"
+        assert got_snap == base_snap, (
+            f"keyed batch_size={batch_size}: post-run RNG/state snapshots diverged"
         )

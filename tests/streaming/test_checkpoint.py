@@ -1,11 +1,14 @@
 """Checkpoint/restore: stores, snapshots, and resumed execution."""
 
+import hashlib
 import pickle
 
 import pytest
 
 from repro.errors import CheckpointError
 from repro.streaming.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    CHECKPOINT_MAGIC,
     Checkpoint,
     CheckpointConfig,
     CheckpointStore,
@@ -14,6 +17,20 @@ from repro.streaming.checkpoint import (
 from repro.streaming.environment import StreamExecutionEnvironment
 from repro.streaming.operators import ProcessFunction
 from repro.streaming.sink import CollectSink
+
+
+UNPICKLED_CALLS: list[str] = []
+
+
+def _record_call(name: str) -> None:
+    UNPICKLED_CALLS.append(name)
+
+
+class _RecordsACall:
+    """Unpickling this object calls :func:`_record_call`."""
+
+    def __reduce__(self):
+        return _record_call, ("unpickled",)
 
 
 class RunningSum(ProcessFunction):
@@ -66,9 +83,13 @@ class TestCheckpointStore:
         assert store.load_latest().offset == 4
 
     def test_load_rejects_non_checkpoint(self, tmp_path):
+        # Framed with a valid header, so the load reaches the type check.
+        payload = pickle.dumps({"not": "a checkpoint"})
         bogus = tmp_path / "bogus.ckpt"
-        bogus.write_bytes(pickle.dumps({"not": "a checkpoint"}))
-        with pytest.raises(CheckpointError):
+        bogus.write_bytes(
+            CHECKPOINT_MAGIC + hashlib.sha256(payload).hexdigest().encode() + payload
+        )
+        with pytest.raises(CheckpointError, match="does not contain a Checkpoint"):
             load_checkpoint(bogus)
 
     def test_interval_validation(self):
@@ -127,13 +148,16 @@ class TestCheckpointIntegrity:
             load_checkpoint(path)
         assert path.name in str(exc.value)
 
-    def test_legacy_headerless_checkpoint_still_loads(self, tmp_path):
-        # Pre-digest stores wrote the bare pickle; they must keep loading
-        # (unverified) so old checkpoint directories stay resumable.
-        ck = Checkpoint(0, 7, 7, None, {"n": 7})
-        legacy = tmp_path / "chk-000007.ckpt"
-        legacy.write_bytes(pickle.dumps(ck, protocol=pickle.HIGHEST_PROTOCOL))
-        assert load_checkpoint(legacy).offset == 7
+    def test_headerless_pickle_is_refused_before_unpickling(self, tmp_path):
+        # A bare pickle (no header marker) is never unpickled: the call its
+        # __reduce__ asks for must not run.
+        UNPICKLED_CALLS.clear()
+        headerless = tmp_path / "chk-000007.ckpt"
+        headerless.write_bytes(pickle.dumps(_RecordsACall(), protocol=pickle.HIGHEST_PROTOCOL))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(headerless)
+        assert UNPICKLED_CALLS == []
+        assert headerless.name in str(exc.value)
 
     def test_version_1_checkpoint_is_refused_naming_both_versions(self, tmp_path):
         # Version 2 changed the keyed pollution node's state layout and
@@ -144,7 +168,19 @@ class TestCheckpointIntegrity:
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         message = str(exc.value)
-        assert "format version 1" in message and "version 2" in message
+        assert "format version 1" in message
+        assert f"version {CHECKPOINT_FORMAT_VERSION}" in message
+        assert path.name in message
+
+    def test_version_2_checkpoint_is_refused_naming_both_versions(self, tmp_path):
+        # Version 3 stores every pollution node as {"pipelines": ...}; a
+        # version-2 file holds unkeyed pollute[i] state in the old shape.
+        store = CheckpointStore(tmp_path)
+        path = store.save(Checkpoint(0, 5, 5, None, {}, version=2)).path
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        message = str(exc.value)
+        assert "format version 2" in message and "version 3" in message
         assert path.name in message
 
     def test_latest_valid_skips_corrupted_newest(self, tmp_path):

@@ -9,7 +9,7 @@ streaming shard sinks) against the per-record path, and that a run without
 a ``batch_size``, supervised or not, moves slabs while a bare
 :class:`StreamExecutionEnvironment` still dispatches per record. A
 one-record slab is the per-record oracle: it never reaches the batch path
-(``on_batch``, ``process_batch``, the batch kernels).
+(``on_batch``, the batch kernels).
 """
 
 from __future__ import annotations
@@ -27,11 +27,12 @@ from repro.core.errors import GaussianNoise, SetToNull
 from repro.core.errors.base import ErrorFunction, ErrorOutput
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import StandardPolluter
-from repro.core.runner import PollutionProcessFunction, pollute
+from repro.core.keyed_pollution import PollutionNode
+from repro.core.runner import pollute
 from repro.obs.ledger import RunLedger
 from repro.parallel.shard import ShardOutputSink
 from repro.streaming.environment import StreamExecutionEnvironment
-from repro.streaming.operators import Node, ProcessFunction
+from repro.streaming.operators import Node
 from repro.streaming.record import Record
 from repro.streaming.schema import Attribute, DataType, Schema
 from repro.streaming.sink import CollectSink, CsvSink
@@ -296,21 +297,23 @@ def test_streaming_shard_sink_sends_only_at_slab_cuts():
     assert [r["timestamp"] for _, chunk, _ in sent for r in chunk] == [0, 1, 2]
 
 
-class _Recorder(ProcessFunction):
+class _Recorder(Node):
     def __init__(self) -> None:
+        super().__init__("recorder")
         self.slabs: list[int] = []
         self.watermarks = 0
 
-    def process(self, record, ctx, out) -> None:
+    def on_record(self, record) -> None:
         self.slabs.append(1)
-        out.collect(record)
+        self.emit(record)
 
-    def process_batch(self, records, ctx, out) -> None:
+    def on_batch(self, records) -> None:
         self.slabs.append(len(records))
-        out.collect_batch(records)
+        self.emit_batch(records)
 
-    def on_watermark(self, watermark, out) -> None:
+    def on_watermark(self, watermark) -> None:
         self.watermarks += 1
+        self.emit_watermark(watermark)
 
 
 def test_bare_environment_stays_per_record():
@@ -319,7 +322,7 @@ def test_bare_environment_stays_per_record():
     one watermark at a time."""
     env = StreamExecutionEnvironment()
     recorder = _Recorder()
-    env.from_collection(SCHEMA, ROWS[:10]).process(recorder).add_sink(CollectSink())
+    env.from_collection(SCHEMA, ROWS[:10]).transform(recorder).add_sink(CollectSink())
     env.execute()
     assert recorder.slabs == [1] * 10
     assert recorder.watermarks == 11  # one per record, plus the final max
@@ -370,7 +373,7 @@ def test_unsupervised_default_moves_slabs(key_by):
 @pytest.fixture
 def slab_calls(monkeypatch, tmp_path):
     """Record every batch-path call (kernel compilation, a pollution
-    operator's ``process_batch``, any slab emit) and every per-record
+    node's ``on_batch``, any slab emit) and every per-record
     ``CompositePolluter.apply`` in a file, so forked shard workers report
     theirs too; returns a reader for the recorded names."""
     trace = tmp_path / "slab-calls.txt"
@@ -385,7 +388,7 @@ def slab_calls(monkeypatch, tmp_path):
 
     for owner, name in (
         (kernels, "compile_pipeline"),
-        (PollutionProcessFunction, "process_batch"),
+        (PollutionNode, "on_batch"),
         (Node, "emit_batch"),
         (CompositePolluter, "apply"),
     ):
@@ -470,11 +473,37 @@ def test_default_slabs_compile_the_kernels(slab_calls):
     pollute(ROWS, _poison_pipeline(-1), schema=SCHEMA, seed=17, check="off")
     calls = slab_calls()
     assert calls.count("compile_pipeline") == 1
-    assert calls.count("process_batch") == 2  # slabs of 256 and 44
+    assert calls.count("on_batch") == 2  # slabs of 256 and 44
 
 
 def test_default_slabs_run_composites_as_kernels(slab_calls):
     pollute(ROWS, _composite_pipeline(), schema=SCHEMA, seed=17, check="off")
     calls = slab_calls()
-    assert calls.count("process_batch") == 2
+    assert calls.count("on_batch") == 2
     assert "apply" not in calls  # CompositePolluter.apply is the per-record path
+
+
+def test_default_keyed_slabs_compile_the_kernels_once_per_key(slab_calls):
+    """Each station's share of both slabs runs through that station's
+    kernels, compiled the first time the key has a share of two or more."""
+    pollute(
+        ROWS, _poison_pipeline(-1), schema=SCHEMA, seed=17, key_by="station", check="off"
+    )
+    calls = slab_calls()
+    assert calls.count("compile_pipeline") == 3  # s0, s1, s2
+    assert calls.count("on_batch") == 2  # slabs of 256 and 44
+
+
+def test_keyed_one_record_slabs_compile_no_kernels(slab_calls):
+    pollute(
+        ROWS,
+        _poison_pipeline(-1),
+        schema=SCHEMA,
+        seed=17,
+        key_by="station",
+        batch_size=1,
+        check="off",
+    )
+    calls = slab_calls()
+    assert "compile_pipeline" not in calls
+    assert "on_batch" not in calls
