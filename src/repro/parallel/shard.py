@@ -526,12 +526,7 @@ def _execute_shard_plan(
     polluted, operators = pollute_stage(
         stream, plan, rng, log, metrics if task.metered else None, profiler
     )
-    merged = (
-        polluted[0].union(*polluted[1:], name="integrate")
-        if len(polluted) > 1
-        else polluted[0]
-    )
-    merged.add_sink(sink, name="shard-output")
+    env.add_sink(polluted, sink, name="shard-output")
 
     if profiler is not None:
         with profiler.phase("execute"):

@@ -584,8 +584,6 @@ def _compile_shard(request: PlanRequest) -> ExecutionPlan:
         task.pipeline_factory,
         batched,
     )
-    if not task.keyed and len(task.pipelines or []) > 1:
-        stages.append(PlanStage("integrate", "integrate", {"kind": "union"}))
     stages.append(
         PlanStage(
             "sink",

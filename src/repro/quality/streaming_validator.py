@@ -3,28 +3,28 @@
 The batch tool (:class:`~repro.quality.suite.ExpectationSuite`) validates a
 finished snapshot; a stream consumer wants per-window verdicts as the
 stream flows — Fig. 4's "errors per hour" is exactly a suite validated over
-tumbling one-hour windows. :class:`StreamingValidator` is a process
-function that buffers records per tumbling event-time window, validates the
-suite when the watermark closes a window, and emits one
-:class:`WindowReport` per window. Late records are validated into a
-follow-up report rather than dropped (delayed tuples are, after all, the
-error type under study).
+tumbling one-hour windows. :class:`StreamingValidator` is a sink that
+buffers records per tumbling event-time window and tracks the largest event
+time it has seen. When a record advances that time, every window whose last
+second it has reached is validated, oldest first, into one
+:class:`WindowReport`; ``close()`` validates the windows still open at end
+of stream. Late records are validated into a follow-up report rather than
+dropped (delayed tuples are, after all, the error type under study).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.errors import ExpectationError
 from repro.quality.dataset import ValidationDataset
 from repro.quality.suite import ExpectationSuite, ValidationReport
 from repro.streaming.environment import StreamExecutionEnvironment
-from repro.streaming.operators import Collector, ProcessContext, ProcessFunction
 from repro.streaming.record import Record
 from repro.streaming.schema import Schema
+from repro.streaming.sink import Sink
 from repro.streaming.time import Duration
-from repro.streaming.watermarks import Watermark
 from repro.streaming.windows import TimeWindow, TumblingEventTimeWindows
 
 
@@ -41,7 +41,7 @@ class WindowReport:
         return self.report.result_for(expectation).unexpected_count
 
 
-class StreamingValidator(ProcessFunction):
+class StreamingValidator(Sink):
     """Validates an expectation suite per tumbling event-time window."""
 
     def __init__(
@@ -57,49 +57,38 @@ class StreamingValidator(ProcessFunction):
         self._assigner = TumblingEventTimeWindows(window_size)
         self._buffers: dict[TimeWindow, list[Record]] = {}
         self._fired: set[TimeWindow] = set()
-        self._watermark = Watermark.min().timestamp
+        self._max_event_time: int | None = None
         self.reports: list[WindowReport] = []
 
-    def process(self, record: Record, ctx: ProcessContext, out: Collector) -> None:
-        if record.event_time is None:
+    def invoke(self, record: Record) -> None:
+        event_time = record.event_time
+        if event_time is None:
             raise ExpectationError("streaming validation needs event-time records")
-        [window] = self._assigner.assign(record.event_time)
+        window = self._assigner.assign(event_time)
         self._buffers.setdefault(window, []).append(record)
+        if self._max_event_time is None or event_time > self._max_event_time:
+            self._max_event_time = event_time
+            self._fire(w for w in self._buffers if w.end - 1 <= event_time)
 
-    def on_watermark(self, watermark: Watermark, out: Collector) -> None:
-        self._watermark = watermark.timestamp
-        ready = sorted(
-            w for w in self._buffers if w.end - 1 <= watermark.timestamp
-        )
-        for window in ready:
+    def close(self) -> None:
+        self._fire(self._buffers)
+
+    def _fire(self, windows: Iterable[TimeWindow]) -> None:
+        for window in sorted(windows):
             records = self._buffers.pop(window)
             dataset = ValidationDataset(records, self._schema)
-            report = WindowReport(
-                window=window,
-                report=self._suite.validate(dataset),
-                n_records=len(records),
-                is_late_update=window in self._fired,
+            self.reports.append(
+                WindowReport(
+                    window=window,
+                    report=self._suite.validate(dataset),
+                    n_records=len(records),
+                    is_late_update=window in self._fired,
+                )
             )
             self._fired.add(window)
-            self.reports.append(report)
-            out.collect(_report_record(report))
 
     def failing_windows(self) -> list[WindowReport]:
         return [r for r in self.reports if not r.report.success]
-
-
-def _report_record(report: WindowReport) -> Record:
-    rec = Record(
-        {
-            "window_start": report.window.start,
-            "window_end": report.window.end,
-            "records": report.n_records,
-            "unexpected": report.report.total_unexpected,
-            "success": report.report.success,
-        }
-    )
-    rec.event_time = report.window.start
-    return rec
 
 
 def validate_stream(
@@ -111,10 +100,8 @@ def validate_stream(
     """Convenience driver: run a stream through a validator, return reports."""
     validator = StreamingValidator(suite, schema, window_size)
     env = StreamExecutionEnvironment()
-    from repro.streaming.sink import NullSink
-
-    env.from_collection(schema, records, validate=False).process(
+    env.from_collection(schema, records, validate=False).add_sink(
         validator, name="dq-validate"
-    ).add_sink(NullSink())
+    )
     env.execute()
     return validator.reports

@@ -6,15 +6,15 @@ stream processor:
 
 * a typed record/schema data model (:mod:`repro.streaming.record`,
   :mod:`repro.streaming.schema`),
-* event-time handling and watermarks (:mod:`repro.streaming.time`,
-  :mod:`repro.streaming.watermarks`),
+* event time (:mod:`repro.streaming.time`): each record carries its
+  timestamp as ``event_time``, set by the source drain,
 * sources and sinks (:mod:`repro.streaming.source`, :mod:`repro.streaming.sink`),
-* push-based operators, stateless or checkpointable
+* the dataflow node model with its map and sink nodes
   (:mod:`repro.streaming.operators`), and tumbling event-time windows
   (:mod:`repro.streaming.windows`),
-* stream splitting/union for integration scenarios
-  (:mod:`repro.streaming.split`), and
-* a fluent execution environment that wires operators into a dataflow graph
+* stream splitting for integration scenarios (:mod:`repro.streaming.split`);
+  the polluted sub-streams meet again in one fan-in sink, and
+* a fluent execution environment that wires nodes into a dataflow graph
   and runs it in slabs of one or more records, with supervision and
   checkpointing (:mod:`repro.streaming.environment`).
 
@@ -62,7 +62,6 @@ from repro.streaming.time import (
     hours_between,
     parse_timestamp,
 )
-from repro.streaming.watermarks import Watermark
 
 __all__ = [
     "Attribute",
@@ -96,7 +95,6 @@ __all__ = [
     "SKIP",
     "Schema",
     "StreamExecutionEnvironment",
-    "Watermark",
     "load_checkpoint",
     "format_timestamp",
     "hour_of_day",

@@ -7,12 +7,10 @@ pollution pipelines, stateful error-function memory and RNG streams, sink
 contents — fully describes the run so far. The snapshot records:
 
 * **source position** — which source is being drained and how many of its
-  records have been consumed (earlier sources are complete, including their
-  end-of-stream watermark, and live on only through operator/sink state);
+  records have been consumed (earlier sources are complete and live on only
+  through operator/sink state);
 * **node state** — ``snapshot_state()`` of every node that has any, keyed by
-  node name (topologies are rebuilt deterministically, so names line up);
-* **watermark bookkeeping** — the current source's watermark, the largest
-  event time it has produced.
+  node name (topologies are rebuilt deterministically, so names line up).
 
 ``StreamExecutionEnvironment.execute(resume_from=...)`` rebuilds the run
 from such a snapshot: node state is restored by name, already-drained
@@ -35,12 +33,17 @@ refused before any of it is unpickled. A file whose format version is not
 dropped the watermark-generator state and stored the keyed pollution node
 as ``{"pipelines": {repr(key): state}}``; version 3 stores every pollution
 node, keyed or not, in that shape (an unkeyed sub-stream's pipeline under
-``repr(None)``).
+``repr(None)``). Version 3 files from before the engine stopped carrying a
+source watermark hold an extra ``auto_watermark`` attribute, which nothing
+reads. The digest detects damage, not a crafted file, so a framed payload
+is unpickled through an allowlist of the few globals checkpoint state
+names; any other global is refused before it is imported.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -56,6 +59,39 @@ CHECKPOINT_FORMAT_VERSION = 3
 CHECKPOINT_MAGIC = b"ICEWAFL\x01"
 _DIGEST_LEN = 64  # sha256 hexdigest, ascii
 _HEADER_LEN = len(CHECKPOINT_MAGIC) + _DIGEST_LEN
+
+
+#: The only globals a checkpoint payload may name: the snapshot itself,
+#: records, pollution-log events and the metrics registry a metered shard
+#: carries across a respawn. Every other piece of state is plain data
+#: (dicts, lists, numbers, strings), which pickle rebuilds without a global.
+_CHECKPOINT_GLOBALS = frozenset(
+    {
+        ("repro.streaming.checkpoint", "Checkpoint"),
+        ("repro.streaming.record", "_rebuild"),
+        ("repro.core.log", "PollutionEvent"),
+        ("repro.obs.metrics", "MetricsRegistry"),
+        ("repro.obs.metrics", "Counter"),
+        ("repro.obs.metrics", "Gauge"),
+        ("repro.obs.metrics", "Histogram"),
+    }
+)
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Unpickles a checkpoint payload, resolving only allowlisted globals.
+
+    A crafted payload that names anything else (``os.system``, a class with
+    a side-effecting constructor) is refused before that name is imported,
+    so loading a checkpoint never calls code outside the allowlist.
+    """
+
+    def find_class(self, module: str, name: str) -> Any:
+        if (module, name) not in _CHECKPOINT_GLOBALS:
+            raise pickle.UnpicklingError(
+                f"payload names {module}.{name}, which is not checkpoint state"
+            )
+        return super().find_class(module, name)
 
 
 class SavedCheckpoint(NamedTuple):
@@ -80,7 +116,6 @@ class Checkpoint:
     source_index: int
     offset: int
     records_seen: int
-    auto_watermark: int | None = None
     node_state: dict[str, Any] = field(default_factory=dict)
     version: int = CHECKPOINT_FORMAT_VERSION
 
@@ -179,7 +214,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
     A file is rejected with a :class:`CheckpointError` naming it when it
     lacks the header marker, is truncated, or fails its digest — all before
-    its payload is unpickled.
+    its payload is unpickled — and when its payload names a global outside
+    the checkpoint allowlist, before that global is imported.
     """
     try:
         with open(path, "rb") as f:
@@ -209,7 +245,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"SHA-256 digest mismatch (file is truncated or corrupted)"
         )
     try:
-        checkpoint = pickle.loads(payload)
+        checkpoint = _CheckpointUnpickler(io.BytesIO(payload)).load()
     except (pickle.UnpicklingError, EOFError, AttributeError, ValueError,
             TypeError, IndexError, MemoryError) as exc:
         raise CheckpointError(f"could not read checkpoint {path}: {exc}") from exc

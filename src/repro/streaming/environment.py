@@ -3,19 +3,22 @@
 Mirrors the shape of Flink's ``StreamExecutionEnvironment``: build a dataflow
 graph with a fluent API, then :meth:`StreamExecutionEnvironment.execute` it.
 Execution is synchronous and single-process; one source drain reads each
-source in registration order, cuts it into slabs of ``batch_size`` records
-and pushes each slab through the DAG depth-first, followed by at most one
-watermark: the largest event time seen so far, when the slab advanced it.
-A one-record slab — the default — dispatches that record through
-``on_record``; a larger slab goes through ``on_batch``. A final
-``Watermark.max()`` flushes all event-time state (sorters, validator
-windows) at end of stream.
+source in registration order, sets each record's event time from the
+schema's timestamp attribute, cuts the stream into slabs of ``batch_size``
+records and pushes each slab through the DAG depth-first. A one-record
+slab — the default — dispatches that record through ``on_record``; a larger
+slab goes through ``on_batch``. The graph holds only what a pollution run
+builds: source heads, maps, a split with its branches, nodes attached with
+:meth:`DataStream.transform`, and sinks, one of which may be fed by several
+streams (:meth:`StreamExecutionEnvironment.add_sink`). An operator that
+buffers by event time tracks the largest event time it has seen itself and
+flushes what is left in ``close()``.
 
 Example
 -------
 >>> env = StreamExecutionEnvironment()
 >>> stream = env.from_collection(schema, rows)
->>> stream.map(prepare).filter(lambda r: r["BPM"] is not None).add_sink(sink)
+>>> stream.map(prepare).add_sink(sink)
 >>> env.execute()
 """
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.errors import CheckpointError, StreamError
 from repro.obs.ledger import RunLedger
@@ -37,19 +40,7 @@ from repro.streaming.checkpoint import (
     checkpoint_payload,
     load_checkpoint,
 )
-from repro.streaming.operators import (
-    FilterFunction,
-    FilterNode,
-    FlatMapFunction,
-    FlatMapNode,
-    MapFunction,
-    MapNode,
-    Node,
-    ProcessFunction,
-    ProcessNode,
-    SinkNode,
-    UnionNode,
-)
+from repro.streaming.operators import MapFunction, MapNode, Node, SinkNode
 from repro.streaming.record import Record
 from repro.streaming.schema import Schema
 from repro.streaming.sink import Sink
@@ -61,7 +52,6 @@ from repro.streaming.supervision import (
     FailurePolicy,
     Supervisor,
 )
-from repro.streaming.watermarks import Watermark
 
 #: Live progress ticks after each slab that crosses a multiple of this many
 #: records, and once when the sources are drained.
@@ -102,27 +92,6 @@ class _NodeObs:
         self._countdown = 1  # always sample the first head dispatch
 
 
-class _UnionInput(Node):
-    """Adapter in front of a UnionNode attributing watermarks to one input."""
-
-    def __init__(self, name: str, union: UnionNode) -> None:
-        super().__init__(name)
-        self._union = union
-        union.register_input(self)
-        self.add_downstream(union)
-
-    def on_record(self, record: Record) -> None:
-        # Forward through emit so supervised runs adjudicate union failures
-        # (and count the dispatch) like any other edge of the DAG.
-        self.emit(record)
-
-    def on_batch(self, records: list[Record]) -> None:
-        self.emit_batch(records)
-
-    def on_watermark(self, watermark: Watermark) -> None:
-        self._union.on_watermark_from(self, watermark)
-
-
 class DataStream:
     """A handle on one node of the dataflow graph under construction."""
 
@@ -160,22 +129,7 @@ class DataStream:
     ) -> "DataStream":
         return self._attach(MapNode(self._env._unique(name), fn))
 
-    def filter(
-        self, fn: FilterFunction | Callable[[Record], bool], name: str = "filter"
-    ) -> "DataStream":
-        return self._attach(FilterNode(self._env._unique(name), fn))
-
-    def flat_map(
-        self,
-        fn: FlatMapFunction | Callable[[Record], Iterable[Record]],
-        name: str = "flat_map",
-    ) -> "DataStream":
-        return self._attach(FlatMapNode(self._env._unique(name), fn))
-
-    def process(self, fn: ProcessFunction, name: str = "process") -> "DataStream":
-        return self._attach(ProcessNode(self._env._unique(name), fn))
-
-    # -- splitting & union ------------------------------------------------------
+    # -- splitting ---------------------------------------------------------------
 
     def split(self, strategy: SplitStrategy, name: str = "split") -> list["DataStream"]:
         """Fan out into ``strategy.m`` sub-streams (Algorithm 1, line 4)."""
@@ -188,31 +142,14 @@ class DataStream:
             out.append(DataStream(self._env, branch, self._schema))
         return out
 
-    def union(self, *others: "DataStream", name: str = "union") -> "DataStream":
-        """Merge this stream with others (Algorithm 1, line 10)."""
-        streams = [self, *others]
-        union = UnionNode(self._env._unique(name), n_inputs=len(streams))
-        self._env._register(union)
-        for s in streams:
-            adapter = _UnionInput(self._env._unique(f"{name}.in"), union)
-            s._node.add_downstream(adapter)
-            self._env._register(adapter)
-        return DataStream(self._env, union, self._schema)
-
     # -- termination ---------------------------------------------------------
 
     def add_sink(self, sink: Sink, name: str = "sink") -> Sink:
-        node = SinkNode(self._env._unique(name), sink)
-        self._node.add_downstream(node)
-        self._env._register(node)
-        return sink
+        return self._env.add_sink([self], sink, name)
 
 
 class StreamExecutionEnvironment:
     """Builds and executes a dataflow graph.
-
-    Each record whose ``event_time`` is set advances its source's
-    monotonous watermark, so event-time operators need no strategy.
 
     Parameters
     ----------
@@ -229,12 +166,11 @@ class StreamExecutionEnvironment:
     batch_size:
         The slab size of the one source drain. At 1 (default) each record
         is its own slab: it is dispatched through ``on_record`` (under the
-        supervisor when a failure policy is set) and followed by its own
-        watermark. Above 1, slabs go through the nodes' batch path
-        (``on_batch``); operators without a batch implementation iterate
-        transparently. Slab cuts are aligned to the checkpoint interval and
-        watermarks are coalesced per slab, so checkpoint/restore semantics
-        and per-node counters are the same at every size. Supervised runs
+        supervisor when a failure policy is set). Above 1, slabs go through
+        the nodes' batch path (``on_batch``); operators without a batch
+        implementation iterate transparently. Slab cuts are aligned to the
+        checkpoint interval, so checkpoint/restore semantics and per-node
+        counters are the same at every size. Supervised runs
         (a failure policy anywhere in the DAG) keep their slabs: a slab
         executes whole against a pre-slab state snapshot, and a failed slab
         rolls back and replays per record, preserving the one-record
@@ -336,6 +272,20 @@ class StreamExecutionEnvironment:
     ) -> DataStream:
         return self.from_source(CollectionSource(schema, rows, validate), name=name)
 
+    def add_sink(
+        self, streams: Sequence[DataStream], sink: Sink, name: str = "sink"
+    ) -> Sink:
+        """Attach one sink node fed by every stream in ``streams`` (a fan-in).
+
+        Records reach the sink in dispatch order: depth-first, so the
+        polluted sub-streams of a split arrive slab by slab in branch order.
+        """
+        node = SinkNode(self._unique(name), sink)
+        for stream in streams:
+            stream._node.add_downstream(node)
+        self._register(node)
+        return sink
+
     # -- execution ----------------------------------------------------------------
 
     def execute(
@@ -343,10 +293,10 @@ class StreamExecutionEnvironment:
     ) -> ExecutionReport:
         """Run the dataflow to completion and report what happened.
 
-        Drains each source in registration order, interleaving watermarks,
-        then sends the end-of-stream watermark through every source head so
-        buffered event-time state flushes. An environment can only execute
-        once; build a fresh one per run (they are cheap).
+        Drains each source in registration order, then closes every node,
+        so operators that buffer (sinks, validators) flush at end of stream.
+        An environment can only execute once; build a fresh one per run
+        (they are cheap).
 
         When any failure policy is set (environment-wide or per-node), every
         record dispatch runs supervised: exceptions are captured with a
@@ -519,7 +469,6 @@ class StreamExecutionEnvironment:
             head_obs = head._obs
             resuming_here = resume_from is not None and src_idx == start_source
             offset = start_offset if resuming_here else 0
-            last_auto_wm = resume_from.auto_watermark if resuming_here else None
             # The source counter is folded from report.source_records at each
             # checkpoint, so a checkpoint's view of the registry counts every
             # record before it, and after the loop (a per-record registry
@@ -540,9 +489,8 @@ class StreamExecutionEnvironment:
                     report.source_records += 1
                     boundary = cfg is not None and records_seen % cfg.interval == 0
                     if boundary or len(slab) >= batch_size:
-                        last_auto_wm = self._dispatch(
-                            head, slab, records_seen, boundary,
-                            last_auto_wm, head_obs, supervisor,
+                        self._dispatch(
+                            head, slab, records_seen, boundary, head_obs, supervisor
                         )
                         slab = []
                     if boundary:
@@ -550,18 +498,16 @@ class StreamExecutionEnvironment:
                             src_counter.value += report.source_records - records_before
                             records_before = report.source_records
                         self.last_checkpoint = self._take_checkpoint(
-                            src_idx, offset, records_seen, last_auto_wm
+                            src_idx, offset, records_seen
                         )
                         report.checkpoints_taken += 1
                 if slab:
                     self._dispatch(
-                        head, slab, records_seen, False,
-                        last_auto_wm, head_obs, supervisor,
+                        head, slab, records_seen, False, head_obs, supervisor
                     )
             finally:
                 if src_counter is not None:
                     src_counter.value += report.source_records - records_before
-            head.on_watermark(Watermark.max())
         if self._progress is not None:
             self._progress.tick(records_seen)
 
@@ -571,11 +517,10 @@ class StreamExecutionEnvironment:
         slab: list[Record],
         records_seen: int,
         boundary: bool,
-        last_auto_wm: int | None,
         head_obs,
         supervisor: Supervisor | None,
-    ) -> int | None:
-        """Push one slab into a source head, then emit its coalesced watermark.
+    ) -> None:
+        """Push one slab into a source head.
 
         The environment's slab size, not the slab's length, picks the path:
         at 1 the record goes through ``on_record`` (or the supervisor), so
@@ -628,19 +573,10 @@ class StreamExecutionEnvironment:
                 for i, record in enumerate(replay):
                     supervisor.offset = base_offset + i
                     supervisor.dispatch(head, record)
-                slab[:] = replay  # watermark bookkeeping reads the survivors
             else:
                 supervisor.deferred = False
         if timed:
             head_obs.latency.observe(perf_counter() - start)
-        advanced = False
-        for record in slab:
-            et = record.event_time
-            if et is not None and (last_auto_wm is None or et > last_auto_wm):
-                last_auto_wm = et
-                advanced = True
-        if advanced:
-            head.on_watermark(Watermark(last_auto_wm))
         if self._ledger is not None and self._batch_size > 1:
             self._ledger.record(
                 "batch.slab",
@@ -650,7 +586,6 @@ class StreamExecutionEnvironment:
             )
         if self._progress is not None and records_seen % PROGRESS_EVERY < len(slab):
             self._progress.tick(records_seen)
-        return last_auto_wm
 
     def _slab_snapshot(self) -> list[tuple[Node, Any, Any, int]]:
         """Capture every node's state and emit counter before a slab.
@@ -675,11 +610,7 @@ class StreamExecutionEnvironment:
                 node.slab_rollback(token)
 
     def _take_checkpoint(
-        self,
-        source_index: int,
-        offset: int,
-        records_seen: int,
-        auto_watermark: int | None,
+        self, source_index: int, offset: int, records_seen: int
     ) -> Checkpoint:
         start = perf_counter()
         node_state = {}
@@ -691,7 +622,6 @@ class StreamExecutionEnvironment:
             source_index=source_index,
             offset=offset,
             records_seen=records_seen,
-            auto_watermark=auto_watermark,
             node_state=node_state,
         )
         cfg = self._checkpoint_cfg
@@ -758,7 +688,12 @@ class StreamExecutionEnvironment:
                 scale = max(n / count, 1.0) if n else 1.0
                 inclusive[node.name] = hist.sum * scale  # type: ignore[union-attr]
         for node in self._nodes:
-            child_sum = sum(inclusive.get(c.name, 0.0) for c in node.downstream)
+            # A fan-in sink's time is shared among its parents by arrivals.
+            child_sum = sum(
+                inclusive.get(c.name, 0.0) * node._emits / arrived[c.name]
+                for c in node.downstream
+                if arrived.get(c.name)
+            )
             exclusive = max(inclusive[node.name] - child_sum, 0.0)
             profiler.record_node(
                 node.name,

@@ -1,23 +1,22 @@
 """Stream operators and the push-based dataflow node model.
 
 The engine executes a DAG of :class:`Node` objects. A node receives records
-(and watermarks) from its upstream and forwards transformed output to its
-downstream nodes. User logic is supplied as plain callables or as rich
-function objects (:class:`MapFunction`, :class:`ProcessFunction`, ...) that
-mirror Flink's operator interfaces closely enough that the pollution
-operators of :mod:`repro.core` read like their PyFlink counterparts.
+from its upstream and forwards transformed output to its downstream nodes.
+Two node kinds are general: :class:`MapNode` runs a one-in one-out
+:class:`MapFunction` (or a plain callable), and :class:`SinkNode` hands
+every record it receives, from one parent or several, to a sink. Any other
+operator (the pollution node of :mod:`repro.core.keyed_pollution`, the
+chaos :class:`~repro.streaming.chaos.FaultingNode`) subclasses :class:`Node`
+and is attached with ``DataStream.transform``.
 """
 
 from __future__ import annotations
 
-import copy
-import weakref
 from time import perf_counter
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.errors import NodeFailure
 from repro.streaming.record import Record
-from repro.streaming.watermarks import Watermark
 
 # ---------------------------------------------------------------------------
 # User-function interfaces
@@ -42,105 +41,6 @@ class MapFunction:
 
     def restore_state(self, state: Any) -> None:
         """Restore state produced by :meth:`snapshot_state`."""
-
-
-class FilterFunction:
-    """Keeps records for which :meth:`filter` returns True."""
-
-    def filter(self, record: Record) -> bool:
-        raise NotImplementedError
-
-    def open(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def snapshot_state(self) -> Any | None:
-        return None
-
-    def restore_state(self, state: Any) -> None:
-        pass
-
-
-class FlatMapFunction:
-    """One-in many-out transformation (zero or more output records)."""
-
-    def flat_map(self, record: Record) -> Iterable[Record]:
-        raise NotImplementedError
-
-    def open(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def snapshot_state(self) -> Any | None:
-        return None
-
-    def restore_state(self, state: Any) -> None:
-        pass
-
-
-class Collector:
-    """Receives output records from a :class:`ProcessFunction`."""
-
-    def __init__(self, emit: Callable[[Record], None]) -> None:
-        self._emit = emit
-
-    def collect(self, record: Record) -> None:
-        self._emit(record)
-
-
-class NodeCollector(Collector):
-    """The collector a process node hands its function.
-
-    It reaches the node through a weak proxy. Bound methods would close a
-    node → collector → node reference cycle, so a finished run's graph, and
-    every record its sinks collected, would wait for the cyclic garbage
-    collector instead of being freed with the run's result.
-    """
-
-    def __init__(self, node: "Node") -> None:
-        self._node = weakref.proxy(node)
-
-    def collect(self, record: Record) -> None:
-        self._node.emit(record)
-
-
-class ProcessContext:
-    """Per-record context handed to a :class:`ProcessFunction`.
-
-    Exposes the record's event time (the replicated timestamp ``tau``) and
-    the operator's current watermark — the two temporal signals Icewafl's
-    temporal conditions and native temporal errors consume.
-    """
-
-    def __init__(self) -> None:
-        self.event_time: int | None = None
-        self.current_watermark: int = Watermark.min().timestamp
-
-
-class ProcessFunction:
-    """The most general stateless operator: full control over emission."""
-
-    def process(self, record: Record, ctx: ProcessContext, out: Collector) -> None:
-        raise NotImplementedError
-
-    def on_watermark(self, watermark: Watermark, out: Collector) -> None:
-        """Hook invoked when a watermark passes through the operator."""
-
-    def open(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def snapshot_state(self) -> Any | None:
-        return None
-
-    def restore_state(self, state: Any) -> None:
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +75,7 @@ class Node:
     def add_downstream(self, node: "Node") -> None:
         self.downstream.append(node)
 
-    # -- record / watermark propagation ------------------------------------
+    # -- record propagation --------------------------------------------------
 
     def emit(self, record: Record) -> None:
         # Plain execution: two falsy class-attribute checks and the bare
@@ -255,10 +155,6 @@ class Node:
             if child_obs is not None:
                 child_obs.latency.observe(perf_counter() - start)
 
-    def emit_watermark(self, watermark: Watermark) -> None:
-        for child in self.downstream:
-            child.on_watermark(watermark)
-
     def on_record(self, record: Record) -> None:
         raise NotImplementedError
 
@@ -266,9 +162,6 @@ class Node:
         """Receive a slab; the default transparently falls back per-record."""
         for record in records:
             self.on_record(record)
-
-    def on_watermark(self, watermark: Watermark) -> None:
-        self.emit_watermark(watermark)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -341,147 +234,9 @@ class MapNode(Node):
         self._fn.restore_state(state)
 
 
-class FilterNode(Node):
-    def __init__(self, name: str, fn: FilterFunction | Callable[[Record], bool]) -> None:
-        super().__init__(name)
-        self._fn = fn if isinstance(fn, FilterFunction) else _CallableFilter(fn)
-
-    def open(self) -> None:
-        self._fn.open()
-
-    def close(self) -> None:
-        self._fn.close()
-
-    def on_record(self, record: Record) -> None:
-        if self._fn.filter(record):
-            self.emit(record)
-
-    def on_batch(self, records: list[Record]) -> None:
-        fn_filter = self._fn.filter
-        self.emit_batch([record for record in records if fn_filter(record)])
-
-    def snapshot_state(self) -> Any | None:
-        return self._fn.snapshot_state()
-
-    def restore_state(self, state: Any) -> None:
-        self._fn.restore_state(state)
-
-
-class FlatMapNode(Node):
-    def __init__(
-        self, name: str, fn: FlatMapFunction | Callable[[Record], Iterable[Record]]
-    ) -> None:
-        super().__init__(name)
-        self._fn = fn if isinstance(fn, FlatMapFunction) else _CallableFlatMap(fn)
-
-    def open(self) -> None:
-        self._fn.open()
-
-    def close(self) -> None:
-        self._fn.close()
-
-    def on_record(self, record: Record) -> None:
-        for out in self._fn.flat_map(record):
-            self.emit(out)
-
-    def on_batch(self, records: list[Record]) -> None:
-        flat_map = self._fn.flat_map
-        out: list[Record] = []
-        for record in records:
-            out.extend(flat_map(record))
-        self.emit_batch(out)
-
-    def snapshot_state(self) -> Any | None:
-        return self._fn.snapshot_state()
-
-    def restore_state(self, state: Any) -> None:
-        self._fn.restore_state(state)
-
-
-class ProcessNode(Node):
-    def __init__(self, name: str, fn: ProcessFunction) -> None:
-        super().__init__(name)
-        self._fn = fn
-        self._ctx = ProcessContext()
-        self._collector = NodeCollector(self)
-
-    def open(self) -> None:
-        self._fn.open()
-
-    def close(self) -> None:
-        self._fn.close()
-
-    def on_record(self, record: Record) -> None:
-        self._ctx.event_time = record.event_time
-        self._fn.process(record, self._ctx, self._collector)
-
-    def on_batch(self, records: list[Record]) -> None:
-        ctx = self._ctx
-        process = self._fn.process
-        collector = self._collector
-        for record in records:
-            ctx.event_time = record.event_time
-            process(record, ctx, collector)
-
-    def on_watermark(self, watermark: Watermark) -> None:
-        self._ctx.current_watermark = watermark.timestamp
-        self._fn.on_watermark(watermark, self._collector)
-        self.emit_watermark(watermark)
-
-    def snapshot_state(self) -> Any | None:
-        fn_state = self._fn.snapshot_state()
-        if fn_state is None and self._ctx.current_watermark == Watermark.min().timestamp:
-            return None
-        return {
-            "fn": copy.deepcopy(fn_state),
-            "watermark": self._ctx.current_watermark,
-        }
-
-    def restore_state(self, state: Any) -> None:
-        self._ctx.current_watermark = state["watermark"]
-        if state["fn"] is not None:
-            self._fn.restore_state(state["fn"])
-
-
-class UnionNode(Node):
-    """Merges several upstreams; forwards records in arrival order.
-
-    Watermarks are forwarded as the *minimum* over the upstreams' latest
-    watermarks, the standard multi-input watermark rule: event time has only
-    progressed as far as the slowest input.
-    """
-
-    def __init__(self, name: str, n_inputs: int) -> None:
-        super().__init__(name)
-        self._latest: list[int] = [Watermark.min().timestamp] * n_inputs
-        self._emitted: int = Watermark.min().timestamp
-        self._input_index: dict[int, int] = {}
-        self._next_slot = 0
-
-    def register_input(self, upstream: Node) -> None:
-        self._input_index[id(upstream)] = self._next_slot
-        self._next_slot += 1
-
-    def on_record(self, record: Record) -> None:
-        self.emit(record)
-
-    def on_batch(self, records: list[Record]) -> None:
-        self.emit_batch(records)
-
-    def on_watermark_from(self, upstream: Node, watermark: Watermark) -> None:
-        slot = self._input_index.get(id(upstream), 0)
-        self._latest[slot] = max(self._latest[slot], watermark.timestamp)
-        combined = min(self._latest[: self._next_slot] or [watermark.timestamp])
-        if combined > self._emitted:
-            self._emitted = combined
-            self.emit_watermark(Watermark(combined))
-
-    def on_watermark(self, watermark: Watermark) -> None:
-        # Direct watermark without upstream attribution: degrade gracefully.
-        self.on_watermark_from(self, watermark)
-
-
 class SinkNode(Node):
+    """Hands each record to a sink; it may have several parents (a fan-in)."""
+
     def __init__(self, name: str, sink: Any) -> None:
         super().__init__(name)
         self.sink = sink
@@ -499,9 +254,6 @@ class SinkNode(Node):
         invoke = self.sink.invoke
         for record in records:
             invoke(record)
-
-    def on_watermark(self, watermark: Watermark) -> None:
-        pass
 
     def snapshot_state(self) -> Any | None:
         return self.sink.snapshot_state()
@@ -533,20 +285,4 @@ class _CallableMap(MapFunction):
         self._fn = fn
 
     def map(self, record: Record) -> Record:
-        return self._fn(record)
-
-
-class _CallableFilter(FilterFunction):
-    def __init__(self, fn: Callable[[Record], bool]) -> None:
-        self._fn = fn
-
-    def filter(self, record: Record) -> bool:
-        return bool(self._fn(record))
-
-
-class _CallableFlatMap(FlatMapFunction):
-    def __init__(self, fn: Callable[[Record], Iterable[Record]]) -> None:
-        self._fn = fn
-
-    def flat_map(self, record: Record) -> Iterable[Record]:
         return self._fn(record)

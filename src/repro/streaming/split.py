@@ -139,10 +139,6 @@ class SplitNode(Node):
             if batch:
                 branch.on_batch(batch)
 
-    def on_watermark(self, watermark) -> None:
-        for branch in self.branches:
-            branch.on_watermark(watermark)
-
 
 class _BranchNode(Node):
     """Pass-through head of one sub-stream branch."""

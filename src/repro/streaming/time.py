@@ -28,8 +28,8 @@ _TS_FORMATS = (
 class Duration:
     """A span of time, stored in seconds.
 
-    Used for watermark out-of-orderness bounds, window sizes, and the
-    delay magnitudes of temporal error functions.
+    Used for window sizes and the delay magnitudes of temporal error
+    functions.
     """
 
     seconds: int

@@ -2,8 +2,8 @@
 
 The DQ experiments report *per-hour* error counts (Fig. 4), which is
 exactly a tumbling one-hour window; :mod:`repro.quality.streaming_validator`
-validates an expectation suite per such window, closing it when the
-watermark passes its end.
+validates an expectation suite per such window, closing it once the
+largest event time it has seen passes the window's end.
 """
 
 from __future__ import annotations
@@ -34,6 +34,6 @@ class TumblingEventTimeWindows:
         self._size = size.seconds
         self._offset = (offset.seconds if offset else 0) % self._size
 
-    def assign(self, event_time: int) -> list[TimeWindow]:
+    def assign(self, event_time: int) -> TimeWindow:
         start = event_time - ((event_time - self._offset) % self._size)
-        return [TimeWindow(start, start + self._size)]
+        return TimeWindow(start, start + self._size)

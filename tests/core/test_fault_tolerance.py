@@ -120,6 +120,52 @@ class TestPolluteResume:
             r.as_dict() for r in reference.clean
         ]
 
+    def test_resume_from_a_checkpoint_carrying_a_source_watermark(
+        self, simple_schema, simple_rows, tmp_path
+    ):
+        """Format-3 files written while the engine still carried a source
+        watermark hold an ``auto_watermark`` attribute. Such a file loads
+        and resumes to the records and log of an uninterrupted run."""
+        rows = simple_rows * 3  # 60 tuples
+        reference = pollute(rows, make_pipelines(), schema=simple_schema, seed=7)
+        pollute(
+            rows,
+            make_pipelines(),
+            schema=simple_schema,
+            seed=7,
+            checkpoint_dir=CheckpointStore(tmp_path / "run", keep=10),
+            checkpoint_interval=15,
+        )
+        current = sorted((tmp_path / "run").glob("*.ckpt"))[1]
+        mid = load_checkpoint(current)
+        # The older layout: auto_watermark between records_seen and node_state.
+        mid.__dict__ = {
+            "source_index": mid.source_index,
+            "offset": mid.offset,
+            "records_seen": mid.records_seen,
+            "auto_watermark": 123,
+            "node_state": mid.node_state,
+            "version": 3,
+        }
+        path = CheckpointStore(tmp_path / "old").save(mid).path
+        assert b"auto_watermark" in path.read_bytes()
+
+        resumed = pollute(
+            rows, make_pipelines(), schema=simple_schema, seed=7, resume_from=path
+        )
+        assert resumed.report.resumed_from_offset == 30
+        assert [(r.record_id, r.as_dict()) for r in resumed.polluted] == [
+            (r.record_id, r.as_dict()) for r in reference.polluted
+        ]
+        # A sequential log holds the events of the records this run
+        # polluted: those after the checkpoint, as when resuming from the
+        # same checkpoint without the attribute.
+        assert list(resumed.log) == [e for e in reference.log if e.record_id >= 30]
+        same = pollute(
+            rows, make_pipelines(), schema=simple_schema, seed=7, resume_from=current
+        )
+        assert list(resumed.log) == list(same.log)
+
     def test_failure_policy_forces_stream_engine(self, simple_schema, simple_rows):
         result = pollute(
             simple_rows,

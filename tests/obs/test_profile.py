@@ -255,3 +255,32 @@ class TestOutput:
             profiler.add_detail(f"segment-{i:02}", 0.01 * (30 - i))
         table = profiler.render_table(top=5)
         assert "... 25 more segments" in table
+
+
+class TestNodeAttribution:
+    def test_a_fan_in_sink_is_charged_to_each_parent_by_its_share(
+        self, simple_schema, simple_rows
+    ):
+        from repro.streaming.environment import StreamExecutionEnvironment
+        from repro.streaming.sink import Sink
+
+        class SlowSink(Sink):
+            def invoke(self, record):
+                time.sleep(0.002)
+
+        def slow(record):
+            time.sleep(0.002)
+            return record
+
+        profiler = Profiler()
+        env = StreamExecutionEnvironment(batch_size=8, profiler=profiler)
+        stream = env.from_collection(simple_schema, simple_rows[:8])
+        a = stream.map(slow, name="a")
+        b = stream.map(lambda r: slow(r.copy()), name="b")
+        env.add_sink([a, b], SlowSink(), name="out")
+        env.execute()
+        # Each parent sleeps 16 ms itself. Charging it the sink's whole
+        # 32 ms, not the 16 ms spent on its own records, would leave ~0.
+        assert profiler.nodes["a"]["seconds"] >= 0.008
+        assert profiler.nodes["b"]["seconds"] >= 0.008
+        assert profiler.nodes["out"]["seconds"] >= 0.024

@@ -21,7 +21,7 @@ from repro.core.runner import pollute
 from repro.obs import RunLedger, replay
 from repro.parallel.chaos import KillWorker
 from repro.streaming.environment import StreamExecutionEnvironment
-from repro.streaming.operators import ProcessFunction
+from repro.streaming.operators import Node
 from repro.streaming.partition import AttributeKeySelector, KeyPartitioner
 from repro.streaming.record import Record
 from repro.streaming.schema import Attribute, DataType, Schema
@@ -185,15 +185,15 @@ class TestSequential:
 
     def test_a_failure_inside_a_rolled_back_slab_is_recorded_once(self):
         """A slab whose operators adjudicate one failure per record (a
-        process function without a batch path) and then fail outright
+        node without a batch path) and then fail outright
         rolls back and replays: the first failure is recorded and counted
         once, not once per attempt."""
 
-        class Forward(ProcessFunction):
-            def process(self, record, ctx, out):
+        class Forward(Node):
+            def on_record(self, record):
                 if record["value"] == 10.0:
                     raise RuntimeError("forward fails")
-                out.collect(record)
+                self.emit(record)
 
         def fail_on_9(record):
             if record["value"] == 9.0:
@@ -204,8 +204,8 @@ class TestSequential:
         env = StreamExecutionEnvironment(batch_size=8, ledger=ledger)
         env.set_failure_policy(SKIP)
         sink = CollectSink()
-        env.from_collection(SCHEMA, ROWS[:20], name="in").process(
-            Forward(), name="fwd"
+        env.from_collection(SCHEMA, ROWS[:20], name="in").transform(
+            Forward("fwd")
         ).map(fail_on_9, name="m").add_sink(sink, name="out")
         report = env.execute()
         events = _decisions(ledger)

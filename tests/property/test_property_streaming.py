@@ -9,9 +9,7 @@ from repro.streaming.record import Record
 from repro.streaming.schema import Attribute, DataType, Schema
 from repro.streaming.sink import CollectSink
 from repro.streaming.split import Broadcast, ProbabilisticOverlap, RoundRobin
-from repro.streaming.operators import ProcessFunction
 from repro.streaming.time import Duration
-from repro.streaming.watermarks import Watermark
 from repro.streaming.windows import TumblingEventTimeWindows
 
 SCHEMA = Schema(
@@ -43,8 +41,7 @@ class TestTopologyInvariants:
         env = StreamExecutionEnvironment()
         sink = CollectSink()
         branches = env.from_collection(SCHEMA, data).split(Broadcast(m))
-        merged = branches[0].union(*branches[1:]) if m > 1 else branches[0]
-        merged.add_sink(sink)
+        env.add_sink(branches, sink)
         env.execute()
         assert len(sink.records) == m * len(data)
 
@@ -54,8 +51,7 @@ class TestTopologyInvariants:
         env = StreamExecutionEnvironment()
         sink = CollectSink()
         branches = env.from_collection(SCHEMA, data).split(RoundRobin(m))
-        merged = branches[0].union(*branches[1:]) if m > 1 else branches[0]
-        merged.add_sink(sink)
+        env.add_sink(branches, sink)
         env.execute()
         assert sorted(r["v"] for r in sink.records) == sorted(r["v"] for r in map(Record, data))
 
@@ -65,7 +61,7 @@ class TestTopologyInvariants:
         env = StreamExecutionEnvironment()
         sink = CollectSink()
         branches = env.from_collection(SCHEMA, data).split(ProbabilisticOverlap(m, p, seed))
-        branches[0].union(*branches[1:]).add_sink(sink)
+        env.add_sink(branches, sink)
         env.execute()
         assert {r["v"] for r in sink.records} == {row["v"] for row in data}
 
@@ -95,39 +91,8 @@ class TestWindowInvariants:
         assigner = TumblingEventTimeWindows(Duration.of_hours(size_hours))
         counts: dict = {}
         for row in data:
-            [window] = assigner.assign(row["timestamp"])
+            window = assigner.assign(row["timestamp"])
             assert window.contains(row["timestamp"])
             counts[window] = counts.get(window, 0) + 1
         assert sum(counts.values()) == len(data)
 
-
-class _Marks(ProcessFunction):
-    def __init__(self) -> None:
-        self.seen: list[int] = []
-
-    def process(self, record, ctx, out) -> None:
-        out.collect(record)
-
-    def on_watermark(self, watermark, out) -> None:
-        self.seen.append(watermark.timestamp)
-
-
-class TestWatermarkInvariants:
-    @given(
-        events=st.lists(st.integers(0, 10**6), min_size=1, max_size=100),
-        batch_size=st.integers(1, 16),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_watermarks_never_regress(self, events, batch_size):
-        """Out-of-order event times at any slab size: the source watermark
-        only rises, and before end of stream it reaches the largest event."""
-        marks = _Marks()
-        env = StreamExecutionEnvironment(batch_size=batch_size)
-        env.from_collection(
-            SCHEMA, [{"v": 0.0, "timestamp": e} for e in events]
-        ).process(marks).add_sink(CollectSink())
-        env.execute()
-        values = marks.seen
-        assert values == sorted(values) and len(set(values)) == len(values)
-        assert values[-1] == Watermark.max().timestamp
-        assert values[-2] == max(events)

@@ -55,6 +55,36 @@ class TestValidateStream:
         reports = validate_stream(records([1.0] * 5), SCHEMA, suite(), Duration.of_hours(1))
         assert sum(r.n_records for r in reports) == 5
 
+    def test_late_records_are_validated_into_follow_up_reports(self):
+        # (timestamp, v): a window closes once a record's event time reaches
+        # its last second; a record for a closed window waits for the next
+        # advance (or end of stream) and yields a late-update report.
+        stream = [
+            (0, 1.0), (1800, 1.0), (900, None),  # out of order, window open
+            (3600, 1.0),  # closes [0, 3600)
+            (1000, None), (2000, 1.0),  # late for [0, 3600)
+            (7300, 1.0),  # closes [0, 3600) again and [3600, 7200)
+            (5000, None),  # late for [3600, 7200)
+            (7200, None),  # behind the largest event time, window still open
+        ]
+        rows = [Record({"v": v, "timestamp": ts}) for ts, v in stream]
+        reports = validate_stream(rows, SCHEMA, suite(), Duration.of_hours(1))
+        assert [
+            (
+                (r.window.start, r.window.end),
+                r.n_records,
+                r.unexpected("expect_column_values_to_not_be_null"),
+                r.is_late_update,
+            )
+            for r in reports
+        ] == [
+            ((0, 3600), 3, 1, False),
+            ((0, 3600), 2, 1, True),
+            ((3600, 7200), 1, 0, False),
+            ((3600, 7200), 1, 1, True),
+            ((7200, 10800), 2, 1, False),
+        ]
+
     def test_reports_expose_summary_record_counts(self):
         reports = validate_stream(
             records([1.0, None, 1.0, 1.0]), SCHEMA, suite(), Duration.of_hours(1)

@@ -6,24 +6,24 @@ from repro.errors import ChaosError
 from repro.streaming.chaos import ChaosConfig, FaultingNode, FaultingSource
 from repro.streaming.checkpoint import CheckpointStore
 from repro.streaming.environment import StreamExecutionEnvironment
-from repro.streaming.operators import ProcessFunction
+from repro.streaming.operators import MapFunction
 from repro.streaming.sink import CollectSink
 from repro.streaming.source import CollectionSource
 from repro.streaming.supervision import FailurePolicy
 
 
-class RunningSum(ProcessFunction):
+class RunningSum(MapFunction):
     """A running sum of ``value`` per ``label``: operator state to checkpoint."""
 
     def __init__(self):
         self.sums = {}
 
-    def process(self, record, ctx, out):
+    def map(self, record):
         total = self.sums.get(record["label"], 0.0) + record["value"]
         self.sums[record["label"]] = total
         result = record.copy()
         result["value"] = total
-        out.collect(result)
+        return result
 
     def snapshot_state(self):
         return dict(self.sums)
@@ -148,7 +148,7 @@ class TestKillAndResume:
         stream = env.from_collection(schema, rows, name="in")
         if chaos_node is not None:
             stream = stream.transform(chaos_node)
-        stream.process(RunningSum(), name="sum").add_sink(sink, name="out")
+        stream.map(RunningSum(), name="sum").add_sink(sink, name="out")
         return env, sink
 
     def test_resumed_output_is_byte_identical(self, simple_schema, tmp_path):

@@ -15,7 +15,7 @@ from repro.streaming.checkpoint import (
     load_checkpoint,
 )
 from repro.streaming.environment import StreamExecutionEnvironment
-from repro.streaming.operators import ProcessFunction
+from repro.streaming.operators import MapFunction
 from repro.streaming.sink import CollectSink
 
 
@@ -33,18 +33,18 @@ class _RecordsACall:
         return _record_call, ("unpickled",)
 
 
-class RunningSum(ProcessFunction):
+class RunningSum(MapFunction):
     """A running sum of ``value`` per ``label``: operator state to checkpoint."""
 
     def __init__(self):
         self.sums = {}
 
-    def process(self, record, ctx, out):
+    def map(self, record):
         total = self.sums.get(record["label"], 0.0) + record["value"]
         self.sums[record["label"]] = total
         result = record.copy()
         result["value"] = total
-        out.collect(result)
+        return result
 
     def snapshot_state(self):
         return dict(self.sums)
@@ -58,7 +58,7 @@ def build_sum_topology(schema, rows, interval=None, store=None):
     if interval is not None:
         env.enable_checkpointing(interval, store)
     sink = CollectSink()
-    env.from_collection(schema, rows).process(RunningSum(), name="sum").add_sink(
+    env.from_collection(schema, rows).map(RunningSum(), name="sum").add_sink(
         sink, name="out"
     )
     return env, sink
@@ -68,7 +68,7 @@ class TestCheckpointStore:
     def test_save_load_roundtrip(self, tmp_path):
         store = CheckpointStore(tmp_path)
         ck = Checkpoint(source_index=0, offset=5, records_seen=5,
-                        auto_watermark=123, node_state={"n": 1})
+                        node_state={"n": 1})
         path = store.save(ck).path
         assert path.exists()
         loaded = store.load_latest()
@@ -78,7 +78,7 @@ class TestCheckpointStore:
     def test_prune_keeps_latest(self, tmp_path):
         store = CheckpointStore(tmp_path, keep=2)
         for offset in (1, 2, 3, 4):
-            store.save(Checkpoint(0, offset, offset, None, {}))
+            store.save(Checkpoint(0, offset, offset, {}))
         assert len(store) == 2
         assert store.load_latest().offset == 4
 
@@ -107,7 +107,7 @@ class TestCheckpointIntegrity:
         return store.save(
             Checkpoint(
                 source_index=0, offset=offset, records_seen=offset,
-                auto_watermark=123, node_state={"n": offset},
+                node_state={"n": offset},
             )
         ).path
 
@@ -164,7 +164,7 @@ class TestCheckpointIntegrity:
         # dropped the watermark-generator state; a version-1 file must not
         # half-restore into it.
         store = CheckpointStore(tmp_path)
-        path = store.save(Checkpoint(0, 5, 5, None, {}, version=1)).path
+        path = store.save(Checkpoint(0, 5, 5, {}, version=1)).path
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         message = str(exc.value)
@@ -176,7 +176,7 @@ class TestCheckpointIntegrity:
         # Version 3 stores every pollution node as {"pipelines": ...}; a
         # version-2 file holds unkeyed pollute[i] state in the old shape.
         store = CheckpointStore(tmp_path)
-        path = store.save(Checkpoint(0, 5, 5, None, {}, version=2)).path
+        path = store.save(Checkpoint(0, 5, 5, {}, version=2)).path
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
         message = str(exc.value)
@@ -187,8 +187,8 @@ class TestCheckpointIntegrity:
         from repro.streaming.checkpoint import latest_valid_checkpoint
 
         store = CheckpointStore(tmp_path)
-        first = store.save(Checkpoint(0, 1, 1, None, {})).path
-        second = store.save(Checkpoint(0, 2, 2, None, {})).path
+        first = store.save(Checkpoint(0, 1, 1, {})).path
+        second = store.save(Checkpoint(0, 2, 2, {})).path
         raw = second.read_bytes()
         second.write_bytes(raw[: len(raw) // 2])
         assert latest_valid_checkpoint(tmp_path) == first
@@ -210,8 +210,8 @@ class TestCheckpointIntegrity:
         from repro.streaming.checkpoint import latest_saved_checkpoint
 
         store = CheckpointStore(tmp_path)
-        store.save(Checkpoint(0, 1, 1, None, {}))
-        second = store.save(Checkpoint(0, 2, 2, None, {})).path
+        store.save(Checkpoint(0, 1, 1, {}))
+        second = store.save(Checkpoint(0, 2, 2, {})).path
         raw = bytearray(second.read_bytes())
         raw[-1] ^= 0xFF
         second.write_bytes(bytes(raw))
@@ -222,7 +222,7 @@ class TestCheckpointIntegrity:
         import repro.streaming.checkpoint as checkpoint_module
 
         store = CheckpointStore(tmp_path)
-        first = store.save(Checkpoint(0, 1, 1, None, {})).path
+        first = store.save(Checkpoint(0, 1, 1, {})).path
 
         class TornFile:
             def __init__(self, path, mode):
@@ -240,7 +240,7 @@ class TestCheckpointIntegrity:
 
         monkeypatch.setattr(checkpoint_module, "open", TornFile, raising=False)
         with pytest.raises(CheckpointError, match="could not write"):
-            store.save(Checkpoint(0, 2, 2, None, {}))
+            store.save(Checkpoint(0, 2, 2, {}))
         monkeypatch.undo()
         assert sorted(p.name for p in tmp_path.iterdir()) == [first.name]
         assert store.load_latest().offset == 1
@@ -274,7 +274,7 @@ class TestCheckpointedExecution:
         ledger = RunLedger()
         env = StreamExecutionEnvironment(metrics=MetricsRegistry(), ledger=ledger)
         env.enable_checkpointing(5, CheckpointStore(tmp_path, keep=10))
-        env.from_collection(simple_schema, simple_rows).process(
+        env.from_collection(simple_schema, simple_rows).map(
             RunningSum(), name="sum"
         ).add_sink(CollectSink(), name="out")
         env.execute()
@@ -336,13 +336,13 @@ class TestCheckpointedExecution:
         ]
 
     def test_resume_rejects_unknown_topology(self, simple_schema, simple_rows):
-        ck = Checkpoint(0, 5, 5, None, {"no-such-node": 42})
+        ck = Checkpoint(0, 5, 5, {"no-such-node": 42})
         env, _ = build_sum_topology(simple_schema, simple_rows)
         with pytest.raises(CheckpointError, match="no-such-node"):
             env.execute(resume_from=ck)
 
     def test_resume_rejects_missing_source(self, simple_schema, simple_rows):
-        ck = Checkpoint(3, 0, 0, None, {})
+        ck = Checkpoint(3, 0, 0, {})
         env, _ = build_sum_topology(simple_schema, simple_rows)
         with pytest.raises(CheckpointError, match="source"):
             env.execute(resume_from=ck)

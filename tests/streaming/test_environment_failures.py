@@ -3,7 +3,7 @@
 import pytest
 
 from repro.streaming.environment import StreamExecutionEnvironment
-from repro.streaming.operators import MapFunction, ProcessFunction
+from repro.streaming.operators import MapFunction
 from repro.streaming.record import Record
 from repro.streaming.sink import CollectSink
 
@@ -69,15 +69,15 @@ class TestProcessFunctionLifecycleOnFailure:
     def test_open_failures_abort_before_records_flow(self, simple_schema, simple_rows):
         sink = CollectSink()
 
-        class P(ProcessFunction):
+        class P(MapFunction):
             def open(self):
                 raise Boom("open failed")
 
-            def process(self, record, ctx, out):
-                out.collect(record)
+            def map(self, record):
+                return record
 
         env = StreamExecutionEnvironment()
-        env.from_collection(simple_schema, simple_rows).process(P()).add_sink(sink)
+        env.from_collection(simple_schema, simple_rows).map(P()).add_sink(sink)
         with pytest.raises(Boom, match="open failed"):
             env.execute()
         assert sink.records == []

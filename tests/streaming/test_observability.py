@@ -11,19 +11,28 @@ from repro.errors import StreamError
 from repro.obs import MetricsRegistry, RunLedger, render_prometheus
 from repro.streaming.chaos import ChaosConfig, FaultingNode
 from repro.streaming.environment import StreamExecutionEnvironment
+from repro.streaming.operators import Node
 from repro.streaming.sink import CollectSink
 from repro.streaming.supervision import DEAD_LETTER
 
 
+class _KeepSmall(Node):
+    """Forwards only the records whose ``value`` is below 10."""
+
+    def on_record(self, record):
+        if record["value"] < 10:
+            self.emit(record)
+
+
 def run_topology(schema, rows, metrics=None, sample_every=16):
-    """source -> map (pass-through) -> filter (keeps value < 10) -> sink."""
+    """source -> map (pass-through) -> keep (value < 10) -> sink."""
     if metrics is None:
         metrics = MetricsRegistry(sample_every=sample_every)
     env = StreamExecutionEnvironment(metrics=metrics)
     sink = CollectSink()
     env.from_collection(schema, rows, name="in").map(
         lambda r: r, name="double"
-    ).filter(lambda r: r["value"] < 10, name="keep").add_sink(sink, name="out")
+    ).transform(_KeepSmall("keep")).add_sink(sink, name="out")
     report = env.execute()
     return env, metrics, sink, report
 
@@ -35,7 +44,7 @@ class TestEngineMetrics:
         assert metrics.get("source_records_total", source="in").value == 20
         assert metrics.get("node_records_in_total", node="double").value == 20
         assert metrics.get("node_records_out_total", node="double").value == 20
-        # The filter keeps 10 of 20, so its out-count halves its in-count.
+        # The keep node forwards 10 of 20, so its out-count halves its in-count.
         assert metrics.get("node_records_in_total", node="keep").value == 20
         assert metrics.get("node_records_out_total", node="keep").value == 10
         assert metrics.get("node_records_in_total", node="out").value == 10

@@ -301,7 +301,6 @@ class _Recorder(Node):
     def __init__(self) -> None:
         super().__init__("recorder")
         self.slabs: list[int] = []
-        self.watermarks = 0
 
     def on_record(self, record) -> None:
         self.slabs.append(1)
@@ -311,21 +310,15 @@ class _Recorder(Node):
         self.slabs.append(len(records))
         self.emit_batch(records)
 
-    def on_watermark(self, watermark) -> None:
-        self.watermarks += 1
-        self.emit_watermark(watermark)
-
 
 def test_bare_environment_stays_per_record():
     """The slab default is a planner decision: an environment built
-    directly (windows, the streaming validator) still sees one record and
-    one watermark at a time."""
+    directly (the streaming validator) still sees one record at a time."""
     env = StreamExecutionEnvironment()
     recorder = _Recorder()
     env.from_collection(SCHEMA, ROWS[:10]).transform(recorder).add_sink(CollectSink())
     env.execute()
     assert recorder.slabs == [1] * 10
-    assert recorder.watermarks == 11  # one per record, plus the final max
 
 
 class _Ticks:

@@ -1,4 +1,4 @@
-"""Unit tests for stream splitting and union."""
+"""Unit tests for stream splitting and the fan-in sink that merges branches."""
 
 import pytest
 
@@ -21,8 +21,7 @@ def run_split(schema, rows, strategy, transform_branch0=None):
     first = branches[0]
     if transform_branch0 is not None:
         first = first.map(transform_branch0)
-    merged = first.union(*branches[1:]) if len(branches) > 1 else first
-    merged.add_sink(sink)
+    env.add_sink([first, *branches[1:]], sink)
     env.execute()
     return sink.records
 
