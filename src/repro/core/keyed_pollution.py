@@ -30,8 +30,12 @@ import pickle
 from operator import attrgetter
 from typing import Any, Callable, Hashable, Mapping, Sequence
 
+from repro.core.composite import CompositePolluter
+from repro.core.conditions import AllOf, AnyOf, Not
+from repro.core.dependencies import ErrorHistory, FiredRecentlyCondition, TrackedPolluter
 from repro.core.log import PollutionLog
 from repro.core.pipeline import PollutionPipeline
+from repro.core.polluter import StandardPolluter
 from repro.core.rng import RandomSource
 from repro.errors import PollutionError
 from repro.obs.metrics import MetricsRegistry
@@ -68,6 +72,27 @@ def _unprepared() -> PollutionError:
     return PollutionError("pollution node received an unprepared record")
 
 
+def _histories(pipeline: PollutionPipeline) -> list[ErrorHistory]:
+    """The error histories a pipeline's tracked polluters and conditions hold."""
+    found: list[ErrorHistory] = []
+    stack: list[Any] = list(pipeline.polluters)
+    while stack:
+        part = stack.pop()
+        if isinstance(part, (TrackedPolluter, FiredRecentlyCondition)):
+            found.append(part.history)
+        if isinstance(part, TrackedPolluter):
+            stack.append(part.inner)
+        elif isinstance(part, CompositePolluter):
+            stack += [part.condition, *part.children]
+        elif isinstance(part, StandardPolluter):
+            stack.append(part.condition)
+        elif isinstance(part, (AllOf, AnyOf)):
+            stack += part.children
+        elif isinstance(part, Not):
+            stack.append(part.child)
+    return found
+
+
 class PollutionNode(Node):
     """Runs each record through its key's pollution pipeline.
 
@@ -91,7 +116,9 @@ class PollutionNode(Node):
         metered by the caller under its own (unscoped) name.
 
     A slab is grouped by key in arrival order, and keys must not share
-    state: each key's share runs whole, ahead of the next key's. A share of
+    state: each key's share runs whole, ahead of the next key's. A key
+    whose new pipeline holds an error history an earlier key's pipeline
+    holds is refused with :class:`~repro.errors.PollutionError`. A share of
     two or more records runs through the key's batch kernels (compiled on
     its first such share; record by record for a history-linked pipeline),
     a one-record share through ``PollutionPipeline.apply``. The outputs
@@ -128,6 +155,8 @@ class PollutionNode(Node):
         self._pipelines: dict[Hashable, PollutionPipeline] = {}
         self._kernels: dict[Hashable, Any] = {}
         self._pending_state: dict[str, Any] = {}
+        #: id of every error history a key's pipeline holds -> (history, key).
+        self._history_keys: dict[int, tuple[ErrorHistory, Hashable]] = {}
         #: Pickled pre-slab state of every key the current supervised slab touched.
         self._journal: dict[Hashable, bytes] | None = None
         if pipeline is not None:
@@ -139,6 +168,7 @@ class PollutionNode(Node):
         pipeline = self._pipelines.get(key)
         if pipeline is None:
             pipeline = self._factory(key)
+            self._claim_histories(key, pipeline)
             if self._profiler is not None:
                 # Classify before the name is key-scoped: per-key polluter
                 # instances then share one label per polluter, not one per
@@ -163,6 +193,21 @@ class PollutionNode(Node):
                 pipeline.snapshot_state(), pickle.HIGHEST_PROTOCOL
             )
         return pipeline
+
+    def _claim_histories(self, key: Hashable, pipeline: PollutionPipeline) -> None:
+        """Refuse a new key's pipeline that shares an earlier key's error history.
+
+        Keys run independently (slabs group them, shards split them), so a
+        history filled by several keys would fill in a different order at
+        every slab size and parallelism.
+        """
+        for history in _histories(pipeline):
+            _, owner = self._history_keys.setdefault(id(history), (history, key))
+            if owner != key:
+                raise PollutionError(
+                    f"the pipelines of keys {owner!r} and {key!r} share an error "
+                    "history; a pipeline factory must build each key its own"
+                )
 
     def _pollute_each(self, keys: Sequence[Hashable], records: list[Record]) -> list[Record]:
         """Records one by one through their keys' pipelines: per-record dispatch."""

@@ -23,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+from repro.gcpause import gc_paused
 from repro.streaming.record import Record
 from repro.streaming.time import hour_of_day_int
 
@@ -246,6 +247,7 @@ class PollutionLog:
             Path(path).write_text(text)
         return text
 
+    @gc_paused
     def to_csv(self, path: str | Path | io.TextIOBase) -> None:
         """Write a flat CSV: one row per (event, attribute) pair."""
         owns = not isinstance(path, io.TextIOBase)

@@ -11,12 +11,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
+from repro.gcpause import gc_paused
 from repro.streaming.record import Record
 from repro.streaming.schema import Schema
 from repro.streaming.sink import CsvSink
 from repro.streaming.source import CsvSource
 
 
+@gc_paused
 def save_records(records: Sequence[Record], schema: Schema, path: str | Path) -> None:
     """Write records to a CSV file (schema attributes only, header row).
 
@@ -32,6 +34,7 @@ def save_records(records: Sequence[Record], schema: Schema, path: str | Path) ->
         sink.close()
 
 
+@gc_paused
 def load_records(schema: Schema, path: str | Path, validate: bool = False) -> list[Record]:
     """Read records back from a CSV written by :func:`save_records`.
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import PollutionError
+from repro.gcpause import gc_paused
 from repro.plan.ir import (
     ENGINE_PARALLEL,
     ENGINE_SHARD_STREAM,
@@ -21,6 +22,7 @@ from repro.plan.ir import (
 )
 
 
+@gc_paused
 def execute_plan(plan: ExecutionPlan, data: Any = None, *, send: Any = None) -> Any:
     """Run a compiled plan over ``data``.
 

@@ -84,6 +84,10 @@ class _JobProgress(ProgressRenderer):
 
     def tick(self, records_seen: int) -> None:
         self._job.progress_records = records_seen
+        # Hand the GIL over: numpy's per-slab release and retake count as
+        # switches, so without a real wait here a waiting thread (the
+        # server's event loop, a cancel) can starve until the job ends.
+        time.sleep(0)
         self._pulse()
 
     def maybe_render(self, force: bool = False) -> None:

@@ -335,7 +335,10 @@ class Supervisor:
 
     def handle_failure(self, node: "Node", record: Record, exc: BaseException) -> None:
         if self.deferred:
-            raise exc
+            try:
+                raise exc
+            finally:
+                del exc  # this frame joins the traceback; it must not hold exc
         policy = node._policy or self.default_policy
         stats = node._stats
         ledger = self.ledger
@@ -363,8 +366,11 @@ class Supervisor:
                 except Exception as retry_exc:  # noqa: BLE001
                     exc = retry_exc
                 else:
+                    _drop_frames(exc)
                     return  # recovered; counted as processed at finalization
             action = policy.exhausted_action
+        if action is not FailureAction.FAIL_FAST:
+            _drop_frames(exc)
         context = FailureContext(
             node=node.name,
             record_id=record.record_id,
@@ -395,3 +401,22 @@ class Supervisor:
                 record_id=context.record_id,
                 context=context,
             ) from exc
+
+
+def _drop_frames(exc: BaseException) -> None:
+    """Clear the tracebacks of ``exc`` and of every exception chained to it.
+
+    An adjudicated failure outlives its frames: a frame on the traceback
+    holds the supervisor or the exception itself, so a kept traceback is a
+    reference cycle per failed record, and a dead letter would keep the
+    frames' records alive. The message, type and chain stay.
+    """
+    seen: set[int] = set()
+    stack = [exc]
+    while stack:
+        e = stack.pop()
+        if e is None or id(e) in seen:
+            continue
+        seen.add(id(e))
+        e.__traceback__ = None
+        stack += (e.__cause__, e.__context__)

@@ -19,6 +19,7 @@ from repro.core.polluter import StandardPolluter
 from repro.core.prepare import IdGenerator, PrepareFunction
 from repro.core.rng import RandomSource
 from repro.core.runner import pollute
+from repro.errors import PollutionError, ShardError
 from repro.streaming.environment import StreamExecutionEnvironment
 from repro.streaming.operators import Node
 from repro.streaming.record import Record
@@ -400,3 +401,68 @@ def test_history_links_a_factory_hides_keep_record_order():
     ]
     assert "after-up" in oracle[1], "no dependent polluter fired; the test tests nothing"
     assert slabs == oracle
+
+
+class _SharedHistoryFactory:
+    """A picklable factory whose pipelines all read and track one history."""
+
+    def __init__(self) -> None:
+        self.history = ErrorHistory()
+
+    def __call__(self, key) -> PollutionPipeline:
+        return PollutionPipeline(
+            [
+                track(
+                    StandardPolluter(
+                        GaussianNoise(1.0), ["value"], ProbabilityCondition(0.3), name="up"
+                    ),
+                    self.history,
+                ),
+                StandardPolluter(
+                    SetToNull(),
+                    ["value"],
+                    FiredRecentlyCondition(self.history, "up", Duration(60)),
+                    name="after-up",
+                ),
+            ],
+            name="shared",
+        )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"batch_size": 1}, {}, {"parallelism": 2}],
+    ids=["batch-1", "default-slabs", "parallel-2"],
+)
+def test_a_factory_sharing_one_history_across_keys_is_refused(kwargs):
+    """Keys run independently, so a history several keys fill would fill
+    in another order at every slab size and parallelism: once silently
+    different output per cell, now refused naming both keys. Pairs of a
+    key's records share a timestamp, as in the conformance matrix's
+    history cells; three stations on two workers put two keys in a shard."""
+    rows = [
+        {"value": float(i), "station": f"station-{i % 3}", "timestamp": 1_600_000_000 + 60 * (i // 2)}
+        for i in range(120)
+    ]
+    with pytest.raises(
+        (PollutionError, ShardError),
+        match=r"keys 'station-\d' and 'station-\d' share an error history",
+    ):
+        pollute(
+            rows,
+            pipeline_factory=_SharedHistoryFactory(),
+            schema=SCHEMA,
+            seed=21,
+            key_by="station",
+            check="off",
+            **kwargs,
+        )
+
+
+def test_a_key_may_hold_its_history_twice_but_not_share_it():
+    """A key's pipeline tracks into and reads from the same history; only
+    a second key holding it is refused."""
+    node = PollutionNode("keyed", lambda r: r["station"], _SharedHistoryFactory(), RandomSource(1))
+    assert node._pipeline_for("a") is node._pipeline_for("a")
+    with pytest.raises(PollutionError, match="keys 'a' and 'b'"):
+        node._pipeline_for("b")
