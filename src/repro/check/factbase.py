@@ -23,9 +23,10 @@ Consumers:
 * serve admission caches whole analysis reports keyed by the same
   canonical digest (:func:`plan_digest`).
 
-Every cached fact is a pure function of the plan's *classes and
-declarative config* — exactly what :func:`plan_digest` hashes — so equal
-digests imply equal fact bases and the cache can never serve stale truth.
+Every cached fact is a pure function of the plan's declarative config,
+which names every class in it — exactly what :func:`plan_digest` hashes —
+so equal digests imply equal fact bases and the cache can never serve
+stale truth.
 Method-identity probing (the ``type(p).apply is StandardPolluter.apply``
 style gates) lives **only** in this module.
 """
@@ -265,43 +266,26 @@ def kernel_tree(
 # ---------------------------------------------------------------------------
 
 
-def _qualified_type(obj: Any) -> str:
-    cls = type(obj)
-    return f"{cls.__module__}.{cls.__qualname__}"
-
-
 def plan_digest(pipeline: PollutionPipeline) -> str | None:
-    """A SHA-256 over the pipeline's declarative form, or ``None``.
+    """A SHA-256 over the pipeline's canonical declarative form, or ``None``.
 
-    The digest hashes the canonical ``pipeline_to_config`` JSON *plus* the
-    concrete classes of every polluter, condition, and error function.
-    Compilation decisions and plan facts are pure functions of those
-    classes (method identity and exact-type gates) and the config, so equal
-    digests imply equal facts — a user subclass that serializes like a
-    library class still changes the class fingerprint and therefore the
-    key. Pipelines with no declarative form (custom polluter / condition /
-    error classes) return ``None`` and are simply never cached.
+    The digest hashes the ``pipeline_to_config`` JSON alone. That form
+    exists only when every polluter, condition, error and pattern in the
+    tree is a registered library class, matched by exact type, so the
+    config names every class the compilation decisions and plan facts are
+    functions of: equal digests imply equal facts. A plan with any other
+    class anywhere in it (a custom class or a subclass of a library one),
+    or with a parameter value JSON cannot write, returns ``None`` and is
+    simply never cached.
     """
     from repro.core.serialize import pipeline_to_config
 
     try:
-        config = pipeline_to_config(pipeline)
-    except ConfigError:
+        text = json.dumps(pipeline_to_config(pipeline), sort_keys=True, separators=(",", ":"))
+    except (ConfigError, TypeError, ValueError):
+        # No declarative form, or one holding a value JSON cannot write
+        # (e.g. a ``datetime.date`` constant).
         return None
-    classes = []
-    for polluter in pipeline.polluters:
-        entry = _qualified_type(polluter)
-        if isinstance(polluter, StandardPolluter):
-            entry += (
-                f":{_qualified_type(polluter.condition)}"
-                f":{_qualified_type(polluter.error)}"
-            )
-        classes.append(entry)
-    text = json.dumps(
-        {"config": config, "classes": classes},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -492,41 +476,48 @@ def build_factbase(pipeline: PollutionPipeline) -> PlanFactBase:
 
 
 class FactBaseCache:
-    """An LRU of :class:`PlanFactBase` objects, keyed by :func:`plan_digest`.
+    """An LRU keyed by canonical SHA-256 digests, with hit/miss/eviction counts.
 
-    Sound because every stored fact is a pure function of classes +
-    declarative config — the digest's exact preimage. The cached
-    ``facts.pipeline`` reference may point at a *different but
-    digest-equal* pipeline instance; consumers must treat the fact base as
-    data about the plan's shape, never as a handle on live objects.
+    The fact-base cache holds :class:`PlanFactBase` objects keyed by
+    :func:`plan_digest`; serve admission keeps its analysis verdicts in
+    another instance (:data:`repro.serve.admission.AnalysisCache`).
+    ``prefix`` names the counters :meth:`publish` writes.
+
+    Sound because every stored fact is a pure function of the declarative
+    config — the digest's exact preimage. A cached ``facts.pipeline``
+    reference may point at a *different but digest-equal* pipeline
+    instance; consumers must treat the fact base as data about the plan's
+    shape, never as a handle on live objects.
 
     Thread-safe; serve admission reviews plans from the event loop while
     worker threads compile.
     """
 
-    def __init__(self, maxsize: int = 128) -> None:
+    def __init__(self, maxsize: int = 128, prefix: str = "factbase_cache") -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
+        self.prefix = prefix
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, PlanFactBase] = OrderedDict()
+        self._entries: OrderedDict[str, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
-    def get(self, digest: str) -> PlanFactBase | None:
+    def get(self, digest: str) -> Any:
+        """The entry under ``digest``, or ``None``."""
         with self._lock:
-            base = self._entries.get(digest)
-            if base is None:
+            entry = self._entries.get(digest)
+            if entry is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(digest)
             self.hits += 1
-            return base
+            return entry
 
-    def put(self, digest: str, base: PlanFactBase) -> None:
+    def put(self, digest: str, entry: Any) -> None:
         with self._lock:
-            self._entries[digest] = base
+            self._entries[digest] = entry
             self._entries.move_to_end(digest)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
@@ -553,9 +544,9 @@ class FactBaseCache:
     def publish(self, metrics: Any) -> None:
         """Surface the counters on a :class:`~repro.obs.metrics.MetricsRegistry`."""
         stats = self.stats()
-        metrics.counter("factbase_cache_hits_total").value = stats["hits"]
-        metrics.counter("factbase_cache_misses_total").value = stats["misses"]
-        metrics.gauge("factbase_cache_entries").set(stats["entries"])
+        for name in ("hits", "misses", "evictions"):
+            metrics.counter(f"{self.prefix}_{name}_total").value = stats[name]
+        metrics.gauge(f"{self.prefix}_entries").set(stats["entries"])
 
 
 #: The process-wide fact-base cache, keyed by :func:`plan_digest`.
@@ -577,7 +568,7 @@ def factbase_for(
     digest = plan_digest(pipeline)
     if digest is None:
         return build_factbase(pipeline)
-    base = cache.get(digest)
+    base: PlanFactBase | None = cache.get(digest)
     if base is None:
         base = build_factbase(pipeline)
         cache.put(digest, base)

@@ -306,17 +306,17 @@ def _numeric(value: object) -> bool:
 def pattern_max(pattern: ChangePattern) -> tuple[float, bool]:
     """Upper bound of a change pattern's intensity, and whether we know it."""
     if isinstance(pattern, ConstantPattern):
-        return min(1.0, max(0.0, pattern._value)), True  # noqa: SLF001
+        return min(1.0, max(0.0, pattern.value)), True
     if isinstance(pattern, AbruptPattern):
-        top = max(pattern._before, pattern._after)  # noqa: SLF001
+        top = max(pattern.before, pattern.after)
         return min(1.0, max(0.0, top)), True
     if isinstance(pattern, IncrementalPattern):
-        top = max(pattern._start_value, pattern._end_value)  # noqa: SLF001
+        top = max(pattern.start_value, pattern.end_value)
         return min(1.0, max(0.0, top)), True
     if isinstance(pattern, IntermediatePattern):
         return 1.0, True
     if isinstance(pattern, SinusoidalPattern):
-        top = pattern._offset + abs(pattern._amplitude)  # noqa: SLF001
+        top = pattern.offset + abs(pattern.amplitude)
         return min(1.0, max(0.0, top)), True
     return 1.0, False
 
@@ -324,10 +324,10 @@ def pattern_max(pattern: ChangePattern) -> tuple[float, bool]:
 def pattern_support(pattern: ChangePattern) -> Interval:
     """Time window where the pattern's intensity can be greater than zero."""
     if isinstance(pattern, ConstantPattern):
-        return UNBOUNDED if pattern._value > 0 else EMPTY_INTERVAL  # noqa: SLF001
+        return UNBOUNDED if pattern.value > 0 else EMPTY_INTERVAL
     if isinstance(pattern, AbruptPattern):
-        before, after = pattern._before, pattern._after  # noqa: SLF001
-        change = float(pattern._change_time)  # noqa: SLF001
+        before, after = pattern.before, pattern.after
+        change = float(pattern.change_time)
         if before > 0 and after > 0:
             return UNBOUNDED
         if after > 0:
@@ -336,8 +336,8 @@ def pattern_support(pattern: ChangePattern) -> Interval:
             return Interval(None, change)
         return EMPTY_INTERVAL
     if isinstance(pattern, IncrementalPattern):
-        sv, ev = pattern._start_value, pattern._end_value  # noqa: SLF001
-        start, end = float(pattern._start), float(pattern._end)  # noqa: SLF001
+        sv, ev = pattern.start_value, pattern.end_value
+        start, end = float(pattern.start), float(pattern.end)
         if sv <= 0 and ev <= 0:
             return EMPTY_INTERVAL
         if sv <= 0 < ev:
@@ -346,7 +346,7 @@ def pattern_support(pattern: ChangePattern) -> Interval:
             return Interval(None, end)
         return UNBOUNDED
     if isinstance(pattern, IntermediatePattern):
-        return Interval(float(pattern._start), None)  # noqa: SLF001
+        return Interval(float(pattern.start), None)
     if isinstance(pattern, SinusoidalPattern):
         top, _ = pattern_max(pattern)
         return UNBOUNDED if top > 0 else EMPTY_INTERVAL
@@ -592,7 +592,7 @@ def error_facts(error: ErrorFunction) -> ErrorFacts:
             support = support.intersect(pattern_support(inner.pattern))
             if top <= 0.0:
                 zero_intensity = True
-        inner = inner.inner
+        inner = inner.error
     if isinstance(inner, RampedMultiplicativeNoise):
         support = support.intersect(Interval(float(inner.tau0), None))
         if inner.a_max <= 0.0 and inner.b_max <= 0.0:

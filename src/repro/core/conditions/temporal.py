@@ -148,6 +148,10 @@ class SinusoidalCondition(PatternProbabilityCondition):
                 phase=phase,
             )
         )
+        self.amplitude = amplitude
+        self.offset = offset
+        self.period_hours = period_hours
+        self.phase = phase
 
 
 class LinearRampCondition(PatternProbabilityCondition):

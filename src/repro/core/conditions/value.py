@@ -64,18 +64,13 @@ class AttributeCondition(Condition):
 class NullValueCondition(Condition):
     """Fires when an attribute is ``None`` (or NaN for floats)."""
 
-    def __init__(self, attribute: str, treat_nan_as_null: bool = True) -> None:
+    def __init__(self, attribute: str) -> None:
         super().__init__()
         self.attribute = attribute
-        self._nan_is_null = treat_nan_as_null
 
     def evaluate(self, record: Record, tau: int) -> bool:
         value = record.get(self.attribute)
-        if value is None:
-            return True
-        if self._nan_is_null and isinstance(value, float) and value != value:
-            return True
-        return False
+        return value is None or (isinstance(value, float) and value != value)
 
     def describe(self) -> str:
         return f"{self.attribute} is null"

@@ -22,9 +22,11 @@ pipeline objects:
     })
 
 Composites nest naturally: a polluter spec with ``"type": "composite"``
-carries a ``"children"`` list of polluter specs. Every error/condition type
-in the catalogues is registered under a snake_case key; unknown keys raise
+carries a ``"children"`` list of polluter specs. Every pattern, condition
+and error type is registered once, in the tables below, under a snake_case
+key with its class and parameters; unknown keys raise
 :class:`~repro.errors.ConfigError` with the list of known types.
+:mod:`repro.core.serialize` writes objects back through the same tables.
 
 Specs are untrusted input (``repro serve`` builds them from request
 bodies), so every builder type-checks the slots it reads: any JSON value
@@ -36,7 +38,7 @@ with the JSON path of the offending key — never a raw ``TypeError`` or
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.core import conditions as C
 from repro.core import patterns as P
@@ -156,216 +158,253 @@ def _located(exc: ConfigError, path: str) -> ConfigError:
     return exc
 
 
+_UNIT_SECONDS = {"seconds": 1, "minutes": 60, "hours": 3600, "days": 86400}
+
+
 def _duration(value: Any) -> Duration:
     """Accept seconds (number) or e.g. ``{"hours": 1}`` in configs."""
     if isinstance(value, Mapping):
         total = 0
         for unit, n in value.items():
-            if unit == "seconds":
-                total += int(n)
-            elif unit == "minutes":
-                total += int(n * 60)
-            elif unit == "hours":
-                total += int(n * 3600)
-            elif unit == "days":
-                total += int(n * 86400)
-            else:
+            if unit not in _UNIT_SECONDS:
                 raise ConfigError(f"unknown duration unit {unit!r}")
+            # A string count would be repeated, not multiplied.
+            if isinstance(n, bool) or not isinstance(n, (int, float)):
+                raise ConfigError(f"duration {unit!r} must be a number, got {_json_type(n)}")
+            total += int(n * _UNIT_SECONDS[unit])
         return Duration(total)
     return Duration(int(value))
 
 
 # ---------------------------------------------------------------------------
-# Pattern registry
+# The registry: every declarative pattern, condition and error type
 # ---------------------------------------------------------------------------
 
-_PATTERNS: dict[str, Callable[..., P.ChangePattern]] = {
-    "constant": lambda value=1.0: P.ConstantPattern(value),
-    "abrupt": lambda change_time, before=0.0, after=1.0: P.AbruptPattern(
-        _ts(change_time), before, after
-    ),
-    "incremental": lambda start, end, start_value=0.0, end_value=1.0: P.IncrementalPattern(
-        _ts(start), _ts(end), start_value, end_value
-    ),
-    "intermediate": lambda start, end, block_seconds=3600: P.IntermediatePattern(
-        _ts(start), _ts(end), block_seconds
-    ),
-    "sinusoidal": lambda amplitude=0.25, offset=0.25, period_hours=24.0, phase=0.0: P.SinusoidalPattern(
-        amplitude, offset, period_hours, phase
-    ),
-}
+#: How a parameter whose stored value differs from its JSON form crosses
+#: the config boundary: ``(load, dump)``. ``load(value, path)`` turns the
+#: JSON value found at ``path`` into the constructor argument, and
+#: ``dump(attribute)`` turns the stored value back into JSON.
+Converter = tuple[Callable[[Any, str], Any], Callable[[Any], Any]]
+
+
+class Registered(NamedTuple):
+    """One declarative type: its class and its config parameters.
+
+    Each of ``params`` is a config key, a keyword argument of the
+    constructor (whose default is the config's default) and the public
+    attribute that holds the value, which is how an instance is written
+    back. ``convert`` gives the parameters whose JSON form differs from
+    the stored value. ``build`` is the constructor when the class takes
+    its parameters positionally.
+    """
+
+    cls: type
+    params: tuple[str, ...] = ()
+    convert: Mapping[str, Converter] = {}
+    build: Callable[..., Any] | None = None
+
+
+def _from_config(family: str, spec: Any, path: str) -> Any:
+    """Build one registered object from its spec."""
+    table = _FAMILIES[family]
+    kind = _object(spec, path, family).get("type")
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(
+            f"unknown {family} type {kind!r}; known: {sorted(table)}", path=path or None
+        )
+    entry = table[kind]
+    kwargs = _params(spec, path)
+    for key in kwargs:
+        if key not in entry.params:
+            raise ConfigError(
+                f"bad arguments for {family} {kind!r}: unknown parameter {key!r}; "
+                f"known: {list(entry.params)}",
+                path=_sub(path, key),
+            )
+    try:
+        for key, (load, _) in entry.convert.items():
+            if key in kwargs:
+                kwargs[key] = load(kwargs[key], _sub(path, key))
+        return (entry.build or entry.cls)(**kwargs)
+    except ConfigError as exc:
+        raise _located(exc, path) from exc
+    except (TypeError, ValueError, ArithmeticError, IcewaflError) as exc:
+        raise ConfigError(
+            f"bad arguments for {family} {kind!r}: {exc}", path=path or None
+        ) from exc
+
+
+def _to_config(family: str, obj: Any) -> dict[str, Any]:
+    """The JSON spec of one registered object, matched by exact type."""
+    found = _BY_TYPE[family].get(type(obj))
+    if found is None:
+        raise ConfigError(f"{family} {type(obj).__name__} has no declarative form")
+    kind, entry = found
+    spec: dict[str, Any] = {"type": kind}
+    for key in entry.params:
+        value = getattr(obj, key)
+        spec[key] = entry.convert[key][1](value) if key in entry.convert else value
+    return spec
 
 
 def pattern_from_config(spec: Mapping[str, Any], _path: str = "") -> P.ChangePattern:
-    kind = _object(spec, _path, "pattern").get("type")
-    if not isinstance(kind, str) or kind not in _PATTERNS:
-        raise ConfigError(
-            f"unknown pattern type {kind!r}; known: {sorted(_PATTERNS)}",
-            path=_path or None,
-        )
-    kwargs = _params(spec, _path)
-    try:
-        return _PATTERNS[kind](**kwargs)
-    except ConfigError as exc:
-        raise _located(exc, _path) from exc
-    except (TypeError, ValueError, IcewaflError) as exc:
-        raise ConfigError(
-            f"bad arguments for pattern {kind!r}: {exc}", path=_path or None
-        ) from exc
-
-
-# ---------------------------------------------------------------------------
-# Condition registry
-# ---------------------------------------------------------------------------
-
-_CONDITIONS: dict[str, Callable[..., C.Condition]] = {
-    "always": lambda: C.AlwaysCondition(),
-    "never": lambda: C.NeverCondition(),
-    "probability": lambda p: C.ProbabilityCondition(p),
-    "attribute": lambda attribute, op, value: C.AttributeCondition(attribute, op, value),
-    "null_value": lambda attribute: C.NullValueCondition(attribute),
-    "in_set": lambda attribute, values: C.InSetCondition(attribute, values),
-    "range": lambda attribute, low=None, high=None: C.RangeCondition(attribute, low, high),
-    "after": lambda timestamp: C.AfterCondition(_ts(timestamp)),
-    "before": lambda timestamp: C.BeforeCondition(_ts(timestamp)),
-    "time_interval": lambda start, end: C.TimeIntervalCondition(_ts(start), _ts(end)),
-    "daily_interval": lambda start_hour, end_hour: C.DailyIntervalCondition(
-        start_hour, end_hour
-    ),
-    "sinusoidal": lambda amplitude=0.25, offset=0.25, period_hours=24.0, phase=0.0: C.SinusoidalCondition(
-        amplitude, offset, period_hours, phase
-    ),
-    "linear_ramp": lambda tau0, taun, scale=1.0: C.LinearRampCondition(
-        _ts(tau0), _ts(taun), scale
-    ),
-    "every_nth": lambda n, offset=0: C.EveryNthCondition(n, offset),
-    "burst": lambda p_enter=0.01, p_exit=0.2, p_error_good=0.0, p_error_bad=0.9: C.BurstCondition(
-        p_enter, p_exit, p_error_good, p_error_bad
-    ),
-}
+    return _from_config("pattern", spec, _path)
 
 
 def condition_from_config(spec: Mapping[str, Any], _path: str = "") -> C.Condition:
-    kind = _object(spec, _path, "condition").get("type")
-    if kind in ("all_of", "and", "any_of", "or"):
-        children = spec.get("children")
-        if not children or not isinstance(children, list):
-            raise ConfigError(
-                f"composite condition {kind!r} needs a non-empty 'children' list",
-                path=_path or None,
-            )
-        built = [
-            condition_from_config(c, _sub(_path, f"children[{i}]"))
-            for i, c in enumerate(children)
-        ]
-        return C.AllOf(*built) if kind in ("all_of", "and") else C.AnyOf(*built)
-    if kind == "not":
-        if "child" not in spec:
-            raise ConfigError(
-                "'not' condition needs a 'child' entry", path=_path or None
-            )
-        return C.Not(condition_from_config(spec["child"], _sub(_path, "child")))
-    if kind == "pattern_probability":
-        if "pattern" not in spec:
-            raise ConfigError(
-                "'pattern_probability' condition needs a 'pattern' entry",
-                path=_path or None,
-            )
-        pattern = pattern_from_config(spec["pattern"], _sub(_path, "pattern"))
-        try:
-            return C.PatternProbabilityCondition(pattern, scale=spec.get("scale", 1.0))
-        except (TypeError, ValueError, IcewaflError) as exc:
-            raise ConfigError(
-                f"bad arguments for condition {kind!r}: {exc}", path=_path or None
-            ) from exc
-    if not isinstance(kind, str) or kind not in _CONDITIONS:
-        known = sorted(_CONDITIONS) + ["all_of", "any_of", "not", "pattern_probability"]
-        raise ConfigError(
-            f"unknown condition type {kind!r}; known: {known}", path=_path or None
-        )
-    kwargs = _params(spec, _path)
-    try:
-        return _CONDITIONS[kind](**kwargs)
-    except ConfigError as exc:
-        raise _located(exc, _path) from exc
-    except (TypeError, ValueError, IcewaflError) as exc:
-        raise ConfigError(
-            f"bad arguments for condition {kind!r}: {exc}", path=_path or None
-        ) from exc
-
-
-# ---------------------------------------------------------------------------
-# Error registry
-# ---------------------------------------------------------------------------
-
-_ERRORS: dict[str, Callable[..., ErrorFunction]] = {
-    "gaussian_noise": lambda sigma: GaussianNoise(sigma),
-    "uniform_noise": lambda low, high, multiplicative=False, signed=False: UniformNoise(
-        low, high, multiplicative, signed
-    ),
-    "scale": lambda factor: ScaleByFactor(factor),
-    "unit_conversion": lambda from_unit, to_unit: UnitConversion(from_unit, to_unit),
-    "offset": lambda delta: Offset(delta),
-    "round": lambda digits: RoundToPrecision(digits),
-    "outlier": lambda k=10.0, scale=None, signed=True: OutlierSpike(k, scale, signed),
-    "sign_flip": lambda: SignFlip(),
-    "swap_attributes": lambda: SwapAttributes(),
-    "set_null": lambda: SetToNull(),
-    "set_nan": lambda: SetToNaN(),
-    "set_constant": lambda value: SetToConstant(value),
-    "set_default": lambda defaults: SetToDefault(defaults),
-    "incorrect_category": lambda domain: IncorrectCategory(domain),
-    "typo": lambda n_errors=1: Typo(n_errors),
-    "case": lambda mode="random": CaseError(mode),
-    "truncate": lambda keep: Truncate(keep),
-    "whitespace": lambda max_spaces=3: WhitespacePadding(max_spaces),
-    "delay": lambda delay, timestamp_attribute=None: DelayTuple(
-        _duration(delay), timestamp_attribute
-    ),
-    "frozen_value": lambda: FrozenValue(),
-    "timestamp_jitter": lambda max_jitter, timestamp_attribute=None: TimestampJitter(
-        _duration(max_jitter), timestamp_attribute
-    ),
-    "drop": lambda: DropTuple(),
-    "duplicate": lambda copies=1, spacing=None, timestamp_attribute=None: DuplicateTuple(
-        copies,
-        _duration(spacing) if spacing is not None else None,
-        timestamp_attribute,
-    ),
-    "cumulative_drift": lambda step: CumulativeDrift(step),
-    "swap_with_previous": lambda: SwapWithPrevious(),
-    "ramped_mult_noise": lambda tau0, taun, a_max=0.0, b_max=0.5: RampedMultiplicativeNoise(
-        _ts(tau0), _ts(taun), a_max, b_max
-    ),
-}
+    return _from_config("condition", spec, _path)
 
 
 def error_from_config(spec: Mapping[str, Any], _path: str = "") -> ErrorFunction:
-    kind = _object(spec, _path, "error").get("type")
-    if kind == "derived":
-        for needed in ("error", "pattern"):
-            if needed not in spec:
-                raise ConfigError(
-                    f"'derived' error needs an {needed!r} entry", path=_path or None
-                )
-        return DerivedTemporalError(
-            error_from_config(spec["error"], _sub(_path, "error")),
-            pattern_from_config(spec["pattern"], _sub(_path, "pattern")),
-        )
-    if not isinstance(kind, str) or kind not in _ERRORS:
-        known = sorted(_ERRORS) + ["derived"]
-        raise ConfigError(
-            f"unknown error type {kind!r}; known: {known}", path=_path or None
-        )
-    kwargs = _params(spec, _path)
-    try:
-        return _ERRORS[kind](**kwargs)
-    except ConfigError as exc:
-        raise _located(exc, _path) from exc
-    except (TypeError, ValueError, IcewaflError) as exc:
-        raise ConfigError(
-            f"bad arguments for error {kind!r}: {exc}", path=_path or None
-        ) from exc
+    return _from_config("error", spec, _path)
+
+
+def _as_is(value: Any, path: str) -> Any:
+    return value
+
+
+_TIMESTAMP: Converter = (lambda value, path: _ts(value), lambda ts: ts)
+_DURATION: Converter = (lambda value, path: _duration(value), lambda d: d.seconds)
+_OPTIONAL_DURATION: Converter = (
+    lambda value, path: None if value is None else _duration(value),
+    lambda d: d.seconds,
+)
+_LIST: Converter = (_as_is, list)
+_SET: Converter = (_as_is, lambda values: sorted(values, key=repr))
+_DICT: Converter = (_as_is, dict)
+
+
+def _children(value: Any, path: str) -> list[C.Condition]:
+    if not value or not isinstance(value, list):
+        raise ConfigError("'children' must be a non-empty list of conditions", path=path)
+    return [condition_from_config(c, f"{path}[{i}]") for i, c in enumerate(value)]
+
+
+_PATTERN: Converter = (pattern_from_config, partial(_to_config, "pattern"))
+_CONDITION: Converter = (condition_from_config, partial(_to_config, "condition"))
+_CONDITION_LIST: Converter = (
+    _children,
+    lambda children: [_to_config("condition", c) for c in children],
+)
+_ERROR: Converter = (error_from_config, partial(_to_config, "error"))
+_SPAN = {"start": _TIMESTAMP, "end": _TIMESTAMP}
+_RAMP = {"tau0": _TIMESTAMP, "taun": _TIMESTAMP}
+
+_PATTERNS: dict[str, Registered] = {
+    "constant": Registered(P.ConstantPattern, ("value",)),
+    "abrupt": Registered(
+        P.AbruptPattern, ("change_time", "before", "after"), {"change_time": _TIMESTAMP}
+    ),
+    "incremental": Registered(
+        P.IncrementalPattern, ("start", "end", "start_value", "end_value"), _SPAN
+    ),
+    "intermediate": Registered(P.IntermediatePattern, ("start", "end", "block_seconds"), _SPAN),
+    "sinusoidal": Registered(
+        P.SinusoidalPattern, ("amplitude", "offset", "period_hours", "phase")
+    ),
+}
+
+_CONDITIONS: dict[str, Registered] = {
+    "always": Registered(C.AlwaysCondition),
+    "never": Registered(C.NeverCondition),
+    "probability": Registered(C.ProbabilityCondition, ("p",)),
+    "attribute": Registered(C.AttributeCondition, ("attribute", "op", "value")),
+    "null_value": Registered(C.NullValueCondition, ("attribute",)),
+    "in_set": Registered(C.InSetCondition, ("attribute", "values"), {"values": _SET}),
+    "range": Registered(C.RangeCondition, ("attribute", "low", "high")),
+    "after": Registered(C.AfterCondition, ("timestamp",), {"timestamp": _TIMESTAMP}),
+    "before": Registered(C.BeforeCondition, ("timestamp",), {"timestamp": _TIMESTAMP}),
+    "time_interval": Registered(C.TimeIntervalCondition, ("start", "end"), _SPAN),
+    "daily_interval": Registered(C.DailyIntervalCondition, ("start_hour", "end_hour")),
+    "sinusoidal": Registered(
+        C.SinusoidalCondition, ("amplitude", "offset", "period_hours", "phase")
+    ),
+    "linear_ramp": Registered(C.LinearRampCondition, ("tau0", "taun", "scale"), _RAMP),
+    "every_nth": Registered(C.EveryNthCondition, ("n", "offset")),
+    "burst": Registered(
+        C.BurstCondition, ("p_enter", "p_exit", "p_error_good", "p_error_bad")
+    ),
+}
+
+#: Conditions built from other specs.
+_CONDITION_COMBINATORS: dict[str, Registered] = {
+    "all_of": Registered(
+        C.AllOf, ("children",), {"children": _CONDITION_LIST},
+        build=lambda children: C.AllOf(*children),
+    ),
+    "any_of": Registered(
+        C.AnyOf, ("children",), {"children": _CONDITION_LIST},
+        build=lambda children: C.AnyOf(*children),
+    ),
+    "not": Registered(C.Not, ("child",), {"child": _CONDITION}),
+    "pattern_probability": Registered(
+        C.PatternProbabilityCondition, ("pattern", "scale"), {"pattern": _PATTERN}
+    ),
+}
+
+_ERRORS: dict[str, Registered] = {
+    "gaussian_noise": Registered(GaussianNoise, ("sigma",)),
+    "uniform_noise": Registered(UniformNoise, ("low", "high", "multiplicative", "signed")),
+    "scale": Registered(ScaleByFactor, ("factor",)),
+    "unit_conversion": Registered(UnitConversion, ("from_unit", "to_unit")),
+    "offset": Registered(Offset, ("delta",)),
+    "round": Registered(RoundToPrecision, ("digits",)),
+    "outlier": Registered(OutlierSpike, ("k", "scale", "signed")),
+    "sign_flip": Registered(SignFlip),
+    "swap_attributes": Registered(SwapAttributes),
+    "set_null": Registered(SetToNull),
+    "set_nan": Registered(SetToNaN),
+    "set_constant": Registered(SetToConstant, ("value",)),
+    "set_default": Registered(SetToDefault, ("defaults",), {"defaults": _DICT}),
+    "incorrect_category": Registered(IncorrectCategory, ("domain",), {"domain": _LIST}),
+    "typo": Registered(Typo, ("n_errors",)),
+    "case": Registered(CaseError, ("mode",)),
+    "truncate": Registered(Truncate, ("keep",)),
+    "whitespace": Registered(WhitespacePadding, ("max_spaces",)),
+    "delay": Registered(
+        DelayTuple, ("delay", "timestamp_attribute"), {"delay": _DURATION}
+    ),
+    "frozen_value": Registered(FrozenValue),
+    "timestamp_jitter": Registered(
+        TimestampJitter, ("max_jitter", "timestamp_attribute"), {"max_jitter": _DURATION}
+    ),
+    "drop": Registered(DropTuple),
+    "duplicate": Registered(
+        DuplicateTuple,
+        ("copies", "spacing", "timestamp_attribute"),
+        {"spacing": _OPTIONAL_DURATION},
+    ),
+    "cumulative_drift": Registered(CumulativeDrift, ("step",)),
+    "swap_with_previous": Registered(SwapWithPrevious),
+    "ramped_mult_noise": Registered(
+        RampedMultiplicativeNoise, ("tau0", "taun", "a_max", "b_max"), _RAMP
+    ),
+}
+
+#: Each family's config names, combinators and aliases included.
+_FAMILIES: dict[str, dict[str, Registered]] = {
+    "pattern": _PATTERNS,
+    "condition": {
+        **_CONDITIONS,
+        **_CONDITION_COMBINATORS,
+        "and": _CONDITION_COMBINATORS["all_of"],
+        "or": _CONDITION_COMBINATORS["any_of"],
+    },
+    "error": {
+        **_ERRORS,
+        "derived": Registered(
+            DerivedTemporalError, ("error", "pattern"), {"error": _ERROR, "pattern": _PATTERN}
+        ),
+    },
+}
+
+#: Each family's classes by exact type, with their first config name: a
+#: subclass of a registered class has no declarative form, since nothing
+#: says how its own state would be written back.
+_BY_TYPE: dict[str, dict[type, tuple[str, Registered]]] = {
+    family: {entry.cls: (kind, entry) for kind, entry in reversed(table.items())}
+    for family, table in _FAMILIES.items()
+}
 
 
 # ---------------------------------------------------------------------------

@@ -32,35 +32,35 @@ class DerivedTemporalError(ErrorFunction):
     intensity, so derived errors nest (a ramp of a sinusoid etc.).
     """
 
-    def __init__(self, inner: ErrorFunction, pattern: ChangePattern) -> None:
+    def __init__(self, error: ErrorFunction, pattern: ChangePattern) -> None:
         super().__init__()
-        if inner.native_temporal:
+        if error.native_temporal:
             raise ErrorFunctionError(
                 "derived temporal errors wrap *static* error functions; "
-                f"{inner.describe()} is native temporal already"
+                f"{error.describe()} is native temporal already"
             )
-        self.inner = inner
+        self.error = error
         self.pattern = pattern
 
     @property
     def stochastic(self) -> bool:  # type: ignore[override]
-        return self.inner.stochastic
+        return self.error.stochastic
 
     def bind_rng(self, rng) -> None:
         super().bind_rng(rng)
-        self.inner.bind_rng(rng)
+        self.error.bind_rng(rng)
 
     def reset(self) -> None:
-        self.inner.reset()
+        self.error.reset()
 
     def apply(self, record: Record, attributes: Sequence[str], tau: int, intensity: float = 1.0) -> ErrorOutput:
         effective = intensity * self.pattern(tau)
         if effective <= 0.0:
             return record
-        return self.inner.apply(record, attributes, tau, intensity=effective)
+        return self.error.apply(record, attributes, tau, intensity=effective)
 
     def describe(self) -> str:
-        return f"derived({self.inner.describe()} x {self.pattern.describe()})"
+        return f"derived({self.error.describe()} x {self.pattern.describe()})"
 
 
 class RampedMultiplicativeNoise(ErrorFunction):

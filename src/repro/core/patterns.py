@@ -46,28 +46,28 @@ class ConstantPattern(ChangePattern):
     def __init__(self, value: float = 1.0) -> None:
         if not 0.0 <= value <= 1.0:
             raise PollutionError(f"constant intensity must be in [0, 1], got {value}")
-        self._value = value
+        self.value = value
 
     def intensity(self, tau: int) -> float:
-        return self._value
+        return self.value
 
     def describe(self) -> str:
-        return f"constant({self._value})"
+        return f"constant({self.value})"
 
 
 class AbruptPattern(ChangePattern):
     """A step: intensity jumps from ``before`` to ``after`` at ``change_time``."""
 
     def __init__(self, change_time: int, before: float = 0.0, after: float = 1.0) -> None:
-        self._change_time = int(change_time)
-        self._before = before
-        self._after = after
+        self.change_time = int(change_time)
+        self.before = before
+        self.after = after
 
     def intensity(self, tau: int) -> float:
-        return self._after if tau >= self._change_time else self._before
+        return self.after if tau >= self.change_time else self.before
 
     def describe(self) -> str:
-        return f"abrupt(at={self._change_time}, {self._before}->{self._after})"
+        return f"abrupt(at={self.change_time}, {self.before}->{self.after})"
 
 
 class IncrementalPattern(ChangePattern):
@@ -87,23 +87,23 @@ class IncrementalPattern(ChangePattern):
     ) -> None:
         if end <= start:
             raise PollutionError("incremental pattern needs end > start")
-        self._start = int(start)
-        self._end = int(end)
-        self._start_value = start_value
-        self._end_value = end_value
+        self.start = int(start)
+        self.end = int(end)
+        self.start_value = start_value
+        self.end_value = end_value
 
     def intensity(self, tau: int) -> float:
-        if tau <= self._start:
-            return self._start_value
-        if tau >= self._end:
-            return self._end_value
-        frac = (tau - self._start) / (self._end - self._start)
-        return self._start_value + frac * (self._end_value - self._start_value)
+        if tau <= self.start:
+            return self.start_value
+        if tau >= self.end:
+            return self.end_value
+        frac = (tau - self.start) / (self.end - self.start)
+        return self.start_value + frac * (self.end_value - self.start_value)
 
     def describe(self) -> str:
         return (
-            f"incremental([{self._start},{self._end}], "
-            f"{self._start_value}->{self._end_value})"
+            f"incremental([{self.start},{self.end}], "
+            f"{self.start_value}->{self.end_value})"
         )
 
 
@@ -125,23 +125,23 @@ class IntermediatePattern(ChangePattern):
             raise PollutionError("intermediate pattern needs end > start")
         if block_seconds <= 0:
             raise PollutionError("block size must be positive")
-        self._start = int(start)
-        self._end = int(end)
-        self._block = int(block_seconds)
+        self.start = int(start)
+        self.end = int(end)
+        self.block_seconds = int(block_seconds)
 
     def intensity(self, tau: int) -> float:
-        if tau < self._start:
+        if tau < self.start:
             return 0.0
-        if tau >= self._end:
+        if tau >= self.end:
             return 1.0
-        frac = (tau - self._start) / (self._end - self._start)
-        block_index = (tau - self._start) // self._block
+        frac = (tau - self.start) / (self.end - self.start)
+        block_index = (tau - self.start) // self.block_seconds
         # Low-discrepancy phase in [0,1) per block (golden-ratio sequence):
         phase = (block_index * 0.6180339887498949) % 1.0
         return 1.0 if phase < frac else 0.0
 
     def describe(self) -> str:
-        return f"intermediate([{self._start},{self._end}], block={self._block}s)"
+        return f"intermediate([{self.start},{self.end}], block={self.block_seconds}s)"
 
 
 class SinusoidalPattern(ChangePattern):
@@ -168,19 +168,19 @@ class SinusoidalPattern(ChangePattern):
                 "sinusoid must stay within [0, 1]: need |amplitude| <= offset "
                 f"and offset + |amplitude| <= 1 (got a={amplitude}, o={offset})"
             )
-        self._amplitude = amplitude
-        self._offset = offset
-        self._period = period_hours
-        self._phase = phase
+        self.amplitude = amplitude
+        self.offset = offset
+        self.period_hours = period_hours
+        self.phase = phase
 
     def intensity(self, tau: int) -> float:
         h = hour_of_day(tau)
-        return self._amplitude * math.cos(2 * math.pi * h / self._period + self._phase) + self._offset
+        return self.amplitude * math.cos(2 * math.pi * h / self.period_hours + self.phase) + self.offset
 
     def describe(self) -> str:
         return (
-            f"sinusoidal(a={self._amplitude}, o={self._offset}, "
-            f"T={self._period}h, phi={self._phase})"
+            f"sinusoidal(a={self.amplitude}, o={self.offset}, "
+            f"T={self.period_hours}h, phi={self.phase})"
         )
 
 

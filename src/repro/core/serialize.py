@@ -6,273 +6,46 @@ pollution benchmark fully self-describing: ``pipeline_to_config(pipeline)``
 + seed + input data reproduce the exact dirty stream (Fig. 2's reproducible
 workflow, closed under programmatic pipeline construction).
 
+Both directions read the one registry in :mod:`repro.core.config`, which
+lists each type's config name, class and parameters. An object is matched
+by its exact type, so only the library classes themselves have a
+declarative form: a custom condition/error class, and equally a user
+subclass of a library class (which may change what the parent computes),
+raises :class:`~repro.errors.ConfigError`.
+
 Round-trip guarantee (tested): for every serializable pipeline ``P``,
 ``pipeline_from_config(pipeline_to_config(P))`` produces byte-identical
-pollution under the same seed. Polluters built from custom (unregistered)
-condition/error classes raise :class:`~repro.errors.ConfigError` — they
-have no declarative form.
+pollution under the same seed.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.core import conditions as C
-from repro.core import patterns as P
 from repro.core.composite import CompositePolluter
-from repro.core.errors import (
-    CaseError,
-    CumulativeDrift,
-    DelayTuple,
-    DerivedTemporalError,
-    DropTuple,
-    DuplicateTuple,
-    FrozenValue,
-    GaussianNoise,
-    IncorrectCategory,
-    Offset,
-    OutlierSpike,
-    RampedMultiplicativeNoise,
-    RoundToPrecision,
-    ScaleByFactor,
-    SetToConstant,
-    SetToDefault,
-    SetToNaN,
-    SetToNull,
-    SignFlip,
-    SwapAttributes,
-    SwapWithPrevious,
-    TimestampJitter,
-    Truncate,
-    Typo,
-    UniformNoise,
-    UnitConversion,
-    WhitespacePadding,
-)
+from repro.core.conditions.base import Condition
+from repro.core.config import _to_config
 from repro.core.errors.base import ErrorFunction
+from repro.core.patterns import ChangePattern
 from repro.core.pipeline import PollutionPipeline
 from repro.core.polluter import Polluter, StandardPolluter
 from repro.errors import ConfigError
 
 
-def pattern_to_config(pattern: P.ChangePattern) -> dict[str, Any]:
-    if isinstance(pattern, P.ConstantPattern):
-        return {"type": "constant", "value": pattern._value}  # noqa: SLF001
-    if isinstance(pattern, P.AbruptPattern):
-        return {
-            "type": "abrupt",
-            "change_time": pattern._change_time,  # noqa: SLF001
-            "before": pattern._before,  # noqa: SLF001
-            "after": pattern._after,  # noqa: SLF001
-        }
-    if isinstance(pattern, P.IncrementalPattern):
-        return {
-            "type": "incremental",
-            "start": pattern._start,  # noqa: SLF001
-            "end": pattern._end,  # noqa: SLF001
-            "start_value": pattern._start_value,  # noqa: SLF001
-            "end_value": pattern._end_value,  # noqa: SLF001
-        }
-    if isinstance(pattern, P.IntermediatePattern):
-        return {
-            "type": "intermediate",
-            "start": pattern._start,  # noqa: SLF001
-            "end": pattern._end,  # noqa: SLF001
-            "block_seconds": pattern._block,  # noqa: SLF001
-        }
-    if isinstance(pattern, P.SinusoidalPattern):
-        return {
-            "type": "sinusoidal",
-            "amplitude": pattern._amplitude,  # noqa: SLF001
-            "offset": pattern._offset,  # noqa: SLF001
-            "period_hours": pattern._period,  # noqa: SLF001
-            "phase": pattern._phase,  # noqa: SLF001
-        }
-    raise ConfigError(
-        f"pattern {type(pattern).__name__} has no declarative form"
-    )
+def pattern_to_config(pattern: ChangePattern) -> dict[str, Any]:
+    return _to_config("pattern", pattern)
 
 
-def condition_to_config(condition: C.Condition) -> dict[str, Any]:
-    if isinstance(condition, C.AlwaysCondition):
-        return {"type": "always"}
-    if isinstance(condition, C.NeverCondition):
-        return {"type": "never"}
-    if isinstance(condition, C.ProbabilityCondition):
-        return {"type": "probability", "p": condition.p}
-    if isinstance(condition, C.AttributeCondition):
-        return {
-            "type": "attribute",
-            "attribute": condition.attribute,
-            "op": condition.op,
-            "value": condition.value,
-        }
-    if isinstance(condition, C.NullValueCondition):
-        return {"type": "null_value", "attribute": condition.attribute}
-    if isinstance(condition, C.InSetCondition):
-        return {
-            "type": "in_set",
-            "attribute": condition.attribute,
-            "values": sorted(condition.values, key=repr),
-        }
-    if isinstance(condition, C.RangeCondition):
-        return {
-            "type": "range",
-            "attribute": condition.attribute,
-            "low": condition.low,
-            "high": condition.high,
-        }
-    if isinstance(condition, C.AfterCondition):
-        return {"type": "after", "timestamp": condition.timestamp}
-    if isinstance(condition, C.BeforeCondition):
-        return {"type": "before", "timestamp": condition.timestamp}
-    if isinstance(condition, C.TimeIntervalCondition):
-        return {"type": "time_interval", "start": condition.start, "end": condition.end}
-    if isinstance(condition, C.DailyIntervalCondition):
-        return {
-            "type": "daily_interval",
-            "start_hour": condition.start_hour,
-            "end_hour": condition.end_hour,
-        }
-    # Order matters: the specialized pattern conditions subclass
-    # PatternProbabilityCondition.
-    if isinstance(condition, C.LinearRampCondition):
-        return {
-            "type": "linear_ramp",
-            "tau0": condition.tau0,
-            "taun": condition.taun,
-            "scale": condition.scale,
-        }
-    if isinstance(condition, C.SinusoidalCondition):
-        spec = pattern_to_config(condition.pattern)
-        spec.pop("type")
-        return {"type": "sinusoidal", **spec}
-    if isinstance(condition, C.PatternProbabilityCondition):
-        return {
-            "type": "pattern_probability",
-            "pattern": pattern_to_config(condition.pattern),
-            "scale": condition.scale,
-        }
-    if isinstance(condition, C.EveryNthCondition):
-        return {"type": "every_nth", "n": condition.n, "offset": condition.offset}
-    if isinstance(condition, C.BurstCondition):
-        return {
-            "type": "burst",
-            "p_enter": condition.p_enter,
-            "p_exit": condition.p_exit,
-            "p_error_good": condition.p_error_good,
-            "p_error_bad": condition.p_error_bad,
-        }
-    if isinstance(condition, C.AllOf):
-        return {
-            "type": "all_of",
-            "children": [condition_to_config(c) for c in condition.children],
-        }
-    if isinstance(condition, C.AnyOf):
-        return {
-            "type": "any_of",
-            "children": [condition_to_config(c) for c in condition.children],
-        }
-    if isinstance(condition, C.Not):
-        return {"type": "not", "child": condition_to_config(condition.child)}
-    raise ConfigError(
-        f"condition {type(condition).__name__} has no declarative form"
-    )
+def condition_to_config(condition: Condition) -> dict[str, Any]:
+    return _to_config("condition", condition)
 
 
 def error_to_config(error: ErrorFunction) -> dict[str, Any]:
-    if isinstance(error, DerivedTemporalError):
-        return {
-            "type": "derived",
-            "error": error_to_config(error.inner),
-            "pattern": pattern_to_config(error.pattern),
-        }
-    if isinstance(error, GaussianNoise):
-        return {"type": "gaussian_noise", "sigma": error.sigma}
-    if isinstance(error, UniformNoise):
-        return {
-            "type": "uniform_noise",
-            "low": error.low,
-            "high": error.high,
-            "multiplicative": error.multiplicative,
-            "signed": error.signed,
-        }
-    if isinstance(error, UnitConversion):  # before ScaleByFactor (subclass)
-        return {
-            "type": "unit_conversion",
-            "from_unit": error.from_unit,
-            "to_unit": error.to_unit,
-        }
-    if isinstance(error, ScaleByFactor):
-        return {"type": "scale", "factor": error.factor}
-    if isinstance(error, Offset):
-        return {"type": "offset", "delta": error.delta}
-    if isinstance(error, RoundToPrecision):
-        return {"type": "round", "digits": error.digits}
-    if isinstance(error, OutlierSpike):
-        return {"type": "outlier", "k": error.k, "scale": error.scale, "signed": error.signed}
-    if isinstance(error, SignFlip):
-        return {"type": "sign_flip"}
-    if isinstance(error, SwapAttributes):
-        return {"type": "swap_attributes"}
-    if isinstance(error, SetToNull):
-        return {"type": "set_null"}
-    if isinstance(error, SetToNaN):
-        return {"type": "set_nan"}
-    if isinstance(error, SetToConstant):
-        return {"type": "set_constant", "value": error.value}
-    if isinstance(error, SetToDefault):
-        return {"type": "set_default", "defaults": dict(error.defaults)}
-    if isinstance(error, IncorrectCategory):
-        return {"type": "incorrect_category", "domain": list(error.domain)}
-    if isinstance(error, Typo):
-        return {"type": "typo", "n_errors": error.n_errors}
-    if isinstance(error, CaseError):
-        return {"type": "case", "mode": error.mode}
-    if isinstance(error, Truncate):
-        return {"type": "truncate", "keep": error.keep}
-    if isinstance(error, WhitespacePadding):
-        return {"type": "whitespace", "max_spaces": error.max_spaces}
-    if isinstance(error, DelayTuple):
-        return {
-            "type": "delay",
-            "delay": error.delay.seconds,
-            "timestamp_attribute": error.timestamp_attribute,
-        }
-    if isinstance(error, FrozenValue):
-        return {"type": "frozen_value"}
-    if isinstance(error, TimestampJitter):
-        return {
-            "type": "timestamp_jitter",
-            "max_jitter": error.max_jitter.seconds,
-            "timestamp_attribute": error.timestamp_attribute,
-        }
-    if isinstance(error, DropTuple):
-        return {"type": "drop"}
-    if isinstance(error, DuplicateTuple):
-        return {
-            "type": "duplicate",
-            "copies": error.copies,
-            "spacing": error.spacing.seconds,
-            "timestamp_attribute": error.timestamp_attribute,
-        }
-    if isinstance(error, CumulativeDrift):
-        return {"type": "cumulative_drift", "step": error.step}
-    if isinstance(error, SwapWithPrevious):
-        return {"type": "swap_with_previous"}
-    if isinstance(error, RampedMultiplicativeNoise):
-        return {
-            "type": "ramped_mult_noise",
-            "tau0": error.tau0,
-            "taun": error.taun,
-            "a_max": error.a_max,
-            "b_max": error.b_max,
-        }
-    raise ConfigError(f"error {type(error).__name__} has no declarative form")
+    return _to_config("error", error)
 
 
 def polluter_to_config(polluter: Polluter) -> dict[str, Any]:
-    if isinstance(polluter, StandardPolluter):
+    if type(polluter) is StandardPolluter:
         return {
             "type": "standard",
             "name": polluter.name,
@@ -280,7 +53,7 @@ def polluter_to_config(polluter: Polluter) -> dict[str, Any]:
             "error": error_to_config(polluter.error),
             "condition": condition_to_config(polluter.condition),
         }
-    if isinstance(polluter, CompositePolluter):
+    if type(polluter) is CompositePolluter:
         spec: dict[str, Any] = {
             "type": "composite",
             "name": polluter.name,

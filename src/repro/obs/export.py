@@ -67,6 +67,7 @@ METRIC_HELP: dict[str, str] = {
     "profile_node_seconds": "Exclusive per-node processing time.",
     "factbase_cache_hits_total": "Plan-fact bases served from the plan-hash cache.",
     "factbase_cache_misses_total": "Plan-fact bases built from scratch.",
+    "factbase_cache_evictions_total": "Plan-fact bases evicted by the LRU policy.",
     "factbase_cache_entries": "Fact bases currently held by the plan-hash cache.",
     "analysis_cache_hits_total": "Admission analyses served from the plan-hash cache.",
     "analysis_cache_misses_total": "Admission analyses that ran the full static check.",

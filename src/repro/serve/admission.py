@@ -18,21 +18,22 @@ Both gates are pure functions of the spec and a load snapshot, so the
 quota checks and slot reservation are atomic.
 
 The dominant service pattern is the same plan submitted over and over, so
-plan-admission verdicts are cached in an :class:`AnalysisCache` keyed by a
-canonical hash of (config, schema, check options) — the serve-side sibling
-of the analyzer's ``FACTBASE_CACHE``. A repeat submission skips the whole static analysis;
-``/metrics`` exposes ``analysis_cache_hits_total`` / ``_misses_total``.
+plan-admission verdicts are cached in an :data:`AnalysisCache` keyed by a
+canonical hash of (config, schema, check options) — the same LRU class as
+the analyzer's ``FACTBASE_CACHE``. A repeat submission skips the whole
+static analysis; ``/metrics`` exposes ``analysis_cache_hits_total`` /
+``_misses_total`` / ``_evictions_total``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
+from repro.check.factbase import FactBaseCache
 from repro.errors import ConfigError
 
 
@@ -80,95 +81,36 @@ class LoadSnapshot:
     tenant_active: dict[str, int] = field(default_factory=dict)
 
 
-class AnalysisCache:
-    """An LRU of plan-admission analysis reports.
+#: The LRU of plan-admission verdicts: a :class:`FactBaseCache` publishing
+#: ``analysis_cache_*``. Keyed by :func:`analysis_key`, the full preimage
+#: of the analysis, so equal keys imply an identical
+#: :class:`~repro.check.report.CheckReport`. An entry is the report's dict
+#: form plus its pass/fail verdict; the surrounding :class:`Decision`
+#: (which also depends on inline-row counts and per-request load) is
+#: always rebuilt.
+AnalysisCache = partial(FactBaseCache, prefix="analysis_cache")
 
-    Keyed by a canonical SHA-256 over (config, schema, check options) — the
-    full preimage of the analysis, so equal keys imply an identical
-    :class:`~repro.check.report.CheckReport`. Stores the report's dict form
-    plus its pass/fail verdict; the surrounding :class:`Decision` (which
-    also depends on inline-row counts and per-request load) is always
-    rebuilt. Thread-safe: admission runs under the job-manager lock but the
-    counters are also read by the ``/metrics`` event-loop path.
-    """
 
-    def __init__(self, maxsize: int = 128) -> None:
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[bool, int, dict[str, Any]]] = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def key(config: Any, schema: Any, options: Any) -> str:
-        """Canonical digest of one analysis request."""
-        text = json.dumps(
-            {
-                "config": config,
-                "schema": schema,
-                "options": {
-                    "seed": options.seed,
-                    "parallelism": options.parallelism,
-                    "key_by": options.key_by,
-                    "time_range": options.time_range,
-                    "failure_policy": options.failure_policy,
-                    "batch_size": options.batch_size,
-                },
+def analysis_key(config: Any, schema: Any, options: Any) -> str:
+    """Canonical SHA-256 of one analysis request: (config, schema, check options)."""
+    text = json.dumps(
+        {
+            "config": config,
+            "schema": schema,
+            "options": {
+                "seed": options.seed,
+                "parallelism": options.parallelism,
+                "key_by": options.key_by,
+                "time_range": options.time_range,
+                "failure_policy": options.failure_policy,
+                "batch_size": options.batch_size,
             },
-            sort_keys=True,
-            separators=(",", ":"),
-            default=str,
-        )
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def get(self, key: str) -> tuple[bool, int, dict[str, Any]] | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: str, entry: tuple[bool, int, dict[str, Any]]) -> None:
-        with self._lock:
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = self.misses = self.evictions = 0
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "entries": len(self._entries),
-            }
-
-    def publish(self, metrics: Any) -> None:
-        """Surface the counters on a :class:`~repro.obs.metrics.MetricsRegistry`."""
-        stats = self.stats()
-        metrics.counter("analysis_cache_hits_total").value = stats["hits"]
-        metrics.counter("analysis_cache_misses_total").value = stats["misses"]
-        metrics.counter("analysis_cache_evictions_total").value = stats["evictions"]
-        metrics.gauge("analysis_cache_entries").set(stats["entries"])
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+        default=str,
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class AdmissionController:
@@ -177,7 +119,7 @@ class AdmissionController:
     def __init__(
         self,
         limits: AdmissionLimits | None = None,
-        analysis_cache: AnalysisCache | None = None,
+        analysis_cache: FactBaseCache | None = None,
     ) -> None:
         self.limits = limits or AdmissionLimits()
         # ``is None``, not ``or``: an empty cache has len() == 0 and is falsy.
@@ -222,7 +164,7 @@ class AdmissionController:
                 else None
             ),
         )
-        cache_key = AnalysisCache.key(spec.config, spec.schema, options)
+        cache_key = analysis_key(spec.config, spec.schema, options)
         cached = self.analysis_cache.get(cache_key)
         if cached is not None:
             passed, flagged_count, report_dict = cached

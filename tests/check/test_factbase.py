@@ -290,4 +290,5 @@ class TestFactBaseCache:
         values = {i.name: i.value for i in metrics.instruments()}
         assert values["factbase_cache_hits_total"] == 1
         assert values["factbase_cache_misses_total"] == 1
+        assert values["factbase_cache_evictions_total"] == 0
         assert values["factbase_cache_entries"] == 1

@@ -96,7 +96,6 @@ class TestValueConditions:
     def test_null_value_condition_nan(self):
         r = Record({"x": math.nan})
         assert NullValueCondition("x").evaluate(r, 0)
-        assert not NullValueCondition("x", treat_nan_as_null=False).evaluate(r, 0)
 
     def test_in_set(self, record):
         assert InSetCondition("label", {"walk", "run"}).evaluate(record, 0)

@@ -217,3 +217,71 @@ class TestPipelineConfig:
         r1 = pollute(simple_rows, cfg, schema=simple_schema, seed=7)
         r2 = pollute(simple_rows, PollutionPipeline(code, name="same"), schema=simple_schema, seed=7)
         assert [r.as_dict() for r in r1.polluted] == [r.as_dict() for r in r2.polluted]
+
+
+def _one(error=None, condition=None):
+    spec = {"type": "standard", "attributes": ["v"], "error": error or {"type": "set_null"}}
+    if condition is not None:
+        spec["condition"] = condition
+    return {"polluters": [spec]}
+
+
+class TestUntrustedParameters:
+    """Every type is built by one generic constructor call, so the
+    parameters a spec may set are exactly the registry's listed ones."""
+
+    @pytest.mark.parametrize(
+        "spec,location,message",
+        [
+            # A constructor argument outside the listed parameters.
+            (
+                _one(condition={"type": "null_value", "attribute": "v",
+                                "treat_nan_as_null": False}),
+                "polluters[0].condition.treat_nan_as_null",
+                "unknown parameter 'treat_nan_as_null'",
+            ),
+            (
+                _one(error={"type": "gaussian_noise", "sigma": 1.0, "seed": 3}),
+                "polluters[0].error.seed",
+                "unknown parameter 'seed'",
+            ),
+            (
+                _one(error={"type": "derived", "error": {"type": "scale", "factor": 2},
+                            "pattern": {"type": "constant", "bogus": 1}}),
+                "polluters[0].error.pattern.bogus",
+                "unknown parameter 'bogus'",
+            ),
+            # Attribute-name parameters must be strings.
+            (
+                _one(condition={"type": "null_value", "attribute": 5}),
+                "polluters[0].condition.attribute",
+                "must be an attribute name",
+            ),
+            # Constructor failures are wrapped at the spec's path.
+            (
+                _one(error={"type": "gaussian_noise"}),
+                "polluters[0].error",
+                "bad arguments for error 'gaussian_noise'",
+            ),
+            (
+                _one(condition={"type": "after", "timestamp": float("inf")}),
+                "polluters[0].condition",
+                "bad arguments for condition 'after'",
+            ),
+            (
+                _one(error={"type": "delay", "delay": {"hours": "2"},
+                            "timestamp_attribute": "timestamp"}),
+                "polluters[0].error",
+                "duration 'hours' must be a number",
+            ),
+            (
+                _one(condition={"type": "any_of", "children": {}}),
+                "polluters[0].condition.children",
+                "non-empty list",
+            ),
+        ],
+    )
+    def test_bad_parameter_is_a_config_error_at_its_path(self, spec, location, message):
+        with pytest.raises(ConfigError, match=message) as exc_info:
+            pipeline_from_config(spec)
+        assert exc_info.value.path == location
